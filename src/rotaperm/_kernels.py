@@ -51,19 +51,25 @@ def _scan_bijection_py(packed: np.ndarray, space: int):
 
 
 def scan_bijection_numpy(packed: np.ndarray, space: int):
-    """First collision in scan order via a stable sort (no Python loop).
+    """First collision in scan order via one sort (no Python loop).
+
+    Each image goes above its index in a uint64, so a plain sort puts
+    equal images next to each other in index order, as a stable argsort
+    would, at a fraction of its cost.  Needs images and indices < 2^32.
 
     Returns (bijective, collide_index, first_index): the smallest index
     whose image already occurred, and where it first occurred.
     """
-    order = np.argsort(packed, kind="stable")
-    dup = packed[order[1:]] == packed[order[:-1]]
-    if not dup.any():
+    tagged = packed.astype(np.uint64) << np.uint64(32)
+    tagged |= np.arange(packed.shape[0], dtype=np.uint64)
+    tagged.sort()
+    # Neighbours share an image exactly when they differ only in the index bits.
+    dup = np.flatnonzero((tagged[1:] ^ tagged[:-1]) >> np.uint64(32) == 0)
+    if not dup.size:
         return True, -1, -1
-    second = order[1:][dup]
-    first = order[:-1][dup]
+    second = tagged[dup + 1] & np.uint64(0xFFFFFFFF)
     k = int(np.argmin(second))
-    return False, int(second[k]), int(first[k])
+    return False, int(second[k]), int(tagged[dup[k]] & np.uint64(0xFFFFFFFF))
 
 
 if _njit is not None:

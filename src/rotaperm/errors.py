@@ -77,7 +77,9 @@ class NotAPermutation(RotapermError):
 
 
 class FormulaInconsistent(RotapermError):
-    """A closed-form preimage failed re-evaluation against the forward map."""
+    """A defensive re-check failed: a closed-form preimage against the forward
+    map, or an invariant such as the cubic trace criterion, the Y/Z
+    separability of D, or the projective decision against the full scan."""
 
 
 class NoPreimage(RotapermError):

@@ -19,7 +19,13 @@ import math
 
 import numpy as np
 
-from .errors import NoSolution, OddDegreeRequired, ReducibleModulus, UnsupportedDegree
+from .errors import (
+    FormulaInconsistent,
+    NoSolution,
+    OddDegreeRequired,
+    ReducibleModulus,
+    UnsupportedDegree,
+)
 
 FieldElem = int
 Triple = tuple[int, int, int]
@@ -288,8 +294,9 @@ class FieldCtx:
         }
         if p == 0 and r != 0:
             crit = self.trace(self.div(self.pow(q, 3), self.sqr(r)) ^ 1)
-            assert (len(roots) == 1) == (crit != 0), \
-                f"cubic trace criterion violated for q={q:#x}, r={r:#x}"
+            if (len(roots) == 1) != (crit != 0):
+                raise FormulaInconsistent(
+                    f"cubic trace criterion violated for q={q:#x}, r={r:#x}")
         return roots
 
     # ------------------------------------------------------------------
@@ -335,6 +342,16 @@ class FieldCtx:
         if t is None:
             t = self.mul_table[self.sqr_table, np.arange(self.q)]
             self._np_cache["cube"] = t
+        return t
+
+    @property
+    def inv_table(self) -> np.ndarray:
+        """Elementwise inverse a^(q-2), with 0 mapped to 0."""
+        t = self._np("inv")
+        if t is None:
+            t = self.vpow(np.arange(self.q), self.q - 2).astype(self.mul_table.dtype)
+            t[0] = 0
+            self._np_cache["inv"] = t
         return t
 
     def vpow(self, vec: np.ndarray, n: int) -> np.ndarray:

@@ -1,11 +1,18 @@
-"""Exhaustive bijectivity checks over GF(2^m)^3.
+"""Bijectivity decisions over GF(2^m)^3.
 
 Points pack into ints as (x << 2m) | (y << m) | z, so the domain is
 enumerated in lexicographic (x, y, z) order and image membership is a
-flat table lookup.  Images for a whole family are produced by numpy
-table gathers (three pair tables plus a cube table cover every monomial
-of the family shape), and the collision scan runs in the selected
-kernel backend.
+flat table lookup.  Images are produced by numpy table gathers (three
+pair tables plus a cube table cover every monomial of the family shape).
+
+For odd m the decision is projective.  Every family is 3-homogeneous,
+F(lam*v) = lam^3 * F(v), and lam -> lam^3 permutes GF(2^m)^* when m is
+odd, so F permutes GF(2^m)^3 exactly when F(r) != 0 on the q^2+q+1
+representatives r in {(1,y,z)} u {(0,1,z)} u {(0,0,1)} and their images,
+each scaled by the inverse of its leading nonzero coordinate, are pairwise
+distinct.  The full scan over all q^3 images remains for even m, for the
+lexicographically first collision reported as the witness of a negative,
+and (through family_images) for the inverse and lift tables.
 
 Caps: is_permutation refuses m > 9 (the 2^27 table is the ceiling) and
 the pairwise difference check refuses m > 3 (2^6m pairs).
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainTooLarge
+from .errors import DomainTooLarge, FormulaInconsistent, OddDegreeRequired
 from .family import FamilySpec
 from .field import FieldCtx, Triple
 from .mpoly import VARS
@@ -33,7 +40,7 @@ _FULL_CUBE_MAX_M = 7  # above this, images are built in x-slabs
 
 @dataclass(frozen=True)
 class PermReport:
-    """Outcome of one exhaustive bijectivity scan."""
+    """Outcome of one bijectivity decision."""
 
     family: str
     m: int
@@ -108,15 +115,13 @@ def _unpack(ctx: FieldCtx, p: int) -> Triple:
     return (p >> (2 * ctx.m)) & ctx.mask, (p >> ctx.m) & ctx.mask, p & ctx.mask
 
 
-def is_permutation(ctx: FieldCtx, fam: FamilySpec) -> PermReport:
+def full_scan(ctx: FieldCtx, fam: FamilySpec) -> PermReport:
     """Mark all 2^3m images; bijective iff no repeat.
 
     The reported witness is the first collision in lexicographic scan
     order: the earliest point whose image was already taken, paired with
     the point that took it.
     """
-    if ctx.m > IS_PERMUTATION_MAX_M:
-        raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the image table")
     space = 1 << (3 * ctx.m)
     packed = family_images(ctx, fam)
     ok, at, first = _kernels.scan_bijection(packed, space)
@@ -124,6 +129,79 @@ def is_permutation(ctx: FieldCtx, fam: FamilySpec) -> PermReport:
         return PermReport(fam.bitstring(), ctx.m, True, space)
     witness = (_unpack(ctx, first), _unpack(ctx, at))
     return PermReport(fam.bitstring(), ctx.m, False, at + 1, witness)
+
+
+def projective_representatives(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, y, z of (1,y,z) in (y,z) order, then (0,1,z), then (0,0,1)."""
+    q = ctx.q
+    yz = np.arange(q * q)
+    x = np.repeat([1, 0], [q * q, q + 1])
+    y = np.concatenate([yz >> ctx.m, np.ones(q, dtype=yz.dtype), [0]])
+    z = np.concatenate([yz & ctx.mask, np.arange(q), [1]])
+    return x, y, z
+
+
+ZERO_IMAGE = "zero image"
+REPEATED_KEY = "repeated key"
+
+
+def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[Triple, ...]] | None:
+    """Why F fails to permute GF(2^m)^3 (odd m), or None when it permutes.
+
+    Decided on the q^2+q+1 projective representatives alone: either
+    (ZERO_IMAGE, (r,)) for the first representative with F(r) = 0, or
+    (REPEATED_KEY, (r, s)) for the first pair whose images agree once
+    each is scaled by the inverse of its leading nonzero coordinate.
+    """
+    if ctx.m % 2 == 0:
+        raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
+    m = ctx.m
+    x, y, z = projective_representatives(ctx)
+    cube, p_xy, p_xz, p_yz = _pair_tables(ctx, fam.coeffs)
+
+    def f(a, b, c):
+        return cube[a] ^ p_xy[a, b] ^ p_xz[a, c] ^ p_yz[b, c]
+
+    u1, u2, u3 = f(x, y, z), f(y, z, x), f(z, x, y)
+    lead = np.where(u1 != 0, u1, np.where(u2 != 0, u2, u3))
+    zero = np.flatnonzero(lead == 0)
+    if zero.size:
+        i = int(zero[0])
+        return ZERO_IMAGE, ((int(x[i]), int(y[i]), int(z[i])),)
+    mt = ctx.mul_table
+    scale = ctx.inv_table[lead]
+    # The leading coordinate scales to 1, so every key is below 2^(2m+1).
+    keys = ((mt[scale, u1].astype(np.uint32) << (2 * m))
+            | (mt[scale, u2].astype(np.uint32) << m)
+            | mt[scale, u3])
+    ok, at, first = _kernels.scan_bijection(keys, 1 << (2 * m + 1))
+    if ok:
+        return None
+    return REPEATED_KEY, tuple((int(x[i]), int(y[i]), int(z[i])) for i in (first, at))
+
+
+def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> PermReport:
+    """Decide whether F permutes GF(2^m)^3.
+
+    Odd m is decided on the projective representatives.  A positive
+    report counts all 2^3m points; a negative with `witness` re-runs the
+    full scan for the lexicographically first collision, and one without
+    reports only the q^2+q+1 representatives.  Even m always takes the
+    full scan.
+    """
+    if ctx.m > IS_PERMUTATION_MAX_M:
+        raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the image table")
+    if ctx.m % 2 == 0:
+        return full_scan(ctx, fam)
+    if projective_obstruction(ctx, fam) is None:
+        return PermReport(fam.bitstring(), ctx.m, True, 1 << (3 * ctx.m))
+    if not witness:
+        return PermReport(fam.bitstring(), ctx.m, False, ctx.q * ctx.q + ctx.q + 1)
+    report = full_scan(ctx, fam)
+    if report.is_permutation:
+        raise FormulaInconsistent(
+            f"family {fam.bitstring()} at m={ctx.m}: projective decision and full scan disagree")
+    return report
 
 
 def difference_check(ctx: FieldCtx, fam: FamilySpec) -> bool:
@@ -163,7 +241,8 @@ def count_zeros_D(ctx: FieldCtx, t: int) -> int:
     v = np.zeros(q, dtype=mt.dtype)
     for term in D_POLY.terms:
         e_y, e_z = term[_Y_IDX], term[_Z_IDX]
-        assert not (e_y and e_z), "D(Y,Z) is Y/Z-separable by construction"
+        if e_y and e_z:
+            raise FormulaInconsistent("D(Y,Z) has a mixed Y*Z term; it must be Y/Z-separable")
         scale = ctx.pow(t, term[_T_IDX])
         if e_y:
             u ^= mt[scale, ctx.vpow(vec, e_y)]

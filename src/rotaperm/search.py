@@ -1,9 +1,11 @@
 """Exhaustive classification of all 256 coefficient vectors.
 
 For each requested odd degree every family of the eight-bit shape is
-run through the bijectivity scan; the report records the per-degree
-permutation sets (as bitstrings, sorted), their intersection, and
-whether the five named families showed up everywhere they must.
+run through the projective bijectivity decision without a witness (see
+rotaperm.permcheck), so each decision images q^2+q+1 representatives
+and never the full cube.  The report records the per-degree permutation
+sets (as bitstrings, sorted), their intersection, and whether the five
+named families showed up everywhere they must.
 
 Families are dispatched to a thread pool (ROTAPERM_THREADS caps the
 width, 0 or unset means one worker per CPU); results merge in bitstring
@@ -18,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DomainTooLarge, EvenDegree
-from .family import NAMED_COEFFS, all_families, necessary_condition
+from .family import NAMED_COEFFS, all_families
 from .field import FieldCtx
 from .permcheck import is_permutation
 
@@ -78,13 +80,11 @@ def search_all(degrees, allow_large: bool = False) -> SearchReport:
     results: dict[int, tuple[str, ...]] = {}
     for m in degrees:
         ctx = FieldCtx(m)
-        assert necessary_condition(3, ctx.q), "odd m cannot fail the gcd filter"
-        ctx.mul_table  # build shared tables before the pool reads them
-        ctx.cube_table
         families = list(all_families())
-        is_permutation(ctx, families[0])  # warm the kernel outside the pool
+        # Builds the shared field tables and warms the kernel outside the pool.
+        is_permutation(ctx, families[0], witness=False)
         def job(fam):
-            return fam.bitstring(), is_permutation(ctx, fam).is_permutation
+            return fam.bitstring(), is_permutation(ctx, fam, witness=False).is_permutation
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             hits = [bits for bits, ok in pool.map(job, families) if ok]
         results[m] = tuple(sorted(hits))

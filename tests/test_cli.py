@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from rotaperm.cli import main
 from rotaperm.family import eval_F, named_family
 from rotaperm.field import FieldCtx
@@ -29,6 +31,25 @@ def test_verify_coeffs_negative_exit_code(capsys):
     payload = json.loads(out)
     assert payload["permutation"] is False
     assert "witness" in payload
+
+
+# Golden stdout: the witness of a negative is the full scan's lexicographically
+# first collision, and a positive counts every point, whichever path decided.
+@pytest.mark.parametrize("argv, code, stdout", [
+    (("--coeffs", "00000001", "--m", "3"), 1,
+     '{"family": "00000001", "m": 3, "permutation": false, "points": 66,'
+     ' "witness": [["0x0", "0x1", "0x1"], ["0x1", "0x0", "0x1"]]}\n'),
+    (("--coeffs", "00000001", "--m", "5"), 1,
+     '{"family": "00000001", "m": 5, "permutation": false, "points": 1026,'
+     ' "witness": [["0x0", "0x1", "0x1"], ["0x1", "0x0", "0x1"]]}\n'),
+    (("--coeffs", "11111111", "--m", "7"), 1,
+     '{"family": "11111111", "m": 7, "permutation": false, "points": 129,'
+     ' "witness": [["0x0", "0x0", "0x1"], ["0x0", "0x1", "0x0"]]}\n'),
+    (("--family", "T3", "--m", "9"), 0,
+     '{"family": "00000011", "m": 9, "permutation": true, "points": 134217728}\n'),
+])
+def test_verify_golden_stdout(capsys, argv, code, stdout):
+    assert run(capsys, "verify", *argv)[:2] == (code, stdout)
 
 
 def test_verify_even_m_is_usage_error(capsys):

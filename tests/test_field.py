@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from rotaperm.errors import NoSolution, OddDegreeRequired, ReducibleModulus, UnsupportedDegree
+from rotaperm.errors import (
+    FormulaInconsistent,
+    NoSolution,
+    OddDegreeRequired,
+    ReducibleModulus,
+    UnsupportedDegree,
+)
 from rotaperm.field import DEFAULT_MODULI, FieldCtx, field_new
 
 
@@ -103,6 +109,14 @@ def test_mul_table_matches_scalar(f32):
 
 
 # -- cube roots ---------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 3, 9])
+def test_inv_table_matches_scalar_inverse(m):
+    ctx = FieldCtx(m)
+    inv = ctx.inv_table
+    assert inv[0] == 0
+    assert [int(v) for v in inv[1:]] == [ctx.inv(a) for a in range(1, ctx.q)]
+
 
 def test_cube_root_examples(f8):
     assert f8.cube_root(0) == 0
@@ -214,6 +228,13 @@ def test_cubic_unique_root_iff_trace_criterion(m):
     ctx = FieldCtx(m)
     for q in ctx.elements():
         for r in range(1, ctx.q):
-            roots = ctx.cubic_roots(0, q, r)  # internal assert re-checks the criterion
+            roots = ctx.cubic_roots(0, q, r)  # cubic_roots re-checks the criterion itself
             crit = ctx.trace(ctx.div(ctx.pow(q, 3), ctx.sqr(r)) ^ 1)
             assert (len(roots) == 1) == (crit == 1)
+
+
+def test_cubic_trace_criterion_violation_is_typed(f8, monkeypatch):
+    # A wrong trace makes the scanned roots contradict the criterion.
+    monkeypatch.setattr(f8, "trace", lambda a: 1 - FieldCtx.trace(f8, a))
+    with pytest.raises(FormulaInconsistent):
+        f8.cubic_roots(0, 1, 1)

@@ -35,6 +35,26 @@ def test_scan_parity_on_collision():
     assert packed[at] == packed[first] and first < at
 
 
+@pytest.mark.parametrize("m", [3, 5])
+def test_scan_numpy_matches_reference_loop(m):
+    """The sorting scan against the plain first-seen loop it replaces."""
+    ctx = FieldCtx(m)
+    space = 1 << (3 * m)
+    bits = [f"{v:08b}" for v in range(256)] if m == 3 else ["00000001", "11111111", "10101010"]
+    for b in bits:
+        packed = family_images(ctx, family_from_coeffs(b))
+        want = tuple(int(v) for v in _kernels._scan_bijection_py(packed, space))
+        assert tuple(_kernels.scan_bijection_numpy(packed, space)) == want, b
+
+
+def test_scan_numpy_matches_reference_loop_random():
+    rng = np.random.default_rng(23)
+    for size, top in ((2000, 1 << 27), (2000, 3000), (1, 5), (0, 5)):
+        packed = rng.integers(0, top, size=size, dtype=np.uint32)
+        want = tuple(int(v) for v in _kernels._scan_bijection_py(packed, top))
+        assert tuple(_kernels.scan_bijection_numpy(packed, top)) == want
+
+
 @needs_numba
 def test_interp_parity_random_values():
     ext = ext_new(FieldCtx(3))

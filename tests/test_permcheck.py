@@ -1,4 +1,4 @@
-"""Bijectivity scans, the difference criterion, and the D(Y,Z) zero count."""
+"""Bijectivity decisions, the difference criterion, and the D(Y,Z) zero count."""
 
 import json
 import warnings
@@ -6,15 +6,20 @@ import warnings
 import numpy as np
 import pytest
 
-from rotaperm.errors import DomainTooLarge
-from rotaperm.family import all_families, eval_F, family_from_coeffs, named_family
+from rotaperm.errors import DomainTooLarge, FormulaInconsistent, OddDegreeRequired
+from rotaperm.family import NAMED_COEFFS, all_families, eval_F, family_from_coeffs, named_family
 from rotaperm.field import FieldCtx
 from rotaperm.mpoly import evaluate, substitute, parse
 from rotaperm.permcheck import (
+    REPEATED_KEY,
+    ZERO_IMAGE,
     count_zeros_D,
     difference_check,
     family_images,
+    full_scan,
     is_permutation,
+    projective_obstruction,
+    projective_representatives,
 )
 from rotaperm.resolvent import D_POLY
 
@@ -106,6 +111,103 @@ def test_difference_check_equals_is_permutation_for_all_vectors(f8):
         assert difference_check(f8, fam) == is_permutation(f8, fam).is_permutation
 
 
+# -- projective decision against the full-scan oracle ----------------------------
+
+def _proportional(ctx, u, v):
+    """True iff u = c*v for some nonzero c."""
+    return any(tuple(ctx.mul(c, w) for w in v) == u for c in range(1, ctx.q))
+
+
+def test_projective_representatives_cover_each_line_once(f8):
+    q = f8.q
+    reps = list(zip(*(a.tolist() for a in projective_representatives(f8))))
+    assert len(reps) == q * q + q + 1
+    lines = {frozenset((f8.mul(c, x), f8.mul(c, y), f8.mul(c, z)) for c in range(1, q))
+             for x, y, z in reps}
+    assert len(lines) == len(reps)
+    covered = {p for line in lines for p in line}
+    assert len(covered) == q ** 3 - 1
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_projective_matches_full_scan_for_all_vectors(m):
+    ctx = FieldCtx(m)
+    reasons = set()
+    for fam in all_families():
+        oracle = full_scan(ctx, fam)
+        obstruction = projective_obstruction(ctx, fam)
+        assert (obstruction is None) == oracle.is_permutation, fam.bitstring()
+        assert is_permutation(ctx, fam) == oracle, fam.bitstring()
+        if obstruction is not None:
+            reasons.add(obstruction[0])
+    assert reasons == {ZERO_IMAGE, REPEATED_KEY}
+
+
+@pytest.mark.parametrize("bits", [*("".join(map(str, c)) for c in NAMED_COEFFS.values()),
+                                  "00000001", "11111111"])
+def test_projective_matches_full_scan_m7(f128, bits):
+    fam = family_from_coeffs(bits)
+    oracle = full_scan(f128, fam)
+    assert (projective_obstruction(f128, fam) is None) == oracle.is_permutation
+    assert is_permutation(f128, fam) == oracle
+
+
+def test_m7_permutation_set_has_29_members(f128):
+    hits = [fam for fam in all_families() if projective_obstruction(f128, fam) is None]
+    assert len(hits) == 29
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_obstructions_are_genuine(m):
+    """A zero image is a nonzero point mapped to 0; a repeated key is two
+    representatives with proportional images."""
+    ctx = FieldCtx(m)
+    for fam in all_families():
+        obstruction = projective_obstruction(ctx, fam)
+        if obstruction is None:
+            continue
+        reason, points = obstruction
+        if reason == ZERO_IMAGE:
+            (r,) = points
+            assert r != (0, 0, 0) and eval_F(ctx, fam, r) == (0, 0, 0)
+        else:
+            r, s = points
+            assert r != s
+            assert _proportional(ctx, eval_F(ctx, fam, r), eval_F(ctx, fam, s))
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_negative_without_witness(m):
+    ctx = FieldCtx(m)
+    q = ctx.q
+    for bits in ("00000001", "11111111"):
+        report = is_permutation(ctx, family_from_coeffs(bits), witness=False)
+        assert not report.is_permutation
+        assert report.witness is None
+        assert report.points_checked == q * q + q + 1
+
+
+def test_positive_without_witness_counts_every_point(f32):
+    report = is_permutation(f32, named_family("T1"), witness=False)
+    assert report.is_permutation and report.points_checked == 1 << 15
+
+
+def test_even_m_takes_the_full_scan():
+    ctx = FieldCtx(2)
+    fam = family_from_coeffs((0,) * 8)
+    with pytest.raises(OddDegreeRequired):
+        projective_obstruction(ctx, fam)
+    assert is_permutation(ctx, fam, witness=False) == full_scan(ctx, fam)
+
+
+def test_disagreeing_full_scan_is_an_internal_error(f8, monkeypatch):
+    import rotaperm.permcheck as pc
+    monkeypatch.setattr(pc, "full_scan", lambda ctx, fam: pc.PermReport(
+        fam.bitstring(), ctx.m, True, 512))
+    with pytest.raises(FormulaInconsistent):
+        is_permutation(f8, family_from_coeffs("00000001"))
+
+
 # -- D(Y, Z) zero count ----------------------------------------------------------
 
 def test_count_zeros_matches_pointwise_oracle(f8):
@@ -123,6 +225,13 @@ def test_count_zeros_matches_pointwise_oracle(f8):
 def test_d_poly_special_parameters():
     assert substitute(D_POLY, {"t": parse("0")}) == parse("Y^4 + Y + Z^2 + Z + 1")
     assert substitute(D_POLY, {"t": parse("1")}) == parse("Y^4 + Y^2 + Z^4 + Z^2 + 1")
+
+
+def test_count_zeros_rejects_a_mixed_term(f8, monkeypatch):
+    import rotaperm.permcheck as pc
+    monkeypatch.setattr(pc, "D_POLY", D_POLY + parse("Y*Z"))
+    with pytest.raises(FormulaInconsistent):
+        count_zeros_D(f8, 1)
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])
