@@ -6,10 +6,11 @@ The backend is chosen once at import from ROTAPERM_BACKEND:
     ROTAPERM_BACKEND=numpy   force the pure-numpy path
     unset                    numba when importable, else numpy
 
-Both implementations of every kernel are importable directly (suffixes
-_numba / _numpy) so the benchmark can time them against each other; the
-unsuffixed names dispatch to the selected backend.  Results are
-bit-identical across backends.
+The collision scan and the sparse evaluation have both implementations
+importable directly (suffixes _numba / _numpy); the unsuffixed names
+dispatch to the selected backend, and results are bit-identical across
+backends.  The lift's coset interpolation is numpy only: it is small
+enough (about (q^2+q+1)^2 gathers) that one path serves.
 """
 
 from __future__ import annotations
@@ -86,51 +87,35 @@ def scan_bijection(packed: np.ndarray, space: int):
 
 
 # ---------------------------------------------------------------------------
-# coefficient extraction for the pointwise-interpolated lift
+# coefficient extraction for the lift, over coset representatives
 # ---------------------------------------------------------------------------
 # Inputs are in discrete-log form over the multiplicative group of size
-# group = 2^(3m) - 1: logv[j] is the log of the value at the point with
-# log j (or -1 for value 0), exp_table[i] is the element with log i.
-# Output c[k] (1 <= k <= group-1) is the coefficient of X^k; slots 0 and
-# group are left zero for the caller.
+# group = 2^(3m) - 1: rep_log[i] is the log of coset representative i of
+# GF(2^3m)*/GF(2^m)*, rep_logv[i] the log of the map's value there (-1 for
+# value 0), and exp_table[i] the element with log i.
 
-def _interp_coeffs_py(logv: np.ndarray, exp_table: np.ndarray, group: int) -> np.ndarray:
-    coeffs = np.zeros(group + 1, dtype=np.uint32)
-    for k in range(1, group):
-        e = group - k
-        acc = 0
-        for j in range(group):
-            lv = logv[j]
-            if lv >= 0:
-                acc ^= exp_table[(lv + j * e) % group]
-        coeffs[k] = acc
-    return coeffs
+INTERP_CHUNK = 1 << 15  # bounds the (k, representative) block per step
 
 
-def interp_coeffs_numpy(logv: np.ndarray, exp_table: np.ndarray, group: int) -> np.ndarray:
-    coeffs = np.zeros(group + 1, dtype=np.uint32)
-    valid = logv >= 0
-    if not valid.any():
-        return coeffs
-    jv = np.nonzero(valid)[0].astype(np.int64)
-    lv = logv[valid].astype(np.int64)
-    for k in range(1, group):
-        e = group - k
-        coeffs[k] = np.bitwise_xor.reduce(exp_table[(lv + jv * e) % group])
-    return coeffs
+def interp_coeffs(rep_log: np.ndarray, rep_logv: np.ndarray, exp_table: np.ndarray,
+                  group: int, d: int, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents k = d (mod period) in [1, group-1] and c_k = sum_r F'(r) r^-k.
 
-
-if _njit is not None:
-    interp_coeffs_numba = _njit(cache=True)(_interp_coeffs_py)
-else:  # pragma: no cover
-    def interp_coeffs_numba(logv, exp_table, group):
-        raise RuntimeError("numba backend unavailable")
-
-
-def interp_coeffs(logv: np.ndarray, exp_table: np.ndarray, group: int) -> np.ndarray:
-    if BACKEND == "numba":
-        return interp_coeffs_numba(logv, exp_table, group)
-    return interp_coeffs_numpy(logv, exp_table, group)
+    Blocks of k are taken INTERP_CHUNK // len(reps) at a time, so memory
+    stays linear in the number of representatives.  k * log < 2^(6m)
+    fits int64 for every base degree the log tables allow.
+    """
+    ks = np.arange(d % period or period, group, period, dtype=np.int64)
+    coeffs = np.zeros(ks.size, dtype=np.uint32)
+    keep = rep_logv >= 0
+    lr = rep_log[keep].astype(np.int64)
+    lv = rep_logv[keep].astype(np.int64)
+    if lr.size:
+        rows = max(1, INTERP_CHUNK // lr.size)
+        for s in range(0, ks.size, rows):
+            k = ks[s:s + rows, None]
+            coeffs[s:s + rows] = np.bitwise_xor.reduce(exp_table[(lv - k * lr) % group], axis=1)
+    return ks, coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,16 @@ available by construction: an extension element x + y*w + z*w^2 packs
 into an int as x | y<<m | z<<2m, and the lift of a coordinate map is
 literally "unpack, apply, repack".
 
-A lifted map becomes the unique reduced polynomial of degree < 2^3m
-through pointwise interpolation F'(X) = sum_t F'(t) (1 - (X-t)^(2^3m-1));
-the inner sums run over the multiplicative group in discrete-log form
-(see _kernels).  Quasi-multiplicative equivalence F = a*G(c*X^d) is
-decided by exhausting the valid d, matching supports, and recovering c
-from coefficient ratios through the log table.
+A lifted map becomes the unique reduced polynomial of degree < 2^3m,
+F'(X) = sum_t F'(t) (1 - (X-t)^(2^3m-1)).  The lifted maps are
+homogeneous over the base field, F'(l*t) = l^d F'(t) for l in GF(2^m)*,
+so the coefficient of X^k vanishes unless k = d (mod q-1) and is
+otherwise a sum over the q^2+q+1 coset representatives of
+GF(2^3m)*/GF(2^m)* alone; see lift_permutation.
+
+Quasi-multiplicative equivalence F = a*G(c*X^d) is decided by
+exhausting the valid d, matching supports, and recovering c from
+coefficient ratios through the log table.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainTooLarge, ReducibleModulus
+from .errors import DomainTooLarge, FormulaInconsistent, ReducibleModulus
 from .family import FamilySpec
 from .field import FieldCtx, Triple, _factorize
-from .permcheck import family_images
+from .permcheck import family_images, projective_representatives
 
 LOG_TABLE_MAX_BASE_M = 5
 LIFT_MAX_BASE_M = 5
@@ -119,6 +123,24 @@ class ExtCtx:
             r0 ^= bm(p4, self._red4[0]); r1 ^= bm(p4, self._red4[1]); r2 ^= bm(p4, self._red4[2])
         return self.pack((r0, r1, r2))
 
+    def vmul(self, u: np.ndarray, v: int) -> np.ndarray:
+        """Elementwise product of the packed array u with the packed scalar v."""
+        mt = self.base.mul_table
+        mask = self.base.mask
+        u = u.astype(np.int64)
+        col = [mt[:, c].astype(np.uint32) for c in self.unpack(v)]
+        u0, u1, u2 = u & mask, (u >> self.m) & mask, u >> (2 * self.m)
+        p3 = col[2][u1] ^ col[1][u2]
+        p4 = col[2][u2]
+        r = [
+            col[0][u0],
+            col[1][u0] ^ col[0][u1],
+            col[2][u0] ^ col[1][u1] ^ col[0][u2],
+        ]
+        for i in range(3):
+            r[i] ^= mt[p3, self._red3[i]] ^ mt[p4, self._red4[i]]
+        return r[0] | (r[1] << self.m) | (r[2] << (2 * self.m))
+
     def pow(self, u: int, n: int) -> int:
         if n == 0:
             return 1
@@ -165,13 +187,16 @@ class ExtCtx:
             if all(self.pow(cand, self.group // p) != 1 for p in primes):
                 gen = cand
                 break
-        exp = np.zeros(self.group, dtype=np.uint32)
-        log = np.full(self.size, -1, dtype=np.int64)
-        v = 1
-        for i in range(self.group):
-            exp[i] = v
-            log[v] = i
-            v = self.mul(v, gen)
+        # Doubling: exp[n + i] = exp[i] * gen^n for the block already built.
+        exp = np.empty(self.group, dtype=np.uint32)
+        exp[0] = 1
+        n = 1
+        while n < self.group:
+            step = min(n, self.group - n)
+            exp[n:n + step] = self.vmul(exp[:step], self.mul(int(exp[n - 1]), gen))
+            n += step
+        log = np.full(self.size, -1, dtype=np.int32)  # logs < 2^(3m); half the int64 footprint
+        log[exp] = np.arange(self.group)
         self._exp, self._log = exp, log
         self.generator = gen
         self.omega_primitive = self.element_order(self.omega) == self.group
@@ -254,7 +279,10 @@ def lifted_from_json(data: dict) -> LiftedPoly:
         coords = tuple(int(h, 16) for h in item["c"])
         if len(coords) != 3 or any(not 0 <= v < base.q for v in coords):
             raise ValueError(f"coefficient coordinates {item['c']} outside GF(2^{base.m})")
-        mapping[int(item["e"])] = ext.pack(coords)
+        e = int(item["e"])
+        if e in mapping:
+            raise ValueError(f"exponent {e} appears twice")
+        mapping[e] = ext.pack(coords)
     return LiftedPoly.make(ext, mapping)
 
 
@@ -287,26 +315,62 @@ def _map_values(ext: ExtCtx, fam) -> np.ndarray:
     return out
 
 
+def _homogeneity_degree(ext: ExtCtx, logv: np.ndarray) -> int | None:
+    """d in [0, q-1) with F'(l*t) = l^d F'(t) for all l in GF(q)*, or None.
+
+    logv[j] is the log of the value at the point with log j (-1 for 0).
+    g = exp[step] with step = (2^3m-1)/(q-1) generates GF(q)*, and g*t
+    has log j + step, so one pass comparing each t with g*t covers every
+    scalar.
+    The zero map fits every d and gets 0.
+    """
+    step = ext.group // (ext.base.q - 1)
+    at_gt = np.roll(logv, -step)
+    nz = logv >= 0
+    if not np.array_equal(nz, at_gt >= 0):
+        return None
+    if not nz.any():
+        return 0
+    delta = (at_gt[nz] - logv[nz]) % ext.group
+    first = int(delta[0])
+    if first % step or not (delta == first).all():
+        return None
+    return first // step
+
+
 def lift_permutation(ext: ExtCtx, fam) -> LiftedPoly:
     """Unique reduced polynomial agreeing with the lifted map everywhere.
 
     fam is a FamilySpec (lifted through eval order x + y*w + z*w^2) or
-    any callable on coordinate triples.  Base degree is capped at
-    m = 5: the quadratic-cost interpolation is instantaneous at m = 3
-    and takes a few minutes at m = 5.
+    any callable on coordinate triples whose lift is homogeneous over
+    the base field: F'(l*t) = l^d F'(t) for l in GF(q)*.  For
+    0 < k < 2^3m - 1 the coefficient of X^k is sum_t F'(t) t^-k; writing
+    t = l*r with r one of the q^2+q+1 coset representatives (1,y,z),
+    (0,1,z), (0,0,1) turns it into sum_r F'(r) r^-k times sum_l l^(d-k),
+    which is 1 when q-1 divides d-k and 0 otherwise.  So only k = d
+    (mod q-1) survive, each a sum over the representatives (about
+    (q^2+q+1)^2 terms in all, against 2^6m for the pointwise sums); X^0
+    and X^(2^3m-1) take F'(0) and the sum of all values.  A FamilySpec
+    must give d = 3 (FormulaInconsistent otherwise); a callable that is
+    not homogeneous raises ValueError.  Base degree is capped at m = 5.
     """
     if ext.m > LIFT_MAX_BASE_M:
         raise DomainTooLarge(f"interpolation capped at base m={LIFT_MAX_BASE_M}")
     ext._ensure_tables()
     values = _map_values(ext, fam)
-    logv = np.full(ext.group, -1, dtype=np.int64)
-    vals_by_log = values[ext._exp].astype(np.int64)
-    nz = vals_by_log != 0
-    logv[nz] = ext._log[vals_by_log[nz]]
-    coeffs = _kernels.interp_coeffs(logv, ext._exp, ext.group)
-    coeffs[0] = values[0]
-    coeffs[ext.group] = np.bitwise_xor.reduce(values)
-    mapping = {int(e): int(c) for e, c in enumerate(coeffs) if c}
+    period = ext.base.q - 1
+    logv = ext._log[values[ext._exp]]  # log of the value at the point with log j
+    d = _homogeneity_degree(ext, logv)
+    if isinstance(fam, FamilySpec) and d != 3 % period:
+        raise FormulaInconsistent(f"lift of {fam.bitstring()} is not 3-homogeneous (degree {d})")
+    if d is None:
+        raise ValueError("the lifted map is not homogeneous over the base field")
+    x, y, z = projective_representatives(ext.base)
+    rep_log = ext._log[x | (y << ext.m) | (z << (2 * ext.m))]
+    ks, coeffs = _kernels.interp_coeffs(rep_log, logv[rep_log], ext._exp, ext.group, d, period)
+    mapping = dict(zip(ks.tolist(), coeffs.tolist()))
+    mapping[0] = int(values[0])
+    mapping[ext.group] = int(np.bitwise_xor.reduce(values))
     return LiftedPoly.make(ext, mapping)
 
 

@@ -1,9 +1,12 @@
 """CLI contract: JSON on stdout, exit-code trichotomy, reproducible output."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rotaperm import lift
 from rotaperm.cli import main
 from rotaperm.family import eval_F, named_family
 from rotaperm.field import FieldCtx
@@ -121,6 +124,35 @@ def test_lift_and_qm(capsys, tmp_path):
     code, out, _ = run(capsys, "qm", "--p", str(lift_file), "--q", str(tri_file))
     assert code == 1
     assert json.loads(out) == {"equivalent": False}
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+# Golden stdout of `lift` as the pointwise sums over all 2^3m points gave it;
+# the coset sums must reproduce it byte for byte.
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("name", ["T1", "T2", "T3", "T4", "T5"])
+def test_lift_golden_stdout(capsys, name, m):
+    want = (GOLDEN / f"lift_{name}_m{m}.json").read_text()
+    assert run(capsys, "lift", "--family", name, "--m", str(m))[:2] == (0, want)
+
+
+def test_qm_duplicate_exponent_is_usage_error(capsys, tmp_path):
+    data = json.loads((GOLDEN / "lift_T3_m3.json").read_text())
+    data["terms"].append(dict(data["terms"][0], c=["0x1", "0x0", "0x0"]))
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "qm", "--p", str(bad), "--q", str(GOLDEN / "lift_T3_m3.json"))
+    assert (code, out) == (2, "")
+    assert "appears twice" in err
+
+
+def test_lift_of_non_cubic_values_is_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(lift, "_map_values", lambda ext, fam: np.arange(ext.size, dtype=np.uint32))
+    code, out, err = run(capsys, "lift", "--family", "T3", "--m", "3")
+    assert (code, out) == (3, "")
+    assert "3-homogeneous" in err
 
 
 def test_certify_json_and_exit(capsys):

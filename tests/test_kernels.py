@@ -1,4 +1,4 @@
-"""Both kernel implementations must agree bit-for-bit on every input."""
+"""Kernels against their reference loops, and both backends against each other."""
 
 import numpy as np
 import pytest
@@ -55,15 +55,33 @@ def test_scan_numpy_matches_reference_loop_random():
         assert tuple(_kernels.scan_bijection_numpy(packed, top)) == want
 
 
-@needs_numba
-def test_interp_parity_random_values():
+def test_interp_coeffs_independent_of_chunk(monkeypatch):
+    """The block size of the coset interpolation bounds memory, not results."""
     ext = ext_new(FieldCtx(3))
     ext._ensure_tables()
     rng = np.random.default_rng(21)
-    logv = rng.integers(-1, ext.group, size=ext.group, dtype=np.int64)
-    a = _kernels.interp_coeffs_numba(logv, ext._exp, ext.group)
-    b = _kernels.interp_coeffs_numpy(logv, ext._exp, ext.group)
-    assert np.array_equal(a, b)
+    rep_log = rng.permutation(ext.group)[:73]
+    rep_logv = rng.integers(-1, ext.group, size=73, dtype=np.int64)
+    want = _kernels.interp_coeffs(rep_log, rep_logv, ext._exp, ext.group, 3, 7)
+    for chunk in (1, 100, 1 << 30):
+        monkeypatch.setattr(_kernels, "INTERP_CHUNK", chunk)
+        got = _kernels.interp_coeffs(rep_log, rep_logv, ext._exp, ext.group, 3, 7)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert want[0].tolist() == list(range(3, ext.group, 7))
+    for j, k in enumerate(want[0].tolist()):
+        acc = 0
+        for lr, lv in zip(rep_log.tolist(), rep_logv.tolist()):
+            if lv >= 0:
+                acc ^= int(ext._exp[(lv - k * lr) % ext.group])
+        assert int(want[1][j]) == acc
+
+
+def test_interp_coeffs_all_zero_values():
+    ext = ext_new(FieldCtx(3))
+    ext._ensure_tables()
+    ks, coeffs = _kernels.interp_coeffs(np.arange(73), np.full(73, -1), ext._exp, ext.group, 0, 7)
+    assert ks.tolist() == list(range(7, ext.group, 7))
+    assert not coeffs.any()
 
 
 @needs_numba

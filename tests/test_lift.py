@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from rotaperm.errors import DomainTooLarge, ReducibleModulus
-from rotaperm.family import eval_F, named_family
+from rotaperm import lift
+from rotaperm.errors import DomainTooLarge, FormulaInconsistent, ReducibleModulus
+from rotaperm.family import eval_F, family_from_coeffs, named_family
 from rotaperm.field import FieldCtx, _factorize
 from rotaperm.lift import (
     ExtCtx,
@@ -60,6 +62,28 @@ def test_generator_order_oracle(e8):
             assert e8.pow(e8.omega, group // p) != 1
 
 
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_ext_tables_match_scalar_loop(m):
+    """The doubling build of exp/log against repeated scalar multiplication."""
+    ext = ext_new(FieldCtx(m))
+    ext._ensure_tables()
+    exp = np.zeros(ext.group, dtype=np.uint32)
+    v = 1
+    for i in range(ext.group):
+        exp[i] = v
+        v = ext.mul(v, ext.generator)
+    assert v == 1
+    assert np.array_equal(ext._exp, exp)
+    assert ext._log[0] == -1
+    assert np.array_equal(ext._log[exp], np.arange(ext.group))
+
+
+def test_vmul_matches_scalar_mul(e8):
+    u = np.arange(e8.size, dtype=np.uint32)
+    for v in (0, 1, e8.omega, 0x155, 511):
+        assert e8.vmul(u, v).tolist() == [e8.mul(int(t), v) for t in u]
+
+
 def test_ext_mul_against_omega_relation(e8):
     # w^3 must equal alpha*w^2 + beta*w + gamma by construction.
     alpha, beta, gamma = e8.cubic
@@ -99,6 +123,12 @@ def test_frobenius_lifts_to_x_squared(e8):
     assert poly.terms == ((2, 1),)
 
 
+def test_inverse_lifts_to_top_coset_exponent(e8):
+    """t -> 1/t has degree q-2, the class holding the exponent 2^3m - 2."""
+    poly = lift_permutation(e8, lambda p: e8.unpack(e8.inv(e8.pack(p)) if any(p) else 0))
+    assert poly.terms == ((e8.group - 1, 1),)
+
+
 def test_t3_lift_structure(e8):
     poly = lift_permutation(e8, named_family("T3"))
     exponents, count = support(poly)
@@ -127,6 +157,98 @@ def test_lift_agrees_with_forward_map_everywhere(e8):
         assert poly.evaluate(t) == int(values[t])
 
 
+def _interp_coeffs_py(logv, exp_table, group):
+    """Reference: c[k] = sum over all nonzero t of F'(t) t^-k, 1 <= k < group.
+
+    logv[j] is the log of the value at the point with log j (-1 for 0).
+    """
+    coeffs = np.zeros(group + 1, dtype=np.uint32)
+    for k in range(1, group):
+        e = group - k
+        acc = 0
+        for j in range(group):
+            lv = logv[j]
+            if lv >= 0:
+                acc ^= exp_table[(lv + j * e) % group]
+        coeffs[k] = acc
+    return coeffs
+
+
+def _interp_coeffs_matrix(logv, exp_table, group):
+    """The same sums as _interp_coeffs_py in one (group-1) x group gather."""
+    coeffs = np.zeros(group + 1, dtype=np.uint32)
+    j = np.flatnonzero(logv >= 0)
+    k = np.arange(1, group, dtype=np.int64)[:, None]
+    coeffs[1:group] = np.bitwise_xor.reduce(exp_table[(logv[j] + j * (group - k)) % group], axis=1)
+    return coeffs
+
+
+def _full_lift_terms(ext, values):
+    """Terms of the unique interpolant through every point, by the full sums."""
+    logv = ext._log[values[ext._exp]]
+    coeffs = _interp_coeffs_matrix(logv, ext._exp, ext.group)
+    coeffs[0] = values[0]
+    coeffs[ext.group] = np.bitwise_xor.reduce(values)
+    return tuple((int(e), int(c)) for e, c in enumerate(coeffs) if c)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_interp_matrix_oracle_matches_reference_loop(m):
+    ext = ext_new(FieldCtx(m))
+    ext._ensure_tables()
+    rng = np.random.default_rng(21 + m)
+    for _ in range(2):
+        logv = rng.integers(-1, ext.group, size=ext.group, dtype=np.int64)
+        assert np.array_equal(_interp_coeffs_matrix(logv, ext._exp, ext.group),
+                              _interp_coeffs_py(logv, ext._exp, ext.group))
+
+
+def test_coset_lift_matches_full_oracle_all_vectors_m3(e8):
+    """Every coefficient vector, permutation or not, lifts as the full sums say."""
+    for v in range(256):
+        fam = family_from_coeffs(f"{v:08b}")
+        values = lift._map_values(e8, fam)
+        assert lift_permutation(e8, fam).terms == _full_lift_terms(e8, values), fam.bitstring()
+
+
+@pytest.mark.parametrize("name", ["T1", "T2", "T3", "T4", "T5"])
+def test_coset_lift_agrees_with_forward_map_m5(name):
+    """The reduced interpolant is unique, so agreeing everywhere pins it."""
+    ext = ext_new(FieldCtx(5))
+    fam = named_family(name)
+    values = lift_permutation(ext, fam).values()
+    want = [ext.pack(eval_F(ext.base, fam, ext.unpack(t))) for t in range(ext.size)]
+    assert values.tolist() == want
+
+
+def test_non_homogeneous_callable_rejected(e8):
+    def translate(p):  # t -> t + 1 vanishes at 1 but not at base multiples of 1
+        return (p[0] ^ 1, p[1], p[2])
+
+    def mixed(p):  # degree 1 off the plane x = 0, degree 2 on it
+        t = e8.pack(p)
+        return e8.unpack(e8.mul(t, t) if p[0] == 0 else t)
+
+    step = e8.group // 7
+    lone_value = e8.unpack(int(e8._exp[e8.group - 1 - 3 * step]))
+
+    def lone(p):  # nonzero only at 1, where the logs of 1 -> g agree with degree 3
+        return lone_value if p == (1, 0, 0) else (0, 0, 0)
+
+    for fn in (translate, mixed, lone):
+        with pytest.raises(ValueError):
+            lift_permutation(e8, fn)
+
+
+def test_family_lift_of_wrong_degree_is_inconsistent(e8, monkeypatch):
+    """A FamilySpec whose values are not 3-homogeneous fails loudly."""
+    square = np.array([e8.mul(t, t) for t in range(e8.size)], dtype=np.uint32)
+    for fake in (np.arange(e8.size, dtype=np.uint32), square, square ^ 1):
+        monkeypatch.setattr(lift, "_map_values", lambda ext, fam, fake=fake: fake)
+        with pytest.raises(FormulaInconsistent):
+            lift_permutation(e8, named_family("T3"))
+
+
 def test_lift_domain_cap():
     with pytest.raises(DomainTooLarge):
         lift_permutation(ext_new(FieldCtx(7)), named_family("T3"))
@@ -150,6 +272,13 @@ def test_json_round_trip(e8):
     back = lifted_from_json(data)
     assert back.ext == e8
     assert back.terms == poly.terms
+
+
+def test_json_duplicate_exponent_rejected(e8):
+    data = LiftedPoly.make(e8, {3: 1, 10: 2}).to_json()
+    data["terms"].append({"e": 3, "c": ["0x2", "0x0", "0x0"]})
+    with pytest.raises(ValueError, match="exponent 3"):
+        lifted_from_json(data)
 
 
 # -- is_pp ------------------------------------------------------------------------
