@@ -12,6 +12,10 @@ sigma(x,y,z) = (y,z,x) and sigma^2.  Coefficient vectors serialize as
 
 Five vectors are singled out by name (T1..T5); these are the families
 whose bijectivity this package certifies and inverts.
+
+A FamilySpec holds only its coefficient bits.  Numeric work (eval_F,
+the bijectivity decision, inversion) reads the bits directly; the
+symbolic f and F are built on first use and memoised per vector.
 """
 
 from __future__ import annotations
@@ -19,15 +23,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .errors import UnknownName
 from .field import FieldCtx, Triple
-from .mpoly import MPoly, parse, substitute, var
+from .mpoly import VARS, MPoly, parse, substitute
 
 SIGMA = {"x": "y", "y": "z", "z": "x"}
 
-# The monomial multiplied by each coefficient bit, in a1..a8 order.
-_COEFF_MONOMIALS = ("y^3", "z^3", "x^2*y", "x*y^2", "x^2*z", "x*z^2", "y*z^2", "y^2*z")
+# (x, y, z) exponents of the monomial multiplied by each coefficient bit, in
+# a1..a8 order: y^3, z^3, x^2*y, x*y^2, x^2*z, x*z^2, y*z^2, y^2*z.
+COEFF_EXPONENTS = ((0, 3, 0), (0, 0, 3), (2, 1, 0), (1, 2, 0),
+                   (2, 0, 1), (1, 0, 2), (0, 1, 2), (0, 2, 1))
 
 NAMED_COEFFS: dict[str, tuple[int, ...]] = {
     "T1": (1, 0, 0, 1, 1, 0, 1, 0),  # x^3 + y^3 + x*y^2 + x^2*z + y*z^2
@@ -38,31 +45,41 @@ NAMED_COEFFS: dict[str, tuple[int, ...]] = {
 }
 
 
+@lru_cache(maxsize=256)
+def _symbolic(coeffs: tuple[int, ...]) -> tuple[MPoly, MPoly, MPoly]:
+    """The components (f, f o sigma, f o sigma^2) of one coefficient vector."""
+    pad = (0,) * (len(VARS) - 3)
+    f = MPoly([(3, 0, 0) + pad] + [e + pad for bit, e in zip(coeffs, COEFF_EXPONENTS) if bit])
+    f2 = substitute(f, SIGMA)
+    f3 = substitute(f2, SIGMA)
+    return f, f2, f3
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """Coefficient bits plus the derived symbolic map."""
+    """Coefficient bits; the symbolic map is built on first use."""
 
     coeffs: tuple[int, ...]
-    f: MPoly = dc_field(compare=False)
-    F: tuple[MPoly, MPoly, MPoly] = dc_field(compare=False)
     name: str | None = dc_field(default=None, compare=False)
+
+    @property
+    def f(self) -> MPoly:
+        return _symbolic(self.coeffs)[0]
+
+    @property
+    def F(self) -> tuple[MPoly, MPoly, MPoly]:
+        return _symbolic(self.coeffs)
 
     def bitstring(self) -> str:
         return "".join(str(b) for b in self.coeffs)
 
 
 def family_from_coeffs(bits, name: str | None = None) -> FamilySpec:
-    """Build the family for an 8-bit coefficient vector (a1..a8)."""
+    """The family for an 8-bit coefficient vector (a1..a8); nothing symbolic is built."""
     coeffs = tuple(int(b) for b in bits)
     if len(coeffs) != 8 or any(b not in (0, 1) for b in coeffs):
         raise ValueError(f"need 8 bits in {{0,1}}, got {bits!r}")
-    f = var("x") ** 3
-    for bit, mono in zip(coeffs, _COEFF_MONOMIALS):
-        if bit:
-            f = f + parse(mono)
-    f2 = substitute(f, SIGMA)
-    f3 = substitute(f2, SIGMA)
-    return FamilySpec(coeffs=coeffs, f=f, F=(f, f2, f3), name=name)
+    return FamilySpec(coeffs=coeffs, name=name)
 
 
 def named_family(name: str) -> FamilySpec:

@@ -15,8 +15,6 @@ exhaustive scan - exactness over cleverness at this scale.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import (
@@ -370,7 +368,3 @@ class FieldCtx:
 def field_new(m: int, modulus: int | None = None) -> FieldCtx:
     """Construct a GF(2^m) context (default modulus from the shipped table)."""
     return FieldCtx(m, modulus)
-
-
-def gcd_is_one(d: int, n: int) -> bool:
-    return math.gcd(d, n) == 1

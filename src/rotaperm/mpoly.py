@@ -155,14 +155,6 @@ def var(name: str, vars: tuple[str, ...] = VARS) -> MPoly:
     return MPoly([tuple(term)], vars)
 
 
-def mp_add(p: MPoly, q: MPoly) -> MPoly:
-    return p + q
-
-
-def mp_mul(p: MPoly, q: MPoly) -> MPoly:
-    return p * q
-
-
 # ---------------------------------------------------------------------------
 # text form
 # ---------------------------------------------------------------------------

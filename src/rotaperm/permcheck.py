@@ -2,20 +2,26 @@
 
 Points pack into ints as (x << 2m) | (y << m) | z, so the domain is
 enumerated in lexicographic (x, y, z) order and image membership is a
-flat table lookup.  Images are produced by numpy table gathers (three
-pair tables plus a cube table cover every monomial of the family shape).
+flat table lookup.
 
 For odd m the decision is projective.  Every family is 3-homogeneous,
 F(lam*v) = lam^3 * F(v), and lam -> lam^3 permutes GF(2^m)^* when m is
 odd, so F permutes GF(2^m)^3 exactly when F(r) != 0 on the q^2+q+1
 representatives r in {(1,y,z)} u {(0,1,z)} u {(0,0,1)} and their images,
 each scaled by the inverse of its leading nonzero coordinate, are pairwise
-distinct.  The full scan over all q^3 images remains for even m, for the
-lexicographically first collision reported as the witness of a negative,
-and (through family_images) for the inverse and lift tables.
+distinct.  F's images there are XORs of per-degree monomial columns: the
+values of x^3 and of each a1..a8 monomial at every representative under
+the three rotated arguments, built once per field context on first use
+and shared by all 256 families.
 
-Caps: is_permutation refuses m > 9 (the 2^27 table is the ceiling) and
-the pairwise difference check refuses m > 3 (2^6m pairs).
+The full scan over all q^3 images remains for even m, for the
+lexicographically first collision reported as the witness of a negative,
+and (through family_images) for the inverse and lift tables; its images
+come from numpy gathers into three q x q pair tables plus the cube table.
+
+Caps: is_permutation and count_zeros_D refuse m > 9 (the 2^27 image table
+and the q x q product table are the ceiling) and the pairwise difference
+check refuses m > 3 (2^6m pairs).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainTooLarge, FormulaInconsistent, OddDegreeRequired
-from .family import FamilySpec
+from .family import COEFF_EXPONENTS, FamilySpec
 from .field import FieldCtx, Triple
 from .mpoly import VARS
 from .resolvent import D_POLY
@@ -141,6 +147,49 @@ def projective_representatives(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, n
     return x, y, z
 
 
+# x^3, then the monomial under each coefficient bit a1..a8.
+_MONOMIAL_EXPONENTS = ((3, 0, 0),) + COEFF_EXPONENTS
+
+
+def _monomial_column(ctx: FieldCtx, j: int) -> np.ndarray:
+    """Monomial j of _MONOMIAL_EXPONENTS at every projective representative.
+
+    Row i holds its values at the arguments rotated i times, (x,y,z),
+    (y,z,x) and (z,x,y), so F(r) is the XOR of the columns of x^3 and of
+    the family's set bits.  Built on first use and cached on ctx; two
+    threads racing on a cold entry build equal arrays.
+    """
+    key = f"proj_col{j}"
+    col = ctx._np_cache.get(key)
+    if col is None:
+        q = ctx.q
+        products = ctx.mul_table.reshape(-1)
+        powers = (None, np.arange(q), ctx.sqr_table, ctx.cube_table)
+        x, y, z = projective_representatives(ctx)
+
+        def mono(*args):
+            value = None
+            for e, v in zip(_MONOMIAL_EXPONENTS[j], args):
+                if e:
+                    p = powers[e][v]
+                    value = p if value is None else products[value.astype(np.intp) * q + p]
+            return value
+
+        col = np.stack([mono(x, y, z), mono(y, z, x), mono(z, x, y)]).astype(np.uint16)
+        ctx._np_cache[key] = col
+    return col
+
+
+def _representative(ctx: FieldCtx, i: int) -> Triple:
+    """Entry i of projective_representatives, without building the arrays."""
+    qq = ctx.q * ctx.q
+    if i < qq:
+        return 1, i >> ctx.m, i & ctx.mask
+    if i < qq + ctx.q:
+        return 0, 1, i - qq
+    return 0, 0, 1
+
+
 ZERO_IMAGE = "zero image"
 REPEATED_KEY = "repeated key"
 
@@ -156,28 +205,25 @@ def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[T
     if ctx.m % 2 == 0:
         raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
     m = ctx.m
-    x, y, z = projective_representatives(ctx)
-    cube, p_xy, p_xz, p_yz = _pair_tables(ctx, fam.coeffs)
-
-    def f(a, b, c):
-        return cube[a] ^ p_xy[a, b] ^ p_xz[a, c] ^ p_yz[b, c]
-
-    u1, u2, u3 = f(x, y, z), f(y, z, x), f(z, x, y)
+    u = _monomial_column(ctx, 0).copy()
+    for j, bit in enumerate(fam.coeffs, start=1):
+        if bit:
+            u ^= _monomial_column(ctx, j)
+    u1, u2, u3 = u
     lead = np.where(u1 != 0, u1, np.where(u2 != 0, u2, u3))
     zero = np.flatnonzero(lead == 0)
     if zero.size:
-        i = int(zero[0])
-        return ZERO_IMAGE, ((int(x[i]), int(y[i]), int(z[i])),)
-    mt = ctx.mul_table
-    scale = ctx.inv_table[lead]
+        return ZERO_IMAGE, (_representative(ctx, int(zero[0])),)
+    products = ctx.mul_table.reshape(-1)
+    row = ctx.inv_table[lead].astype(np.intp) * ctx.q
     # The leading coordinate scales to 1, so every key is below 2^(2m+1).
-    keys = ((mt[scale, u1].astype(np.uint32) << (2 * m))
-            | (mt[scale, u2].astype(np.uint32) << m)
-            | mt[scale, u3])
+    keys = ((products[row + u1].astype(np.uint32) << (2 * m))
+            | (products[row + u2].astype(np.uint32) << m)
+            | products[row + u3])
     ok, at, first = _kernels.scan_bijection(keys, 1 << (2 * m + 1))
     if ok:
         return None
-    return REPEATED_KEY, tuple((int(x[i]), int(y[i]), int(z[i])) for i in (first, at))
+    return REPEATED_KEY, (_representative(ctx, first), _representative(ctx, at))
 
 
 def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> PermReport:
@@ -234,6 +280,8 @@ def count_zeros_D(ctx: FieldCtx, t: int) -> int:
     D is taken from its symbolic form and never has a mixed Y*Z term,
     so the grid evaluation splits into a Y-profile and a Z-profile.
     """
+    if ctx.m > IS_PERMUTATION_MAX_M:
+        raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the q x q grid")
     q = ctx.q
     mt = ctx.mul_table
     vec = np.arange(q)

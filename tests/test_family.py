@@ -1,10 +1,13 @@
 """Family construction, rotation structure, and numeric/symbolic agreement."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
 
+import rotaperm.family
+import rotaperm.mpoly
 from rotaperm.errors import UnknownName
 from rotaperm.family import (
     LI_NIKOLAY_F1,
@@ -17,8 +20,9 @@ from rotaperm.family import (
     necessary_condition,
 )
 from rotaperm.field import FieldCtx
+from rotaperm.invert import invert_point
 from rotaperm.mpoly import evaluate, homogeneous_degree, parse, substitute
-from rotaperm.permcheck import family_images
+from rotaperm.permcheck import family_images, is_permutation
 
 
 def test_coefficient_layout():
@@ -50,6 +54,43 @@ def test_components_are_rotations():
     sigma = {"x": "y", "y": "z", "z": "x"}
     assert fam.F[1] == substitute(fam.f, sigma)
     assert fam.F[2] == substitute(fam.F[1], sigma)
+
+
+_EAGER_MONOMIALS = ("y^3", "z^3", "x^2*y", "x*y^2", "x^2*z", "x*z^2", "y*z^2", "y^2*z")
+
+
+def test_lazy_symbolic_map_equals_eager_construction():
+    sigma = {"x": "y", "y": "z", "z": "x"}
+    for fam in all_families():
+        f = parse("x^3")
+        for bit, mono in zip(fam.coeffs, _EAGER_MONOMIALS):
+            if bit:
+                f = f + parse(mono)
+        f2 = substitute(f, sigma)
+        assert fam.f == f
+        assert fam.F == (f, f2, substitute(f2, sigma))
+        assert is_rotatable(fam.F)
+
+
+def test_numeric_paths_never_build_the_symbolic_map(f8, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("symbolic construction on a numeric path")
+
+    originals = (rotaperm.mpoly.parse, rotaperm.mpoly.substitute)
+    for module in [m for name, m in sys.modules.items() if name.startswith("rotaperm")]:
+        for attr in ("parse", "substitute"):
+            if getattr(module, attr, None) in originals:
+                monkeypatch.setattr(module, attr, refuse)
+    rotaperm.family._symbolic.cache_clear()  # a memoised map must not hide a build
+    for name, coeffs in NAMED_COEFFS.items():
+        fam = named_family(name)
+        assert family_from_coeffs(coeffs) == fam
+        assert is_permutation(f8, fam).is_permutation
+        for point in [(1, 2, 3), (6, 0, 5), (7, 7, 4)]:
+            target = eval_F(f8, fam, point)
+            assert invert_point(f8, fam, target)[0] == point
+    with pytest.raises(RuntimeError):
+        named_family("T1").F
 
 
 def test_bitstring_serialization():

@@ -11,8 +11,11 @@ from rotaperm.family import NAMED_COEFFS, all_families, eval_F, family_from_coef
 from rotaperm.field import FieldCtx
 from rotaperm.mpoly import evaluate, substitute, parse
 from rotaperm.permcheck import (
+    _MONOMIAL_EXPONENTS,
     REPEATED_KEY,
     ZERO_IMAGE,
+    _monomial_column,
+    _representative,
     count_zeros_D,
     difference_check,
     family_images,
@@ -129,6 +132,11 @@ def test_projective_representatives_cover_each_line_once(f8):
     assert len(covered) == q ** 3 - 1
 
 
+def test_representative_indexing(f8):
+    reps = list(zip(*(a.tolist() for a in projective_representatives(f8))))
+    assert [_representative(f8, i) for i in range(len(reps))] == reps
+
+
 @pytest.mark.parametrize("m", [3, 5])
 def test_projective_matches_full_scan_for_all_vectors(m):
     ctx = FieldCtx(m)
@@ -155,6 +163,31 @@ def test_projective_matches_full_scan_m7(f128, bits):
 def test_m7_permutation_set_has_29_members(f128):
     hits = [fam for fam in all_families() if projective_obstruction(f128, fam) is None]
     assert len(hits) == 29
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_monomial_columns_match_scalar_products(m):
+    ctx = FieldCtx(m)
+    reps = list(zip(*(a.tolist() for a in projective_representatives(ctx))))
+    for j, (ex, ey, ez) in enumerate(_MONOMIAL_EXPONENTS):
+        col = _monomial_column(ctx, j)
+        assert col.shape == (3, len(reps)) and col.dtype == np.uint16
+        for i, (x, y, z) in enumerate(reps):
+            for row, (a, b, c) in enumerate([(x, y, z), (y, z, x), (z, x, y)]):
+                expected = ctx.mul(ctx.mul(ctx.pow(a, ex), ctx.pow(b, ey)), ctx.pow(c, ez))
+                assert col[row, i] == expected
+
+
+def test_column_cache_follows_the_modulus():
+    """x^5+x^3+1 first, then the default x^5+x^2+1 in the same process:
+    columns shared across moduli would give wrong decisions."""
+    for ctx in (FieldCtx(5, 0b101001), FieldCtx(5)):
+        hits = 0
+        for fam in all_families():
+            oracle = full_scan(ctx, fam)
+            assert is_permutation(ctx, fam) == oracle, (ctx, fam.bitstring())
+            hits += oracle.is_permutation
+        assert hits == 29
 
 
 @pytest.mark.parametrize("m", [3, 5])
@@ -225,6 +258,13 @@ def test_count_zeros_matches_pointwise_oracle(f8):
 def test_d_poly_special_parameters():
     assert substitute(D_POLY, {"t": parse("0")}) == parse("Y^4 + Y + Z^2 + Z + 1")
     assert substitute(D_POLY, {"t": parse("1")}) == parse("Y^4 + Y^2 + Z^4 + Z^2 + 1")
+
+
+def test_count_zeros_domain_cap():
+    ctx = FieldCtx(11)
+    with pytest.raises(DomainTooLarge):
+        count_zeros_D(ctx, 1)
+    assert ctx._np_cache == {}
 
 
 def test_count_zeros_rejects_a_mixed_term(f8, monkeypatch):
