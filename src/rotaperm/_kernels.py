@@ -1,57 +1,24 @@
-"""Hot inner loops: numba-compiled kernels with a pure-numpy fallback.
+"""Hot inner loops, in numpy.
 
-The backend is chosen once at import from ROTAPERM_BACKEND:
-
-    ROTAPERM_BACKEND=numba   force numba (error if unavailable)
-    ROTAPERM_BACKEND=numpy   force the pure-numpy path
-    unset                    numba when importable, else numpy
-
-The collision scan and the sparse evaluation have both implementations
-importable directly (suffixes _numba / _numpy); the unsuffixed names
-dispatch to the selected backend, and results are bit-identical across
-backends.  The lift's coset interpolation is numpy only: it is small
-enough (about (q^2+q+1)^2 gathers) that one path serves.
+The first-collision scan over packed images, the lift's coset
+interpolation and the sparse evaluation of a lifted polynomial.  Each
+is a plain vectorised numpy kernel; the tests keep a pointwise loop
+beside each one as its oracle.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_REQUESTED = os.environ.get("ROTAPERM_BACKEND", "").strip().lower()
-
-if _REQUESTED not in ("", "numba", "numpy"):
-    raise ValueError(f"ROTAPERM_BACKEND must be 'numba' or 'numpy', got {_REQUESTED!r}")
-
-_njit = None
-if _REQUESTED in ("", "numba"):
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise
-        _njit = None
-
-BACKEND = "numba" if _njit is not None else "numpy"
+# perfbench/run.py reports this and perfbench/test_smoke.py asserts it.
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # first-collision scan over packed images
 # ---------------------------------------------------------------------------
 
-def _scan_bijection_py(packed: np.ndarray, space: int):
-    seen = np.zeros(space, dtype=np.int32)  # stores index+1; space <= 2^27
-    for i in range(packed.shape[0]):
-        v = packed[i]
-        j = seen[v]
-        if j != 0:
-            return False, np.int64(i), np.int64(j - 1)
-        seen[v] = i + 1
-    return True, np.int64(-1), np.int64(-1)
-
-
-def scan_bijection_numpy(packed: np.ndarray, space: int):
+def scan_bijection(packed: np.ndarray):
     """First collision in scan order via one sort (no Python loop).
 
     Each image goes above its index in a uint64, so a plain sort puts
@@ -71,19 +38,6 @@ def scan_bijection_numpy(packed: np.ndarray, space: int):
     second = tagged[dup + 1] & np.uint64(0xFFFFFFFF)
     k = int(np.argmin(second))
     return False, int(second[k]), int(tagged[dup[k]] & np.uint64(0xFFFFFFFF))
-
-
-if _njit is not None:
-    scan_bijection_numba = _njit(cache=True)(_scan_bijection_py)
-else:  # pragma: no cover - exercised only without numba
-    def scan_bijection_numba(packed, space):
-        raise RuntimeError("numba backend unavailable")
-
-
-def scan_bijection(packed: np.ndarray, space: int):
-    if BACKEND == "numba":
-        return scan_bijection_numba(packed, space)
-    return scan_bijection_numpy(packed, space)
 
 
 # ---------------------------------------------------------------------------
@@ -124,37 +78,10 @@ def interp_coeffs(rep_log: np.ndarray, rep_logv: np.ndarray, exp_table: np.ndarr
 # Terms are (exponent, log coefficient) pairs; output v[j] is the value
 # at the point with discrete log j (the zero point is the caller's).
 
-def _eval_terms_py(term_exp: np.ndarray, term_logc: np.ndarray,
-                   exp_table: np.ndarray, group: int) -> np.ndarray:
-    values = np.zeros(group, dtype=np.uint32)
-    for j in range(group):
-        acc = 0
-        for i in range(term_exp.shape[0]):
-            acc ^= exp_table[(term_logc[i] + term_exp[i] * j) % group]
-        values[j] = acc
-    return values
-
-
-def eval_terms_numpy(term_exp: np.ndarray, term_logc: np.ndarray,
-                     exp_table: np.ndarray, group: int) -> np.ndarray:
+def eval_terms(term_exp: np.ndarray, term_logc: np.ndarray,
+               exp_table: np.ndarray, group: int) -> np.ndarray:
     values = np.zeros(group, dtype=np.uint32)
     j = np.arange(group, dtype=np.int64)
     for e, lc in zip(term_exp.tolist(), term_logc.tolist()):
         values ^= exp_table[(lc + e * j) % group]
     return values
-
-
-if _njit is not None:
-    eval_terms_numba = _njit(cache=True)(_eval_terms_py)
-else:  # pragma: no cover
-    def eval_terms_numba(term_exp, term_logc, exp_table, group):
-        raise RuntimeError("numba backend unavailable")
-
-
-def eval_terms(term_exp: np.ndarray, term_logc: np.ndarray,
-               exp_table: np.ndarray, group: int) -> np.ndarray:
-    if term_exp.shape[0] == 0:
-        return np.zeros(group, dtype=np.uint32)
-    if BACKEND == "numba":
-        return eval_terms_numba(term_exp, term_logc, exp_table, group)
-    return eval_terms_numpy(term_exp, term_logc, exp_table, group)

@@ -20,7 +20,6 @@ symbolic f and F are built on first use and memoised per vector.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -133,11 +132,6 @@ def is_rotatable(components: tuple[MPoly, MPoly, MPoly]) -> bool:
             return False
         rotated = substitute(rotated, SIGMA)
     return True
-
-
-def necessary_condition(d: int, q: int) -> bool:
-    """gcd(d, q-1) = 1; when it fails, no d-homogeneous map permutes GF(q)^3."""
-    return math.gcd(d, q - 1) == 1
 
 
 # Literal component triples of the two known APN permutation families,

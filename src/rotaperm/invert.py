@@ -14,7 +14,6 @@ powers (exponent arithmetic mod 2^m - 1 throughout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,16 +31,6 @@ from .permcheck import family_images, is_permutation
 from .resolvent import resolvent_coeffs
 
 INVERT_TABLE_MAX_M = 7
-
-
-@dataclass(frozen=True)
-class ResolventCoeffs:
-    """Numeric cubic A*Y^3 + B*Y^2 + C*Y + D at one target point."""
-
-    A: int
-    B: int
-    C: int
-    D: int
 
 
 def _checked(ctx: FieldCtx, fam: FamilySpec, target: Triple, preimage: Triple) -> Triple:
@@ -124,10 +113,6 @@ def _rot2(p: Triple) -> Triple:
     return (p[2], p[0], p[1])
 
 
-def eval_resolvent(ctx: FieldCtx, a: int, b: int, c: int) -> ResolventCoeffs:
-    return ResolventCoeffs(*resolvent_coeffs(ctx, a, b, c))
-
-
 def invert_T1_resolvent(ctx: FieldCtx, target: Triple) -> Triple:
     """Preimage under the T1 family via the sheared system and its resolvent.
 
@@ -150,13 +135,12 @@ def invert_T1_resolvent(ctx: FieldCtx, target: Triple) -> Triple:
     if a == 0 and b == c:
         # phi(sigma(w)) lands in the a=b=c case; pull the answer back.
         return _checked(ctx, fam, target, _rot2(invert_T1_resolvent(ctx, _rot(target))))
-    coeffs = eval_resolvent(ctx, a, b, c)
-    if coeffs.A == 0:
+    # The numeric cubic A*Y^3 + B*Y^2 + C*Y + D at this target.
+    big_a, big_b, big_c, big_d = resolvent_coeffs(ctx, a, b, c)
+    if big_a == 0:
         raise NoPreimage(f"degenerate resolvent outside the classified cases at {target}")
-    inv_a = ctx.inv(coeffs.A)
-    roots = ctx.cubic_roots(
-        ctx.mul(coeffs.B, inv_a), ctx.mul(coeffs.C, inv_a), ctx.mul(coeffs.D, inv_a)
-    )
+    inv_a = ctx.inv(big_a)
+    roots = ctx.cubic_roots(ctx.mul(big_b, inv_a), ctx.mul(big_c, inv_a), ctx.mul(big_d, inv_a))
     survivors = []
     for big_y in roots:
         x, y, z = cbrt(a ^ big_y), cbrt(big_y), cbrt(b ^ big_y)
@@ -196,34 +180,34 @@ def invert_table(ctx: FieldCtx, fam: FamilySpec, target: Triple) -> Triple:
     return ((packed >> (2 * ctx.m)) & ctx.mask, (packed >> ctx.m) & ctx.mask, packed & ctx.mask)
 
 
-_METHODS = {
-    "T1": ("resolvent", lambda ctx, fam, t: invert_T1_resolvent(ctx, t)),
-    "T2": ("table", invert_table),
-    "T3": ("closed-form", lambda ctx, fam, t: invert_T3(ctx, t)),
-    "T4": ("closed-form", lambda ctx, fam, t: invert_T4(ctx, t)),
-    "T5": ("closed-form", lambda ctx, fam, t: invert_T5(ctx, t)),
+# The constructive inverter of each named family that has one, with its
+# method label; every other family (T2 included) is inverted by table
+# lookup.  The lambdas look each inverter up by name at call time, so
+# wrappers rebound over the module's names (perfbench/tracing.py) see
+# every call.
+_INVERTERS = {
+    "T1": ("resolvent", lambda ctx, t: invert_T1_resolvent(ctx, t)),
+    "T3": ("closed-form", lambda ctx, t: invert_T3(ctx, t)),
+    "T4": ("closed-form", lambda ctx, t: invert_T4(ctx, t)),
+    "T5": ("closed-form", lambda ctx, t: invert_T5(ctx, t)),
 }
 
 
 def invert_point(ctx: FieldCtx, fam: FamilySpec, target: Triple,
                  method: str = "auto") -> tuple[Triple, str]:
-    """Dispatch to the family's designated inverter; returns (preimage, method)."""
-    if method == "auto":
-        if fam.name in _METHODS:
-            label, fn = _METHODS[fam.name]
-            if label == "table":
-                return invert_table(ctx, fam, target), "table"
-            return fn(ctx, fam, target), label
+    """Invert one target; returns (preimage, method label).
+
+    "auto" takes the family's constructive inverter, if any, and "table"
+    always the lookup; "closed" and "resolvent" serve only the families
+    whose constructive inverter is of that kind.
+    """
+    label, fn = _INVERTERS.get(fam.name, ("table", None))
+    if method == "closed" and label != "closed-form":
+        raise ValueError(f"no closed form for {fam.name or fam.bitstring()}")
+    if method == "resolvent" and label != "resolvent":
+        raise ValueError("the resolvent inverter serves the T1 family")
+    if method not in ("auto", "closed", "resolvent", "table"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "table" or fn is None:
         return invert_table(ctx, fam, target), "table"
-    if method == "closed":
-        closed = {"T3": invert_T3, "T4": invert_T4, "T5": invert_T5}
-        if fam.name not in closed:
-            raise ValueError(f"no closed form for {fam.name or fam.bitstring()}")
-        return closed[fam.name](ctx, target), "closed-form"
-    if method == "resolvent":
-        if fam.name != "T1":
-            raise ValueError("the resolvent inverter serves the T1 family")
-        return invert_T1_resolvent(ctx, target), "resolvent"
-    if method == "table":
-        return invert_table(ctx, fam, target), "table"
-    raise ValueError(f"unknown method {method!r}")
+    return fn(ctx, target), label

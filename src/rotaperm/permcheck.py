@@ -16,8 +16,9 @@ and shared by all 256 families.
 
 The full scan over all q^3 images remains for even m, for the
 lexicographically first collision reported as the witness of a negative,
-and (through family_images) for the inverse and lift tables; its images
-come from numpy gathers into three q x q pair tables plus the cube table.
+and (through family_images) for the inverse and lift tables.  Its images
+are built in blocks of x-slabs, for every m, from numpy gathers into
+three q x q pair tables plus the cube table.
 
 Caps: is_permutation and count_zeros_D refuse m > 9 (the 2^27 image table
 and the q x q product table are the ceiling) and the pairwise difference
@@ -40,8 +41,7 @@ from .resolvent import D_POLY
 
 IS_PERMUTATION_MAX_M = 9
 DIFFERENCE_CHECK_MAX_M = 3
-
-_FULL_CUBE_MAX_M = 7  # above this, images are built in x-slabs
+IMAGE_BLOCK = 1 << 14  # points family_images builds per step; keeps each temporary small
 
 
 @dataclass(frozen=True)
@@ -94,27 +94,25 @@ def _pair_tables(ctx: FieldCtx, coeffs: tuple[int, ...]):
 
 
 def family_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
-    """Packed image of every domain point, indexed by packed point."""
+    """Packed image of every domain point, indexed by packed point.
+
+    Built a block of x-slabs at a time: each block of the three
+    components is a handful of gathers from the pair tables, and a block
+    holds at most IMAGE_BLOCK points (one slab when q^2 is larger).
+    """
     q, m = ctx.q, ctx.m
     cube, p_xy, p_xz, p_yz = _pair_tables(ctx, fam.coeffs)
-    if m <= _FULL_CUBE_MAX_M:
-        f1 = (cube[:, None, None].astype(np.uint32)
-              ^ p_xy[:, :, None] ^ p_xz[:, None, :] ^ p_yz[None, :, :])
-        # f2(x,y,z) = f(y,z,x) and f3(x,y,z) = f(z,x,y) are axis shuffles of f1.
-        f2 = f1.transpose(2, 0, 1)
-        f3 = f1.transpose(1, 2, 0)
-        packed = (f1 << (2 * m)) | (f2 << m) | f3
-        return np.ascontiguousarray(packed).reshape(-1)
-    packed = np.empty(q * q * q, dtype=np.uint32)
-    cube32 = cube.astype(np.uint32)
-    for x in range(q):
-        f1 = cube32[x] ^ p_xy[x][:, None] ^ p_xz[x][None, :] ^ p_yz
-        f2 = cube32[:, None] ^ p_xy ^ p_xz[:, x][:, None] ^ p_yz[:, x][None, :]
-        f3 = cube32[None, :] ^ p_xy[:, x][None, :] ^ p_xz.T ^ p_yz[x][:, None]
-        packed[x * q * q:(x + 1) * q * q] = ((f1.astype(np.uint32) << (2 * m))
-                                             | (f2.astype(np.uint32) << m)
-                                             | f3.astype(np.uint32)).reshape(-1)
-    return packed
+    cube = cube.astype(np.uint32)
+    packed = np.empty((q, q, q), dtype=np.uint32)
+    rows = max(1, IMAGE_BLOCK // (q * q))
+    for start in range(0, q, rows):
+        xs = slice(start, start + rows)
+        # f(x,y,z), f(y,z,x) and f(z,x,y) over x in xs, indexed [x, y, z].
+        f1 = cube[xs, None, None] ^ p_xy[xs, :, None] ^ p_xz[xs, None, :] ^ p_yz[None]
+        f2 = cube[None, :, None] ^ p_xy[None] ^ p_xz[:, xs].T[:, :, None] ^ p_yz[:, xs].T[:, None, :]
+        f3 = cube[None, None, :] ^ p_xy[:, xs].T[:, None, :] ^ p_xz.T[None] ^ p_yz[xs, :, None]
+        packed[xs] = (f1 << (2 * m)) | (f2 << m) | f3
+    return packed.reshape(-1)
 
 
 def _unpack(ctx: FieldCtx, p: int) -> Triple:
@@ -128,11 +126,9 @@ def full_scan(ctx: FieldCtx, fam: FamilySpec) -> PermReport:
     order: the earliest point whose image was already taken, paired with
     the point that took it.
     """
-    space = 1 << (3 * ctx.m)
-    packed = family_images(ctx, fam)
-    ok, at, first = _kernels.scan_bijection(packed, space)
+    ok, at, first = _kernels.scan_bijection(family_images(ctx, fam))
     if ok:
-        return PermReport(fam.bitstring(), ctx.m, True, space)
+        return PermReport(fam.bitstring(), ctx.m, True, 1 << (3 * ctx.m))
     witness = (_unpack(ctx, first), _unpack(ctx, at))
     return PermReport(fam.bitstring(), ctx.m, False, at + 1, witness)
 
@@ -216,11 +212,10 @@ def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[T
         return ZERO_IMAGE, (_representative(ctx, int(zero[0])),)
     products = ctx.mul_table.reshape(-1)
     row = ctx.inv_table[lead].astype(np.intp) * ctx.q
-    # The leading coordinate scales to 1, so every key is below 2^(2m+1).
     keys = ((products[row + u1].astype(np.uint32) << (2 * m))
             | (products[row + u2].astype(np.uint32) << m)
             | products[row + u3])
-    ok, at, first = _kernels.scan_bijection(keys, 1 << (2 * m + 1))
+    ok, at, first = _kernels.scan_bijection(keys)
     if ok:
         return None
     return REPEATED_KEY, (_representative(ctx, first), _representative(ctx, at))

@@ -77,10 +77,10 @@ def search_all(degrees, allow_large: bool = False) -> SearchReport:
     for m in degrees:
         _check_degree(m, allow_large)
     named = set(named_bitstrings())
+    families = list(all_families())
     results: dict[int, tuple[str, ...]] = {}
     for m in degrees:
         ctx = FieldCtx(m)
-        families = list(all_families())
         # Builds the shared field tables and warms the kernel outside the pool.
         is_permutation(ctx, families[0], witness=False)
         def job(fam):

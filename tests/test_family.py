@@ -17,7 +17,6 @@ from rotaperm.family import (
     family_from_coeffs,
     is_rotatable,
     named_family,
-    necessary_condition,
 )
 from rotaperm.field import FieldCtx
 from rotaperm.invert import invert_point
@@ -105,12 +104,6 @@ def test_is_rotatable_counterexamples():
     # The literal APN triple is not rotatable under the strict
     # component-rotation reading.
     assert not is_rotatable(LI_NIKOLAY_F1)
-
-
-def test_necessary_condition():
-    assert necessary_condition(3, 8)
-    assert not necessary_condition(3, 4)
-    assert necessary_condition(1, 1024)
 
 
 # -- numeric evaluation ---------------------------------------------------------

@@ -9,7 +9,6 @@ from rotaperm.family import family_from_coeffs, eval_F, named_family
 from rotaperm.field import FieldCtx
 from rotaperm.invert import (
     _checked,
-    eval_resolvent,
     invert_T1_resolvent,
     invert_T3,
     invert_T4,
@@ -18,7 +17,7 @@ from rotaperm.invert import (
     invert_table,
 )
 from rotaperm.mpoly import evaluate
-from rotaperm.resolvent import A_BLOCK, B_BLOCK, C_BLOCK, D_BLOCK
+from rotaperm.resolvent import A_BLOCK, B_BLOCK, C_BLOCK, D_BLOCK, resolvent_coeffs
 
 INVERTERS = {
     "T1": lambda ctx, fam, t: invert_T1_resolvent(ctx, t),
@@ -92,12 +91,12 @@ def test_resolvent_coeffs_match_symbolic_blocks(f32):
     rng = random.Random(13)
     for _ in range(100):
         a, b, c = (rng.randrange(32) for _ in range(3))
-        coeffs = eval_resolvent(f32, a, b, c)
+        big_a, big_b, big_c, big_d = resolvent_coeffs(f32, a, b, c)
         point = {"a": a, "b": b, "c": c}
-        assert coeffs.A == evaluate(A_BLOCK, f32, point)
-        assert coeffs.B == evaluate(B_BLOCK, f32, point)
-        assert coeffs.C == evaluate(C_BLOCK, f32, point)
-        assert coeffs.D == evaluate(D_BLOCK, f32, point)
+        assert big_a == evaluate(A_BLOCK, f32, point)
+        assert big_b == evaluate(B_BLOCK, f32, point)
+        assert big_c == evaluate(C_BLOCK, f32, point)
+        assert big_d == evaluate(D_BLOCK, f32, point)
 
 
 def test_degenerate_resolvent_classification_m3(f8):
@@ -106,7 +105,7 @@ def test_degenerate_resolvent_classification_m3(f8):
         for b in f8.elements():
             for c in f8.elements():
                 classified = (b == 0 and a == c) or (a == 0 and b == c) or a == b == c
-                assert (eval_resolvent(f8, a, b, c).A == 0) == classified
+                assert (resolvent_coeffs(f8, a, b, c)[0] == 0) == classified
 
 
 def test_reevaluation_guard_raises():
@@ -137,3 +136,15 @@ def test_dispatcher_methods(f8):
     pre, method = invert_point(f8, named_family("T4"), eval_F(f8, named_family("T4"), (6, 0, 2)),
                                method="table")
     assert pre == (6, 0, 2) and method == "table"
+    t1, t2, t3 = named_family("T1"), named_family("T2"), named_family("T3")
+    with pytest.raises(ValueError, match="no closed form for T1"):
+        invert_point(f8, t1, (1, 2, 3), method="closed")
+    with pytest.raises(ValueError, match="no closed form for T2"):
+        invert_point(f8, t2, (1, 2, 3), method="closed")
+    with pytest.raises(ValueError, match="the resolvent inverter serves the T1 family"):
+        invert_point(f8, t3, (1, 2, 3), method="resolvent")
+    with pytest.raises(ValueError, match="unknown method 'newton'"):
+        invert_point(f8, t3, (1, 2, 3), method="newton")
+    unnamed = family_from_coeffs("00000011")
+    pre, method = invert_point(f8, unnamed, eval_F(f8, unnamed, (5, 1, 2)))
+    assert pre == (5, 1, 2) and method == "table"

@@ -1,58 +1,40 @@
-"""Kernels against their reference loops, and both backends against each other."""
+"""Kernels against their reference loops."""
 
 import numpy as np
 import pytest
 
 from rotaperm import _kernels
-from rotaperm.family import family_from_coeffs, named_family
+from rotaperm.family import family_from_coeffs
 from rotaperm.field import FieldCtx
 from rotaperm.lift import ext_new
 from rotaperm.permcheck import family_images
 
-needs_numba = pytest.mark.skipif(
-    _kernels.BACKEND != "numba", reason="numba backend unavailable"
-)
 
-
-@needs_numba
-def test_scan_parity_on_permutation():
-    ctx = FieldCtx(5)
-    packed = family_images(ctx, named_family("T4"))
-    space = 1 << 15
-    assert tuple(_kernels.scan_bijection_numba(packed, space)) == \
-        tuple(_kernels.scan_bijection_numpy(packed, space)) == (True, -1, -1)
-
-
-@needs_numba
-def test_scan_parity_on_collision():
-    ctx = FieldCtx(3)
-    packed = family_images(ctx, family_from_coeffs("00000001"))
-    got_nb = tuple(_kernels.scan_bijection_numba(packed, 512))
-    got_np = tuple(_kernels.scan_bijection_numpy(packed, 512))
-    assert got_nb == got_np
-    ok, at, first = got_nb
-    assert not ok
-    assert packed[at] == packed[first] and first < at
+def _scan_bijection_py(packed: np.ndarray):
+    """Reference loop: the first index whose image was already seen, and where."""
+    seen = {}
+    for i, v in enumerate(packed.tolist()):
+        if v in seen:
+            return False, i, seen[v]
+        seen[v] = i
+    return True, -1, -1
 
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_scan_numpy_matches_reference_loop(m):
-    """The sorting scan against the plain first-seen loop it replaces."""
+    """The sorting scan against the plain first-seen loop."""
     ctx = FieldCtx(m)
-    space = 1 << (3 * m)
     bits = [f"{v:08b}" for v in range(256)] if m == 3 else ["00000001", "11111111", "10101010"]
     for b in bits:
         packed = family_images(ctx, family_from_coeffs(b))
-        want = tuple(int(v) for v in _kernels._scan_bijection_py(packed, space))
-        assert tuple(_kernels.scan_bijection_numpy(packed, space)) == want, b
+        assert tuple(_kernels.scan_bijection(packed)) == _scan_bijection_py(packed), b
 
 
 def test_scan_numpy_matches_reference_loop_random():
     rng = np.random.default_rng(23)
     for size, top in ((2000, 1 << 27), (2000, 3000), (1, 5), (0, 5)):
         packed = rng.integers(0, top, size=size, dtype=np.uint32)
-        want = tuple(int(v) for v in _kernels._scan_bijection_py(packed, top))
-        assert tuple(_kernels.scan_bijection_numpy(packed, top)) == want
+        assert tuple(_kernels.scan_bijection(packed)) == _scan_bijection_py(packed)
 
 
 def test_interp_coeffs_independent_of_chunk(monkeypatch):
@@ -84,16 +66,24 @@ def test_interp_coeffs_all_zero_values():
     assert not coeffs.any()
 
 
-@needs_numba
-def test_eval_terms_parity_random_terms():
+@pytest.mark.parametrize("size", [0, 1, 17])
+def test_eval_terms_matches_pointwise_sum(size):
+    """Value j is sum_i c_i * t^e_i at the point t with log j, by scalar arithmetic."""
     ext = ext_new(FieldCtx(3))
     ext._ensure_tables()
-    rng = np.random.default_rng(22)
-    exps = rng.integers(0, ext.group + 1, size=17, dtype=np.int64)
-    logcs = rng.integers(0, ext.group, size=17, dtype=np.int64)
-    a = _kernels.eval_terms_numba(exps, logcs, ext._exp, ext.group)
-    b = _kernels.eval_terms_numpy(exps, logcs, ext._exp, ext.group)
-    assert np.array_equal(a, b)
+    rng = np.random.default_rng(22 + size)
+    exps = rng.integers(0, ext.group + 1, size=size, dtype=np.int64)
+    logcs = rng.integers(0, ext.group, size=size, dtype=np.int64)
+    exps[:2] = (0, ext.group)[:size]  # a constant term and the top exponent
+    got = _kernels.eval_terms(exps, logcs, ext._exp, ext.group)
+    assert got.shape == (ext.group,)
+    coefs = [int(ext._exp[lc]) for lc in logcs.tolist()]
+    for j in range(ext.group):
+        t = int(ext._exp[j])
+        want = 0
+        for e, c in zip(exps.tolist(), coefs):
+            want ^= ext.mul(c, ext.pow(t, e))
+        assert int(got[j]) == want, j
 
 
 def test_worker_count_env(monkeypatch):

@@ -69,13 +69,31 @@ def test_image_is_full_space_for_permutations(f8):
     assert np.array_equal(np.sort(images), np.arange(512))
 
 
-def test_slab_image_path_matches_full_cube(f8, monkeypatch):
-    """The x-slab construction (used above the full-cube cap) agrees."""
+@pytest.mark.parametrize("m, vectors", [
+    (3, [f"{v:08b}" for v in range(256)]),
+    (5, [NAMED_COEFFS[n] for n in sorted(NAMED_COEFFS)] + ["00000001", "11111111"]),
+], ids=["m3-all", "m5-named"])
+def test_family_images_match_eval_F(m, vectors):
+    """The x-slab images against the pointwise map at every point."""
+    ctx = FieldCtx(m)
+    points = [(x, y, z) for x in range(ctx.q) for y in range(ctx.q) for z in range(ctx.q)]
+    for bits in vectors:
+        fam = family_from_coeffs(bits)
+        want = [(a << (2 * m)) | (b << m) | c for a, b, c in (eval_F(ctx, fam, p) for p in points)]
+        assert family_images(ctx, fam).tolist() == want, bits
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_family_images_independent_of_block(m, monkeypatch):
+    """The block size bounds memory, not results: one slab, uneven blocks, one block."""
     import rotaperm.permcheck as pc
-    fam = named_family("T1")
-    full = family_images(f8, fam)
-    monkeypatch.setattr(pc, "_FULL_CUBE_MAX_M", 0)
-    assert np.array_equal(family_images(f8, fam), full)
+    ctx = FieldCtx(m)
+    for bits in ("00000001", "11111111", "10011010"):
+        fam = family_from_coeffs(bits)
+        want = family_images(ctx, fam)
+        for block in (1, 3 * ctx.q * ctx.q, 1 << 30):
+            monkeypatch.setattr(pc, "IMAGE_BLOCK", block)
+            assert np.array_equal(family_images(ctx, fam), want), (bits, block)
 
 
 def test_report_serialization(f8):
