@@ -9,8 +9,8 @@ and QM-equivalence), certify (symbolic and numeric identity
 certificates), search (classification of all 256 vectors), cli.
 """
 
-from .field import FieldCtx, field_new
+from .field import FieldCtx
 from .family import FamilySpec, family_from_coeffs, named_family
 
-__all__ = ["FieldCtx", "field_new", "FamilySpec", "family_from_coeffs", "named_family"]
+__all__ = ["FieldCtx", "FamilySpec", "family_from_coeffs", "named_family"]
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .errors import (
 from .family import FamilySpec, family_from_coeffs, named_family
 from .field import FieldCtx
 from .invert import invert_point
-from .lift import ext_new, lift_permutation, lifted_from_json, qm_equivalent
+from .lift import ExtCtx, lift_permutation, lifted_from_json, qm_equivalent
 from .mpoly import parse as parse_poly, resultant, to_text
 from .permcheck import is_permutation
 from .search import search_all, search_diff
@@ -99,7 +99,7 @@ def _cmd_lift(args) -> int:
     if not report.is_permutation:
         _emit(report.to_json(), f"{args.family} is not a permutation at m={args.m}; nothing to lift")
         return 1
-    ext = ext_new(ctx)
+    ext = ExtCtx(ctx)
     poly = lift_permutation(ext, fam)
     payload = poly.to_json()
     if args.out:
@@ -141,7 +141,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_search(args) -> int:
     degrees = tuple(int(v) for v in args.m.split(","))
-    report = search_all(degrees, allow_large=args.allow_m9)
+    report = search_all(degrees)
     candidates = search_diff(report) if len(degrees) >= 2 else None
     payload = report.to_json(candidates)
     if args.out:
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="classify all 256 coefficient vectors")
     p.add_argument("--m", required=True, help="comma-separated odd degrees, e.g. 3,5,7")
     p.add_argument("--out", help="also write the JSON to a file")
-    p.add_argument("--allow-m9", action="store_true", help="permit the slow m=9 scan")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("resultant", help="Sylvester resultant of two polynomials")

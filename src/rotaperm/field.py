@@ -7,9 +7,11 @@ degree, the reduction modulus, and precomputed tables.
 
 Degrees up to 16 are supported; every modulus (default or supplied) is
 re-validated by trial division at construction, so a wrong table entry
-is caught instead of silently used.  For m <= 8 a log/antilog pair
-accelerates scalar multiplication; above that multiplication falls back
-to shift-and-XOR reduction.  Root finding (quadratic, cubic) is by
+is caught instead of silently used.  One exp/log pair over a generator
+of the multiplicative group defines all arithmetic at every degree:
+scalar products, powers and inverses read it, and the numpy tables
+(products, squares, cubes, inverses) are gathers from it.  Shift-and-XOR
+reduction only builds the pair.  Root finding (quadratic, cubic) is by
 exhaustive scan - exactness over cleverness at this scale.
 """
 
@@ -29,7 +31,6 @@ FieldElem = int
 Triple = tuple[int, int, int]
 
 MAX_DEGREE = 16
-LOG_TABLE_MAX_DEGREE = 8
 
 # Minimal-weight irreducible polynomials, one per degree.  Every entry is
 # re-checked by _is_irreducible() in the constructor.
@@ -92,6 +93,22 @@ def _factorize(n: int) -> list[int]:
     return out
 
 
+def find_generator(order: int, power) -> int:
+    """The first g in 2..order that generates a cyclic group of that order.
+
+    power(g, n) computes g^n in the group; g generates it exactly when
+    g^(order/p) != 1 for every prime p dividing the order.  Returns 1 for
+    the trivial group.  GF(2^m)* and the cubic extensions' GF(2^3m)*
+    share this search, so their generators, and every table built from
+    them, follow one candidate order.
+    """
+    primes = _factorize(order) if order > 1 else []
+    for cand in range(2, order + 1):
+        if all(power(cand, order // p) != 1 for p in primes):
+            return cand
+    return 1
+
+
 class FieldCtx:
     """GF(2^m) with a validated irreducible modulus.
 
@@ -119,11 +136,7 @@ class FieldCtx:
         if m % 2 == 1:
             group = max(self.q - 1, 1)
             self.inv3 = pow(3, -1, group) if group > 1 else 1
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self.generator: int | None = None
-        if m <= LOG_TABLE_MAX_DEGREE:
-            self._build_log_tables()
+        self._build_log_tables()
         self._np_cache: dict[str, np.ndarray] = {}
 
     def __repr__(self) -> str:
@@ -154,24 +167,21 @@ class FieldCtx:
         return p
 
     def _build_log_tables(self) -> None:
-        # The generator of the cyclic group need not be x when the
-        # modulus is irreducible but imprimitive, so search for one.
+        """exp[i] = g^i for i < 2(q-1) and log[g^i] = i; log[0] = 0 is unused.
+
+        The generator need not be x when the modulus is irreducible but
+        imprimitive, so it is searched for.  exp repeats once, so a sum
+        of two logs indexes it without reduction.
+        """
         order = self.q - 1
-        primes = _factorize(order) if order > 1 else []
-        g = 1
-        for cand in range(2, self.q):
-            if all(self._pow_raw(cand, order // p) != 1 for p in primes):
-                g = cand
-                break
-        exp = [0] * (2 * order if order > 1 else 2)
+        g = find_generator(order, self._pow_raw)
+        exp = [0] * (2 * order)
         log = [0] * self.q
         v = 1
         for i in range(order):
-            exp[i] = v
+            exp[i] = exp[i + order] = v
             log[v] = i
             v = self._mul_raw(v, g)
-        for i in range(order, len(exp)):
-            exp[i] = exp[i - order]
         self._exp, self._log = exp, log
         self.generator = g
 
@@ -188,9 +198,7 @@ class FieldCtx:
         """Product of two field elements."""
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
@@ -201,19 +209,13 @@ class FieldCtx:
             return 1
         if a == 0:
             return 0
-        if self._log is not None and self.q > 2:
-            return self._exp[(self._log[a] * n) % (self.q - 1)]
-        if self.q > 2:
-            n %= self.q - 1
-            if n == 0:
-                return 1
-        return self._pow_raw(a, n)
+        return self._exp[(self._log[a] * n) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; a must be nonzero."""
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^m)")
-        return self.pow(a, self.q - 2) if self.q > 2 else 1
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -298,73 +300,55 @@ class FieldCtx:
         return roots
 
     # ------------------------------------------------------------------
-    # vectorized tables (lazy; dtype covers q <= 512 packing in uint32)
+    # vectorized tables: lazy uint16 gathers from the exp/log pair
     # ------------------------------------------------------------------
 
-    def _np(self, key: str) -> np.ndarray | None:
-        return self._np_cache.get(key)
+    def _table(self, key: str, build) -> np.ndarray:
+        """The cached table under key, built by build() on first use."""
+        t = self._np_cache.get(key)
+        if t is None:
+            t = self._np_cache[key] = build()
+        return t
+
+    def _logs(self, vec) -> np.ndarray:
+        """log of each entry of vec (0 for 0), widened so sums cannot wrap."""
+        log = self._table("log", lambda: np.array(self._log, dtype=np.uint16))
+        return log[vec].astype(np.intp)
+
+    def _exps(self) -> np.ndarray:
+        return self._table("exp", lambda: np.array(self._exp, dtype=np.uint16))
+
+    def _build_mul_table(self) -> np.ndarray:
+        log = self._logs(np.arange(self.q))
+        t = self._exps()[log[:, None] + log[None, :]]
+        t[0, :] = 0
+        t[:, 0] = 0
+        return t
 
     @property
     def mul_table(self) -> np.ndarray:
-        """(q, q) product table; built lazily by vectorized shift-reduce."""
-        t = self._np("mul")
-        if t is None:
-            q = self.q
-            a = np.arange(q, dtype=np.uint32)
-            shifted = np.broadcast_to(a[:, None], (q, q)).copy()
-            b = np.arange(q, dtype=np.uint32)
-            acc = np.zeros((q, q), dtype=np.uint32)
-            col = b.copy()
-            for _ in range(self.m):
-                acc ^= np.where((col & 1).astype(bool)[None, :], shifted, 0)
-                col >>= 1
-                shifted <<= 1
-                over = (shifted & q).astype(bool)
-                shifted[over] ^= self.modulus
-            t = acc.astype(np.uint16 if self.m <= 8 else np.uint32)
-            self._np_cache["mul"] = t
-        return t
+        """(q, q) product table exp[log a + log b], zero on row and column 0."""
+        return self._table("mul", self._build_mul_table)
 
     @property
     def sqr_table(self) -> np.ndarray:
-        t = self._np("sqr")
-        if t is None:
-            idx = np.arange(self.q)
-            t = self.mul_table[idx, idx]
-            self._np_cache["sqr"] = t
-        return t
+        return self._table("sqr", lambda: self.vpow(np.arange(self.q), 2))
 
     @property
     def cube_table(self) -> np.ndarray:
-        t = self._np("cube")
-        if t is None:
-            t = self.mul_table[self.sqr_table, np.arange(self.q)]
-            self._np_cache["cube"] = t
-        return t
+        return self._table("cube", lambda: self.vpow(np.arange(self.q), 3))
 
     @property
     def inv_table(self) -> np.ndarray:
-        """Elementwise inverse a^(q-2), with 0 mapped to 0."""
-        t = self._np("inv")
-        if t is None:
-            t = self.vpow(np.arange(self.q), self.q - 2).astype(self.mul_table.dtype)
-            t[0] = 0
-            self._np_cache["inv"] = t
-        return t
+        """Elementwise inverse, with 0 mapped to 0."""
+        return self._table("inv", lambda: self.vpow(np.arange(self.q), -1))
 
     def vpow(self, vec: np.ndarray, n: int) -> np.ndarray:
-        """Elementwise vec**n through the multiplication table."""
-        out = np.ones_like(vec)
-        base = vec
-        mt = self.mul_table
-        while n:
-            if n & 1:
-                out = mt[out, base]
-            base = mt[base, base]
-            n >>= 1
-        return out
+        """Elementwise vec**n as exp[n log(vec) mod (q-1)], in uint16.
 
-
-def field_new(m: int, modulus: int | None = None) -> FieldCtx:
-    """Construct a GF(2^m) context (default modulus from the shipped table)."""
-    return FieldCtx(m, modulus)
+        Exponents reduce mod q-1, so n = -1 gives inverses; 0 maps to 1
+        when n = 0 and to 0 otherwise.
+        """
+        order = self.q - 1
+        powers = self._exps()[self._logs(vec) * (n % order) % order]
+        return np.where(np.asarray(vec) == 0, np.uint16(n == 0), powers)

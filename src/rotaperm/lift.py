@@ -28,15 +28,18 @@ import numpy as np
 from . import _kernels
 from .errors import DomainTooLarge, FormulaInconsistent, ReducibleModulus
 from .family import FamilySpec
-from .field import FieldCtx, Triple, _factorize
+from .field import FieldCtx, Triple, _factorize, find_generator
 from .permcheck import family_images, projective_representatives
 
-LOG_TABLE_MAX_BASE_M = 5
-LIFT_MAX_BASE_M = 5
+LIFT_MAX_BASE_M = 5  # the 2^3m-entry value, exp and log tables are the ceiling
 
 
 class ExtCtx:
-    """GF(2^3m) as a cubic extension of a base GF(2^m) context."""
+    """GF(2^3m) as a cubic extension of a base GF(2^m) context.
+
+    Without an explicit cubic it takes the first rootless monic cubic of
+    a deterministic scan.
+    """
 
     def __init__(self, base: FieldCtx, cubic: tuple[int, int, int] | None = None) -> None:
         self.base = base
@@ -179,14 +182,9 @@ class ExtCtx:
     def _ensure_tables(self) -> None:
         if self._exp is not None:
             return
-        if self.m > LOG_TABLE_MAX_BASE_M:
-            raise DomainTooLarge(f"log tables capped at base m={LOG_TABLE_MAX_BASE_M}")
-        primes = _factorize(self.group) if self.group > 1 else []
-        gen = 1
-        for cand in range(2, self.size):
-            if all(self.pow(cand, self.group // p) != 1 for p in primes):
-                gen = cand
-                break
+        if self.m > LIFT_MAX_BASE_M:
+            raise DomainTooLarge(f"log tables capped at base m={LIFT_MAX_BASE_M}")
+        gen = find_generator(self.group, self.pow)
         # Doubling: exp[n + i] = exp[i] * gen^n for the block already built.
         exp = np.empty(self.group, dtype=np.uint32)
         exp[0] = 1
@@ -204,11 +202,6 @@ class ExtCtx:
     def log_of(self, u: int) -> int:
         self._ensure_tables()
         return int(self._log[u])
-
-
-def ext_new(base: FieldCtx) -> ExtCtx:
-    """Cubic extension with the first rootless monic cubic (deterministic scan)."""
-    return ExtCtx(base)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ are built in blocks of x-slabs, for every m, from numpy gathers into
 three q x q pair tables plus the cube table.
 
 Caps: is_permutation and count_zeros_D refuse m > 9 (the 2^27 image table
-and the q x q product table are the ceiling) and the pairwise difference
-check refuses m > 3 (2^6m pairs).
+and the q x q product table, gathered from the field's exp/log pair, are
+the ceiling) and the pairwise difference check refuses m > 3 (2^6m pairs).
 """
 
 from __future__ import annotations
@@ -155,10 +155,9 @@ def _monomial_column(ctx: FieldCtx, j: int) -> np.ndarray:
     the family's set bits.  Built on first use and cached on ctx; two
     threads racing on a cold entry build equal arrays.
     """
-    key = f"proj_col{j}"
-    col = ctx._np_cache.get(key)
-    if col is None:
-        q = ctx.q
+    q = ctx.q
+
+    def build():
         products = ctx.mul_table.reshape(-1)
         powers = (None, np.arange(q), ctx.sqr_table, ctx.cube_table)
         x, y, z = projective_representatives(ctx)
@@ -171,9 +170,9 @@ def _monomial_column(ctx: FieldCtx, j: int) -> np.ndarray:
                     value = p if value is None else products[value.astype(np.intp) * q + p]
             return value
 
-        col = np.stack([mono(x, y, z), mono(y, z, x), mono(z, x, y)]).astype(np.uint16)
-        ctx._np_cache[key] = col
-    return col
+        return np.stack([mono(x, y, z), mono(y, z, x), mono(z, x, y)]).astype(np.uint16)
+
+    return ctx._table(f"proj_col{j}", build)
 
 
 def _representative(ctx: FieldCtx, i: int) -> Triple:

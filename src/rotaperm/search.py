@@ -15,17 +15,14 @@ order, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DomainTooLarge, EvenDegree
 from .family import NAMED_COEFFS, all_families
 from .field import FieldCtx
-from .permcheck import is_permutation
+from .permcheck import IS_PERMUTATION_MAX_M, is_permutation
 
-SEARCH_MAX_M = 7
-SEARCH_LARGE_M = 9
 ALL_ZERO = "00000000"
 
 
@@ -56,26 +53,26 @@ class SearchReport:
         return out
 
 
-def _check_degree(m: int, allow_large: bool) -> None:
+def _check_degree(m: int) -> None:
     if m % 2 == 0:
         raise EvenDegree(f"m={m}: no 3-homogeneous permutation exists for even m")
-    if m <= SEARCH_MAX_M:
-        return
-    if m == SEARCH_LARGE_M and allow_large:
-        warnings.warn(f"m={m} scan of all 256 families will take a while", stacklevel=3)
-        return
-    raise DomainTooLarge(f"search capped at m={SEARCH_MAX_M} (m=9 behind allow_large)")
+    if m > IS_PERMUTATION_MAX_M:
+        raise DomainTooLarge(f"search capped at m={IS_PERMUTATION_MAX_M}")
 
 
 def named_bitstrings() -> tuple[str, ...]:
     return tuple("".join(str(b) for b in coeffs) for coeffs in NAMED_COEFFS.values())
 
 
-def search_all(degrees, allow_large: bool = False) -> SearchReport:
-    """Classify every coefficient vector over each requested degree."""
+def search_all(degrees) -> SearchReport:
+    """Classify every coefficient vector over each requested degree.
+
+    Every degree is checked before any work starts: even m raises
+    EvenDegree and m above the bijectivity cap raises DomainTooLarge.
+    """
     degrees = tuple(degrees)
     for m in degrees:
-        _check_degree(m, allow_large)
+        _check_degree(m)
     named = set(named_bitstrings())
     families = list(all_families())
     results: dict[int, tuple[str, ...]] = {}

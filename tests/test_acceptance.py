@@ -25,7 +25,7 @@ from rotaperm.invert import (
     invert_T5,
     invert_table,
 )
-from rotaperm.lift import LiftedPoly, ext_new, is_pp, lift_permutation, qm_equivalent, support
+from rotaperm.lift import ExtCtx, LiftedPoly, is_pp, lift_permutation, qm_equivalent, support
 from rotaperm.permcheck import (
     count_zeros_D,
     difference_check,
@@ -124,7 +124,7 @@ def test_criterion_4_character_sum_core():
 
 def test_criterion_5_lift_and_qm_inequivalence():
     started = time.time()
-    ext = ext_new(FieldCtx(3))
+    ext = ExtCtx(FieldCtx(3))
     lifted = lift_permutation(ext, named_family("T3"))
     assert is_pp(ext, lifted)
     exponents, count = support(lifted)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from rotaperm.errors import (
@@ -11,7 +12,7 @@ from rotaperm.errors import (
     ReducibleModulus,
     UnsupportedDegree,
 )
-from rotaperm.field import DEFAULT_MODULI, FieldCtx, field_new
+from rotaperm.field import DEFAULT_MODULI, FieldCtx
 
 
 def naive_mul(m: int, modulus: int, a: int, b: int) -> int:
@@ -29,21 +30,21 @@ def naive_mul(m: int, modulus: int, a: int, b: int) -> int:
 # -- construction ------------------------------------------------------------
 
 def test_default_modulus_m3():
-    assert field_new(3).modulus == 0xB  # x^3 + x + 1
+    assert FieldCtx(3).modulus == 0xB  # x^3 + x + 1
 
 
 def test_reducible_modulus_rejected():
     with pytest.raises(ReducibleModulus):
-        field_new(3, 0xF)  # x^3+x^2+x+1 = (x+1)(x^2+1)
+        FieldCtx(3, 0xF)  # x^3+x^2+x+1 = (x+1)(x^2+1)
 
 
 def test_unsupported_degree():
     with pytest.raises(UnsupportedDegree):
-        field_new(17)
+        FieldCtx(17)
 
 
 def test_m5_default_and_inv3():
-    ctx = field_new(5)
+    ctx = FieldCtx(5)
     assert ctx.modulus == 0x25  # x^5 + x^2 + 1
     assert ctx.inv3 == 21
     assert (3 * 21) % 31 == 1
@@ -67,18 +68,35 @@ def test_mul_examples(f8):
     assert all(f8.mul(a, 0x1) == a for a in f8.elements())
 
 
-def test_mul_matches_naive_oracle_exhaustive_m3(f8):
-    for a in f8.elements():
-        for b in f8.elements():
-            assert f8.mul(a, b) == naive_mul(3, f8.modulus, a, b)
+@pytest.mark.parametrize("m", range(1, 9))
+def test_mul_matches_naive_oracle_exhaustive(m):
+    ctx = FieldCtx(m)
+    for a in ctx.elements():
+        for b in ctx.elements():
+            assert ctx.mul(a, b) == naive_mul(m, ctx.modulus, a, b)
 
 
-def test_mul_matches_naive_oracle_sampled_m11():
-    ctx = FieldCtx(11)  # no log tables at this size: exercises shift-XOR
+@pytest.mark.parametrize("m", range(9, 17))
+def test_mul_matches_naive_oracle_sampled(m):
+    ctx = FieldCtx(m)
     rng = random.Random(7)
     for _ in range(500):
         a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
-        assert ctx.mul(a, b) == naive_mul(11, ctx.modulus, a, b)
+        assert ctx.mul(a, b) == naive_mul(m, ctx.modulus, a, b)
+
+
+def test_imprimitive_modulus_searches_for_a_generator():
+    # x^4+x^3+x^2+x+1 is irreducible, but x has order 5, not 15.
+    ctx = FieldCtx(4, 0x1F)
+    assert ctx.pow(0x2, 5) == 1
+    assert ctx.generator != 0x2
+    powers = [ctx.pow(ctx.generator, i) for i in range(15)]
+    assert sorted(powers) == list(range(1, 16))
+    for a in ctx.elements():
+        for b in ctx.elements():
+            assert ctx.mul(a, b) == naive_mul(4, 0x1F, a, b)
+    for a in range(1, ctx.q):
+        assert naive_mul(4, 0x1F, a, ctx.inv(a)) == 1
 
 
 def test_field_laws_exhaustive_m3(f8):
@@ -98,6 +116,34 @@ def test_inverse_and_pow(f8):
     assert f8.pow(0, 0) == 1
     assert f8.pow(0x2, 7) == 1
     assert f8.sqrt(f8.sqr(0x6)) == 0x6
+
+
+def test_pow_and_inv_at_m1():
+    ctx = FieldCtx(1)
+    assert ctx.generator == 1
+    assert [ctx.pow(1, n) for n in range(5)] == [1] * 5
+    assert ctx.pow(0, 0) == 1 and ctx.pow(0, 3) == 0
+    assert ctx.inv(1) == 1
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_vector_tables_match_scalar_ops(m):
+    ctx = FieldCtx(m)
+    elems = list(ctx.elements())
+    assert ctx.mul_table.tolist() == [[ctx.mul(a, b) for b in elems] for a in elems]
+    assert ctx.sqr_table.tolist() == [ctx.sqr(a) for a in elems]
+    assert ctx.cube_table.tolist() == [ctx.pow(a, 3) for a in elems]
+    assert ctx.inv_table.tolist() == [0] + [ctx.inv(a) for a in elems[1:]]
+    for t in (ctx.mul_table, ctx.sqr_table, ctx.cube_table, ctx.inv_table):
+        assert t.dtype == np.uint16
+
+
+def test_vpow_matches_scalar_pow(f32):
+    vec = np.arange(f32.q)
+    for n in (0, 1, 2, 5, 31, 32, 100):
+        assert f32.vpow(vec, n).tolist() == [f32.pow(a, n) for a in range(f32.q)]
 
 
 def test_mul_table_matches_scalar(f32):

@@ -6,7 +6,7 @@ import pytest
 from rotaperm import _kernels
 from rotaperm.family import family_from_coeffs
 from rotaperm.field import FieldCtx
-from rotaperm.lift import ext_new
+from rotaperm.lift import ExtCtx
 from rotaperm.permcheck import family_images
 
 
@@ -39,7 +39,7 @@ def test_scan_numpy_matches_reference_loop_random():
 
 def test_interp_coeffs_independent_of_chunk(monkeypatch):
     """The block size of the coset interpolation bounds memory, not results."""
-    ext = ext_new(FieldCtx(3))
+    ext = ExtCtx(FieldCtx(3))
     ext._ensure_tables()
     rng = np.random.default_rng(21)
     rep_log = rng.permutation(ext.group)[:73]
@@ -59,7 +59,7 @@ def test_interp_coeffs_independent_of_chunk(monkeypatch):
 
 
 def test_interp_coeffs_all_zero_values():
-    ext = ext_new(FieldCtx(3))
+    ext = ExtCtx(FieldCtx(3))
     ext._ensure_tables()
     ks, coeffs = _kernels.interp_coeffs(np.arange(73), np.full(73, -1), ext._exp, ext.group, 0, 7)
     assert ks.tolist() == list(range(7, ext.group, 7))
@@ -69,7 +69,7 @@ def test_interp_coeffs_all_zero_values():
 @pytest.mark.parametrize("size", [0, 1, 17])
 def test_eval_terms_matches_pointwise_sum(size):
     """Value j is sum_i c_i * t^e_i at the point t with log j, by scalar arithmetic."""
-    ext = ext_new(FieldCtx(3))
+    ext = ExtCtx(FieldCtx(3))
     ext._ensure_tables()
     rng = np.random.default_rng(22 + size)
     exps = rng.integers(0, ext.group + 1, size=size, dtype=np.int64)

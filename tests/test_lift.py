@@ -12,7 +12,6 @@ from rotaperm.field import FieldCtx, _factorize
 from rotaperm.lift import (
     ExtCtx,
     LiftedPoly,
-    ext_new,
     is_pp,
     lift_permutation,
     lifted_from_json,
@@ -24,13 +23,13 @@ from rotaperm.lift import (
 
 @pytest.fixture(scope="module")
 def e8():
-    ext = ext_new(FieldCtx(3))
+    ext = ExtCtx(FieldCtx(3))
     ext._ensure_tables()
     return ext
 
 
 def test_first_cubic_over_gf2():
-    ext = ext_new(FieldCtx(1))
+    ext = ExtCtx(FieldCtx(1))
     assert ext.cubic == (0, 1, 1)  # u^3 + u + 1
 
 
@@ -65,7 +64,7 @@ def test_generator_order_oracle(e8):
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_ext_tables_match_scalar_loop(m):
     """The doubling build of exp/log against repeated scalar multiplication."""
-    ext = ext_new(FieldCtx(m))
+    ext = ExtCtx(FieldCtx(m))
     ext._ensure_tables()
     exp = np.zeros(ext.group, dtype=np.uint32)
     v = 1
@@ -194,7 +193,7 @@ def _full_lift_terms(ext, values):
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_interp_matrix_oracle_matches_reference_loop(m):
-    ext = ext_new(FieldCtx(m))
+    ext = ExtCtx(FieldCtx(m))
     ext._ensure_tables()
     rng = np.random.default_rng(21 + m)
     for _ in range(2):
@@ -214,7 +213,7 @@ def test_coset_lift_matches_full_oracle_all_vectors_m3(e8):
 @pytest.mark.parametrize("name", ["T1", "T2", "T3", "T4", "T5"])
 def test_coset_lift_agrees_with_forward_map_m5(name):
     """The reduced interpolant is unique, so agreeing everywhere pins it."""
-    ext = ext_new(FieldCtx(5))
+    ext = ExtCtx(FieldCtx(5))
     fam = named_family(name)
     values = lift_permutation(ext, fam).values()
     want = [ext.pack(eval_F(ext.base, fam, ext.unpack(t))) for t in range(ext.size)]
@@ -251,7 +250,7 @@ def test_family_lift_of_wrong_degree_is_inconsistent(e8, monkeypatch):
 
 def test_lift_domain_cap():
     with pytest.raises(DomainTooLarge):
-        lift_permutation(ext_new(FieldCtx(7)), named_family("T3"))
+        lift_permutation(ExtCtx(FieldCtx(7)), named_family("T3"))
 
 
 def test_support_examples(e8):

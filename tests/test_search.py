@@ -2,6 +2,7 @@
 
 import pytest
 
+from rotaperm import search
 from rotaperm.errors import DomainTooLarge, EvenDegree
 from rotaperm.family import NAMED_COEFFS
 from rotaperm.search import ALL_ZERO, SearchReport, search_all, search_diff
@@ -35,11 +36,24 @@ def test_even_degree_rejected():
         search_all([4])
 
 
-def test_domain_caps():
+def test_domain_caps(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a degree was decided before every degree was checked")
+
+    monkeypatch.setattr(search, "is_permutation", no_work)
     with pytest.raises(DomainTooLarge):
         search_all([11])
     with pytest.raises(DomainTooLarge):
-        search_all([9])  # allowed only behind allow_large
+        search_all([3, 11])
+    with pytest.raises(EvenDegree):
+        search_all([3, 4])
+
+
+def test_m9_permutations_are_the_m3_5_7_intersection():
+    m9 = search_all([9])
+    assert m9.results[9] == search_all([3, 5, 7]).intersection
+    assert len(m9.results[9]) == 23
+    assert m9.contains_five_families[9]
 
 
 def test_diff_needs_two_degrees(report_m3):
