@@ -18,26 +18,44 @@ BACKEND = "numpy"
 # first-collision scan over packed images
 # ---------------------------------------------------------------------------
 
+SCAN_BLOCK = 1 << 16  # entries per step of the index OR and the neighbour compare
+_LOW = np.uint64(0xFFFFFFFF)
+
+
 def scan_bijection(packed: np.ndarray):
     """First collision in scan order via one sort (no Python loop).
 
     Each image goes above its index in a uint64, so a plain sort puts
     equal images next to each other in index order, as a stable argsort
     would, at a fraction of its cost.  Needs images and indices < 2^32.
+    The uint64 array is the only full-size temporary: it is shifted in
+    place, and the indices are ORed in and neighbours compared
+    SCAN_BLOCK entries at a time, so the scan allocates little more than
+    twice the input's bytes.
 
     Returns (bijective, collide_index, first_index): the smallest index
     whose image already occurred, and where it first occurred.
     """
-    tagged = packed.astype(np.uint64) << np.uint64(32)
-    tagged |= np.arange(packed.shape[0], dtype=np.uint64)
+    n = packed.shape[0]
+    tagged = packed.astype(np.uint64)
+    tagged <<= np.uint64(32)
+    for s in range(0, n, SCAN_BLOCK):
+        tagged[s:s + SCAN_BLOCK] |= np.arange(s, min(s + SCAN_BLOCK, n), dtype=np.uint64)
     tagged.sort()
-    # Neighbours share an image exactly when they differ only in the index bits.
-    dup = np.flatnonzero((tagged[1:] ^ tagged[:-1]) >> np.uint64(32) == 0)
-    if not dup.size:
+    best = None  # (collide_index, first_index) of the smallest collide_index so far
+    for s in range(0, n - 1, SCAN_BLOCK):
+        block = tagged[s:s + SCAN_BLOCK + 1]
+        high = block >> np.uint64(32)
+        # Neighbours share an image exactly when their high halves agree.
+        dup = np.flatnonzero(high[1:] == high[:-1])
+        if dup.size:
+            second = block[dup + 1] & _LOW
+            k = int(np.argmin(second))
+            if best is None or int(second[k]) < best[0]:
+                best = (int(second[k]), int(block[dup[k]] & _LOW))
+    if best is None:
         return True, -1, -1
-    second = tagged[dup + 1] & np.uint64(0xFFFFFFFF)
-    k = int(np.argmin(second))
-    return False, int(second[k]), int(tagged[dup[k]] & np.uint64(0xFFFFFFFF))
+    return False, *best
 
 
 # ---------------------------------------------------------------------------

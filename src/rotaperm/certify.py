@@ -15,7 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import resolvent as rs
+from .errors import DomainTooLarge
 from .field import FieldCtx
 from .mpoly import MPoly, resultant, to_text, zero
 from .resolvent import resolvent_coeffs
@@ -41,6 +44,16 @@ class CertReport:
             text = to_text(self.diff)
             out["diff"] = text if len(text) <= 400 else f"{len(self.diff.terms)} differing monomials"
         return out
+
+
+NUMERIC_MAX_M = 5  # the exhaustive (a, b, c) checks hold arrays of q^3 entries
+
+
+def _cube_grid(ctx: FieldCtx) -> np.ndarray:
+    """Every point (a, b, c) of GF(2^m)^3, as three flat uint16 arrays."""
+    if ctx.m > NUMERIC_MAX_M:
+        raise DomainTooLarge(f"exhaustive (a, b, c) checks capped at m={NUMERIC_MAX_M}")
+    return np.indices((ctx.q,) * 3, dtype=np.uint16).reshape(3, -1)
 
 
 def _sym_report(name: str, diff: MPoly, notes: str = "", mandatory: bool = True) -> CertReport:
@@ -110,20 +123,15 @@ def beta_printed_expansions() -> list[CertReport]:
 def beta_trace_fallback(ctx: FieldCtx) -> bool:
     """Numeric stand-in for the beta identity: the discriminant fraction
     (AC+B^2)^3 / (A^2 (AD+BC)^2) has trace 0 wherever it is defined."""
-    for a in ctx.elements():
-        for b in ctx.elements():
-            for c in ctx.elements():
-                A, B, C, D = resolvent_coeffs(ctx, a, b, c)
-                if A == 0:
-                    continue
-                adbc = ctx.mul(A, D) ^ ctx.mul(B, C)
-                if adbc == 0:
-                    continue
-                acb2 = ctx.mul(A, C) ^ ctx.sqr(B)
-                frac = ctx.div(ctx.pow(acb2, 3), ctx.sqr(ctx.mul(A, adbc)))
-                if ctx.trace(frac) != 0:
-                    return False
-    return True
+    A, B, C, D = resolvent_coeffs(ctx, *_cube_grid(ctx))
+    mul, sqr = ctx.mul_table, ctx.sqr_table
+    den = sqr[mul[A, mul[A, D] ^ mul[B, C]]]  # zero exactly where A or AD+BC is
+    frac = mul[ctx.cube_table[mul[A, C] ^ sqr[B]], ctx.inv_table[den]]
+    trace = np.zeros_like(frac)
+    for _ in range(ctx.m):
+        trace ^= frac
+        frac = sqr[frac]
+    return not trace[den != 0].any()
 
 
 def cert_resultant_Q(q1: MPoly | None = None, q2: MPoly | None = None) -> CertReport:
@@ -169,16 +177,12 @@ def cert_charsum_support(ctx: FieldCtx) -> CertReport:
 
 def cert_A_zero_classification(ctx: FieldCtx) -> CertReport:
     """A(a,b,c) = 0 iff (b=0, a=c) or (a=0, b=c) or a=b=c, exhaustively."""
-    if ctx.m % 2 == 0 or ctx.m > 5:
+    if ctx.m % 2 == 0 or ctx.m > NUMERIC_MAX_M:
         return CertReport(f"A_zero_classification_m{ctx.m}", "fail", None, "odd m <= 5 required")
-    bad = 0
-    for a in ctx.elements():
-        for b in ctx.elements():
-            for c in ctx.elements():
-                A, _, _, _ = resolvent_coeffs(ctx, a, b, c)
-                classified = (b == 0 and a == c) or (a == 0 and b == c) or (a == b == c)
-                if (A == 0) != classified:
-                    bad += 1
+    a, b, c = _cube_grid(ctx)
+    A = resolvent_coeffs(ctx, a, b, c)[0]
+    classified = ((b == 0) & (a == c)) | ((a == 0) & (b == c)) | ((a == b) & (b == c))
+    bad = int(np.count_nonzero((A == 0) != classified))
     notes = f"{bad} misclassified points" if bad else f"all {ctx.q ** 3} points classified"
     return CertReport(f"A_zero_classification_m{ctx.m}", "pass" if bad == 0 else "fail", None, notes)
 

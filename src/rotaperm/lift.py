@@ -20,6 +20,7 @@ coefficient ratios through the log table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -180,28 +181,37 @@ class ExtCtx:
     # -- discrete-log tables -------------------------------------------------
 
     def _ensure_tables(self) -> None:
-        if self._exp is not None:
-            return
         if self.m > LIFT_MAX_BASE_M:
             raise DomainTooLarge(f"log tables capped at base m={LIFT_MAX_BASE_M}")
-        gen = find_generator(self.group, self.pow)
-        # Doubling: exp[n + i] = exp[i] * gen^n for the block already built.
-        exp = np.empty(self.group, dtype=np.uint32)
-        exp[0] = 1
-        n = 1
-        while n < self.group:
-            step = min(n, self.group - n)
-            exp[n:n + step] = self.vmul(exp[:step], self.mul(int(exp[n - 1]), gen))
-            n += step
-        log = np.full(self.size, -1, dtype=np.int32)  # logs < 2^(3m); half the int64 footprint
-        log[exp] = np.arange(self.group)
-        self._exp, self._log = exp, log
-        self.generator = gen
-        self.omega_primitive = self.element_order(self.omega) == self.group
+        if self._exp is None:
+            self._exp, self._log, self.generator, self.omega_primitive = _ext_tables(self)
 
     def log_of(self, u: int) -> int:
         self._ensure_tables()
         return int(self._log[u])
+
+
+@functools.lru_cache(maxsize=8)
+def _ext_tables(ext: ExtCtx) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Read-only exp and log tables of GF(2^3m)*, its generator, and whether w generates.
+
+    Keyed by (base, cubic), so every equal ExtCtx of a process shares one
+    pair of 2^3m-entry arrays; at most 8 extensions are kept.
+    """
+    gen = find_generator(ext.group, ext.pow)
+    # Doubling: exp[n + i] = exp[i] * gen^n for the block already built.
+    exp = np.empty(ext.group, dtype=np.uint32)
+    exp[0] = 1
+    n = 1
+    while n < ext.group:
+        step = min(n, ext.group - n)
+        exp[n:n + step] = ext.vmul(exp[:step], ext.mul(int(exp[n - 1]), gen))
+        n += step
+    log = np.full(ext.size, -1, dtype=np.int32)  # logs < 2^(3m); half the int64 footprint
+    log[exp] = np.arange(ext.group)
+    exp.flags.writeable = False
+    log.flags.writeable = False
+    return exp, log, gen, math.gcd(int(log[ext.omega]), ext.group) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ diffs it against the expansion recorded below.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .field import FieldCtx
 from .mpoly import MPoly, parse
 
@@ -159,9 +161,22 @@ D_POLY = (
 
 # -- numeric evaluation of the cubic coefficients ---------------------------
 
-def resolvent_coeffs(ctx: FieldCtx, a: int, b: int, c: int) -> tuple[int, int, int, int]:
-    """Evaluate the A, B, C, D blocks at a field point (straight-line form)."""
-    mul = ctx.mul
+def resolvent_coeffs(ctx: FieldCtx, a, b, c):
+    """Evaluate the A, B, C, D blocks at a field point (straight-line form).
+
+    a, b, c are either ints or equal-shape integer arrays of field
+    elements.  Ints multiply through ctx.mul and give ints; arrays
+    multiply by gathers from ctx.mul_table and give uint16 arrays of
+    that shape, so one call evaluates the blocks at every point of a
+    grid.
+    """
+    if isinstance(a, np.ndarray):
+        table = ctx.mul_table
+
+        def mul(x, y):
+            return table[x, y]
+    else:
+        mul = ctx.mul
     a2 = mul(a, a); a3 = mul(a2, a); a4 = mul(a2, a2); a5 = mul(a4, a); a6 = mul(a3, a3)
     b2 = mul(b, b); b3 = mul(b2, b); b4 = mul(b2, b2); b5 = mul(b4, b); b6 = mul(b3, b3)
     c3 = mul(mul(c, c), c); c6 = mul(c3, c3); c9 = mul(c6, c3)

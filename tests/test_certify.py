@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import rotaperm.resolvent as rs
@@ -17,6 +18,7 @@ from rotaperm.certify import (
     cert_resultant_h,
     run_all,
 )
+from rotaperm.errors import DomainTooLarge
 from rotaperm.field import FieldCtx
 from rotaperm.mpoly import evaluate, parse, resultant
 
@@ -112,12 +114,88 @@ def test_A_zero_classification(m):
 
 
 def test_A_zero_examples(f8):
-    from rotaperm.resolvent import resolvent_coeffs
-    assert resolvent_coeffs(f8, 1, 0, 1)[0] == 0   # b=0, a=c
-    assert resolvent_coeffs(f8, 1, 1, 1)[0] == 0   # a=b=c
-    assert resolvent_coeffs(f8, 1, 0x2, 0)[0] != 0
+    assert rs.resolvent_coeffs(f8, 1, 0, 1)[0] == 0   # b=0, a=c
+    assert rs.resolvent_coeffs(f8, 1, 1, 1)[0] == 0   # a=b=c
+    assert rs.resolvent_coeffs(f8, 1, 0x2, 0)[0] != 0
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_resolvent_coeffs_arrays_match_scalars(m):
+    """One array call gives all four blocks at every point, as the scalar calls do."""
+    ctx = FieldCtx(m)
+    a, b, c = np.indices((ctx.q,) * 3).reshape(3, -1)
+    blocks = rs.resolvent_coeffs(ctx, a, b, c)
+    want = np.array([rs.resolvent_coeffs(ctx, *p) for p in zip(a.tolist(), b.tolist(), c.tolist())])
+    for got, column in zip(blocks, want.T):
+        assert got.shape == a.shape
+        assert np.array_equal(got, column)
+
+
+def _flip_A_at(point):
+    """resolvent_coeffs with A = 0 and A != 0 swapped at one point."""
+    def mutant(ctx, a, b, c):
+        A, B, C, D = rs.resolvent_coeffs(ctx, a, b, c)
+        hit = (a == point[0]) & (b == point[1]) & (c == point[2])
+        return np.where(hit, A == 0, A), B, C, D
+    return mutant
+
+
+@pytest.mark.parametrize("point", [(0, 0, 0), (1, 2, 3), (5, 0, 5)])
+def test_A_zero_classification_counts_a_single_flip(monkeypatch, point):
+    monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", _flip_A_at(point))
+    report = cert_A_zero_classification(FieldCtx(3))
+    assert not report.passed
+    assert report.notes == "1 misclassified points"
+
+
+@pytest.mark.parametrize("m", [7, 4, 2])
+def test_A_zero_classification_refuses_before_building_the_grid(monkeypatch, m):
+    def no_grid(*_):
+        raise AssertionError("grid built")
+    monkeypatch.setattr("rotaperm.certify._cube_grid", no_grid)
+    monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", no_grid)
+    report = cert_A_zero_classification(FieldCtx(m))
+    assert not report.passed
+    assert report.notes == "odd m <= 5 required"
+
+
+def _beta_trace_fallback_py(ctx, coeffs) -> bool:
+    """Reference loop: Tr((AC+B^2)^3 / (A^2 (AD+BC)^2)) = 0 at every point where it is defined."""
+    for a in ctx.elements():
+        for b in ctx.elements():
+            for c in ctx.elements():
+                A, B, C, D = (int(v) for v in coeffs(ctx, a, b, c))
+                if A == 0:
+                    continue
+                adbc = ctx.mul(A, D) ^ ctx.mul(B, C)
+                if adbc == 0:
+                    continue
+                acb2 = ctx.mul(A, C) ^ ctx.sqr(B)
+                frac = ctx.div(ctx.pow(acb2, 3), ctx.sqr(ctx.mul(A, adbc)))
+                if ctx.trace(frac) != 0:
+                    return False
+    return True
 
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_beta_trace_is_zero_wherever_defined(m):
     assert beta_trace_fallback(FieldCtx(m))
+
+
+@pytest.mark.parametrize("block", ["B", "C", "D"])
+def test_beta_trace_matches_reference_loop(monkeypatch, f8, block):
+    """The array pass and the scalar loop agree on the true blocks and on a perturbed one."""
+    assert beta_trace_fallback(f8) is _beta_trace_fallback_py(f8, rs.resolvent_coeffs) is True
+    i = "ABCD".index(block)
+
+    def perturbed(ctx, a, b, c):
+        coeffs = list(rs.resolvent_coeffs(ctx, a, b, c))
+        coeffs[i] ^= 1
+        return tuple(coeffs)
+    monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", perturbed)
+    assert beta_trace_fallback(f8) is _beta_trace_fallback_py(f8, perturbed) is False
+
+
+def test_beta_trace_fallback_capped():
+    with pytest.raises(DomainTooLarge):
+        beta_trace_fallback(FieldCtx(7))

@@ -1,5 +1,7 @@
 """Kernels against their reference loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,30 @@ def test_scan_numpy_matches_reference_loop_random():
     for size, top in ((2000, 1 << 27), (2000, 3000), (1, 5), (0, 5)):
         packed = rng.integers(0, top, size=size, dtype=np.uint32)
         assert tuple(_kernels.scan_bijection(packed)) == _scan_bijection_py(packed)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 30])
+def test_scan_independent_of_block(monkeypatch, block):
+    """The block size of the index OR and neighbour compare bounds memory, not results."""
+    monkeypatch.setattr(_kernels, "SCAN_BLOCK", block)
+    rng = np.random.default_rng(24)
+    for size, top in ((500, 1 << 20), (500, 300), (2, 1), (1, 5), (0, 5)):
+        packed = rng.integers(0, top, size=size, dtype=np.uint32)
+        assert tuple(_kernels.scan_bijection(packed)) == _scan_bijection_py(packed)
+
+
+@pytest.mark.parametrize("bits", ["00000001", "10000000"])
+def test_scan_peak_memory_bounded(bits):
+    """At m=7 the scan allocates at most 2.5x the bytes of its 8 MB input."""
+    packed = family_images(FieldCtx(7), family_from_coeffs(bits))
+    tracemalloc.start()
+    try:
+        bijective, _, _ = _kernels.scan_bijection(packed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not bijective
+    assert peak <= 2.5 * packed.nbytes
 
 
 def test_interp_coeffs_independent_of_chunk(monkeypatch):

@@ -77,6 +77,32 @@ def test_ext_tables_match_scalar_loop(m):
     assert np.array_equal(ext._log[exp], np.arange(ext.group))
 
 
+def test_ext_tables_shared_per_process():
+    """Equal extensions share one read-only exp/log pair; another cubic gets its own."""
+    first, second = ExtCtx(FieldCtx(3)), ExtCtx(FieldCtx(3))
+    first._ensure_tables()
+    second._ensure_tables()
+    assert first._exp is second._exp and first._log is second._log
+    assert first.generator == second.generator
+    for table in (first._exp, first._log):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0
+    base = first.base
+    cubic = next(
+        (alpha, beta, gamma)
+        for alpha in base.elements() for beta in base.elements() for gamma in range(1, base.q)
+        if (alpha, beta, gamma) != first.cubic and not ExtCtx._has_root(base, (alpha, beta, gamma))
+    )
+    other = ExtCtx(base, cubic)
+    other._ensure_tables()
+    assert other._exp is not first._exp and other._log is not first._log
+    assert other.omega_primitive == (other.element_order(other.omega) == other.group)
+    assert sorted(other._exp.tolist()) == list(range(1, other.size))
+    assert all(other.mul(int(other._exp[i]), other.generator) == int(other._exp[i + 1])
+               for i in range(other.group - 1))
+
+
 def test_vmul_matches_scalar_mul(e8):
     u = np.arange(e8.size, dtype=np.uint32)
     for v in (0, 1, e8.omega, 0x155, 511):
