@@ -3,11 +3,13 @@
 T3, T4, T5 have explicit closed forms from their solvability analyses;
 T1 goes through the cubic resolvent in Y = y^3 after the shearing map
 phi(u,v,w) = (v+w, u+w, u+v+w); T2 has no constructive inverse and is
-served from a precomputed full table.
+served from a projective inverse table: 3-homogeneity, F(lam*v) =
+lam^3 * F(v), leaves one entry per projective representative, q^2+q+1
+in all, and a cube root rescales the looked-up representative.
 
-Every closed-form or resolvent preimage is re-evaluated through the
-forward map before being returned: a mismatch raises
-FormulaInconsistent instead of handing back a silently wrong point.
+Every preimage, from a closed form, the resolvent or the table, is
+re-evaluated through the forward map before being returned: a mismatch
+raises FormulaInconsistent instead of handing back a silently wrong point.
 Fractional powers like (a+b)^(4/3) mean cube_root composed with integer
 powers (exponent arithmetic mod 2^m - 1 throughout).
 """
@@ -27,10 +29,15 @@ from .errors import (
 )
 from .family import FamilySpec, eval_F, family_from_coeffs, named_family
 from .field import FieldCtx, Triple
-from .permcheck import family_images, is_permutation
+from .permcheck import (
+    IS_PERMUTATION_MAX_M,
+    projective_keys,
+    representative,
+    representative_index,
+)
 from .resolvent import resolvent_coeffs
 
-INVERT_TABLE_MAX_M = 7
+INVERT_TABLE_MAX_M = IS_PERMUTATION_MAX_M
 
 
 def _checked(ctx: FieldCtx, fam: FamilySpec, target: Triple, preimage: Triple) -> Triple:
@@ -159,25 +166,48 @@ def invert_T1_resolvent(ctx: FieldCtx, target: Triple) -> Triple:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _inverse_table(ctx: FieldCtx, coeffs: tuple[int, ...]) -> np.ndarray:
-    fam = family_from_coeffs(coeffs)
-    report = is_permutation(ctx, fam)
-    if not report.is_permutation:
-        raise NotAPermutation(f"family {''.join(map(str, coeffs))} at m={ctx.m}")
-    images = family_images(ctx, fam)
-    table = np.empty_like(images)
-    table[images] = np.arange(images.shape[0], dtype=images.dtype)
-    return table
+def _inverse_table(ctx: FieldCtx, coeffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, source) of a permutation F, read-only, indexed by representative.
+
+    lead[i] is the leading coordinate of F(r_i), and source[j] the i with
+    F(r_i) a multiple of r_j.  Decided from the same projective keys the
+    table is built from, so a non-permutation costs no q^3 scan.
+    """
+    name = "".join(map(str, coeffs))
+    if ctx.m % 2 == 0:
+        # A cube root of unity lam != 1 exists, and F(lam*v) = F(v).
+        raise NotAPermutation(f"family {name} at m={ctx.m}: no 3-homogeneous map permutes "
+                              "GF(2^m)^3 for even m")
+    lead, keys = projective_keys(ctx, family_from_coeffs(coeffs))
+    n = lead.size
+    source = np.full(n, n, dtype=np.uint32)
+    if keys is not None:
+        source[keys] = np.arange(n, dtype=np.uint32)
+    # n keys fill all n slots exactly when no key repeats.
+    if keys is None or (source == n).any():
+        raise NotAPermutation(f"family {name} at m={ctx.m}")
+    lead.setflags(write=False)
+    source.setflags(write=False)
+    return lead, source
 
 
 def invert_table(ctx: FieldCtx, fam: FamilySpec, target: Triple) -> Triple:
-    """Preimage by lookup in the cached full inverse table."""
+    """Preimage by lookup in the cached projective inverse table.
+
+    A target s*r_j (s its leading coordinate) has the preimage lam*r_i
+    with i = source[j] and lam^3 = s / lead[i], as F(lam*r_i) =
+    lam^3 * lead[i] * r_j.
+    """
     if ctx.m > INVERT_TABLE_MAX_M:
-        raise DomainTooLarge(f"m={ctx.m} > {INVERT_TABLE_MAX_M} for a full inverse table")
-    table = _inverse_table(ctx, fam.coeffs)
-    a, b, c = target
-    packed = int(table[(a << (2 * ctx.m)) | (b << ctx.m) | c])
-    return ((packed >> (2 * ctx.m)) & ctx.mask, (packed >> ctx.m) & ctx.mask, packed & ctx.mask)
+        raise DomainTooLarge(f"m={ctx.m} > {INVERT_TABLE_MAX_M} for a projective inverse table")
+    lead, source = _inverse_table(ctx, fam.coeffs)
+    if not any(target):
+        return _checked(ctx, fam, target, (0, 0, 0))
+    s, j = representative_index(ctx, target)
+    i = int(source[j])
+    lam = ctx.cube_root(ctx.div(s, int(lead[i])))
+    preimage = tuple(ctx.mul(lam, v) for v in representative(ctx, i))
+    return _checked(ctx, fam, target, preimage)
 
 
 # The constructive inverter of each named family that has one, with its

@@ -14,11 +14,14 @@ values of x^3 and of each a1..a8 monomial at every representative under
 the three rotated arguments, built once per field context on first use
 and shared by all 256 families.
 
-The full scan over all q^3 images remains for even m, for the
-lexicographically first collision reported as the witness of a negative,
-and (through family_images) for the inverse and lift tables.  Its images
-are built in blocks of x-slabs, for every m, from numpy gathers into
-three q x q pair tables plus the cube table.
+The keys behind that decision (the index of each scaled image among the
+representatives, with its leading coordinate) also make the projective
+inverse table of rotaperm.invert, so a table inversion needs O(q^2)
+memory and no q^3 image.  The full scan over all q^3 images remains for
+even m, for the lexicographically first collision reported as the
+witness of a negative, and (through family_images) for the lift.  Its
+images are built in blocks of x-slabs, for every m, from numpy gathers
+into three q x q pair tables plus the cube table.
 
 Caps: is_permutation and count_zeros_D refuse m > 9 (the 2^27 image table
 and the q x q product table, gathered from the field's exp/log pair, are
@@ -175,7 +178,7 @@ def _monomial_column(ctx: FieldCtx, j: int) -> np.ndarray:
     return ctx._table(f"proj_col{j}", build)
 
 
-def _representative(ctx: FieldCtx, i: int) -> Triple:
+def representative(ctx: FieldCtx, i: int) -> Triple:
     """Entry i of projective_representatives, without building the arrays."""
     qq = ctx.q * ctx.q
     if i < qq:
@@ -185,8 +188,57 @@ def _representative(ctx: FieldCtx, i: int) -> Triple:
     return 0, 0, 1
 
 
+def representative_index(ctx: FieldCtx, v: Triple) -> tuple[int, int]:
+    """(s, i) with v = s * representative(ctx, i), s the leading nonzero
+    coordinate of v != 0."""
+    a, b, c = v
+    s = a or b or c
+    if s == 0:
+        raise ValueError("the zero vector has no projective representative")
+    inv_s = ctx.inv(s)
+    qq = ctx.q * ctx.q
+    if a:
+        return s, (ctx.mul(b, inv_s) << ctx.m) | ctx.mul(c, inv_s)
+    if b:
+        return s, qq + ctx.mul(c, inv_s)
+    return s, qq + ctx.q
+
+
 ZERO_IMAGE = "zero image"
 REPEATED_KEY = "repeated key"
+
+
+def projective_keys(ctx: FieldCtx, fam: FamilySpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """Leading coordinates and keys of F at the projective representatives (odd m).
+
+    lead[i] is the leading nonzero coordinate of F(r_i), 0 when F(r_i) = 0.
+    keys[i] is the index among the representatives of F(r_i) scaled by
+    1/lead[i], as a uint32, so F permutes GF(2^m)^3 exactly when lead has
+    no zero and keys no repeat.  With a zero in lead, keys is None: the
+    zero image decides before any key is gathered.
+    """
+    if ctx.m % 2 == 0:
+        raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
+    u = _monomial_column(ctx, 0).copy()
+    for j, bit in enumerate(fam.coeffs, start=1):
+        if bit:
+            u ^= _monomial_column(ctx, j)
+    u1, u2, u3 = u
+    # Only about one image in q has x = 0; those few are patched by index.
+    off = np.flatnonzero(u1 == 0)
+    lead = u1.copy()
+    lead[off] = np.where(u2[off] != 0, u2[off], u3[off])
+    if not lead.all():
+        return lead, None
+    q = ctx.q
+    products = ctx.mul_table.reshape(-1)
+    row = ctx.inv_table[lead].astype(np.intp) * q
+    # The scaled image is (1, y, z), (0, 1, z) or (0, 0, 1): its index is
+    # y*q + z, q^2 + z or q^2 + q, as in projective_representatives.
+    z = products[row + u3].astype(np.uint32)
+    keys = (products[row + u2].astype(np.uint32) << ctx.m) | z
+    keys[off] = np.where(u2[off] != 0, q * q + z[off], q * q + q)
+    return lead, keys
 
 
 def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[Triple, ...]] | None:
@@ -197,27 +249,13 @@ def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[T
     (REPEATED_KEY, (r, s)) for the first pair whose images agree once
     each is scaled by the inverse of its leading nonzero coordinate.
     """
-    if ctx.m % 2 == 0:
-        raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
-    m = ctx.m
-    u = _monomial_column(ctx, 0).copy()
-    for j, bit in enumerate(fam.coeffs, start=1):
-        if bit:
-            u ^= _monomial_column(ctx, j)
-    u1, u2, u3 = u
-    lead = np.where(u1 != 0, u1, np.where(u2 != 0, u2, u3))
-    zero = np.flatnonzero(lead == 0)
-    if zero.size:
-        return ZERO_IMAGE, (_representative(ctx, int(zero[0])),)
-    products = ctx.mul_table.reshape(-1)
-    row = ctx.inv_table[lead].astype(np.intp) * ctx.q
-    keys = ((products[row + u1].astype(np.uint32) << (2 * m))
-            | (products[row + u2].astype(np.uint32) << m)
-            | products[row + u3])
+    lead, keys = projective_keys(ctx, fam)
+    if keys is None:
+        return ZERO_IMAGE, (representative(ctx, int(np.flatnonzero(lead == 0)[0])),)
     ok, at, first = _kernels.scan_bijection(keys)
     if ok:
         return None
-    return REPEATED_KEY, (_representative(ctx, first), _representative(ctx, at))
+    return REPEATED_KEY, (representative(ctx, first), representative(ctx, at))
 
 
 def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> PermReport:

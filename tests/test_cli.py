@@ -91,6 +91,22 @@ def test_invert_method_table(capsys):
     assert json.loads(out)["preimage"] == ["0x0", "0x0", "0x0"]
 
 
+def test_invert_t2_at_m9_through_the_projective_table(capsys):
+    """The README example: T2 at m=9 is served by the table."""
+    code, out, _ = run(capsys, "invert", "--family", "T2", "--m", "9", "--target", "0x1,0x2,0x3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload == {"target": ["0x1", "0x2", "0x3"],
+                       "preimage": ["0x1cd", "0xbb", "0x176"], "method": "table"}
+    preimage = tuple(int(h, 16) for h in payload["preimage"])
+    assert eval_F(FieldCtx(9), named_family("T2"), preimage) == (1, 2, 3)
+
+
+def test_invert_table_above_the_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "invert", "--family", "T2", "--m", "11", "--target", "0x1,0x0,0x0")
+    assert code == 2 and out == "" and "m=11 > 9" in err
+
+
 def test_invert_target_out_of_range(capsys):
     code, _, _ = run(capsys, "invert", "--family", "T3", "--m", "3", "--target", "0x8,0x0,0x0")
     assert code == 2

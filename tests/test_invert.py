@@ -2,10 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
+import rotaperm.invert as inv
+import rotaperm.permcheck as pc
 from rotaperm.errors import DomainTooLarge, FormulaInconsistent, NotAPermutation
-from rotaperm.family import family_from_coeffs, eval_F, named_family
+from rotaperm.family import all_families, family_from_coeffs, eval_F, named_family
 from rotaperm.field import FieldCtx
 from rotaperm.invert import (
     _checked,
@@ -121,7 +124,78 @@ def test_invert_table_rejects_non_permutations(f8):
 
 def test_invert_table_domain_cap():
     with pytest.raises(DomainTooLarge):
-        invert_table(FieldCtx(9), named_family("T2"), (0, 0, 0))
+        invert_table(FieldCtx(11), named_family("T2"), (0, 0, 0))
+
+
+def _full_inverse_table(ctx, fam):
+    """The slow oracle: every one of the q^3 images, inverted by one scatter."""
+    images = pc.family_images(ctx, fam)
+    table = np.empty_like(images)
+    table[images] = np.arange(images.shape[0], dtype=images.dtype)
+    return table
+
+
+@pytest.mark.parametrize("m, count", [(3, 36), (5, 29)])
+def test_projective_table_matches_full_table(m, count):
+    """Every target of every permutation vector, against the q^3 table."""
+    ctx = FieldCtx(m)
+    families = [fam for fam in all_families() if pc.is_permutation(ctx, fam).is_permutation]
+    assert len(families) == count
+    for fam in families:
+        full = _full_inverse_table(ctx, fam).tolist()
+        for packed in range(ctx.q ** 3):
+            target = pc._unpack(ctx, packed)
+            assert invert_table(ctx, fam, target) == pc._unpack(ctx, full[packed]), (fam, target)
+
+
+@pytest.mark.parametrize("m, trips", [(7, 2000), (9, 500)])
+def test_t2_table_round_trips(m, trips):
+    ctx = FieldCtx(m)
+    fam = named_family("T2")
+    rng = random.Random(m)
+    for _ in range(trips):
+        point = tuple(rng.randrange(ctx.q) for _ in range(3))
+        assert invert_table(ctx, fam, eval_F(ctx, fam, point)) == point
+
+
+def test_non_permutation_decided_without_the_full_scan(f128, monkeypatch):
+    def no_scan(ctx, fam):
+        raise AssertionError("the q^3 scan must not run")
+    monkeypatch.setattr(pc, "full_scan", no_scan)
+    monkeypatch.setattr(pc, "family_images", no_scan)
+    for bits in ("00000001", "11111111"):
+        with pytest.raises(NotAPermutation):
+            invert_table(f128, family_from_coeffs(bits), (1, 2, 3))
+
+
+def test_even_m_is_refused_before_any_table():
+    with pytest.raises(NotAPermutation, match="even m"):
+        invert_table(FieldCtx(4), named_family("T2"), (1, 2, 3))
+
+
+def test_inverse_table_is_read_only(f128):
+    lead, source = inv._inverse_table(f128, named_family("T2").coeffs)
+    assert lead.size == source.size == 128 * 128 + 128 + 1
+    assert not lead.flags.writeable and not source.flags.writeable
+    assert sorted(source.tolist()) == list(range(source.size))
+
+
+@pytest.mark.parametrize("corrupt", ["lead", "source"])
+def test_corrupted_table_entry_is_caught(f128, monkeypatch, corrupt):
+    """A wrong lead or source entry yields a point that fails the re-check."""
+    fam = named_family("T2")
+    lead, source = (a.copy() for a in inv._inverse_table(f128, fam.coeffs))
+    point = (5, 9, 77)
+    target = eval_F(f128, fam, point)
+    j = pc.representative_index(f128, target)[1]
+    i = int(source[j])
+    if corrupt == "lead":
+        lead[i] = f128.mul(lead[i], 2)
+    else:
+        source[j] = (i + 1) % source.size
+    monkeypatch.setattr(inv, "_inverse_table", lambda ctx, coeffs: (lead, source))
+    with pytest.raises(FormulaInconsistent):
+        invert_table(f128, fam, target)
 
 
 def test_dispatcher_methods(f8):

@@ -15,14 +15,16 @@ from rotaperm.permcheck import (
     REPEATED_KEY,
     ZERO_IMAGE,
     _monomial_column,
-    _representative,
     count_zeros_D,
     difference_check,
     family_images,
     full_scan,
     is_permutation,
+    projective_keys,
     projective_obstruction,
     projective_representatives,
+    representative,
+    representative_index,
 )
 from rotaperm.resolvent import D_POLY
 
@@ -152,7 +154,29 @@ def test_projective_representatives_cover_each_line_once(f8):
 
 def test_representative_indexing(f8):
     reps = list(zip(*(a.tolist() for a in projective_representatives(f8))))
-    assert [_representative(f8, i) for i in range(len(reps))] == reps
+    assert [representative(f8, i) for i in range(len(reps))] == reps
+    for i, r in enumerate(reps):
+        for s in range(1, f8.q):
+            assert representative_index(f8, tuple(f8.mul(s, v) for v in r)) == (s, i)
+    with pytest.raises(ValueError):
+        representative_index(f8, (0, 0, 0))
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_projective_keys_match_scalar_images(m):
+    """lead and keys against eval_F and representative_index, point by point."""
+    ctx = FieldCtx(m)
+    n = ctx.q * ctx.q + ctx.q + 1
+    for bits in ("00000011", "01001000", "00000001", "11111111"):
+        fam = family_from_coeffs(bits)
+        images = [eval_F(ctx, fam, representative(ctx, i)) for i in range(n)]
+        lead, keys = projective_keys(ctx, fam)
+        assert lead.tolist() == [next((v for v in w if v), 0) for w in images], bits
+        if (0, 0, 0) in images:
+            assert keys is None, bits
+        else:
+            assert keys.dtype == np.uint32, bits
+            assert keys.tolist() == [representative_index(ctx, w)[1] for w in images], bits
 
 
 @pytest.mark.parametrize("m", [3, 5])
