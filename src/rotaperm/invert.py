@@ -4,8 +4,10 @@ T3, T4, T5 have explicit closed forms from their solvability analyses;
 T1 goes through the cubic resolvent in Y = y^3 after the shearing map
 phi(u,v,w) = (v+w, u+w, u+v+w); T2 has no constructive inverse and is
 served from a projective inverse table: 3-homogeneity, F(lam*v) =
-lam^3 * F(v), leaves one entry per projective representative, q^2+q+1
-in all, and a cube root rescales the looked-up representative.
+lam^3 * F(v), leaves one entry per projective representative, and
+rotation equivariance, F(sigma v) = sigma F(v), one per rotation orbit
+of representatives, (q^2+q)/3 + 1 in all.  A lookup rotates the table's
+entry onto the target's representative and a cube root rescales it.
 
 Every preimage, from a closed form, the resolvent or the table, is
 re-evaluated through the forward map before being returned: a mismatch
@@ -31,9 +33,11 @@ from .family import FamilySpec, eval_F, family_from_coeffs, named_family
 from .field import FieldCtx, Triple
 from .permcheck import (
     IS_PERMUTATION_MAX_M,
+    orbit_tables,
     projective_keys,
     representative,
     representative_index,
+    rotation_steps,
 )
 from .resolvent import resolvent_coeffs
 
@@ -166,12 +170,14 @@ def invert_T1_resolvent(ctx: FieldCtx, target: Triple) -> Triple:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _inverse_table(ctx: FieldCtx, coeffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(lead, source) of a permutation F, read-only, indexed by representative.
+def _inverse_table(ctx: FieldCtx,
+                   coeffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lead, keys, source) of a permutation F, read-only, over the orbit classes.
 
-    lead[i] is the leading coordinate of F(r_i), and source[j] the i with
-    F(r_i) a multiple of r_j.  Decided from the same projective keys the
-    table is built from, so a non-permutation costs no q^3 scan.
+    lead and keys are permcheck.projective_keys at the orbit minima
+    r_O[p], and source[c] the p whose key lies in orbit class c.  Decided
+    from the same keys the table is built from, so a non-permutation
+    costs no q^3 scan.
     """
     name = "".join(map(str, coeffs))
     if ctx.m % 2 == 0:
@@ -182,32 +188,41 @@ def _inverse_table(ctx: FieldCtx, coeffs: tuple[int, ...]) -> tuple[np.ndarray, 
     n = lead.size
     source = np.full(n, n, dtype=np.uint32)
     if keys is not None:
-        source[keys] = np.arange(n, dtype=np.uint32)
-    # n keys fill all n slots exactly when no key repeats.
+        source[orbit_tables(ctx)[2][keys]] = np.arange(n, dtype=np.uint32)
+    # n keys fill all n classes exactly when no class repeats, which is
+    # the permcheck decision.
     if keys is None or (source == n).any():
         raise NotAPermutation(f"family {name} at m={ctx.m}")
-    lead.setflags(write=False)
-    source.setflags(write=False)
-    return lead, source
+    for table in (lead, keys, source):
+        table.setflags(write=False)
+    return lead, keys, source
 
 
 def invert_table(ctx: FieldCtx, fam: FamilySpec, target: Triple) -> Triple:
     """Preimage by lookup in the cached projective inverse table.
 
-    A target s*r_j (s its leading coordinate) has the preimage lam*r_i
-    with i = source[j] and lam^3 = s / lead[i], as F(lam*r_i) =
-    lam^3 * lead[i] * r_j.
+    A target s*r_j (s its leading coordinate) lies in orbit class
+    c = canon[j], served by p = source[c] with key k = keys[p] and
+    S^e[k] = j.  Rotation equivariance and 3-homogeneity give
+    F(lam * sigma^e(r_O[p])) = lam^3 * lead[p] * sigma^e(r_k)
+    = lam^3 * lead[p] * mu * r_j, with mu the leading coordinate of
+    sigma^e(r_k); so lam^3 = s / (lead[p] * mu).
     """
     if ctx.m > INVERT_TABLE_MAX_M:
         raise DomainTooLarge(f"m={ctx.m} > {INVERT_TABLE_MAX_M} for a projective inverse table")
-    lead, source = _inverse_table(ctx, fam.coeffs)
+    lead, keys, source = _inverse_table(ctx, fam.coeffs)
     if not any(target):
         return _checked(ctx, fam, target, (0, 0, 0))
+    rotation, minima, canon = orbit_tables(ctx)
     s, j = representative_index(ctx, target)
-    i = int(source[j])
-    lam = ctx.cube_root(ctx.div(s, int(lead[i])))
-    preimage = tuple(ctx.mul(lam, v) for v in representative(ctx, i))
-    return _checked(ctx, fam, target, preimage)
+    p = int(source[canon[j]])
+    k = int(keys[p])
+    w, image = representative(ctx, int(minima[p])), representative(ctx, k)
+    for _ in range(rotation_steps(rotation, k, j)):
+        w, image = _rot(w), _rot(image)
+    mu = image[0] or image[1] or image[2]
+    lam = ctx.cube_root(ctx.div(s, ctx.mul(int(lead[p]), mu)))
+    return _checked(ctx, fam, target, tuple(ctx.mul(lam, v) for v in w))
 
 
 # The constructive inverter of each named family that has one, with its

@@ -9,10 +9,15 @@ F(lam*v) = lam^3 * F(v), and lam -> lam^3 permutes GF(2^m)^* when m is
 odd, so F permutes GF(2^m)^3 exactly when F(r) != 0 on the q^2+q+1
 representatives r in {(1,y,z)} u {(0,1,z)} u {(0,0,1)} and their images,
 each scaled by the inverse of its leading nonzero coordinate, are pairwise
-distinct.  F's images there are XORs of per-degree monomial columns: the
-values of x^3 and of each a1..a8 monomial at every representative under
-the three rotated arguments, built once per field context on first use
-and shared by all 256 families.
+distinct.  Every family is also rotatable, F(sigma v) = sigma F(v) with
+sigma(x,y,z) = (y,z,x), and for odd m sigma fixes only the representative
+(1,1,1): the others fall into (q^2+q)/3 orbits of three (orbit_tables).
+So F is imaged at the orbit minima alone, and the decision is made on
+the orbit classes of their keys (projective_obstruction).  F's images
+there are XORs of per-degree monomial columns: the values of x^3 and of
+each a1..a8 monomial at every orbit minimum under the three rotated
+arguments, built once per field context on first use and shared by all
+256 families.
 
 The keys behind that decision (the index of each scaled image among the
 representatives, with its leading coordinate) also make the projective
@@ -146,12 +151,77 @@ def projective_representatives(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, n
     return x, y, z
 
 
+def _leading(u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading nonzero coordinate of each point (u1, u2, u3), 0 for the zero
+    vector, and the positions where u1 is 0."""
+    # Only about one point in q has x = 0; those few are patched by index.
+    off = np.flatnonzero(u1 == 0)
+    lead = u1.copy()
+    lead[off] = np.where(u2[off] != 0, u2[off], u3[off])
+    return lead, off
+
+
+def _indices(ctx: FieldCtx, lead: np.ndarray, off: np.ndarray,
+             u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
+    """Index among the representatives of each nonzero point (u1, u2, u3)
+    scaled by 1/lead, as a uint32; lead and off come from _leading."""
+    q = ctx.q
+    products = ctx.mul_table.reshape(-1)
+    row = ctx.inv_table[lead].astype(np.intp) * q
+    # The scaled point is (1, y, z), (0, 1, z) or (0, 0, 1): its index is
+    # y*q + z, q^2 + z or q^2 + q, as in projective_representatives.
+    z = products[row + u3].astype(np.uint32)
+    index = (products[row + u2].astype(np.uint32) << ctx.m) | z
+    index[off] = np.where(u2[off] != 0, q * q + z[off], q * q + q)
+    return index
+
+
+def orbit_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, O, canon): the rotation sigma(x,y,z) = (y,z,x) on the representatives.
+
+    S[i] is the index of sigma(r_i) among the representatives.  For odd m
+    it has order 3 and fixes only (1,1,1): sigma(v) = c*v needs c^3 = 1,
+    so c = 1.  O holds the orbit minima in increasing order, (q^2+q)/3 + 1
+    of them, and canon[i] is the position in O of the orbit of r_i.  Built
+    on first use and cached on ctx.
+    """
+    def rotation():
+        x, y, z = projective_representatives(ctx)
+        lead, off = _leading(y, z, x)
+        return _indices(ctx, lead, off, z, x)
+
+    def minima():
+        idx = np.arange(s.size)
+        return np.flatnonzero((idx <= s) & (idx <= s[s]))
+
+    def classes():
+        canon = np.empty(s.size, dtype=np.uint32)
+        for members in (o, s[o], s[s[o]]):
+            canon[members] = np.arange(o.size, dtype=np.uint32)
+        return canon
+
+    s = ctx._table("orbit_rotation", rotation)
+    o = ctx._table("orbit_minima", minima)
+    canon = ctx._table("orbit_class", classes)
+    return s, o, canon
+
+
+def rotation_steps(s: np.ndarray, k: int, j: int) -> int:
+    """The e in 0..2 with S^e[k] = j, for two representatives of one orbit."""
+    start = k
+    for e in range(3):
+        if k == j:
+            return e
+        k = int(s[k])
+    raise FormulaInconsistent(f"representatives {start} and {j} are not in one rotation orbit")
+
+
 # x^3, then the monomial under each coefficient bit a1..a8.
 _MONOMIAL_EXPONENTS = ((3, 0, 0),) + COEFF_EXPONENTS
 
 
 def _monomial_column(ctx: FieldCtx, j: int) -> np.ndarray:
-    """Monomial j of _MONOMIAL_EXPONENTS at every projective representative.
+    """Monomial j of _MONOMIAL_EXPONENTS at every orbit minimum r_O[p].
 
     Row i holds its values at the arguments rotated i times, (x,y,z),
     (y,z,x) and (z,x,y), so F(r) is the XOR of the columns of x^3 and of
@@ -163,7 +233,8 @@ def _monomial_column(ctx: FieldCtx, j: int) -> np.ndarray:
     def build():
         products = ctx.mul_table.reshape(-1)
         powers = (None, np.arange(q), ctx.sqr_table, ctx.cube_table)
-        x, y, z = projective_representatives(ctx)
+        o = orbit_tables(ctx)[1]
+        x, y, z = (a[o] for a in projective_representatives(ctx))
 
         def mono(*args):
             value = None
@@ -175,7 +246,7 @@ def _monomial_column(ctx: FieldCtx, j: int) -> np.ndarray:
 
         return np.stack([mono(x, y, z), mono(y, z, x), mono(z, x, y)]).astype(np.uint16)
 
-    return ctx._table(f"proj_col{j}", build)
+    return ctx._table(f"orbit_col{j}", build)
 
 
 def representative(ctx: FieldCtx, i: int) -> Triple:
@@ -209,13 +280,15 @@ REPEATED_KEY = "repeated key"
 
 
 def projective_keys(ctx: FieldCtx, fam: FamilySpec) -> tuple[np.ndarray, np.ndarray | None]:
-    """Leading coordinates and keys of F at the projective representatives (odd m).
+    """Leading coordinates and keys of F at the orbit minima (odd m).
 
-    lead[i] is the leading nonzero coordinate of F(r_i), 0 when F(r_i) = 0.
-    keys[i] is the index among the representatives of F(r_i) scaled by
-    1/lead[i], as a uint32, so F permutes GF(2^m)^3 exactly when lead has
-    no zero and keys no repeat.  With a zero in lead, keys is None: the
-    zero image decides before any key is gathered.
+    Indexed by orbit position p, with r = r_O[p] (see orbit_tables):
+    lead[p] is the leading nonzero coordinate of F(r), 0 when F(r) = 0,
+    and keys[p] the index among all the representatives of F(r) scaled by
+    1/lead[p], as a uint32.  F(sigma v) = sigma F(v) gives the rest of the
+    representatives: the key of r_S^e[O[p]] is S^e[keys[p]], and F has a
+    zero on an orbit only together with its minimum.  With a zero in lead,
+    keys is None: the zero image decides before any key is gathered.
     """
     if ctx.m % 2 == 0:
         raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
@@ -224,38 +297,43 @@ def projective_keys(ctx: FieldCtx, fam: FamilySpec) -> tuple[np.ndarray, np.ndar
         if bit:
             u ^= _monomial_column(ctx, j)
     u1, u2, u3 = u
-    # Only about one image in q has x = 0; those few are patched by index.
-    off = np.flatnonzero(u1 == 0)
-    lead = u1.copy()
-    lead[off] = np.where(u2[off] != 0, u2[off], u3[off])
+    lead, off = _leading(u1, u2, u3)
     if not lead.all():
         return lead, None
-    q = ctx.q
-    products = ctx.mul_table.reshape(-1)
-    row = ctx.inv_table[lead].astype(np.intp) * q
-    # The scaled image is (1, y, z), (0, 1, z) or (0, 0, 1): its index is
-    # y*q + z, q^2 + z or q^2 + q, as in projective_representatives.
-    z = products[row + u3].astype(np.uint32)
-    keys = (products[row + u2].astype(np.uint32) << ctx.m) | z
-    keys[off] = np.where(u2[off] != 0, q * q + z[off], q * q + q)
-    return lead, keys
+    return lead, _indices(ctx, lead, off, u2, u3)
 
 
 def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[Triple, ...]] | None:
     """Why F fails to permute GF(2^m)^3 (odd m), or None when it permutes.
 
-    Decided on the q^2+q+1 projective representatives alone: either
-    (ZERO_IMAGE, (r,)) for the first representative with F(r) = 0, or
-    (REPEATED_KEY, (r, s)) for the first pair whose images agree once
-    each is scaled by the inverse of its leading nonzero coordinate.
+    F permutes exactly when no lead is zero and canon[keys] has no repeat.
+    By 3-homogeneity F permutes GF(2^m)^3 exactly when it is nonzero on
+    the representatives and permutes the projective points, r -> key(r).
+    That map commutes with S, so it sends the orbit of r_O[p] onto the
+    orbit of keys[p].  Without a repeat among the |O| classes, orbits go
+    to orbits one to one.  The fixed point (1,1,1) goes to a fixed point,
+    so its image takes the class of (1,1,1), and a 3-orbit sent to that
+    class would repeat it; a 3-orbit sent to a 3-orbit is sent one to one,
+    S^e[O[p]] -> S^e[keys[p]].  A repeat, conversely, is two
+    representatives with proportional images.
+
+    The obstruction is (ZERO_IMAGE, (r,)) for the first representative
+    with F(r) = 0, which is the first zero on O; or (REPEATED_KEY, (r, s))
+    from the first collision (p, p') of the scan over canon[keys]:
+    s = r_O[p'] and r = sigma^e(r_O[p]) as a representative, with e the
+    rotation for which S^e[keys[p]] == keys[p'].
     """
     lead, keys = projective_keys(ctx, fam)
+    s, o, canon = orbit_tables(ctx)
     if keys is None:
-        return ZERO_IMAGE, (representative(ctx, int(np.flatnonzero(lead == 0)[0])),)
-    ok, at, first = _kernels.scan_bijection(keys)
+        return ZERO_IMAGE, (representative(ctx, int(o[np.flatnonzero(lead == 0)[0]])),)
+    ok, at, first = _kernels.scan_bijection(canon[keys])
     if ok:
         return None
-    return REPEATED_KEY, (representative(ctx, first), representative(ctx, at))
+    r = int(o[first])
+    for _ in range(rotation_steps(s, int(keys[first]), int(keys[at]))):
+        r = int(s[r])
+    return REPEATED_KEY, (representative(ctx, r), representative(ctx, int(o[at])))
 
 
 def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> PermReport:

@@ -2,14 +2,17 @@
 
 For each requested odd degree every family of the eight-bit shape is
 run through the projective bijectivity decision without a witness (see
-rotaperm.permcheck), so each decision images q^2+q+1 representatives
-and never the full cube.  The report records the per-degree permutation
-sets (as bitstrings, sorted), their intersection, and whether the five
-named families showed up everywhere they must.
+rotaperm.permcheck), so each decision images the (q^2+q)/3 + 1 rotation
+orbits of the q^2+q+1 representatives and never the full cube.  The
+report records the per-degree permutation sets (as bitstrings, sorted),
+their intersection, and whether the five named families showed up
+everywhere they must.
 
-Families are dispatched to a thread pool (ROTAPERM_THREADS caps the
-width, 0 or unset means one worker per CPU); results merge in bitstring
-order, so repeated runs are bit-identical.
+The families are split over a thread pool, one task per worker: worker
+i decides the strided slice families[i::w].  ROTAPERM_THREADS caps the
+width w (0 or unset means one worker per CPU), and w never exceeds the
+256 families.  Results merge in bitstring order, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -75,16 +78,18 @@ def search_all(degrees) -> SearchReport:
         _check_degree(m)
     named = set(named_bitstrings())
     families = list(all_families())
+    width = min(worker_count(), len(families))
     results: dict[int, tuple[str, ...]] = {}
-    for m in degrees:
-        ctx = FieldCtx(m)
-        # Builds the shared field tables and warms the kernel outside the pool.
-        is_permutation(ctx, families[0], witness=False)
-        def job(fam):
-            return fam.bitstring(), is_permutation(ctx, fam, witness=False).is_permutation
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            hits = [bits for bits, ok in pool.map(job, families) if ok]
-        results[m] = tuple(sorted(hits))
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        for m in degrees:
+            ctx = FieldCtx(m)
+            # Builds the shared field tables and warms the kernel outside the pool.
+            is_permutation(ctx, families[0], witness=False)
+            def job(chunk):
+                return [fam.bitstring() for fam in chunk
+                        if is_permutation(ctx, fam, witness=False).is_permutation]
+            slices = pool.map(job, [families[i::width] for i in range(width)])
+            results[m] = tuple(sorted(bits for hits in slices for bits in hits))
     common = None
     for m in degrees:
         s = set(results[m])

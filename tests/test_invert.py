@@ -174,26 +174,30 @@ def test_even_m_is_refused_before_any_table():
 
 
 def test_inverse_table_is_read_only(f128):
-    lead, source = inv._inverse_table(f128, named_family("T2").coeffs)
-    assert lead.size == source.size == 128 * 128 + 128 + 1
-    assert not lead.flags.writeable and not source.flags.writeable
-    assert sorted(source.tolist()) == list(range(source.size))
+    tables = inv._inverse_table(f128, named_family("T2").coeffs)
+    lead, keys, source = tables
+    classes = (128 * 128 + 128) // 3 + 1
+    assert lead.size == keys.size == source.size == classes
+    assert not any(t.flags.writeable for t in tables)
+    assert sorted(source.tolist()) == list(range(classes))
 
 
-@pytest.mark.parametrize("corrupt", ["lead", "source"])
+@pytest.mark.parametrize("corrupt", ["lead", "keys", "source"])
 def test_corrupted_table_entry_is_caught(f128, monkeypatch, corrupt):
-    """A wrong lead or source entry yields a point that fails the re-check."""
+    """A wrong lead, keys or source entry yields a point that fails the re-check."""
     fam = named_family("T2")
-    lead, source = (a.copy() for a in inv._inverse_table(f128, fam.coeffs))
+    lead, keys, source = (a.copy() for a in inv._inverse_table(f128, fam.coeffs))
     point = (5, 9, 77)
     target = eval_F(f128, fam, point)
     j = pc.representative_index(f128, target)[1]
-    i = int(source[j])
+    p = int(source[pc.orbit_tables(f128)[2][j]])
     if corrupt == "lead":
-        lead[i] = f128.mul(lead[i], 2)
+        lead[p] = f128.mul(lead[p], 2)
+    elif corrupt == "keys":
+        keys[p] = (keys[p] + 1) % (128 * 128 + 128 + 1)
     else:
-        source[j] = (i + 1) % source.size
-    monkeypatch.setattr(inv, "_inverse_table", lambda ctx, coeffs: (lead, source))
+        source[source == p] = (p + 1) % source.size
+    monkeypatch.setattr(inv, "_inverse_table", lambda ctx, coeffs: (lead, keys, source))
     with pytest.raises(FormulaInconsistent):
         invert_table(f128, fam, target)
 

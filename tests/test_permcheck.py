@@ -20,6 +20,7 @@ from rotaperm.permcheck import (
     family_images,
     full_scan,
     is_permutation,
+    orbit_tables,
     projective_keys,
     projective_obstruction,
     projective_representatives,
@@ -162,14 +163,107 @@ def test_representative_indexing(f8):
         representative_index(f8, (0, 0, 0))
 
 
+def _full_columns(ctx):
+    """Each monomial of _MONOMIAL_EXPONENTS at all q^2+q+1 representatives,
+    under the arguments (x,y,z), (y,z,x) and (z,x,y)."""
+    q = ctx.q
+    products = ctx.mul_table.reshape(-1).astype(np.intp)
+    powers = (None, np.arange(q), ctx.sqr_table, ctx.cube_table)
+    x, y, z = projective_representatives(ctx)
+
+    def mono(exponents, *args):
+        value = np.ones(x.size, dtype=np.intp)
+        for e, v in zip(exponents, args):
+            if e:
+                value = products[value * q + powers[e][v]]
+        return value
+
+    return [np.stack([mono(ex, x, y, z), mono(ex, y, z, x), mono(ex, z, x, y)]).astype(np.uint16)
+            for ex in _MONOMIAL_EXPONENTS]
+
+
+def _full_keys(ctx, columns, fam):
+    """The slow oracle: lead and key of F at every representative, with no
+    rotation orbits."""
+    q = ctx.q
+    u = columns[0].copy()
+    for bit, col in zip(fam.coeffs, columns[1:]):
+        if bit:
+            u ^= col
+    u1, u2, u3 = u.astype(np.intp)
+    lead = np.where(u1 != 0, u1, np.where(u2 != 0, u2, u3))
+    if not lead.all():
+        return lead, None
+    products = ctx.mul_table.reshape(-1).astype(np.intp)
+    inv = ctx.inv_table[lead].astype(np.intp) * q
+    sy, sz = products[inv + u2], products[inv + u3]
+    keys = np.where(u1 != 0, (sy << ctx.m) | sz, np.where(u2 != 0, q * q + sz, q * q + q))
+    return lead, keys
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_orbit_decision_matches_full_key_oracle(m):
+    """Every vector: the orbit decision and its reason against the keys at
+    all q^2+q+1 representatives; a zero image names the first zero."""
+    ctx = FieldCtx(m)
+    columns = _full_columns(ctx)
+    for fam in all_families():
+        lead, keys = _full_keys(ctx, columns, fam)
+        obstruction = projective_obstruction(ctx, fam)
+        if keys is None:
+            first = representative(ctx, int(np.flatnonzero(lead == 0)[0]))
+            assert obstruction == (ZERO_IMAGE, (first,)), fam.bitstring()
+        elif (np.diff(np.sort(keys)) == 0).any():
+            assert obstruction[0] == REPEATED_KEY, fam.bitstring()
+        else:
+            assert obstruction is None, fam.bitstring()
+
+
+def test_repeat_between_members_of_one_orbit(f32, monkeypatch):
+    """Two orbit minima keyed to different members of one orbit: the keys
+    differ, their classes repeat.  The 256 families never need the classes
+    for this (a zero or an equal key always shows too), so the keys of a
+    permutation are edited."""
+    import rotaperm.permcheck as pc
+    fam = named_family("T3")
+    lead, keys = projective_keys(f32, fam)
+    s, o, _ = orbit_tables(f32)
+    fixed = representative_index(f32, (1, 1, 1))[1]
+    p, p2 = np.flatnonzero(keys != fixed)[:2].tolist()
+    edited = keys.copy()
+    edited[p2] = s[keys[p]]
+    monkeypatch.setattr(pc, "projective_keys", lambda ctx, fam: (lead, edited))
+    assert projective_obstruction(f32, fam) == (
+        REPEATED_KEY, (representative(f32, int(s[o[p]])), representative(f32, int(o[p2]))))
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_orbit_tables(m):
+    """S is the rotation, of order 3 with the one fixed point (1,1,1); O
+    holds the orbit minima and canon is constant on every orbit."""
+    ctx = FieldCtx(m)
+    q = ctx.q
+    s, o, canon = orbit_tables(ctx)
+    idx = np.arange(q * q + q + 1)
+    assert np.array_equal(s[s[s]], idx)
+    assert np.flatnonzero(s == idx).tolist() == [representative_index(ctx, (1, 1, 1))[1]]
+    for i in range(0, idx.size, 7):
+        x, y, z = representative(ctx, i)
+        assert representative_index(ctx, (y, z, x))[1] == s[i]
+    assert o.size == (q * q + q) // 3 + 1
+    assert o.tolist() == sorted(set(np.minimum(np.minimum(idx, s), s[s]).tolist()))
+    assert np.array_equal(canon, canon[s])
+    assert np.array_equal(o[canon[o]], o)
+
+
 @pytest.mark.parametrize("m", [3, 5])
 def test_projective_keys_match_scalar_images(m):
-    """lead and keys against eval_F and representative_index, point by point."""
+    """lead and keys at the orbit minima against eval_F and representative_index."""
     ctx = FieldCtx(m)
-    n = ctx.q * ctx.q + ctx.q + 1
+    points = [representative(ctx, i) for i in orbit_tables(ctx)[1].tolist()]
     for bits in ("00000011", "01001000", "00000001", "11111111"):
         fam = family_from_coeffs(bits)
-        images = [eval_F(ctx, fam, representative(ctx, i)) for i in range(n)]
+        images = [eval_F(ctx, fam, r) for r in points]
         lead, keys = projective_keys(ctx, fam)
         assert lead.tolist() == [next((v for v in w if v), 0) for w in images], bits
         if (0, 0, 0) in images:
@@ -210,11 +304,11 @@ def test_m7_permutation_set_has_29_members(f128):
 @pytest.mark.parametrize("m", [3, 5])
 def test_monomial_columns_match_scalar_products(m):
     ctx = FieldCtx(m)
-    reps = list(zip(*(a.tolist() for a in projective_representatives(ctx))))
+    points = [representative(ctx, i) for i in orbit_tables(ctx)[1].tolist()]
     for j, (ex, ey, ez) in enumerate(_MONOMIAL_EXPONENTS):
         col = _monomial_column(ctx, j)
-        assert col.shape == (3, len(reps)) and col.dtype == np.uint16
-        for i, (x, y, z) in enumerate(reps):
+        assert col.shape == (3, len(points)) and col.dtype == np.uint16
+        for i, (x, y, z) in enumerate(points):
             for row, (a, b, c) in enumerate([(x, y, z), (y, z, x), (z, x, y)]):
                 expected = ctx.mul(ctx.mul(ctx.pow(a, ex), ctx.pow(b, ey)), ctx.pow(c, ez))
                 assert col[row, i] == expected

@@ -4,7 +4,7 @@ import pytest
 
 from rotaperm import search
 from rotaperm.errors import DomainTooLarge, EvenDegree
-from rotaperm.family import NAMED_COEFFS
+from rotaperm.family import COEFF_EXPONENTS, NAMED_COEFFS
 from rotaperm.search import ALL_ZERO, SearchReport, search_all, search_diff
 
 NAMED_BITS = {"".join(str(b) for b in v) for v in NAMED_COEFFS.values()}
@@ -54,6 +54,48 @@ def test_m9_permutations_are_the_m3_5_7_intersection():
     assert m9.results[9] == search_all([3, 5, 7]).intersection
     assert len(m9.results[9]) == 23
     assert m9.contains_five_families[9]
+
+
+def test_pool_is_no_wider_than_the_families(monkeypatch, report_m3):
+    """One task per worker: a huge ROTAPERM_THREADS asks for 256 workers,
+    not 100000.  The stand-in pool runs each slice inline, so no thread starts."""
+    widths = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setenv("ROTAPERM_THREADS", "100000")
+    monkeypatch.setattr(search, "ThreadPoolExecutor", InlinePool)
+    assert search_all([3]).results == report_m3.results
+    assert widths == [256]
+
+
+def _swap_y_z(bits):
+    """The vector of f'(x, y, z) = f(x, z, y), read off COEFF_EXPONENTS."""
+    position = {e: i for i, e in enumerate(COEFF_EXPONENTS)}
+    return "".join(bits[position[(ex, ez, ey)]] for ex, ey, ez in COEFF_EXPONENTS)
+
+
+def test_search_sets_are_closed_under_y_z_conjugation():
+    """With tau(x, y, z) = (x, z, y), tau F tau is the rotatable map of
+    f(x, z, y), and a permutation exactly when F is one."""
+    report = search_all([3, 5, 7])
+    orbits = {}
+    for m, hits in report.results.items():
+        assert {_swap_y_z(b) for b in hits} == set(hits), m
+        orbits[m] = len({min(b, _swap_y_z(b)) for b in hits})
+    assert {m: len(v) for m, v in report.results.items()} == {3: 36, 5: 29, 7: 29}
+    assert orbits == {3: 20, 5: 16, 7: 16}
 
 
 def test_diff_needs_two_degrees(report_m3):
