@@ -70,14 +70,14 @@ INTERP_CHUNK = 1 << 15  # bounds the (k, representative) block per step
 
 
 def interp_coeffs(rep_log: np.ndarray, rep_logv: np.ndarray, exp_table: np.ndarray,
-                  group: int, d: int, period: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents k = d (mod period) in [1, group-1] and c_k = sum_r F'(r) r^-k.
+                  group: int, ks: np.ndarray) -> np.ndarray:
+    """c_k = sum_r F'(r) r^-k for each exponent k of ks, each in [1, group-1].
 
     Blocks of k are taken INTERP_CHUNK // len(reps) at a time, so memory
     stays linear in the number of representatives.  k * log < 2^(6m)
     fits int64 for every base degree the log tables allow.
     """
-    ks = np.arange(d % period or period, group, period, dtype=np.int64)
+    ks = np.asarray(ks, dtype=np.int64)
     coeffs = np.zeros(ks.size, dtype=np.uint32)
     keep = rep_logv >= 0
     lr = rep_log[keep].astype(np.int64)
@@ -87,7 +87,7 @@ def interp_coeffs(rep_log: np.ndarray, rep_logv: np.ndarray, exp_table: np.ndarr
         for s in range(0, ks.size, rows):
             k = ks[s:s + rows, None]
             coeffs[s:s + rows] = np.bitwise_xor.reduce(exp_table[(lv - k * lr) % group], axis=1)
-    return ks, coeffs
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,9 @@ def beta_trace_fallback(ctx: FieldCtx) -> bool:
     """Numeric stand-in for the beta identity: the discriminant fraction
     (AC+B^2)^3 / (A^2 (AD+BC)^2) has trace 0 wherever it is defined."""
     A, B, C, D = resolvent_coeffs(ctx, *_cube_grid(ctx))
-    mul, sqr = ctx.mul_table, ctx.sqr_table
-    den = sqr[mul[A, mul[A, D] ^ mul[B, C]]]  # zero exactly where A or AD+BC is
-    frac = mul[ctx.cube_table[mul[A, C] ^ sqr[B]], ctx.inv_table[den]]
+    mul, sqr = ctx.vmul, ctx.sqr_table
+    den = sqr[mul(A, mul(A, D) ^ mul(B, C))]  # zero exactly where A or AD+BC is
+    frac = mul(ctx.cube_table[mul(A, C) ^ sqr[B]], ctx.inv_table[den])
     trace = np.zeros_like(frac)
     for _ in range(ctx.m):
         trace ^= frac

@@ -330,6 +330,14 @@ class FieldCtx:
         """(q, q) product table exp[log a + log b], zero on row and column 0."""
         return self._table("mul", self._build_mul_table)
 
+    def vmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Elementwise product of two equal-shape arrays of field elements.
+
+        One gather from the flattened mul_table at x*q + y, which is
+        cheaper than indexing the table in two dimensions.
+        """
+        return self.mul_table.reshape(-1)[(np.asarray(x, dtype=np.intp) << self.m) | y]
+
     @property
     def sqr_table(self) -> np.ndarray:
         return self._table("sqr", lambda: self.vpow(np.arange(self.q), 2))

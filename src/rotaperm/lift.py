@@ -11,11 +11,14 @@ F'(X) = sum_t F'(t) (1 - (X-t)^(2^3m-1)).  The lifted maps are
 homogeneous over the base field, F'(l*t) = l^d F'(t) for l in GF(2^m)*,
 so the coefficient of X^k vanishes unless k = d (mod q-1) and is
 otherwise a sum over the q^2+q+1 coset representatives of
-GF(2^3m)*/GF(2^m)* alone; see lift_permutation.
+GF(2^3m)*/GF(2^m)* alone.  The families are quadratic, so their lifts
+are Dembowski-Ostrom polynomials of at most nine terms, and only those
+nine sums are computed; see lift_permutation.
 
-Quasi-multiplicative equivalence F = a*G(c*X^d) is decided by
-exhausting the valid d, matching supports, and recovering c from
-coefficient ratios through the log table.
+Quasi-multiplicative equivalence F = a*G(c*X^d) is decided by trying
+the d coprime to 2^3m - 1 that send G's first exponent into supp(F),
+matching supports, and recovering c from coefficient ratios through the
+log table.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class ExtCtx:
                         continue  # root at 0
                     if not cls._has_root(base, (alpha, beta, gamma)):
                         return (alpha, beta, gamma)
-        raise AssertionError("no rootless cubic over the base field")  # unreachable
+        raise FormulaInconsistent("no rootless cubic over the base field")  # unreachable
 
     def __repr__(self) -> str:
         return f"ExtCtx(base={self.base!r}, cubic={self.cubic})"
@@ -341,6 +344,17 @@ def _homogeneity_degree(ext: ExtCtx, logv: np.ndarray) -> int | None:
     return first // step
 
 
+def _do_exponents(ext: ExtCtx) -> np.ndarray:
+    """The Dembowski-Ostrom exponents 2^(im) + 2^(jm+1), i, j in {0, 1, 2}, reduced.
+
+    Each is taken to (k-1) % (2^3m-1) + 1; at m = 1 some coincide, so
+    the sorted distinct values are returned.
+    """
+    m = ext.m
+    ks = {(2 ** (i * m) + 2 ** (j * m + 1) - 1) % ext.group + 1 for i in range(3) for j in range(3)}
+    return np.array(sorted(ks), dtype=np.int64)
+
+
 def lift_permutation(ext: ExtCtx, fam) -> LiftedPoly:
     """Unique reduced polynomial agreeing with the lifted map everywhere.
 
@@ -350,12 +364,19 @@ def lift_permutation(ext: ExtCtx, fam) -> LiftedPoly:
     0 < k < 2^3m - 1 the coefficient of X^k is sum_t F'(t) t^-k; writing
     t = l*r with r one of the q^2+q+1 coset representatives (1,y,z),
     (0,1,z), (0,0,1) turns it into sum_r F'(r) r^-k times sum_l l^(d-k),
-    which is 1 when q-1 divides d-k and 0 otherwise.  So only k = d
-    (mod q-1) survive, each a sum over the representatives (about
-    (q^2+q+1)^2 terms in all, against 2^6m for the pointwise sums); X^0
-    and X^(2^3m-1) take F'(0) and the sum of all values.  A FamilySpec
-    must give d = 3 (FormulaInconsistent otherwise); a callable that is
-    not homogeneous raises ValueError.  Base degree is capped at m = 5.
+    which is 1 when q-1 divides d-k and 0 otherwise, so only k = d
+    (mod q-1) survive.  A callable that is not homogeneous raises
+    ValueError, and a FamilySpec must give d = 3 (FormulaInconsistent
+    otherwise).
+
+    A FamilySpec is a sum of terms x_i^2 x_j, so its lift is a
+    Dembowski-Ostrom polynomial: of those k only the nine
+    2^(im) + 2^(jm+1), i, j in {0, 1, 2}, can occur, and only their sums
+    are computed.  A callable gets every k = d (mod q-1), with X^0 and
+    X^(2^3m-1) taking F'(0) and the sum of all values.  Either way the
+    polynomial is then evaluated at every point and must equal F' there,
+    which pins it as the unique interpolant; FormulaInconsistent
+    otherwise.  Base degree is capped at m = 5.
     """
     if ext.m > LIFT_MAX_BASE_M:
         raise DomainTooLarge(f"interpolation capped at base m={LIFT_MAX_BASE_M}")
@@ -368,13 +389,20 @@ def lift_permutation(ext: ExtCtx, fam) -> LiftedPoly:
         raise FormulaInconsistent(f"lift of {fam.bitstring()} is not 3-homogeneous (degree {d})")
     if d is None:
         raise ValueError("the lifted map is not homogeneous over the base field")
+    if isinstance(fam, FamilySpec):
+        ks = _do_exponents(ext)
+        mapping = {}
+    else:
+        ks = np.arange(d % period or period, ext.group, period, dtype=np.int64)
+        mapping = {0: int(values[0]), ext.group: int(np.bitwise_xor.reduce(values))}
     x, y, z = projective_representatives(ext.base)
     rep_log = ext._log[x | (y << ext.m) | (z << (2 * ext.m))]
-    ks, coeffs = _kernels.interp_coeffs(rep_log, logv[rep_log], ext._exp, ext.group, d, period)
-    mapping = dict(zip(ks.tolist(), coeffs.tolist()))
-    mapping[0] = int(values[0])
-    mapping[ext.group] = int(np.bitwise_xor.reduce(values))
-    return LiftedPoly.make(ext, mapping)
+    coeffs = _kernels.interp_coeffs(rep_log, logv[rep_log], ext._exp, ext.group, ks)
+    mapping.update(zip(ks.tolist(), coeffs.tolist()))
+    poly = LiftedPoly.make(ext, mapping)
+    if not np.array_equal(poly.values(), values):
+        raise FormulaInconsistent("the lifted polynomial disagrees with the lifted map")
+    return poly
 
 
 def is_pp(ext: ExtCtx, p: LiftedPoly) -> bool:
@@ -405,13 +433,41 @@ def qm_transform(ext: ExtCtx, q: LiftedPoly, a: int, c: int, d: int) -> LiftedPo
     return LiftedPoly.make(ext, acc)
 
 
-def qm_equivalent(ext: ExtCtx, p: LiftedPoly, q: LiftedPoly) -> tuple[int, int, int] | None:
-    """Witness (a, c, d) with p(X) = a*q(c*X^d), or None after exhausting d.
+def _candidate_exponents(group: int, p_supp: set[int], q_exps) -> list[int]:
+    """Ascending d coprime to group under which q's anchor can land in supp(p).
 
-    Filters: term counts must agree; for each valid d the supports must
-    match under e -> e*d; then c comes from coefficient ratios c^delta =
-    rho via the discrete-log table, a from one coefficient, and the
-    witness is verified in full before being returned.
+    The anchor is q's first exponent e0 with 0 < e0 < group; X^e0
+    becomes X^(e0*d mod group), so d must solve e0*d = e (mod group) for
+    some e in supp(p).  With g = gcd(e0, group) that needs g | e, and
+    the solutions are d0 + t*group/g for t < g.  Exponents 0 and group
+    cannot be hit, since a d coprime to group sends e0 to neither.
+    Without an anchor every d in 1..group is returned.
+    """
+    anchor = next((e for e in q_exps if 0 < e < group), None)
+    if anchor is None:
+        return [d for d in range(1, group + 1) if math.gcd(d, group) == 1]
+    g = math.gcd(anchor, group)
+    step = group // g
+    inv = pow(anchor // g, -1, step)  # step >= 2, since g <= anchor < group
+    ds = set()
+    for e in p_supp:
+        if 0 < e < group and e % g == 0:
+            d0 = (e // g) * inv % step
+            ds.update(d0 + t * step for t in range(g))
+    return sorted(d for d in ds if math.gcd(d, group) == 1)
+
+
+def qm_equivalent(ext: ExtCtx, p: LiftedPoly, q: LiftedPoly) -> tuple[int, int, int] | None:
+    """Witness (a, c, d) with p(X) = a*q(c*X^d), or None after every candidate d.
+
+    Filters: term counts must agree; d runs in ascending order over the
+    values coprime to 2^3m - 1 that send q's anchor exponent into
+    supp(p) (_candidate_exponents), and for each the supports must match
+    under e -> e*d; then c comes from coefficient ratios c^delta = rho
+    via the discrete-log table, a from one coefficient, and the witness
+    is verified in full before being returned.  Every d that a witness
+    can use is a candidate, so the first witness is the one the full
+    range of d would give.
     """
     if len(p.terms) != len(q.terms):
         return None
@@ -424,9 +480,7 @@ def qm_equivalent(ext: ExtCtx, p: LiftedPoly, q: LiftedPoly) -> tuple[int, int, 
     q_items = list(q.terms)
     e0, qc0 = q_items[0]
     rest = q_items[1:]
-    for d in range(1, group + 1):
-        if math.gcd(d, group) != 1:
-            continue
+    for d in _candidate_exponents(group, p_supp, [e for e, _ in q_items]):
         mapped = [_reduce_exponent(e, d, group) for e, _ in q_items]
         if set(mapped) != p_supp:
             continue

@@ -166,17 +166,10 @@ def resolvent_coeffs(ctx: FieldCtx, a, b, c):
 
     a, b, c are either ints or equal-shape integer arrays of field
     elements.  Ints multiply through ctx.mul and give ints; arrays
-    multiply by gathers from ctx.mul_table and give uint16 arrays of
-    that shape, so one call evaluates the blocks at every point of a
-    grid.
+    multiply through ctx.vmul and give uint16 arrays of that shape, so
+    one call evaluates the blocks at every point of a grid.
     """
-    if isinstance(a, np.ndarray):
-        table = ctx.mul_table
-
-        def mul(x, y):
-            return table[x, y]
-    else:
-        mul = ctx.mul
+    mul = ctx.vmul if isinstance(a, np.ndarray) else ctx.mul
     a2 = mul(a, a); a3 = mul(a2, a); a4 = mul(a2, a2); a5 = mul(a4, a); a6 = mul(a3, a3)
     b2 = mul(b, b); b3 = mul(b2, b); b4 = mul(b2, b2); b5 = mul(b4, b); b6 = mul(b3, b3)
     c3 = mul(mul(c, c), c); c6 = mul(c3, c3); c9 = mul(c6, c3)

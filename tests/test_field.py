@@ -146,6 +146,16 @@ def test_vpow_matches_scalar_pow(f32):
         assert f32.vpow(vec, n).tolist() == [f32.pow(a, n) for a in range(f32.q)]
 
 
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_vmul_matches_scalar_mul(m):
+    """Every pair, in a 2-D grid of uint16 operands, keeps its shape and dtype."""
+    ctx = FieldCtx(m)
+    a, b = np.indices((ctx.q, ctx.q), dtype=np.uint16)
+    got = ctx.vmul(a, b)
+    assert got.shape == a.shape and got.dtype == np.uint16
+    assert got.tolist() == [[ctx.mul(x, y) for y in ctx.elements()] for x in ctx.elements()]
+
+
 def test_mul_table_matches_scalar(f32):
     table = f32.mul_table
     rng = random.Random(3)

@@ -70,25 +70,27 @@ def test_interp_coeffs_independent_of_chunk(monkeypatch):
     rng = np.random.default_rng(21)
     rep_log = rng.permutation(ext.group)[:73]
     rep_logv = rng.integers(-1, ext.group, size=73, dtype=np.int64)
-    want = _kernels.interp_coeffs(rep_log, rep_logv, ext._exp, ext.group, 3, 7)
+    ks = np.arange(3, ext.group, 7)
+    want = _kernels.interp_coeffs(rep_log, rep_logv, ext._exp, ext.group, ks)
     for chunk in (1, 100, 1 << 30):
         monkeypatch.setattr(_kernels, "INTERP_CHUNK", chunk)
-        got = _kernels.interp_coeffs(rep_log, rep_logv, ext._exp, ext.group, 3, 7)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert want[0].tolist() == list(range(3, ext.group, 7))
-    for j, k in enumerate(want[0].tolist()):
+        got = _kernels.interp_coeffs(rep_log, rep_logv, ext._exp, ext.group, ks)
+        assert np.array_equal(got, want)
+    assert want.shape == ks.shape
+    for j, k in enumerate(ks.tolist()):
         acc = 0
         for lr, lv in zip(rep_log.tolist(), rep_logv.tolist()):
             if lv >= 0:
                 acc ^= int(ext._exp[(lv - k * lr) % ext.group])
-        assert int(want[1][j]) == acc
+        assert int(want[j]) == acc
 
 
 def test_interp_coeffs_all_zero_values():
     ext = ExtCtx(FieldCtx(3))
     ext._ensure_tables()
-    ks, coeffs = _kernels.interp_coeffs(np.arange(73), np.full(73, -1), ext._exp, ext.group, 0, 7)
-    assert ks.tolist() == list(range(7, ext.group, 7))
+    ks = np.arange(7, ext.group, 7)
+    coeffs = _kernels.interp_coeffs(np.arange(73), np.full(73, -1), ext._exp, ext.group, ks)
+    assert coeffs.shape == ks.shape
     assert not coeffs.any()
 
 

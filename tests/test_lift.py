@@ -1,11 +1,12 @@
 """Cubic extension construction, interpolation, and QM-equivalence."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from rotaperm import lift
+from rotaperm import cli, lift
 from rotaperm.errors import DomainTooLarge, FormulaInconsistent, ReducibleModulus
 from rotaperm.family import eval_F, family_from_coeffs, named_family
 from rotaperm.field import FieldCtx, _factorize
@@ -31,6 +32,13 @@ def e8():
 def test_first_cubic_over_gf2():
     ext = ExtCtx(FieldCtx(1))
     assert ext.cubic == (0, 1, 1)  # u^3 + u + 1
+
+
+def test_no_rootless_cubic_is_typed(monkeypatch):
+    """The unreachable end of the cubic scan raises a typed error, not an assert."""
+    monkeypatch.setattr(ExtCtx, "_has_root", staticmethod(lambda base, cubic: True))
+    with pytest.raises(FormulaInconsistent):
+        ExtCtx(FieldCtx(1))
 
 
 def test_selected_cubic_has_no_base_root(e8):
@@ -228,12 +236,46 @@ def test_interp_matrix_oracle_matches_reference_loop(m):
                               _interp_coeffs_py(logv, ext._exp, ext.group))
 
 
-def test_coset_lift_matches_full_oracle_all_vectors_m3(e8):
-    """Every coefficient vector, permutation or not, lifts as the full sums say."""
+@pytest.mark.parametrize("m", [1, 3])
+def test_lift_matches_full_oracle_all_vectors(m):
+    """Every coefficient vector, permutation or not, lifts as the full sums say.
+
+    At m = 1 the nine DO exponents reduce mod 2^3 - 1 and some coincide.
+    """
+    ext = ExtCtx(FieldCtx(m))
+    ext._ensure_tables()
     for v in range(256):
         fam = family_from_coeffs(f"{v:08b}")
-        values = lift._map_values(e8, fam)
-        assert lift_permutation(e8, fam).terms == _full_lift_terms(e8, values), fam.bitstring()
+        values = lift._map_values(ext, fam)
+        assert lift_permutation(ext, fam).terms == _full_lift_terms(ext, values), fam.bitstring()
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_do_exponents(m):
+    """The nine 2^(im) + 2^(jm+1), reduced into 1..2^3m-2; all = 3 (mod q-1)."""
+    ext = ExtCtx(FieldCtx(m))
+    ks = lift._do_exponents(ext).tolist()
+    assert ks == sorted(set(ks))
+    assert all(0 < k < ext.group and k % (ext.base.q - 1) == 3 % (ext.base.q - 1) for k in ks)
+    assert len(ks) == (6 if m == 1 else 9)
+
+
+def test_flipped_coefficient_is_caught(e8, monkeypatch, capsys):
+    """A kernel that corrupts one coefficient bit fails the pointwise re-check."""
+    original = lift._kernels.interp_coeffs
+
+    def flip_one(*args):
+        coeffs = original(*args)
+        coeffs[0] ^= 1
+        return coeffs
+
+    monkeypatch.setattr(lift._kernels, "interp_coeffs", flip_one)
+    for fam in (named_family("T1"), lambda p: p):
+        with pytest.raises(FormulaInconsistent):
+            lift_permutation(e8, fam)
+    assert cli.main(["lift", "--family", "T1", "--m", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "internal inconsistency" in err
 
 
 @pytest.mark.parametrize("name", ["T1", "T2", "T3", "T4", "T5"])
@@ -342,7 +384,6 @@ def test_qm_symmetric_on_random_instances(e8):
         d = 1
         while True:
             d = rng.randrange(1, group)
-            import math
             if math.gcd(d, group) == 1:
                 break
         p = qm_transform(e8, base_poly, a, c, d)
@@ -363,6 +404,91 @@ def test_qm_term_count_filter(e8):
     lifted = lift_permutation(e8, named_family("T3"))
     trinomial = LiftedPoly.make(e8, {1: 1, 57: 1, 71: 1})
     assert qm_equivalent(e8, lifted, trinomial) is None
+
+
+def _qm_equivalent_all_d(ext, p, q):
+    """Reference: qm_equivalent with d running over every value coprime to 2^3m - 1."""
+    if len(p.terms) != len(q.terms):
+        return None
+    if not p.terms:
+        return (1, 1, 1)
+    group = ext.group
+    p_map = p.coeff_map()
+    q_items = list(q.terms)
+    e0, qc0 = q_items[0]
+    for d in range(1, group + 1):
+        if math.gcd(d, group) != 1:
+            continue
+        mapped = [lift._reduce_exponent(e, d, group) for e, _ in q_items]
+        if set(mapped) != set(p_map):
+            continue
+        anchor_ratio = ext.mul(p_map[mapped[0]], ext.inv(qc0))
+        constraints = []
+        for (e, qc), me in zip(q_items[1:], mapped[1:]):
+            rho = ext.mul(ext.mul(p_map[me], ext.inv(qc)), ext.inv(anchor_ratio))
+            constraints.append(((e - e0) % group, rho))
+        for c in lift._solve_power_constraints(ext, constraints):
+            a = ext.mul(anchor_ratio, ext.inv(ext.pow(c, e0)))
+            if a and qm_transform(ext, q, a, c, d).terms == p.terms:
+                return (a, c, d)
+    return None
+
+
+def _random_unit(rng, group):
+    while True:
+        d = rng.randrange(1, group)
+        if math.gcd(d, group) == 1:
+            return d
+
+
+def _assert_qm_matches_oracle(ext, p, q):
+    assert qm_equivalent(ext, p, q) == _qm_equivalent_all_d(ext, p, q)
+    # Every d under which the supports match is tried, witness or not.
+    group = ext.group
+    matched = [d for d in range(1, group) if math.gcd(d, group) == 1
+               and {lift._reduce_exponent(e, d, group) for e, _ in q.terms} == set(p.coeff_map())]
+    candidates = set(lift._candidate_exponents(group, set(p.coeff_map()), [e for e, _ in q.terms]))
+    assert candidates.issuperset(matched)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_qm_matches_all_d_oracle_on_named_lifts(m):
+    """Every ordered pair of the T1..T5 lifts, and seeded a*P(c*X^d) targets."""
+    ext = ExtCtx(FieldCtx(m))
+    ext._ensure_tables()
+    polys = [lift_permutation(ext, named_family(f"T{i}")) for i in range(1, 6)]
+    for p in polys:
+        for q in polys:
+            _assert_qm_matches_oracle(ext, p, q)
+    rng = random.Random(300 + m)
+    for _ in range(20 if m == 3 else 5):
+        base = rng.choice(polys)
+        a, c = rng.randrange(1, ext.size), rng.randrange(1, ext.size)
+        target = qm_transform(ext, base, a, c, _random_unit(rng, ext.group))
+        _assert_qm_matches_oracle(ext, target, base)
+        _assert_qm_matches_oracle(ext, base, target)
+
+
+def test_qm_matches_oracle_when_anchor_shares_a_factor(e8):
+    """gcd(7, 511) = 7, so each exponent of p gives seven candidate d."""
+    q = LiftedPoly.make(e8, {7: 1, 73: 1})
+    rng = random.Random(41)
+    targets = [q] + [qm_transform(e8, q, rng.randrange(1, 512), rng.randrange(1, 512),
+                                  _random_unit(rng, e8.group)) for _ in range(8)]
+    for p in targets:
+        _assert_qm_matches_oracle(e8, p, q)
+        _assert_qm_matches_oracle(e8, q, p)
+        assert qm_equivalent(e8, p, q) is not None
+
+
+def test_qm_without_anchor_runs_every_d(e8):
+    """Exponents 0 and 2^3m - 1 are fixed by every d, so nothing restricts d."""
+    q = LiftedPoly.make(e8, {0: 1, e8.group: 5})
+    assert lift._candidate_exponents(e8.group, {0, e8.group}, [0, e8.group]) == [
+        d for d in range(1, e8.group + 1) if math.gcd(d, e8.group) == 1]
+    for p in (q, LiftedPoly.make(e8, {0: 3, e8.group: 5}), LiftedPoly.make(e8, {0: 1, e8.group: 9})):
+        _assert_qm_matches_oracle(e8, p, q)
+    assert qm_equivalent(e8, q, q) == (1, 1, 1)
 
 
 def test_qm_zero_polynomials(e8):
