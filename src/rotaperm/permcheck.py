@@ -4,7 +4,20 @@ Points pack into ints as (x << 2m) | (y << m) | z, so the domain is
 enumerated in lexicographic (x, y, z) order and image membership is a
 flat table lookup.
 
-For odd m the decision is projective.  Every family is 3-homogeneous,
+For odd m the decision starts on the proper subfields.  Every family
+has 0/1 coefficients, so F maps GF(2^k)^3 into itself for every k | m,
+and a permutation of GF(2^m)^3 permutes GF(2^k)^3 (the subfield lemma:
+P(m) is inside P(k)).  GF(2) is decided in pure Python from the
+coefficient bits (permutes_gf2, which 72 of the 256 vectors pass), then
+each GF(2^k) with 1 < k < m by the witness-free decision there
+(fails_on_subfield).  Only a vector that permutes every proper subfield
+is imaged at m.  A witness-free negative still reports the q^2+q+1
+representatives as its points, whichever test decided it: by the lemma
+the projective decision at m fails as well, so the report is a function
+of the vector and m alone, and stays the one a decision without the
+subfield step gives.
+
+The decision at m is projective.  Every family is 3-homogeneous,
 F(lam*v) = lam^3 * F(v), and lam -> lam^3 permutes GF(2^m)^* when m is
 odd, so F permutes GF(2^m)^3 exactly when F(r) != 0 on the q^2+q+1
 representatives r in {(1,y,z)} u {(0,1,z)} u {(0,0,1)} and their images,
@@ -37,13 +50,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
 from .errors import DomainTooLarge, FormulaInconsistent, OddDegreeRequired
 from .family import COEFF_EXPONENTS, FamilySpec
-from .field import FieldCtx, Triple
+from .field import MAX_DEGREE, FieldCtx, Triple
 from .mpoly import VARS
 from .resolvent import D_POLY
 
@@ -249,6 +263,19 @@ def _monomial_column(ctx: FieldCtx, j: int) -> np.ndarray:
     return ctx._table(f"orbit_col{j}", build)
 
 
+def decision_tables(ctx: FieldCtx) -> None:
+    """Build every table an odd-m decision at ctx reads, its subfields' too.
+
+    These are the orbit tables and the nine monomial columns (and the
+    field tables under them).  A caller that shares ctx between threads
+    builds them first, so that no two threads build one table twice.
+    """
+    for c in (*_subfield_ctxs(ctx.m), ctx):
+        orbit_tables(c)
+        for j in range(len(_MONOMIAL_EXPONENTS)):
+            _monomial_column(c, j)
+
+
 def representative(ctx: FieldCtx, i: int) -> Triple:
     """Entry i of projective_representatives, without building the arrays."""
     qq = ctx.q * ctx.q
@@ -336,27 +363,92 @@ def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[T
     return REPEATED_KEY, (representative(ctx, r), representative(ctx, int(o[at])))
 
 
+# Truth tables of x, y and z over GF(2)^3, point (x, y, z) at bit 4x + 2y + z.
+_GF2_X, _GF2_Y, _GF2_Z = 0xF0, 0xCC, 0xAA
+
+
+def _gf2_component(coeffs: tuple[int, ...], x: int, y: int, z: int) -> int:
+    """Truth table of f(x, y, z) over GF(2)^3, from the tables of x, y and z.
+
+    On GF(2) every power u^e with e > 0 is u, so x^3 + a1*y^3 + a2*z^3 is
+    linear and the mixed monomials pair off: x^2*y and x*y^2 are both x*y.
+    """
+    a1, a2, a3, a4, a5, a6, a7, a8 = coeffs
+    t = x
+    if a1: t ^= y
+    if a2: t ^= z
+    if a3 ^ a4: t ^= x & y
+    if a5 ^ a6: t ^= x & z
+    if a7 ^ a8: t ^= y & z
+    return t
+
+
+def permutes_gf2(fam: FamilySpec) -> bool:
+    """Whether F permutes GF(2)^3, from the coefficient bits alone.
+
+    A map of GF(2)^3 is a bijection exactly when each of the seven nonzero
+    XOR combinations of its three component tables is balanced (four of
+    the eight points).
+    """
+    c = fam.coeffs
+    f1 = _gf2_component(c, _GF2_X, _GF2_Y, _GF2_Z)
+    f2 = _gf2_component(c, _GF2_Y, _GF2_Z, _GF2_X)
+    f3 = _gf2_component(c, _GF2_Z, _GF2_X, _GF2_Y)
+    return all(t.bit_count() == 4 for t in (f1, f2, f3, f1 ^ f2, f1 ^ f3, f2 ^ f3, f1 ^ f2 ^ f3))
+
+
+@lru_cache(maxsize=MAX_DEGREE)
+def _subfield_ctxs(m: int) -> tuple[FieldCtx, ...]:
+    """GF(2^k) for each proper divisor k > 1 of m, in increasing k.
+
+    Built once per m and shared by every context of that degree: any
+    modulus of degree k will do, since F has 0/1 coefficients and so
+    commutes with the isomorphism between two models of GF(2^k).
+    """
+    return tuple(FieldCtx(k) for k in range(2, m) if m % k == 0)
+
+
+def fails_on_subfield(ctx: FieldCtx, fam: FamilySpec) -> bool:
+    """True when F fails to permute GF(2^k)^3 for some proper divisor k of m.
+
+    F has 0/1 coefficients, so it maps GF(2^k)^3 into itself for every
+    k | m; a permutation of GF(2^m)^3 is injective there, so it permutes
+    GF(2^k)^3 too.  GF(2) is decided from the coefficient bits
+    (permutes_gf2), each larger proper subfield by the witness-free
+    decision there.
+    """
+    if not permutes_gf2(fam):
+        return True
+    return any(not is_permutation(sub, fam, witness=False).is_permutation
+               for sub in _subfield_ctxs(ctx.m))
+
+
 def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> PermReport:
     """Decide whether F permutes GF(2^m)^3.
 
-    Odd m is decided on the projective representatives.  A positive
-    report counts all 2^3m points; a negative with `witness` re-runs the
-    full scan for the lexicographically first collision, and one without
-    reports only the q^2+q+1 representatives.  Even m always takes the
-    full scan.
+    Odd m is decided first on the proper subfields (fails_on_subfield:
+    GF(2) from the coefficient bits, then GF(2^k) for each proper divisor
+    k > 1 of m), and only then on the projective representatives.  A positive report
+    counts all 2^3m points; a negative with `witness` re-runs the full
+    scan for the lexicographically first collision, and one without
+    reports the q^2+q+1 representatives, whichever test decided it: a
+    failure on a subfield is also a failure of the projective decision,
+    so the report does not depend on which test ran first.  Even m
+    always takes the full scan.
     """
     if ctx.m > IS_PERMUTATION_MAX_M:
         raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the image table")
     if ctx.m % 2 == 0:
         return full_scan(ctx, fam)
-    if projective_obstruction(ctx, fam) is None:
+    if not fails_on_subfield(ctx, fam) and projective_obstruction(ctx, fam) is None:
         return PermReport(fam.bitstring(), ctx.m, True, 1 << (3 * ctx.m))
     if not witness:
         return PermReport(fam.bitstring(), ctx.m, False, ctx.q * ctx.q + ctx.q + 1)
     report = full_scan(ctx, fam)
     if report.is_permutation:
         raise FormulaInconsistent(
-            f"family {fam.bitstring()} at m={ctx.m}: projective decision and full scan disagree")
+            f"family {fam.bitstring()} at m={ctx.m}: subfield or projective decision"
+            " and full scan disagree")
     return report
 
 

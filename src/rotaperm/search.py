@@ -1,18 +1,23 @@
 """Exhaustive classification of all 256 coefficient vectors.
 
 For each requested odd degree every family of the eight-bit shape is
-run through the projective bijectivity decision without a witness (see
-rotaperm.permcheck), so each decision images the (q^2+q)/3 + 1 rotation
-orbits of the q^2+q+1 representatives and never the full cube.  The
-report records the per-degree permutation sets (as bitstrings, sorted),
-their intersection, and whether the five named families showed up
-everywhere they must.
+run through the bijectivity decision without a witness (see
+rotaperm.permcheck).  It decides each vector on the proper subfields
+first: 184 of the 256 fail on GF(2)^3 from their coefficient bits
+alone, and at m=9 those outside P(3) fail on GF(8)^3.  Only the rest
+are imaged at m, on the (q^2+q)/3 + 1 rotation orbits of the q^2+q+1
+representatives, never the full cube.  A degree requested twice is
+decided once and still printed as requested.  The report records the
+per-degree permutation sets (as bitstrings, sorted), their
+intersection, and whether the five named families showed up everywhere
+they must.
 
-The families are split over a thread pool, one task per worker: worker
-i decides the strided slice families[i::w].  ROTAPERM_THREADS caps the
-width w (0 or unset means one worker per CPU), and w never exceeds the
-256 families.  Results merge in bitstring order, so repeated runs are
-bit-identical.
+The tables every decision at a degree reads (permcheck.decision_tables)
+are built before the pool starts.  The families are then split over a
+thread pool, one task per worker: worker i decides the strided slice
+families[i::w].  ROTAPERM_THREADS caps the width w (0 or unset means
+one worker per CPU), and w never exceeds the 256 families.  Results
+merge in bitstring order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from .errors import DomainTooLarge, EvenDegree
 from .family import NAMED_COEFFS, all_families
 from .field import FieldCtx
-from .permcheck import IS_PERMUTATION_MAX_M, is_permutation
+from .permcheck import IS_PERMUTATION_MAX_M, decision_tables, is_permutation
 
 ALL_ZERO = "00000000"
 
@@ -81,10 +86,10 @@ def search_all(degrees) -> SearchReport:
     width = min(worker_count(), len(families))
     results: dict[int, tuple[str, ...]] = {}
     with ThreadPoolExecutor(max_workers=width) as pool:
-        for m in degrees:
+        # A repeated degree is decided once.
+        for m in dict.fromkeys(degrees):
             ctx = FieldCtx(m)
-            # Builds the shared field tables and warms the kernel outside the pool.
-            is_permutation(ctx, families[0], witness=False)
+            decision_tables(ctx)
             def job(chunk):
                 return [fam.bitstring() for fam in chunk
                         if is_permutation(ctx, fam, witness=False).is_permutation]

@@ -16,3 +16,18 @@ def f32():
 @pytest.fixture(scope="session")
 def f128():
     return FieldCtx(7)
+
+
+@pytest.fixture
+def projective_degrees(monkeypatch):
+    """The degree of every projective decision made while the test runs."""
+    import rotaperm.permcheck as pc
+    degrees = []
+    original = pc.projective_obstruction
+
+    def counted(ctx, fam):
+        degrees.append(ctx.m)
+        return original(ctx, fam)
+
+    monkeypatch.setattr(pc, "projective_obstruction", counted)
+    return degrees

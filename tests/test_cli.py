@@ -11,6 +11,8 @@ from rotaperm.cli import main
 from rotaperm.family import eval_F, named_family
 from rotaperm.field import FieldCtx
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -142,9 +144,6 @@ def test_lift_and_qm(capsys, tmp_path):
     assert json.loads(out) == {"equivalent": False}
 
 
-GOLDEN = Path(__file__).parent / "golden"
-
-
 # Golden stdout of `lift` as the pointwise sums over all 2^3m points gave it;
 # the coset sums must reproduce it byte for byte.
 @pytest.mark.parametrize("m", [3, 5])
@@ -190,6 +189,12 @@ def test_search_json_schema_and_reproducibility(capsys, tmp_path):
     assert json.loads(out_file.read_text()) == payload
     code, out2, _ = run(capsys, "search", "--m", "3")
     assert out2 == out1  # byte-identical reruns
+
+
+def test_search_m3_5_7_golden_stdout(capsys):
+    """Byte for byte the stdout the benchmark's classify workload expects."""
+    want = (GOLDEN / "search_m3_5_7.json").read_text()
+    assert run(capsys, "search", "--m", "3,5,7")[:2] == (0, want)
 
 
 def test_search_even_m(capsys):

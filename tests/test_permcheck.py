@@ -21,6 +21,7 @@ from rotaperm.permcheck import (
     full_scan,
     is_permutation,
     orbit_tables,
+    permutes_gf2,
     projective_keys,
     projective_obstruction,
     projective_representatives,
@@ -375,6 +376,53 @@ def test_disagreeing_full_scan_is_an_internal_error(f8, monkeypatch):
         fam.bitstring(), ctx.m, True, 512))
     with pytest.raises(FormulaInconsistent):
         is_permutation(f8, family_from_coeffs("00000001"))
+
+
+# -- subfield lemma: P(m) is inside P(k) for every k | m ----------------------------
+
+@pytest.fixture(scope="module")
+def unfiltered_sets():
+    """P(m) by the full scan at m=1 and the projective decision alone at
+    m=3, 5, 7 and 9, with no subfield test in front."""
+    sets = {1: {f.bitstring() for f in all_families() if full_scan(FieldCtx(1), f).is_permutation}}
+    for m in (3, 5, 7, 9):
+        ctx = FieldCtx(m)
+        sets[m] = {f.bitstring() for f in all_families() if projective_obstruction(ctx, f) is None}
+    return sets
+
+
+def test_gf2_step_matches_full_scan_at_m1(unfiltered_sets):
+    hits = {f.bitstring() for f in all_families() if permutes_gf2(f)}
+    assert hits == unfiltered_sets[1]
+    assert len(hits) == 72
+
+
+def test_permutation_sets_nest_along_subfields(unfiltered_sets):
+    p = unfiltered_sets
+    assert {m: len(v) for m, v in p.items()} == {1: 72, 3: 36, 5: 29, 7: 29, 9: 23}
+    assert p[9] <= p[3] <= p[1]
+    assert p[5] <= p[1] and p[7] <= p[1]
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_subfield_test_keeps_the_projective_decision(unfiltered_sets, m):
+    """Witness-free is_permutation, subfields first, against the projective
+    decision alone; a failure on a subfield is a failure at m."""
+    ctx = FieldCtx(m)
+    q = ctx.q
+    for fam in all_families():
+        report = is_permutation(ctx, fam, witness=False)
+        assert report.is_permutation == (fam.bitstring() in unfiltered_sets[m]), fam.bitstring()
+        assert report.points_checked == (1 << 3 * m if report.is_permutation else q * q + q + 1)
+
+
+def test_m9_is_decided_on_gf8_first(projective_degrees):
+    """A vector outside P(3) fails at m=9 before the m=9 representatives
+    are imaged: only the 36 vectors of P(3) reach that decision."""
+    ctx = FieldCtx(9)
+    hits = sum(is_permutation(ctx, f, witness=False).is_permutation for f in all_families())
+    assert hits == 23
+    assert (projective_degrees.count(3), projective_degrees.count(9)) == (72, 36)
 
 
 # -- D(Y, Z) zero count ----------------------------------------------------------

@@ -41,6 +41,7 @@ def test_domain_caps(monkeypatch):
         raise AssertionError("a degree was decided before every degree was checked")
 
     monkeypatch.setattr(search, "is_permutation", no_work)
+    monkeypatch.setattr(search, "decision_tables", no_work)
     with pytest.raises(DomainTooLarge):
         search_all([11])
     with pytest.raises(DomainTooLarge):
@@ -78,6 +79,20 @@ def test_pool_is_no_wider_than_the_families(monkeypatch, report_m3):
     monkeypatch.setattr(search, "ThreadPoolExecutor", InlinePool)
     assert search_all([3]).results == report_m3.results
     assert widths == [256]
+
+
+def test_only_gf2_permutations_reach_the_projective_decision(projective_degrees, report_m3):
+    """184 of the 256 vectors fail on GF(2)^3 and are never imaged at m=3."""
+    assert search_all([3]).results == report_m3.results
+    assert projective_degrees == [3] * 72
+
+
+def test_repeated_degree_is_decided_once(projective_degrees, report_m3):
+    report = search_all([3, 3])
+    assert projective_degrees == [3] * 72
+    assert report.to_json()["m"] == [3, 3]
+    assert report.results == report_m3.results
+    assert report.intersection == report_m3.results[3]
 
 
 def _swap_y_z(bits):
