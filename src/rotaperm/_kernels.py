@@ -1,9 +1,9 @@
 """Hot inner loops, in numpy.
 
-The first-collision scan over packed images, the lift's coset
-interpolation and the sparse evaluation of a lifted polynomial.  Each
-is a plain vectorised numpy kernel; the tests keep a pointwise loop
-beside each one as its oracle.
+The first-collision scan over packed images, the lift's nine
+Dembowski-Ostrom coefficient sums and the sparse evaluation of a lifted
+polynomial.  Each is a plain vectorised numpy kernel; the tests keep a
+pointwise loop beside each one as its oracle.
 """
 
 from __future__ import annotations
@@ -91,15 +91,15 @@ def interp_coeffs(rep_log: np.ndarray, rep_logv: np.ndarray, exp_table: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# sparse-polynomial evaluation at every nonzero point
+# sparse-polynomial evaluation at nonzero points
 # ---------------------------------------------------------------------------
-# Terms are (exponent, log coefficient) pairs; output v[j] is the value
-# at the point with discrete log j (the zero point is the caller's).
+# Terms are (exponent, log coefficient) pairs; output v[i] is the value
+# at the point with discrete log logs[i] (the zero point is the caller's).
 
 def eval_terms(term_exp: np.ndarray, term_logc: np.ndarray,
-               exp_table: np.ndarray, group: int) -> np.ndarray:
-    values = np.zeros(group, dtype=np.uint32)
-    j = np.arange(group, dtype=np.int64)
+               exp_table: np.ndarray, group: int, logs: np.ndarray) -> np.ndarray:
+    j = np.asarray(logs, dtype=np.int64)
+    values = np.zeros(j.shape, dtype=np.uint32)
     for e, lc in zip(term_exp.tolist(), term_logc.tolist()):
         values ^= exp_table[(lc + e * j) % group]
     return values

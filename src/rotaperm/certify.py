@@ -47,6 +47,7 @@ class CertReport:
 
 
 NUMERIC_MAX_M = 5  # the exhaustive (a, b, c) checks hold arrays of q^3 entries
+NUMERIC_DEGREES = (3, 5)  # the degrees run_all runs the exhaustive checks at
 
 
 def _cube_grid(ctx: FieldCtx) -> np.ndarray:
@@ -187,7 +188,7 @@ def cert_A_zero_classification(ctx: FieldCtx) -> CertReport:
     return CertReport(f"A_zero_classification_m{ctx.m}", "pass" if bad == 0 else "fail", None, notes)
 
 
-def run_all(only: str | None = None, numeric_degrees: tuple[int, ...] = (3, 5)) -> list[CertReport]:
+def run_all(only: str | None = None) -> list[CertReport]:
     """Every certificate in fixed registration order (filtered by substring)."""
     reports: list[CertReport] = [
         cert_resultant_g(),
@@ -197,9 +198,9 @@ def run_all(only: str | None = None, numeric_degrees: tuple[int, ...] = (3, 5)) 
         *beta_printed_expansions(),
         cert_resultant_Q(),
     ]
-    for m in numeric_degrees:
+    for m in NUMERIC_DEGREES:
         reports.append(cert_charsum_support(FieldCtx(m)))
-    for m in numeric_degrees:
+    for m in NUMERIC_DEGREES:
         reports.append(cert_A_zero_classification(FieldCtx(m)))
     if only is not None:
         reports = [r for r in reports if only in r.name]

@@ -6,14 +6,14 @@ available by construction: an extension element x + y*w + z*w^2 packs
 into an int as x | y<<m | z<<2m, and the lift of a coordinate map is
 literally "unpack, apply, repack".
 
-A lifted map becomes the unique reduced polynomial of degree < 2^3m,
-F'(X) = sum_t F'(t) (1 - (X-t)^(2^3m-1)).  The lifted maps are
-homogeneous over the base field, F'(l*t) = l^d F'(t) for l in GF(2^m)*,
-so the coefficient of X^k vanishes unless k = d (mod q-1) and is
-otherwise a sum over the q^2+q+1 coset representatives of
-GF(2^3m)*/GF(2^m)* alone.  The families are quadratic, so their lifts
-are Dembowski-Ostrom polynomials of at most nine terms, and only those
-nine sums are computed; see lift_permutation.
+A lifted family becomes the unique reduced polynomial of degree < 2^3m,
+F'(X) = sum_t F'(t) (1 - (X-t)^(2^3m-1)).  The lift is 3-homogeneous
+over the base field, F'(l*t) = l^3 F'(t) for l in GF(2^m)*, so the
+coefficient of X^k vanishes unless k = 3 (mod q-1) and is otherwise a
+sum over the q^2+q+1 coset representatives of GF(2^3m)*/GF(2^m)* alone.
+The families are quadratic, so their lifts are Dembowski-Ostrom
+polynomials of at most nine terms, and only those nine sums are
+computed, from F at the representatives; see lift_permutation.
 
 Quasi-multiplicative equivalence F = a*G(c*X^d) is decided by trying
 the d coprime to 2^3m - 1 that send G's first exponent into supp(F),
@@ -33,9 +33,9 @@ from . import _kernels
 from .errors import DomainTooLarge, FormulaInconsistent, ReducibleModulus
 from .family import FamilySpec
 from .field import FieldCtx, Triple, _factorize, find_generator
-from .permcheck import family_images, projective_representatives
+from .permcheck import projective_images, projective_representatives
 
-LIFT_MAX_BASE_M = 5  # the 2^3m-entry value, exp and log tables are the ceiling
+LIFT_MAX_BASE_M = 5  # the 2^3m-entry exp and log tables are the ceiling
 
 
 class ExtCtx:
@@ -253,12 +253,15 @@ class LiftedPoly:
         ext._ensure_tables()
         out = np.zeros(ext.size, dtype=np.uint32)
         out[0] = dict(self.terms).get(0, 0)
-        if self.terms:
-            exps = np.array([e for e, _ in self.terms], dtype=np.int64)
-            logcs = np.array([ext.log_of(c) for _, c in self.terms], dtype=np.int64)
-            by_log = _kernels.eval_terms(exps, logcs, ext._exp, ext.group)
-            out[ext._exp] = by_log
+        out[ext._exp] = self._values_at_logs(np.arange(ext.group))
         return out
+
+    def _values_at_logs(self, logs: np.ndarray) -> np.ndarray:
+        """Evaluation at the nonzero points with the given discrete logs."""
+        ext = self.ext
+        exps = np.array([e for e, _ in self.terms], dtype=np.int64)
+        logcs = np.array([ext.log_of(c) for _, c in self.terms], dtype=np.int64)
+        return _kernels.eval_terms(exps, logcs, ext._exp, ext.group, logs)
 
     def to_json(self) -> dict:
         alpha, beta, gamma = self.ext.cubic
@@ -272,20 +275,36 @@ class LiftedPoly:
         }
 
 
+def _json_field(obj, key: str, kind: type, where: str):
+    """obj[key] of the given JSON type; ValueError naming the field otherwise."""
+    if not isinstance(obj, dict) or type(obj.get(key)) is not kind:
+        raise ValueError(f"{where} has no {key!r} field of type {kind.__name__}")
+    return obj[key]
+
+
+def _json_hexes(obj, key: str, where: str) -> list[int]:
+    value = _json_field(obj, key, list, where)
+    if not all(isinstance(h, str) for h in value):
+        raise ValueError(f"field {key!r} of {where} is not a list of hex strings")
+    return [int(h, 16) for h in value]
+
+
 def lifted_from_json(data: dict) -> LiftedPoly:
-    """Rebuild a LiftedPoly (default base modulus for its degree)."""
-    base = FieldCtx(int(data["m"]))
-    cubic_ascending = [int(h, 16) for h in data["cubic"]]
-    if len(cubic_ascending) != 4 or cubic_ascending[3] != 1:
-        raise ValueError("cubic must be monic with four coefficients")
+    """Rebuild a LiftedPoly (default base modulus for its degree); a missing
+    or ill-typed field raises ValueError naming it."""
+    base = FieldCtx(_json_field(data, "m", int, "the document"))
+    cubic_ascending = _json_hexes(data, "cubic", "the document")
+    if (len(cubic_ascending) != 4 or cubic_ascending[3] != 1
+            or any(not 0 <= v < base.q for v in cubic_ascending)):
+        raise ValueError(f"cubic must be monic with four coefficients in GF(2^{base.m})")
     gamma, beta, alpha, _ = cubic_ascending
     ext = ExtCtx(base, (alpha, beta, gamma))
     mapping = {}
-    for item in data["terms"]:
-        coords = tuple(int(h, 16) for h in item["c"])
+    for item in _json_field(data, "terms", list, "the document"):
+        coords = tuple(_json_hexes(item, "c", "a term"))
         if len(coords) != 3 or any(not 0 <= v < base.q for v in coords):
             raise ValueError(f"coefficient coordinates {item['c']} outside GF(2^{base.m})")
-        e = int(item["e"])
+        e = _json_field(item, "e", int, "a term")
         if e in mapping:
             raise ValueError(f"exponent {e} appears twice")
         mapping[e] = ext.pack(coords)
@@ -302,48 +321,6 @@ def support(p: LiftedPoly) -> tuple[tuple[int, ...], int]:
 # interpolation of a lifted coordinate map
 # ---------------------------------------------------------------------------
 
-def _map_values(ext: ExtCtx, fam) -> np.ndarray:
-    """Packed F'(t) for every packed t (FamilySpec or Triple->Triple callable)."""
-    m = ext.m
-    mask = ext.base.mask
-    n = ext.size
-    if isinstance(fam, FamilySpec):
-        imgs = family_images(ext.base, fam)  # indexed by x<<2m | y<<m | z
-        t = np.arange(n, dtype=np.int64)
-        x, y, z = t & mask, (t >> m) & mask, t >> (2 * m)
-        img = imgs[(x << (2 * m)) | (y << m) | z].astype(np.int64)
-        return (
-            (img >> (2 * m)) | (((img >> m) & mask) << m) | ((img & mask) << (2 * m))
-        ).astype(np.uint32)
-    out = np.zeros(n, dtype=np.uint32)
-    for t in range(n):
-        out[t] = ext.pack(fam(ext.unpack(t)))
-    return out
-
-
-def _homogeneity_degree(ext: ExtCtx, logv: np.ndarray) -> int | None:
-    """d in [0, q-1) with F'(l*t) = l^d F'(t) for all l in GF(q)*, or None.
-
-    logv[j] is the log of the value at the point with log j (-1 for 0).
-    g = exp[step] with step = (2^3m-1)/(q-1) generates GF(q)*, and g*t
-    has log j + step, so one pass comparing each t with g*t covers every
-    scalar.
-    The zero map fits every d and gets 0.
-    """
-    step = ext.group // (ext.base.q - 1)
-    at_gt = np.roll(logv, -step)
-    nz = logv >= 0
-    if not np.array_equal(nz, at_gt >= 0):
-        return None
-    if not nz.any():
-        return 0
-    delta = (at_gt[nz] - logv[nz]) % ext.group
-    first = int(delta[0])
-    if first % step or not (delta == first).all():
-        return None
-    return first // step
-
-
 def _do_exponents(ext: ExtCtx) -> np.ndarray:
     """The Dembowski-Ostrom exponents 2^(im) + 2^(jm+1), i, j in {0, 1, 2}, reduced.
 
@@ -355,53 +332,38 @@ def _do_exponents(ext: ExtCtx) -> np.ndarray:
     return np.array(sorted(ks), dtype=np.int64)
 
 
-def lift_permutation(ext: ExtCtx, fam) -> LiftedPoly:
-    """Unique reduced polynomial agreeing with the lifted map everywhere.
+def lift_permutation(ext: ExtCtx, fam: FamilySpec) -> LiftedPoly:
+    """Unique reduced polynomial agreeing with the lifted family everywhere.
 
-    fam is a FamilySpec (lifted through eval order x + y*w + z*w^2) or
-    any callable on coordinate triples whose lift is homogeneous over
-    the base field: F'(l*t) = l^d F'(t) for l in GF(q)*.  For
+    The family is lifted through eval order x + y*w + z*w^2.  For
     0 < k < 2^3m - 1 the coefficient of X^k is sum_t F'(t) t^-k; writing
     t = l*r with r one of the q^2+q+1 coset representatives (1,y,z),
-    (0,1,z), (0,0,1) turns it into sum_r F'(r) r^-k times sum_l l^(d-k),
-    which is 1 when q-1 divides d-k and 0 otherwise, so only k = d
-    (mod q-1) survive.  A callable that is not homogeneous raises
-    ValueError, and a FamilySpec must give d = 3 (FormulaInconsistent
-    otherwise).
+    (0,1,z), (0,0,1) turns it into sum_r F'(r) r^-k times sum_l l^(3-k),
+    which is 1 when q-1 divides 3-k and 0 otherwise.  F is a sum of terms
+    x_i^2 x_j, so its lift is a Dembowski-Ostrom polynomial: only the nine
+    k = 2^(im) + 2^(jm+1), i, j in {0, 1, 2}, can occur, and only their
+    sums are computed, from F at the representatives (projective_images).
 
-    A FamilySpec is a sum of terms x_i^2 x_j, so its lift is a
-    Dembowski-Ostrom polynomial: of those k only the nine
-    2^(im) + 2^(jm+1), i, j in {0, 1, 2}, can occur, and only their sums
-    are computed.  A callable gets every k = d (mod q-1), with X^0 and
-    X^(2^3m-1) taking F'(0) and the sum of all values.  Either way the
-    polynomial is then evaluated at every point and must equal F' there,
-    which pins it as the unique interpolant; FormulaInconsistent
-    otherwise.  Base degree is capped at m = 5.
+    The polynomial must then equal F' at the representatives;
+    FormulaInconsistent otherwise.  That check is exact: F' and every DO
+    term are 3-homogeneous over GF(q) and vanish at 0, and each nonzero t
+    is l*r for exactly one representative r.  Base degree is capped at
+    m = 5.
     """
     if ext.m > LIFT_MAX_BASE_M:
         raise DomainTooLarge(f"interpolation capped at base m={LIFT_MAX_BASE_M}")
     ext._ensure_tables()
-    values = _map_values(ext, fam)
-    period = ext.base.q - 1
-    logv = ext._log[values[ext._exp]]  # log of the value at the point with log j
-    d = _homogeneity_degree(ext, logv)
-    if isinstance(fam, FamilySpec) and d != 3 % period:
-        raise FormulaInconsistent(f"lift of {fam.bitstring()} is not 3-homogeneous (degree {d})")
-    if d is None:
-        raise ValueError("the lifted map is not homogeneous over the base field")
-    if isinstance(fam, FamilySpec):
-        ks = _do_exponents(ext)
-        mapping = {}
-    else:
-        ks = np.arange(d % period or period, ext.group, period, dtype=np.int64)
-        mapping = {0: int(values[0]), ext.group: int(np.bitwise_xor.reduce(values))}
+    m = ext.m
     x, y, z = projective_representatives(ext.base)
-    rep_log = ext._log[x | (y << ext.m) | (z << (2 * ext.m))]
-    coeffs = _kernels.interp_coeffs(rep_log, logv[rep_log], ext._exp, ext.group, ks)
-    mapping.update(zip(ks.tolist(), coeffs.tolist()))
-    poly = LiftedPoly.make(ext, mapping)
-    if not np.array_equal(poly.values(), values):
-        raise FormulaInconsistent("the lifted polynomial disagrees with the lifted map")
+    rep_log = ext._log[x | (y << m) | (z << (2 * m))]
+    f1, f2, f3 = projective_images(ext.base, fam).astype(np.int64)
+    values = f1 | (f2 << m) | (f3 << (2 * m))
+    ks = _do_exponents(ext)
+    coeffs = _kernels.interp_coeffs(rep_log, ext._log[values], ext._exp, ext.group, ks)
+    poly = LiftedPoly.make(ext, dict(zip(ks.tolist(), coeffs.tolist())))
+    if not np.array_equal(poly._values_at_logs(rep_log), values):
+        raise FormulaInconsistent(
+            f"the lift of {fam.bitstring()} disagrees with F at a projective representative")
     return poly
 
 

@@ -35,11 +35,13 @@ arguments, built once per field context on first use and shared by all
 The keys behind that decision (the index of each scaled image among the
 representatives, with its leading coordinate) also make the projective
 inverse table of rotaperm.invert, so a table inversion needs O(q^2)
-memory and no q^3 image.  The full scan over all q^3 images remains for
-even m, for the lexicographically first collision reported as the
-witness of a negative, and (through family_images) for the lift.  Its
-images are built in blocks of x-slabs, for every m, from numpy gathers
-into three q x q pair tables plus the cube table.
+memory and no q^3 image.  The same orbit-minimum images, spread over
+each orbit by rotation and homogeneity, give F at every representative
+(projective_images), which is all the lift reads.  The full scan over
+all q^3 images remains for even m and for the lexicographically first
+collision reported as the witness of a negative.  Its images are built
+in blocks of x-slabs, for every m, from numpy gathers into three q x q
+pair tables plus the cube table.
 
 Caps: is_permutation and count_zeros_D refuse m > 9 (the 2^27 image table
 and the q x q product table, gathered from the field's exp/log pair, are
@@ -306,6 +308,36 @@ ZERO_IMAGE = "zero image"
 REPEATED_KEY = "repeated key"
 
 
+def _orbit_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
+    """F at every orbit minimum r_O[p], as a (3, |O|) uint16 array: the XOR
+    of the monomial columns of x^3 and of the family's set bits."""
+    u = _monomial_column(ctx, 0).copy()
+    for j, bit in enumerate(fam.coeffs, start=1):
+        if bit:
+            u ^= _monomial_column(ctx, j)
+    return u
+
+
+def projective_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
+    """F at every representative, as a (3, q^2+q+1) uint16 array; column i is F(r_i).
+
+    F is imaged at the orbit minima alone (_orbit_images) and spread over
+    each orbit by rotation and homogeneity: sigma^e(r_i) = c * r_S^e[i],
+    with c the leading coordinate of sigma^e(r_i), so
+    F(r_S^e[i]) = c^-3 * sigma^e(F(r_i)).
+    """
+    s, o, _ = orbit_tables(ctx)
+    u = _orbit_images(ctx, fam)
+    r = [a[o] for a in projective_representatives(ctx)]
+    out = np.empty((3, s.size), dtype=u.dtype)
+    members = o
+    for e in range(3):
+        lead, _ = _leading(*r[e:], *r[:e])
+        out[:, members] = ctx.vmul(ctx.vpow(lead, -3), np.roll(u, -e, axis=0))
+        members = s[members]
+    return out
+
+
 def projective_keys(ctx: FieldCtx, fam: FamilySpec) -> tuple[np.ndarray, np.ndarray | None]:
     """Leading coordinates and keys of F at the orbit minima (odd m).
 
@@ -319,11 +351,7 @@ def projective_keys(ctx: FieldCtx, fam: FamilySpec) -> tuple[np.ndarray, np.ndar
     """
     if ctx.m % 2 == 0:
         raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
-    u = _monomial_column(ctx, 0).copy()
-    for j, bit in enumerate(fam.coeffs, start=1):
-        if bit:
-            u ^= _monomial_column(ctx, j)
-    u1, u2, u3 = u
+    u1, u2, u3 = _orbit_images(ctx, fam)
     lead, off = _leading(u1, u2, u3)
     if not lead.all():
         return lead, None

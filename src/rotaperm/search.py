@@ -26,7 +26,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .errors import DomainTooLarge, EvenDegree
+from .errors import DomainTooLarge, EvenDegree, UnsupportedDegree
 from .family import NAMED_COEFFS, all_families
 from .field import FieldCtx
 from .permcheck import IS_PERMUTATION_MAX_M, decision_tables, is_permutation
@@ -62,6 +62,8 @@ class SearchReport:
 
 
 def _check_degree(m: int) -> None:
+    if m < 1:
+        raise UnsupportedDegree(f"degree {m} below 1")
     if m % 2 == 0:
         raise EvenDegree(f"m={m}: no 3-homogeneous permutation exists for even m")
     if m > IS_PERMUTATION_MAX_M:
@@ -75,8 +77,9 @@ def named_bitstrings() -> tuple[str, ...]:
 def search_all(degrees) -> SearchReport:
     """Classify every coefficient vector over each requested degree.
 
-    Every degree is checked before any work starts: even m raises
-    EvenDegree and m above the bijectivity cap raises DomainTooLarge.
+    Every degree is checked before any work starts: m below 1 raises
+    UnsupportedDegree, even m raises EvenDegree and m above the
+    bijectivity cap raises DomainTooLarge.
     """
     degrees = tuple(degrees)
     for m in degrees:

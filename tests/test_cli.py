@@ -3,7 +3,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from rotaperm import lift
@@ -163,11 +162,40 @@ def test_qm_duplicate_exponent_is_usage_error(capsys, tmp_path):
     assert "appears twice" in err
 
 
+def _t3_document(**fields):
+    """The golden T3 lift at m=3 with some top-level fields replaced."""
+    return {**json.loads((GOLDEN / "lift_T3_m3.json").read_text()), **fields}
+
+
+@pytest.mark.parametrize("document, field", [
+    ({}, "'m'"),
+    ([1, 2], "'m'"),
+    (_t3_document(terms=5), "'terms'"),
+    (_t3_document(terms=[{"e": 3}]), "'c'"),
+    (_t3_document(m=True), "'m'"),
+    (_t3_document(cubic=["0x100", "0x0", "0x0", "0x1"]), "cubic"),
+    (_t3_document(cubic=["-0x1", "0x0", "0x0", "0x1"]), "cubic"),
+])
+def test_qm_malformed_document_is_usage_error(capsys, tmp_path, document, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    code, out, err = run(capsys, "qm", "--p", str(bad), "--q", str(GOLDEN / "lift_T3_m3.json"))
+    assert (code, out) == (2, "")
+    assert field in err
+
+
 def test_lift_of_non_cubic_values_is_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr(lift, "_map_values", lambda ext, fam: np.arange(ext.size, dtype=np.uint32))
+    original = lift.projective_images
+
+    def flip_one(ctx, fam):
+        images = original(ctx, fam).copy()
+        images[0, 5] ^= 1
+        return images
+
+    monkeypatch.setattr(lift, "projective_images", flip_one)
     code, out, err = run(capsys, "lift", "--family", "T3", "--m", "3")
     assert (code, out) == (3, "")
-    assert "3-homogeneous" in err
+    assert "disagrees with F at a projective representative" in err
 
 
 def test_certify_json_and_exit(capsys):
@@ -199,6 +227,7 @@ def test_search_m3_5_7_golden_stdout(capsys):
 
 def test_search_even_m(capsys):
     assert run(capsys, "search", "--m", "3,4")[0] == 2
+    assert run(capsys, "search", "--m", "3,-1")[0] == 2
 
 
 def test_resultant_verb(capsys):

@@ -96,22 +96,25 @@ def test_interp_coeffs_all_zero_values():
 
 @pytest.mark.parametrize("size", [0, 1, 17])
 def test_eval_terms_matches_pointwise_sum(size):
-    """Value j is sum_i c_i * t^e_i at the point t with log j, by scalar arithmetic."""
+    """Value i is sum_k c_k * t^e_k at the point t with log logs[i], by scalar
+    arithmetic, for every log and for a seeded subset of logs."""
     ext = ExtCtx(FieldCtx(3))
     ext._ensure_tables()
     rng = np.random.default_rng(22 + size)
     exps = rng.integers(0, ext.group + 1, size=size, dtype=np.int64)
     logcs = rng.integers(0, ext.group, size=size, dtype=np.int64)
     exps[:2] = (0, ext.group)[:size]  # a constant term and the top exponent
-    got = _kernels.eval_terms(exps, logcs, ext._exp, ext.group)
-    assert got.shape == (ext.group,)
     coefs = [int(ext._exp[lc]) for lc in logcs.tolist()]
-    for j in range(ext.group):
-        t = int(ext._exp[j])
-        want = 0
-        for e, c in zip(exps.tolist(), coefs):
-            want ^= ext.mul(c, ext.pow(t, e))
-        assert int(got[j]) == want, j
+    subset = rng.choice(ext.group, size=40, replace=False)
+    for logs in (np.arange(ext.group), subset):
+        got = _kernels.eval_terms(exps, logcs, ext._exp, ext.group, logs)
+        assert got.shape == logs.shape
+        for i, j in enumerate(logs.tolist()):
+            t = int(ext._exp[j])
+            want = 0
+            for e, c in zip(exps.tolist(), coefs):
+                want ^= ext.mul(c, ext.pow(t, e))
+            assert int(got[i]) == want, j
 
 
 def test_worker_count_env(monkeypatch):

@@ -20,6 +20,7 @@ from rotaperm.lift import (
     qm_transform,
     support,
 )
+from rotaperm.permcheck import family_images
 
 
 @pytest.fixture(scope="module")
@@ -141,27 +142,6 @@ def test_ext_field_laws_sampled(e8):
 
 # -- interpolation ---------------------------------------------------------------
 
-def test_identity_lifts_to_x(e8):
-    poly = lift_permutation(e8, lambda p: p)
-    assert poly.terms == ((1, 1),)
-
-
-def test_zero_map_lifts_to_zero(e8):
-    poly = lift_permutation(e8, lambda p: (0, 0, 0))
-    assert poly.terms == ()
-
-
-def test_frobenius_lifts_to_x_squared(e8):
-    poly = lift_permutation(e8, lambda p: e8.unpack(e8.mul(e8.pack(p), e8.pack(p))))
-    assert poly.terms == ((2, 1),)
-
-
-def test_inverse_lifts_to_top_coset_exponent(e8):
-    """t -> 1/t has degree q-2, the class holding the exponent 2^3m - 2."""
-    poly = lift_permutation(e8, lambda p: e8.unpack(e8.inv(e8.pack(p)) if any(p) else 0))
-    assert poly.terms == ((e8.group - 1, 1),)
-
-
 def test_t3_lift_structure(e8):
     poly = lift_permutation(e8, named_family("T3"))
     exponents, count = support(poly)
@@ -216,6 +196,17 @@ def _interp_coeffs_matrix(logv, exp_table, group):
     return coeffs
 
 
+def _full_cube_values(ext, fam):
+    """Packed F'(t) for every packed t, reordered from the full q^3 image."""
+    m, mask = ext.m, ext.base.mask
+    imgs = family_images(ext.base, fam)  # indexed by x<<2m | y<<m | z
+    t = np.arange(ext.size, dtype=np.int64)
+    x, y, z = t & mask, (t >> m) & mask, t >> (2 * m)
+    img = imgs[(x << (2 * m)) | (y << m) | z].astype(np.int64)
+    img = (img >> (2 * m)) | (((img >> m) & mask) << m) | ((img & mask) << (2 * m))
+    return img.astype(np.uint32)
+
+
 def _full_lift_terms(ext, values):
     """Terms of the unique interpolant through every point, by the full sums."""
     logv = ext._log[values[ext._exp]]
@@ -246,7 +237,7 @@ def test_lift_matches_full_oracle_all_vectors(m):
     ext._ensure_tables()
     for v in range(256):
         fam = family_from_coeffs(f"{v:08b}")
-        values = lift._map_values(ext, fam)
+        values = _full_cube_values(ext, fam)
         assert lift_permutation(ext, fam).terms == _full_lift_terms(ext, values), fam.bitstring()
 
 
@@ -261,7 +252,7 @@ def test_do_exponents(m):
 
 
 def test_flipped_coefficient_is_caught(e8, monkeypatch, capsys):
-    """A kernel that corrupts one coefficient bit fails the pointwise re-check."""
+    """A kernel that corrupts one coefficient bit fails the check at the representatives."""
     original = lift._kernels.interp_coeffs
 
     def flip_one(*args):
@@ -270,9 +261,8 @@ def test_flipped_coefficient_is_caught(e8, monkeypatch, capsys):
         return coeffs
 
     monkeypatch.setattr(lift._kernels, "interp_coeffs", flip_one)
-    for fam in (named_family("T1"), lambda p: p):
-        with pytest.raises(FormulaInconsistent):
-            lift_permutation(e8, fam)
+    with pytest.raises(FormulaInconsistent):
+        lift_permutation(e8, named_family("T1"))
     assert cli.main(["lift", "--family", "T1", "--m", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "internal inconsistency" in err
@@ -288,30 +278,16 @@ def test_coset_lift_agrees_with_forward_map_m5(name):
     assert values.tolist() == want
 
 
-def test_non_homogeneous_callable_rejected(e8):
-    def translate(p):  # t -> t + 1 vanishes at 1 but not at base multiples of 1
-        return (p[0] ^ 1, p[1], p[2])
-
-    def mixed(p):  # degree 1 off the plane x = 0, degree 2 on it
-        t = e8.pack(p)
-        return e8.unpack(e8.mul(t, t) if p[0] == 0 else t)
-
-    step = e8.group // 7
-    lone_value = e8.unpack(int(e8._exp[e8.group - 1 - 3 * step]))
-
-    def lone(p):  # nonzero only at 1, where the logs of 1 -> g agree with degree 3
-        return lone_value if p == (1, 0, 0) else (0, 0, 0)
-
-    for fn in (translate, mixed, lone):
-        with pytest.raises(ValueError):
-            lift_permutation(e8, fn)
-
-
 def test_family_lift_of_wrong_degree_is_inconsistent(e8, monkeypatch):
-    """A FamilySpec whose values are not 3-homogeneous fails loudly."""
-    square = np.array([e8.mul(t, t) for t in range(e8.size)], dtype=np.uint32)
-    for fake in (np.arange(e8.size, dtype=np.uint32), square, square ^ 1):
-        monkeypatch.setattr(lift, "_map_values", lambda ext, fam, fake=fake: fake)
+    """Values that are not a 3-homogeneous lift fail the check at the representatives."""
+    original = lift.projective_images
+    for at, bit in ((0, 0), (40, 1), (72, 2)):
+        def flip_one(ctx, fam, at=at, bit=bit):
+            images = original(ctx, fam).copy()
+            images[bit, at] ^= 1
+            return images
+
+        monkeypatch.setattr(lift, "projective_images", flip_one)
         with pytest.raises(FormulaInconsistent):
             lift_permutation(e8, named_family("T3"))
 

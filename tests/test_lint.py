@@ -1,6 +1,9 @@
-"""Source rules that a reader of one module cannot see at a glance."""
+"""Source rules that a reader of one module cannot see at a glance, and the
+names the benchmark's tracer reaches into."""
 
 import ast
+import importlib.util
+from importlib import import_module
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rotaperm"
@@ -16,3 +19,33 @@ def test_no_bare_assert_in_the_package():
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert list(SRC.rglob("*.py"))
     assert found == []
+
+
+def _load_tracing():
+    """perfbench/tracing.py as a module of its own, loaded by path."""
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    """Every name the benchmark's tracer patches or reads is still in the
+    package, so a removal cannot silently break a traced run."""
+    tracing = _load_tracing()
+    missing = []
+    for _, module, attr in tracing.FUNCTIONS:
+        if not callable(getattr(import_module(module), attr, None)):
+            missing.append(f"{module}.{attr}")
+    for _, module, cls_name, attr in (*tracing.METHODS, *tracing.COUNTED):
+        cls = getattr(import_module(module), cls_name, None)
+        if cls is None or attr not in vars(cls):
+            missing.append(f"{module}.{cls_name}.{attr}")
+    read_directly = (("rotaperm._kernels", "BACKEND"), ("rotaperm.search", "worker_count"),
+                     ("rotaperm.invert", "_inverse_table"))
+    for module, attr in read_directly:
+        if not hasattr(import_module(module), attr):
+            missing.append(f"{module}.{attr}")
+    assert tracing.FUNCTIONS and tracing.METHODS and tracing.COUNTED
+    assert missing == []

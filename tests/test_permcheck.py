@@ -22,6 +22,7 @@ from rotaperm.permcheck import (
     is_permutation,
     orbit_tables,
     permutes_gf2,
+    projective_images,
     projective_keys,
     projective_obstruction,
     projective_representatives,
@@ -272,6 +273,26 @@ def test_projective_keys_match_scalar_images(m):
         else:
             assert keys.dtype == np.uint32, bits
             assert keys.tolist() == [representative_index(ctx, w)[1] for w in images], bits
+
+
+_ALL_VECTORS = [f"{v:08b}" for v in range(256)]
+
+
+@pytest.mark.parametrize("m, vectors", [
+    (1, _ALL_VECTORS),
+    (3, _ALL_VECTORS),
+    (5, _ALL_VECTORS),
+    (7, [NAMED_COEFFS[n] for n in sorted(NAMED_COEFFS)] + ["00000001", "11111111"]),
+], ids=["m1-all", "m3-all", "m5-all", "m7-named"])
+def test_projective_images_match_eval_F(m, vectors):
+    """F spread from the orbit minima equals F at every representative."""
+    ctx = FieldCtx(m)
+    points = list(zip(*(a.tolist() for a in projective_representatives(ctx))))
+    for bits in vectors:
+        fam = family_from_coeffs(bits)
+        got = projective_images(ctx, fam)
+        assert got.shape == (3, len(points)), bits
+        assert list(zip(*got.tolist())) == [eval_F(ctx, fam, r) for r in points], bits
 
 
 @pytest.mark.parametrize("m", [3, 5])

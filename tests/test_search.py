@@ -3,7 +3,7 @@
 import pytest
 
 from rotaperm import search
-from rotaperm.errors import DomainTooLarge, EvenDegree
+from rotaperm.errors import DomainTooLarge, EvenDegree, UnsupportedDegree
 from rotaperm.family import COEFF_EXPONENTS, NAMED_COEFFS
 from rotaperm.search import ALL_ZERO, SearchReport, search_all, search_diff
 
@@ -48,6 +48,8 @@ def test_domain_caps(monkeypatch):
         search_all([3, 11])
     with pytest.raises(EvenDegree):
         search_all([3, 4])
+    with pytest.raises(UnsupportedDegree):
+        search_all([3, -1])
 
 
 def test_m9_permutations_are_the_m3_5_7_intersection():
