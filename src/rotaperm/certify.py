@@ -147,31 +147,45 @@ def cert_charsum_support(ctx: FieldCtx) -> CertReport:
     The zero set must be exactly {0, ((1+t)(1+t+t^2))^-2} and
     Tr(1 + 1/(1+t) + (1/(1+t))^2) must be 1, which is what collapses the
     character sum to zero.
+
+    One array pass: M1 and M2 are evaluated on the whole (q-1) x q grid
+    of (t, w), t != 1, by table gathers, and the trace is summed over
+    the q-1 parameters at once.  Notes come from the failing rows in t
+    order, as Python ints.
     """
     if ctx.m % 2 == 0:
         return CertReport(f"charsum_support_m{ctx.m}", "fail", None, "odd m required")
-    mul, inv, sqr = ctx.mul, ctx.inv, ctx.sqr
+    mul, inv, sqr = ctx.vmul, ctx.inv_table, ctx.sqr_table
+    t = np.delete(np.arange(ctx.q), 1)[:, None]  # one row per parameter
+    w = np.arange(ctx.q)[None, :]                # one column per unknown
+    s = 1 ^ t ^ sqr[t]                           # 1 + t + t^2, never 0 for odd m
+    u = 1 ^ t                                    # 1 + t, nonzero for t != 1
+    m1c2 = sqr[mul(sqr[t], s)]                   # t^4 (1+t+t^2)^2
+    m2c2 = sqr[s]                                # (1+t+t^2)^2
+    c4 = mul(sqr[sqr[u]], sqr[sqr[sqr[s]]])      # (1+t)^4 (1+t+t^2)^8
+    w2 = sqr[w]
+    c4w4 = mul(sqr[w2], c4)
+    m1 = w ^ mul(w2, m1c2) ^ c4w4
+    m2 = mul(w, sqr[t]) ^ mul(w2, m2c2) ^ c4w4
+    zeros = (m1 == 0) & (m2 == 0)
+    root = inv[sqr[mul(u, s)]]
+    expected = (w == 0) | (w == root)
+    shift = 1 ^ inv[u] ^ sqr[inv[u]]
+    trace = np.zeros_like(shift)
+    for _ in range(ctx.m):
+        trace ^= shift
+        shift = sqr[shift]
+    wrong_zeros = (zeros != expected).any(axis=1)
+    no_obstruction = trace[:, 0] != 1
     bad: list[str] = []
-    for t in ctx.elements():
-        if t == 1:
-            continue
-        s = 1 ^ t ^ sqr(t)           # 1 + t + t^2, never 0 for odd m
-        u = 1 ^ t                    # 1 + t, nonzero for t != 1
-        m1c2 = sqr(mul(sqr(t), s))                 # t^4 (1+t+t^2)^2
-        m2c2 = sqr(s)                              # (1+t+t^2)^2
-        c4 = mul(sqr(sqr(u)), sqr(sqr(sqr(s))))    # (1+t)^4 (1+t+t^2)^8
-        zeros = set()
-        for w in ctx.elements():
-            w2, w4 = sqr(w), sqr(sqr(w))
-            m1 = w ^ mul(w2, m1c2) ^ mul(w4, c4)
-            m2 = mul(w, sqr(t)) ^ mul(w2, m2c2) ^ mul(w4, c4)
-            if m1 == 0 and m2 == 0:
-                zeros.add(w)
-        expected = {0, inv(sqr(mul(u, s)))}
-        if zeros != expected:
-            bad.append(f"t={t:#x}: zero set {sorted(zeros)} != {sorted(expected)}")
-        if ctx.trace(1 ^ inv(u) ^ sqr(inv(u))) != 1:
-            bad.append(f"t={t:#x}: trace obstruction absent")
+    for i in np.flatnonzero(wrong_zeros | no_obstruction).tolist():
+        ti = int(t[i, 0])
+        if wrong_zeros[i]:
+            found = np.flatnonzero(zeros[i]).tolist()
+            want = sorted({0, int(root[i, 0])})
+            bad.append(f"t={ti:#x}: zero set {found} != {want}")
+        if no_obstruction[i]:
+            bad.append(f"t={ti:#x}: trace obstruction absent")
     notes = "; ".join(bad[:4]) if bad else f"all {ctx.q - 1} parameters verified"
     return CertReport(f"charsum_support_m{ctx.m}", "pass" if not bad else "fail", None, notes)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .certify import run_all
 from .errors import (
@@ -161,7 +162,10 @@ def _cmd_resultant(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls and returns a fresh Namespace each time."""
     parser = argparse.ArgumentParser(
         prog="rotaperm",
         description="Rotatable 3-homogeneous permutations of GF(2^m)^3: "

@@ -1,25 +1,35 @@
 """Sparse multivariate polynomials over GF(2).
 
 The ring is F2[x, y, z, a, b, c, t, Y, Z] with that fixed variable
-order; a polynomial is a set of exponent vectors (coefficients are all
-1, an absent vector means coefficient 0), so addition is symmetric
+order; a polynomial is a set of monomials (coefficients are all 1, an
+absent monomial means coefficient 0), so addition is symmetric
 difference and squaring just doubles every exponent (Frobenius).
+
+Each monomial is stored packed in one int: a 7-bit field per variable,
+the first variable (x) in the most significant field.  Per-variable
+exponents are capped at 63, so two fields sum to at most 126 < 128 and
+a product of monomials is one integer addition with no carry between
+fields.  A product exponent above the cap sets bit 6 of its field, and
+one AND with a mask precomputed per arity finds it: overflowing the cap
+is a hard error, never wraparound.  `MPoly.terms` is a read-only view of
+the same monomials as exponent tuples.
 
 Canonical form orders terms descending-lexicographically by exponent
 vector, which reproduces the usual "highest power first" reading of a
-polynomial and makes printed comparisons byte-stable.
-
-Per-variable exponents are capped below 64; overflowing the cap is a
-hard error, never wraparound.
+polynomial and makes printed comparisons byte-stable.  With x in the top
+field this is plain descending order of the packed ints.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import (
     DegenerateInput,
     DegreeOverflow,
+    DomainTooLarge,
     MissingAssignment,
     PolyParseError,
     UnknownVariable,
@@ -29,57 +39,91 @@ from .field import FieldCtx
 
 VARS: tuple[str, ...] = ("x", "y", "z", "a", "b", "c", "t", "Y", "Z")
 MAX_EXPONENT = 63
+FIELD_BITS = 7  # one field holds a sum of two capped exponents without carry
+_FIELD = (1 << FIELD_BITS) - 1
+RESULTANT_MAX_MONOMIALS = 1 << 16  # monomials one resultant's memoized minors may hold
+
+
+@lru_cache(maxsize=None)
+def _overflow_mask(arity: int) -> int:
+    """Bit 6 of every field: set in a packed sum exactly where an exponent passed 63."""
+    return sum(1 << (FIELD_BITS * i + 6) for i in range(arity))
+
+
+def _shift(i: int, arity: int) -> int:
+    """Bit offset of variable i's field; variable 0 is the most significant."""
+    return FIELD_BITS * (arity - 1 - i)
+
+
+def _pack(term: tuple[int, ...]) -> int:
+    key = 0
+    for e in term:
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def _unpack(key: int, arity: int) -> tuple[int, ...]:
+    return tuple((key >> _shift(i, arity)) & _FIELD for i in range(arity))
 
 
 class MPoly:
     """Immutable sparse polynomial over GF(2) in the fixed ring."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_mono")
 
     def __init__(self, terms: Iterable[tuple[int, ...]] = (), vars: tuple[str, ...] = VARS) -> None:
         self.vars = vars
-        acc: set[tuple[int, ...]] = set()
+        acc: set[int] = set()
         for term in terms:
             term = tuple(term)
             if len(term) != len(vars):
                 raise VariableMismatch(f"exponent vector {term} has wrong arity")
             if any(e < 0 or e > MAX_EXPONENT for e in term):
                 raise DegreeOverflow(f"exponent outside 0..{MAX_EXPONENT}: {term}")
-            acc.symmetric_difference_update({term})
-        self.terms = frozenset(acc)
+            acc.symmetric_difference_update({_pack(term)})
+        self._mono = frozenset(acc)
+
+    @classmethod
+    def _packed(cls, mono: frozenset[int], vars: tuple[str, ...]) -> "MPoly":
+        """A polynomial from already packed, already capped monomials."""
+        p = cls.__new__(cls)
+        p.vars = vars
+        p._mono = mono
+        return p
+
+    @property
+    def terms(self) -> frozenset[tuple[int, ...]]:
+        """The monomials as exponent vectors, in the order of `vars`."""
+        n = len(self.vars)
+        return frozenset(_unpack(key, n) for key in self._mono)
+
+    def _capped(self, mono: frozenset[int], what: str) -> "MPoly":
+        mask = _overflow_mask(len(self.vars))
+        for key in mono:
+            if key & mask:
+                raise DegreeOverflow(
+                    f"{what} exponent outside 0..{MAX_EXPONENT}: {_unpack(key, len(self.vars))}")
+        return MPoly._packed(mono, self.vars)
 
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: "MPoly") -> "MPoly":
         if self.vars != other.vars:
             raise VariableMismatch("polynomials live over different variable tuples")
-        p = MPoly.__new__(MPoly)
-        p.vars = self.vars
-        p.terms = self.terms ^ other.terms
-        return p
+        return MPoly._packed(self._mono ^ other._mono, self.vars)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         if self.vars != other.vars:
             raise VariableMismatch("polynomials live over different variable tuples")
-        acc: set[tuple[int, ...]] = set()
-        for e1 in self.terms:
-            for e2 in other.terms:
-                s = tuple(u + v for u, v in zip(e1, e2))
-                if s in acc:
-                    acc.remove(s)
-                else:
-                    acc.add(s)
-        for term in acc:
-            if any(e > MAX_EXPONENT for e in term):
-                raise DegreeOverflow(f"product exponent outside 0..{MAX_EXPONENT}: {term}")
-        p = MPoly.__new__(MPoly)
-        p.vars = self.vars
-        p.terms = frozenset(acc)
-        return p
+        sums = [a + b for a in self._mono for b in other._mono]
+        mono = frozenset(sums)
+        if len(mono) != len(sums):  # a repeated sum: keep the odd counts
+            mono = frozenset(k for k, c in Counter(sums).items() if c & 1)
+        return self._capped(mono, "product")
 
     def sqr(self) -> "MPoly":
-        """Frobenius: squaring doubles every exponent."""
-        return MPoly((tuple(2 * e for e in term) for term in self.terms), self.vars)
+        """Frobenius: squaring doubles every exponent, so every packed int."""
+        return self._capped(frozenset(key << 1 for key in self._mono), "square")
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
@@ -96,14 +140,14 @@ class MPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MPoly):
-            return self.vars == other.vars and self.terms == other.terms
+            return self.vars == other.vars and self._mono == other._mono
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.vars, self.terms))
+        return hash((self.vars, self._mono))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._mono)
 
     def __repr__(self) -> str:
         return f"MPoly({to_text(self)!r})"
@@ -118,19 +162,16 @@ class MPoly:
 
     def degree_in(self, var: str) -> int:
         """Formal degree in one variable (0 for the zero polynomial)."""
-        i = _index_of(var, self.vars)
-        return max((term[i] for term in self.terms), default=0)
+        shift = _shift(_index_of(var, self.vars), len(self.vars))
+        return max(((key >> shift) & _FIELD for key in self._mono), default=0)
 
     def coefficient_of(self, var: str, power: int) -> "MPoly":
         """Coefficient of var**power, as a polynomial with var removed."""
-        i = _index_of(var, self.vars)
-        picked = []
-        for term in self.terms:
-            if term[i] == power:
-                reduced = list(term)
-                reduced[i] = 0
-                picked.append(tuple(reduced))
-        return MPoly(picked, self.vars)
+        shift = _shift(_index_of(var, self.vars), len(self.vars))
+        field = power << shift
+        return MPoly._packed(
+            frozenset(key - field for key in self._mono if (key >> shift) & _FIELD == power),
+            self.vars)
 
 
 def _index_of(var: str, vars: tuple[str, ...]) -> int:
@@ -159,16 +200,14 @@ def var(name: str, vars: tuple[str, ...] = VARS) -> MPoly:
 # text form
 # ---------------------------------------------------------------------------
 
-def _term_key(term: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-e for e in term)
-
-
 def to_text(p: MPoly) -> str:
     """Canonical text: terms descending-lex, explicit '*' and '^'."""
-    if not p.terms:
+    if not p:
         return "0"
+    n = len(p.vars)
     chunks = []
-    for term in sorted(p.terms, key=_term_key):
+    for key in sorted(p._mono, reverse=True):
+        term = _unpack(key, n)
         factors = []
         for name, e in zip(p.vars, term):
             if e == 1:
@@ -338,9 +377,17 @@ def homogeneous_degree(p: MPoly) -> int | None:
 def resultant(p: MPoly, q: MPoly, eliminate: str) -> MPoly:
     """Determinant of the Sylvester matrix of p and q w.r.t. one variable.
 
-    Entries are polynomials in the remaining variables; the determinant
-    is expanded by minors with memoization on column subsets (no signs
-    in characteristic 2).
+    Entries are polynomials in the remaining variables.  The rows are
+    reordered sparsest first (a row swap changes no sign in
+    characteristic 2), then the determinant is expanded along them by
+    minors, memoized on the subset of columns still free: few nonzero
+    entries near the top keep the set of reachable subsets small.
+
+    The memo is the work and the memory: together its minors may hold
+    at most RESULTANT_MAX_MONOMIALS monomials (a zero minor counts as
+    one), and DomainTooLarge is raised as soon as the minor being summed
+    would pass that, so two short inputs cannot run for minutes or fill
+    memory.
     """
     n = p.degree_in(eliminate)
     m = q.degree_in(eliminate)
@@ -349,28 +396,30 @@ def resultant(p: MPoly, q: MPoly, eliminate: str) -> MPoly:
     pc = [p.coefficient_of(eliminate, n - k) for k in range(n + 1)]
     qc = [q.coefficient_of(eliminate, m - k) for k in range(m + 1)]
     order = n + m
+    # Each Sylvester row as its (column bit, entry) pairs, zero entries dropped.
+    rows = [[(1 << (i + k), c) for k, c in enumerate(pc) if c] for i in range(m)]
+    rows += [[(1 << (i + k), c) for k, c in enumerate(qc) if c] for i in range(n)]
+    rows.sort(key=len)
     z = zero(p.vars)
-    rows: list[list[MPoly]] = []
-    for i in range(m):
-        rows.append([z] * i + pc + [z] * (order - n - 1 - i))
-    for i in range(n):
-        rows.append([z] * i + qc + [z] * (order - m - 1 - i))
-
     memo: dict[int, MPoly] = {0: one(p.vars)}
+    held = 1  # monomials in memo, a zero minor counted as one
+    too_large = (f"resultant in {eliminate!r} needs more than "
+                 f"{RESULTANT_MAX_MONOMIALS} monomials of minors")
 
     def det(mask: int) -> MPoly:
+        nonlocal held
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        row = order - bin(mask).count("1")
         acc = z
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            entry = rows[row][bit.bit_length() - 1]
-            if entry:
+        for bit, entry in rows[order - mask.bit_count()]:
+            if mask & bit:
                 acc = acc + entry * det(mask ^ bit)
+                if held + len(acc._mono) > RESULTANT_MAX_MONOMIALS:
+                    raise DomainTooLarge(too_large)  # one minor may not outgrow the bound either
+        held += len(acc._mono) or 1
+        if held > RESULTANT_MAX_MONOMIALS:
+            raise DomainTooLarge(too_large)
         memo[mask] = acc
         return acc
 

@@ -7,6 +7,7 @@ import pytest
 
 import rotaperm.resolvent as rs
 from rotaperm.certify import (
+    CertReport,
     beta_printed_expansions,
     beta_trace_fallback,
     cert_A_zero_classification,
@@ -98,6 +99,56 @@ def test_factorizations_numeric_agreement(f8):
 @pytest.mark.parametrize("m", [3, 5])
 def test_charsum_support(m):
     assert cert_charsum_support(FieldCtx(m)).passed
+
+
+def _charsum_support_py(ctx) -> CertReport:
+    """Reference loop: the zero set of M1, M2 and the trace obstruction, one (t, w) at a time."""
+    if ctx.m % 2 == 0:
+        return CertReport(f"charsum_support_m{ctx.m}", "fail", None, "odd m required")
+    mul, inv, sqr = ctx.mul, ctx.inv, ctx.sqr
+    bad = []
+    for t in ctx.elements():
+        if t == 1:
+            continue
+        s = 1 ^ t ^ sqr(t)
+        u = 1 ^ t
+        m1c2 = sqr(mul(sqr(t), s))
+        m2c2 = sqr(s)
+        c4 = mul(sqr(sqr(u)), sqr(sqr(sqr(s))))
+        zeros = set()
+        for w in ctx.elements():
+            w2, w4 = sqr(w), sqr(sqr(w))
+            m1 = w ^ mul(w2, m1c2) ^ mul(w4, c4)
+            m2 = mul(w, sqr(t)) ^ mul(w2, m2c2) ^ mul(w4, c4)
+            if m1 == 0 and m2 == 0:
+                zeros.add(w)
+        expected = {0, inv(sqr(mul(u, s)))}
+        if zeros != expected:
+            bad.append(f"t={t:#x}: zero set {sorted(zeros)} != {sorted(expected)}")
+        if ctx.trace(1 ^ inv(u) ^ sqr(inv(u))) != 1:
+            bad.append(f"t={t:#x}: trace obstruction absent")
+    notes = "; ".join(bad[:4]) if bad else f"all {ctx.q - 1} parameters verified"
+    return CertReport(f"charsum_support_m{ctx.m}", "pass" if not bad else "fail", None, notes)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7])
+def test_charsum_support_matches_reference_loop(m):
+    ctx = FieldCtx(m)
+    assert cert_charsum_support(ctx) == _charsum_support_py(ctx)
+
+
+@pytest.mark.parametrize("m, entry", [(3, 2), (3, 5), (5, 3), (5, 9), (7, 100)])
+def test_charsum_support_notes_match_reference_loop_on_a_wrong_square(monkeypatch, m, entry):
+    """One square flipped: both versions fail, with byte-equal notes."""
+    ctx = FieldCtx(m)
+    flipped = ctx.sqr_table.copy()
+    flipped[entry] ^= 1
+    monkeypatch.setitem(ctx._np_cache, "sqr", flipped)
+    monkeypatch.setattr(ctx, "sqr", lambda a: int(flipped[a]))
+    fast, slow = cert_charsum_support(ctx), _charsum_support_py(ctx)
+    assert not fast.passed
+    assert fast.notes == slow.notes
+    assert fast == slow
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])

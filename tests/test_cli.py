@@ -1,12 +1,13 @@
 """CLI contract: JSON on stdout, exit-code trichotomy, reproducible output."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from rotaperm import lift
-from rotaperm.cli import main
+from rotaperm.cli import build_parser, main
 from rotaperm.family import eval_F, named_family
 from rotaperm.field import FieldCtx
 
@@ -207,6 +208,46 @@ def test_certify_json_and_exit(capsys):
     assert code == 2
 
 
+def test_certify_golden_stdout(capsys):
+    """Byte for byte the stdout of the certificate suite."""
+    want = (GOLDEN / "certify.json").read_text()
+    assert run(capsys, "certify")[:2] == (0, want)
+
+
+def test_certify_filtered_stdout_is_the_golden_subset(capsys):
+    reports = json.loads((GOLDEN / "certify.json").read_text())
+    for only in ("charsum", "resultant"):
+        want = json.dumps([r for r in reports if only in r["name"]]) + "\n"
+        assert run(capsys, "certify", "--only", only)[:2] == (0, want)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    """Calls in one process share one parser; no option of one call leaks into the next."""
+    code, out, _ = run(capsys, "certify", "--only", "charsum")
+    assert code == 0 and len(json.loads(out)) == 2
+    code, out, _ = run(capsys, "certify")
+    assert code == 0 and len(json.loads(out)) == 11
+
+    target = tmp_path / "lift.json"
+    assert run(capsys, "lift", "--family", "T3", "--m", "3", "--out", str(target))[0] == 0
+    assert json.loads(target.read_text())
+    target.write_text("untouched")
+    assert run(capsys, "lift", "--family", "T3", "--m", "3")[0] == 0
+    assert target.read_text() == "untouched"
+
+    assert run(capsys, "verify", "--family", "T3")[0] == 2
+    assert run(capsys, "verify", "--family", "T3", "--m", "3")[0] == 0
+
+    first = run(capsys, "--help")
+    second = run(capsys, "--help")
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1] and "usage: rotaperm" in first[1]
+
+
 def test_search_json_schema_and_reproducibility(capsys, tmp_path):
     out_file = tmp_path / "search.json"
     code, out1, _ = run(capsys, "search", "--m", "3", "--out", str(out_file))
@@ -253,3 +294,16 @@ def test_resultant_missing_flag(capsys):
 
 def test_resultant_syntax_error(capsys):
     assert run(capsys, "resultant", "-v", "x", "-f", "x+^", "-g", "x")[0] == 2
+
+
+def test_resultant_past_the_work_bound_is_usage_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "resultant", "-v", "x", "-f", "x^30+y", "-g", "x^30+z")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert "monomials of minors" in err
+
+
+def test_resultant_at_the_exponent_cap(capsys):
+    code, out, _ = run(capsys, "resultant", "-v", "x", "-f", "x^63*y", "-g", "x^63*z")
+    assert (code, out) == (0, '{"var": "x", "resultant": "0"}\n')

@@ -1,17 +1,23 @@
 """Symbolic ring: parsing, ring laws, substitution, evaluation, resultants."""
 
+import ast
 import random
+import re
+import time
 
 import pytest
 
+import rotaperm.resolvent as rs
 from rotaperm.errors import (
     DegenerateInput,
     DegreeOverflow,
+    DomainTooLarge,
     MissingAssignment,
     PolyParseError,
     UnknownVariable,
 )
 from rotaperm.mpoly import (
+    MAX_EXPONENT,
     VARS,
     MPoly,
     evaluate,
@@ -87,6 +93,81 @@ def test_exponent_cap_is_hard():
         parse("x^64")
     with pytest.raises(DegreeOverflow):
         parse("x^32") * parse("x^32")
+
+
+# -- packed monomials against the exponent-tuple oracle -----------------------------
+
+def _mul_tuples(p, q):
+    """Reference product on exponent tuples: every pair sum, cancelled in
+    pairs, before the exponent cap is checked."""
+    acc = set()
+    for e1 in p.terms:
+        for e2 in q.terms:
+            acc ^= {tuple(u + v for u, v in zip(e1, e2))}
+    return frozenset(acc)
+
+
+def test_packed_product_matches_tuple_product():
+    rng = random.Random(97)
+    overflows = 0
+    for _ in range(200):
+        p = random_poly(rng, nvars=len(VARS), max_terms=6, max_exp=rng.choice((3, 40)))
+        q = random_poly(rng, nvars=len(VARS), max_terms=6, max_exp=rng.choice((3, 40)))
+        want = _mul_tuples(p, q)
+        over = {term for term in want if max(term) > MAX_EXPONENT}
+        if not over:
+            assert (p * q).terms == want
+            continue
+        overflows += 1
+        with pytest.raises(DegreeOverflow) as err:
+            p * q
+        prefix = f"product exponent outside 0..{MAX_EXPONENT}: "
+        assert str(err.value).startswith(prefix)
+        assert ast.literal_eval(str(err.value)[len(prefix):]) in over
+    assert 0 < overflows < 200
+
+
+def test_packed_product_keeps_odd_multiplicities():
+    p, q = parse("x + y + z"), parse("x + y")
+    assert (p * q).terms == _mul_tuples(p, q) == parse("x^2 + y^2 + x*z + y*z").terms
+
+
+@pytest.mark.parametrize("var_name", VARS)
+def test_overflow_edges_in_every_field(var_name):
+    assert parse(f"{var_name}^31") * parse(f"{var_name}^32") == parse(f"{var_name}^63")
+    assert parse(f"{var_name}") ** 63 == parse(f"{var_name}^63")
+    assert parse(f"{var_name}^31").sqr() == parse(f"{var_name}^62")
+    overflow = tuple(64 if v == var_name else 0 for v in VARS)
+    with pytest.raises(DegreeOverflow, match=re.escape(f"product exponent outside 0..63: {overflow}")):
+        parse(f"{var_name}^32") * parse(f"{var_name}^32")
+    with pytest.raises(DegreeOverflow, match=re.escape(f"square exponent outside 0..63: {overflow}")):
+        parse(f"{var_name}^32").sqr()
+    with pytest.raises(DegreeOverflow):
+        parse(f"{var_name}") ** 64
+    with pytest.raises(DegreeOverflow):
+        parse(f"{var_name}^2") ** 32
+
+
+def test_terms_is_a_read_only_view_of_tuples():
+    p = parse("x^3 + y*z^2 + Z^63")
+    assert p.terms == frozenset({
+        (3, 0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 2, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 63)})
+    with pytest.raises(AttributeError):
+        p.terms = frozenset()
+    assert MPoly(p.terms) == p
+
+
+def test_packed_queries_match_tuple_queries():
+    rng = random.Random(53)
+    for _ in range(200):
+        p = random_poly(rng, nvars=len(VARS), max_terms=5, max_exp=63)
+        assert to_text(p) == " + ".join(
+            to_text(MPoly([term])) for term in sorted(p.terms, reverse=True)) or to_text(p) == "0"
+        for i, name in enumerate(VARS):
+            assert p.degree_in(name) == max((term[i] for term in p.terms), default=0)
+            power = rng.randrange(4)
+            want = {term[:i] + (0,) + term[i + 1:] for term in p.terms if term[i] == power}
+            assert p.coefficient_of(name, power).terms == want
 
 
 # -- ring laws ------------------------------------------------------------------
@@ -187,6 +268,90 @@ def test_resultant_of_identical_polys_vanishes():
 def test_resultant_degenerate_input():
     with pytest.raises(DegenerateInput):
         resultant(parse("y"), parse("z"), "x")
+
+
+def _resultant_unsorted(p, q, eliminate):
+    """Reference Sylvester determinant: rows in their natural order, expanded
+    by minors memoized on column subsets."""
+    n, m = p.degree_in(eliminate), q.degree_in(eliminate)
+    pc = [p.coefficient_of(eliminate, n - k) for k in range(n + 1)]
+    qc = [q.coefficient_of(eliminate, m - k) for k in range(m + 1)]
+    order = n + m
+    z = zero()
+    rows = [[z] * i + pc + [z] * (order - n - 1 - i) for i in range(m)]
+    rows += [[z] * i + qc + [z] * (order - m - 1 - i) for i in range(n)]
+    memo = {0: one()}
+
+    def det(mask):
+        if mask not in memo:
+            row = order - bin(mask).count("1")
+            acc = z
+            for j in range(order):
+                if mask >> j & 1 and rows[row][j]:
+                    acc = acc + rows[row][j] * det(mask ^ (1 << j))
+            memo[mask] = acc
+        return memo[mask]
+
+    return det((1 << order) - 1)
+
+
+CERTIFY_ELIMINATIONS = [(rs.P1, rs.P3, "x"), (rs.G_EXPANDED, rs.P2, "z"), (rs.Q1, rs.Q2, "x")]
+
+
+@pytest.mark.parametrize("p, q, eliminate", CERTIFY_ELIMINATIONS)
+def test_sparse_rows_first_matches_natural_row_order(p, q, eliminate):
+    assert resultant(p, q, eliminate) == _resultant_unsorted(p, q, eliminate)
+
+
+def test_sparse_rows_first_on_random_pairs():
+    rng = random.Random(61)
+    checked = 0
+    while checked < 60:
+        p = random_poly(rng, nvars=4, max_terms=4, max_exp=3)
+        q = random_poly(rng, nvars=4, max_terms=4, max_exp=3)
+        if not (p.degree_in("x") or q.degree_in("x")):
+            continue
+        assert resultant(p, q, "x") == _resultant_unsorted(p, q, "x")
+        checked += 1
+
+
+def test_resultant_product_count_is_pinned(monkeypatch):
+    """Sparse rows first: Res_z(g, P2) takes 167 products (527 in natural row order)."""
+    calls = []
+    product = MPoly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(MPoly, "__mul__", counted)
+    resultant(rs.G_EXPANDED, rs.P2, "z")
+    assert len(calls) == 167
+    calls.clear()
+    _resultant_unsorted(rs.G_EXPANDED, rs.P2, "z")
+    assert len(calls) == 527
+
+
+def _dense(v, degree):
+    """Every power of x up to degree, each with a coefficient in two variables."""
+    return parse(" + ".join(f"x^{i}*{v} + x^{i}*{'abcYZt'[i % 6]}" for i in range(degree + 1)))
+
+
+@pytest.mark.parametrize("f, g", [
+    (parse("x^30 + y"), parse("x^30 + z")),
+    (parse("x^30 + 1"), parse("x^29 + 1")),  # almost every minor is zero
+    (_dense("y", 10), _dense("z", 10)),
+])
+def test_resultant_past_the_work_bound_is_refused(f, g):
+    start = time.perf_counter()
+    with pytest.raises(DomainTooLarge, match="monomials of minors"):
+        resultant(f, g, "x")
+    assert time.perf_counter() - start < 5
+
+
+def test_resultant_at_the_exponent_cap_fits_the_bound():
+    assert resultant(parse("x^63*y"), parse("x^63*z"), "x") == zero()
+    assert resultant(parse("x^63 + y"), parse("x + z"), "x") == parse("z^63 + y")
 
 
 def test_first_elimination_matches_recorded_expansion():
