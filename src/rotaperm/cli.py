@@ -16,12 +16,10 @@ from functools import lru_cache
 
 from .certify import run_all
 from .errors import (
-    DomainTooLarge,
     EvenDegree,
     FormulaInconsistent,
     MultiplePreimages,
     NoPreimage,
-    NotAPermutation,
     RotapermError,
 )
 from .family import FamilySpec, family_from_coeffs, named_family
@@ -32,11 +30,6 @@ from .mpoly import parse as parse_poly, resultant, to_text
 from .permcheck import is_permutation
 from .search import search_all, search_diff
 
-USAGE_ERRORS = (
-    EvenDegree,
-    DomainTooLarge,
-    NotAPermutation,
-)
 INTERNAL_ERRORS = (FormulaInconsistent, NoPreimage, MultiplePreimages)
 
 
@@ -227,8 +220,6 @@ def main(argv=None) -> int:
     except INTERNAL_ERRORS as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except USAGE_ERRORS as exc:
-        return _fail_usage(str(exc))
     except (RotapermError, argparse.ArgumentTypeError, ValueError, OSError) as exc:
         return _fail_usage(str(exc))
 

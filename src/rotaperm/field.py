@@ -10,8 +10,11 @@ re-validated by trial division at construction, so a wrong table entry
 is caught instead of silently used.  One exp/log pair over a generator
 of the multiplicative group defines all arithmetic at every degree:
 scalar products, powers and inverses read it, and the numpy tables
-(products, squares, cubes, inverses) are gathers from it.  Shift-and-XOR
-reduction only builds the pair.  Root finding (quadratic, cubic) is by
+(products, squares, cubes, inverses) are gathers from it.  Every array
+product in the package goes through FieldCtx.vmul, the only reader of the
+q x q product table; rotaperm.permcheck builds its pair tables and orbit
+columns from family.COEFF_EXPONENTS through it.  Shift-and-XOR reduction
+only builds the pair.  Root finding (quadratic, cubic) is by
 exhaustive scan - exactness over cleverness at this scale.
 """
 
@@ -327,14 +330,17 @@ class FieldCtx:
 
     @property
     def mul_table(self) -> np.ndarray:
-        """(q, q) product table exp[log a + log b], zero on row and column 0."""
+        """(q, q) product table exp[log a + log b], zero on row and column 0;
+        vmul is its only reader."""
         return self._table("mul", self._build_mul_table)
 
-    def vmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Elementwise product of two equal-shape arrays of field elements.
+    def vmul(self, x: np.ndarray | int, y: np.ndarray | int) -> np.ndarray:
+        """Elementwise product of field elements, broadcast as x * y is.
 
-        One gather from the flattened mul_table at x*q + y, which is
-        cheaper than indexing the table in two dimensions.
+        Either operand may be an int or an integer array; the product is
+        uint16.  This is the only reader of mul_table: one gather from the
+        flattened table at x*q + y, which is cheaper than indexing it in
+        two dimensions.
         """
         return self.mul_table.reshape(-1)[(np.asarray(x, dtype=np.intp) << self.m) | y]
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainTooLarge, FormulaInconsistent, ReducibleModulus
 from .family import FamilySpec
-from .field import FieldCtx, Triple, _factorize, find_generator
+from .field import FieldCtx, Triple, find_generator
 from .permcheck import projective_images, projective_representatives
 
 LIFT_MAX_BASE_M = 5  # the 2^3m-entry exp and log tables are the ceiling
@@ -69,7 +69,6 @@ class ExtCtx:
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self.generator: int | None = None
-        self.omega_primitive: bool | None = None
 
     @staticmethod
     def _has_root(base: FieldCtx, cubic: tuple[int, int, int]) -> bool:
@@ -131,21 +130,17 @@ class ExtCtx:
         return self.pack((r0, r1, r2))
 
     def vmul(self, u: np.ndarray, v: int) -> np.ndarray:
-        """Elementwise product of the packed array u with the packed scalar v."""
-        mt = self.base.mul_table
-        mask = self.base.mask
-        u = u.astype(np.int64)
-        col = [mt[:, c].astype(np.uint32) for c in self.unpack(v)]
+        """Elementwise product of the packed array u with the packed scalar v,
+        as uint32: mul's schoolbook product over the base field's vmul."""
+        bm, mask = self.base.vmul, self.base.mask
+        u = u.astype(np.intp)
         u0, u1, u2 = u & mask, (u >> self.m) & mask, u >> (2 * self.m)
-        p3 = col[2][u1] ^ col[1][u2]
-        p4 = col[2][u2]
-        r = [
-            col[0][u0],
-            col[1][u0] ^ col[0][u1],
-            col[2][u0] ^ col[1][u1] ^ col[0][u2],
-        ]
-        for i in range(3):
-            r[i] ^= mt[p3, self._red3[i]] ^ mt[p4, self._red4[i]]
+        v0, v1, v2 = self.unpack(v)
+        p = (bm(u0, v0), bm(u0, v1) ^ bm(u1, v0), bm(u0, v2) ^ bm(u1, v1) ^ bm(u2, v0))
+        p3 = bm(u1, v2) ^ bm(u2, v1)
+        p4 = bm(u2, v2)
+        r = [(p[i] ^ bm(p3, self._red3[i]) ^ bm(p4, self._red4[i])).astype(np.uint32)
+             for i in range(3)]
         return r[0] | (r[1] << self.m) | (r[2] << (2 * self.m))
 
     def pow(self, u: int, n: int) -> int:
@@ -171,23 +166,13 @@ class ExtCtx:
             raise ZeroDivisionError("inverse of 0 in GF(2^3m)")
         return self.pow(u, self.group - 1)
 
-    def element_order(self, u: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if u == 0:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        order = self.group
-        for p in _factorize(self.group):
-            while order % p == 0 and self.pow(u, order // p) == 1:
-                order //= p
-        return order
-
     # -- discrete-log tables -------------------------------------------------
 
     def _ensure_tables(self) -> None:
         if self.m > LIFT_MAX_BASE_M:
             raise DomainTooLarge(f"log tables capped at base m={LIFT_MAX_BASE_M}")
         if self._exp is None:
-            self._exp, self._log, self.generator, self.omega_primitive = _ext_tables(self)
+            self._exp, self._log, self.generator = _ext_tables(self)
 
     def log_of(self, u: int) -> int:
         self._ensure_tables()
@@ -195,8 +180,8 @@ class ExtCtx:
 
 
 @functools.lru_cache(maxsize=8)
-def _ext_tables(ext: ExtCtx) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Read-only exp and log tables of GF(2^3m)*, its generator, and whether w generates.
+def _ext_tables(ext: ExtCtx) -> tuple[np.ndarray, np.ndarray, int]:
+    """Read-only exp and log tables of GF(2^3m)* and its generator.
 
     Keyed by (base, cubic), so every equal ExtCtx of a process shares one
     pair of 2^3m-entry arrays; at most 8 extensions are kept.
@@ -214,7 +199,7 @@ def _ext_tables(ext: ExtCtx) -> tuple[np.ndarray, np.ndarray, int, bool]:
     log[exp] = np.arange(ext.group)
     exp.flags.writeable = False
     log.flags.writeable = False
-    return exp, log, gen, math.gcd(int(log[ext.omega]), ext.group) == 1
+    return exp, log, gen
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +335,6 @@ def lift_permutation(ext: ExtCtx, fam: FamilySpec) -> LiftedPoly:
     is l*r for exactly one representative r.  Base degree is capped at
     m = 5.
     """
-    if ext.m > LIFT_MAX_BASE_M:
-        raise DomainTooLarge(f"interpolation capped at base m={LIFT_MAX_BASE_M}")
     ext._ensure_tables()
     m = ext.m
     x, y, z = projective_representatives(ext.base)
@@ -369,8 +352,7 @@ def lift_permutation(ext: ExtCtx, fam: FamilySpec) -> LiftedPoly:
 
 def is_pp(ext: ExtCtx, p: LiftedPoly) -> bool:
     """Exhaustive bijectivity check of the polynomial map."""
-    if ext.m > LIFT_MAX_BASE_M:
-        raise DomainTooLarge(f"evaluation capped at base m={LIFT_MAX_BASE_M}")
+    ext._ensure_tables()
     values = p.values()
     seen = np.zeros(ext.size, dtype=bool)
     seen[values] = True

@@ -41,7 +41,9 @@ each orbit by rotation and homogeneity, give F at every representative
 all q^3 images remains for even m and for the lexicographically first
 collision reported as the witness of a negative.  Its images are built
 in blocks of x-slabs, for every m, from numpy gathers into three q x q
-pair tables plus the cube table.
+pair tables plus the cube table.  The pair tables and the monomial
+columns both come from family.COEFF_EXPONENTS through one broadcasting
+_monomial, and every array product here is FieldCtx.vmul.
 
 Caps: is_permutation and count_zeros_D refuse m > 9 (the 2^27 image table
 and the q x q product table, gathered from the field's exp/log pair, are
@@ -93,28 +95,34 @@ class PermReport:
         return json.dumps(self.to_json())
 
 
-def _pair_tables(ctx: FieldCtx, coeffs: tuple[int, ...]):
-    """Tables P_xy, P_xz, P_yz with f(x,y,z) = x^3 ^ P_xy[x,y] ^ P_xz[x,z] ^ P_yz[y,z]."""
-    mt = ctx.mul_table
-    sq = ctx.sqr_table
-    cube = ctx.cube_table
-    q = ctx.q
-    a1, a2, a3, a4, a5, a6, a7, a8 = coeffs
-    zero2 = np.zeros((q, q), dtype=mt.dtype)
-    idx = np.arange(q)
+def _monomial(ctx: FieldCtx, exponents: tuple[int, int, int], x, y, z) -> np.ndarray:
+    """x^a * y^b * z^c for exponents (a, b, c) of degree 3, elementwise over
+    broadcasting arrays of field elements; a variable with exponent 0 is
+    not read."""
+    powers = (None, None, ctx.sqr_table, ctx.cube_table)
+    value = None
+    for e, v in zip(exponents, (x, y, z)):
+        if e:
+            p = v if e == 1 else powers[e][v]
+            value = p if value is None else ctx.vmul(value, p)
+    return value
 
-    p_xy = zero2.copy()
-    if a3: p_xy ^= mt[sq[:, None], idx[None, :]]
-    if a4: p_xy ^= mt[idx[:, None], sq[None, :]]
-    p_xz = zero2.copy()
-    if a5: p_xz ^= mt[sq[:, None], idx[None, :]]
-    if a6: p_xz ^= mt[idx[:, None], sq[None, :]]
-    p_yz = zero2.copy()
-    if a1: p_yz ^= cube[:, None]
-    if a2: p_yz ^= cube[None, :]
-    if a7: p_yz ^= mt[idx[:, None], sq[None, :]]
-    if a8: p_yz ^= mt[sq[:, None], idx[None, :]]
-    return cube, p_xy, p_xz, p_yz
+
+def _pair_tables(ctx: FieldCtx, coeffs: tuple[int, ...]):
+    """Tables P_xy, P_xz, P_yz with f(x,y,z) = x^3 ^ P_xy[x,y] ^ P_xz[x,z] ^ P_yz[y,z].
+
+    Each monomial of COEFF_EXPONENTS omits x, y or z; it is imaged over
+    the q x q grid of the other two and goes to the table they index.
+    """
+    rows, cols = np.arange(ctx.q)[:, None], np.arange(ctx.q)[None, :]
+    grids = ((None, rows, cols), (rows, None, cols), (rows, cols, None))
+    tables = np.zeros((3, ctx.q, ctx.q), dtype=np.uint16)  # P_yz, P_xz, P_xy
+    for bit, exponents in zip(coeffs, COEFF_EXPONENTS):
+        if bit:
+            omitted = exponents.index(0)
+            tables[omitted] ^= _monomial(ctx, exponents, *grids[omitted])
+    p_yz, p_xz, p_xy = tables
+    return ctx.cube_table, p_xy, p_xz, p_yz
 
 
 def family_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
@@ -182,12 +190,11 @@ def _indices(ctx: FieldCtx, lead: np.ndarray, off: np.ndarray,
     """Index among the representatives of each nonzero point (u1, u2, u3)
     scaled by 1/lead, as a uint32; lead and off come from _leading."""
     q = ctx.q
-    products = ctx.mul_table.reshape(-1)
-    row = ctx.inv_table[lead].astype(np.intp) * q
+    inv = ctx.inv_table[lead].astype(np.intp)
     # The scaled point is (1, y, z), (0, 1, z) or (0, 0, 1): its index is
     # y*q + z, q^2 + z or q^2 + q, as in projective_representatives.
-    z = products[row + u3].astype(np.uint32)
-    index = (products[row + u2].astype(np.uint32) << ctx.m) | z
+    z = ctx.vmul(inv, u3).astype(np.uint32)
+    index = (ctx.vmul(inv, u2).astype(np.uint32) << ctx.m) | z
     index[off] = np.where(u2[off] != 0, q * q + z[off], q * q + q)
     return index
 
@@ -244,23 +251,11 @@ def _monomial_column(ctx: FieldCtx, j: int) -> np.ndarray:
     the family's set bits.  Built on first use and cached on ctx; two
     threads racing on a cold entry build equal arrays.
     """
-    q = ctx.q
-
     def build():
-        products = ctx.mul_table.reshape(-1)
-        powers = (None, np.arange(q), ctx.sqr_table, ctx.cube_table)
         o = orbit_tables(ctx)[1]
-        x, y, z = (a[o] for a in projective_representatives(ctx))
-
-        def mono(*args):
-            value = None
-            for e, v in zip(_MONOMIAL_EXPONENTS[j], args):
-                if e:
-                    p = powers[e][v]
-                    value = p if value is None else products[value.astype(np.intp) * q + p]
-            return value
-
-        return np.stack([mono(x, y, z), mono(y, z, x), mono(z, x, y)]).astype(np.uint16)
+        r = [a[o] for a in projective_representatives(ctx)]
+        return np.stack([_monomial(ctx, _MONOMIAL_EXPONENTS[j], *r[e:], *r[:e])
+                         for e in range(3)]).astype(np.uint16)
 
     return ctx._table(f"orbit_col{j}", build)
 
@@ -513,19 +508,18 @@ def count_zeros_D(ctx: FieldCtx, t: int) -> int:
     if ctx.m > IS_PERMUTATION_MAX_M:
         raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the q x q grid")
     q = ctx.q
-    mt = ctx.mul_table
     vec = np.arange(q)
-    u = np.zeros(q, dtype=mt.dtype)
-    v = np.zeros(q, dtype=mt.dtype)
+    u = np.zeros(q, dtype=np.uint16)
+    v = np.zeros(q, dtype=np.uint16)
     for term in D_POLY.terms:
         e_y, e_z = term[_Y_IDX], term[_Z_IDX]
         if e_y and e_z:
             raise FormulaInconsistent("D(Y,Z) has a mixed Y*Z term; it must be Y/Z-separable")
         scale = ctx.pow(t, term[_T_IDX])
         if e_y:
-            u ^= mt[scale, ctx.vpow(vec, e_y)]
+            u ^= ctx.vmul(scale, ctx.vpow(vec, e_y))
         elif e_z:
-            v ^= mt[scale, ctx.vpow(vec, e_z)]
+            v ^= ctx.vmul(scale, ctx.vpow(vec, e_z))
         else:
-            v ^= np.full(q, scale, dtype=mt.dtype)
+            v ^= scale
     return int(np.count_nonzero((u[:, None] ^ v[None, :]) == 0))

@@ -148,12 +148,22 @@ def test_vpow_matches_scalar_pow(f32):
 
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_vmul_matches_scalar_mul(m):
-    """Every pair, in a 2-D grid of uint16 operands, keeps its shape and dtype."""
+    """Every pair, in a 2-D grid of uint16 operands, keeps its shape and dtype;
+    scalar x array, (q, 1) x (1, q) and (3, n) x (n,) operands broadcast."""
     ctx = FieldCtx(m)
     a, b = np.indices((ctx.q, ctx.q), dtype=np.uint16)
     got = ctx.vmul(a, b)
     assert got.shape == a.shape and got.dtype == np.uint16
     assert got.tolist() == [[ctx.mul(x, y) for y in ctx.elements()] for x in ctx.elements()]
+    vec = np.arange(ctx.q)
+    for s in ctx.elements():
+        assert ctx.vmul(s, vec).tolist() == [ctx.mul(s, y) for y in ctx.elements()]
+        assert ctx.vmul(vec, s).tolist() == [ctx.mul(x, s) for x in ctx.elements()]
+    assert np.array_equal(ctx.vmul(vec[:, None], vec[None, :]), got)
+    rng = np.random.default_rng(m)
+    rows, row = rng.integers(ctx.q, size=(3, 7)), rng.integers(ctx.q, size=7).astype(np.uint16)
+    assert ctx.vmul(rows, row).tolist() == [
+        [ctx.mul(int(x), int(y)) for x, y in zip(r, row)] for r in rows]
 
 
 def test_mul_table_matches_scalar(f32):

@@ -21,6 +21,15 @@ def test_no_bare_assert_in_the_package():
     assert found == []
 
 
+def test_only_field_reads_the_product_table():
+    """Every array product goes through FieldCtx.vmul, so the layout of the
+    q x q product table is known to field.py alone."""
+    found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+             if path.name != "field.py" and "mul_table" in path.read_text()]
+    assert (SRC / "field.py").is_file()
+    assert found == []
+
+
 def _load_tracing():
     """perfbench/tracing.py as a module of its own, loaded by path."""
     path = SRC.parent.parent / "perfbench" / "tracing.py"
