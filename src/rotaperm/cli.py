@@ -22,7 +22,7 @@ from .errors import (
     NoPreimage,
     RotapermError,
 )
-from .family import FamilySpec, family_from_coeffs, named_family
+from .family import NAMED_COEFFS, FamilySpec, family_from_coeffs, named_family
 from .field import FieldCtx
 from .invert import invert_point
 from .lift import ExtCtx, lift_permutation, lifted_from_json, qm_equivalent
@@ -168,20 +168,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively check that a family permutes GF(2^m)^3")
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--family", choices=("T1", "T2", "T3", "T4", "T5"))
+    grp.add_argument("--family", choices=tuple(NAMED_COEFFS))
     grp.add_argument("--coeffs", help="8-character coefficient bitstring a1..a8")
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("invert", help="preimage of a target point")
-    p.add_argument("--family", required=True, choices=("T1", "T2", "T3", "T4", "T5"))
+    p.add_argument("--family", required=True, choices=tuple(NAMED_COEFFS))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--target", required=True, help="HEX,HEX,HEX")
     p.add_argument("--method", default="auto", choices=("auto", "closed", "resolvent", "table"))
     p.set_defaults(fn=_cmd_invert)
 
     p = sub.add_parser("lift", help="permutation polynomial of GF(2^3m) for a family")
-    p.add_argument("--family", required=True, choices=("T1", "T2", "T3", "T4", "T5"))
+    p.add_argument("--family", required=True, choices=tuple(NAMED_COEFFS))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", help="also write the JSON to a file")
     p.set_defaults(fn=_cmd_lift)

@@ -351,8 +351,9 @@ def lift_permutation(ext: ExtCtx, fam: FamilySpec) -> LiftedPoly:
 
 
 def is_pp(ext: ExtCtx, p: LiftedPoly) -> bool:
-    """Exhaustive bijectivity check of the polynomial map."""
-    ext._ensure_tables()
+    """Exhaustive bijectivity check of the polynomial map; ext must be p.ext."""
+    if ext != p.ext:
+        raise ValueError(f"is_pp over {ext!r} of a polynomial over {p.ext!r}")
     values = p.values()
     seen = np.zeros(ext.size, dtype=bool)
     seen[values] = True

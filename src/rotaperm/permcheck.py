@@ -27,10 +27,14 @@ sigma(x,y,z) = (y,z,x), and for odd m sigma fixes only the representative
 (1,1,1): the others fall into (q^2+q)/3 orbits of three (orbit_tables).
 So F is imaged at the orbit minima alone, and the decision is made on
 the orbit classes of their keys (projective_obstruction).  F's images
-there are XORs of per-degree monomial columns: the values of x^3 and of
+there are XORs of rows of one monomial table: the values of x^3 and of
 each a1..a8 monomial at every orbit minimum under the three rotated
 arguments, built once per field context on first use and shared by all
 256 families.
+
+Even m is answered without any image: 3 divides q-1, so z -> z^3 is
+3-to-1 on GF(2^m)^*, and F(0,0,z), a function of z^3 alone, repeats
+among the first q points, where the cube table names the first collision.
 
 The keys behind that decision (the index of each scaled image among the
 representatives, with its leading coordinate) also make the projective
@@ -38,12 +42,12 @@ inverse table of rotaperm.invert, so a table inversion needs O(q^2)
 memory and no q^3 image.  The same orbit-minimum images, spread over
 each orbit by rotation and homogeneity, give F at every representative
 (projective_images), which is all the lift reads.  The full scan over
-all q^3 images remains for even m and for the lexicographically first
-collision reported as the witness of a negative.  Its images are built
-in blocks of x-slabs, for every m, from numpy gathers into three q x q
-pair tables plus the cube table.  The pair tables and the monomial
-columns both come from family.COEFF_EXPONENTS through one broadcasting
-_monomial, and every array product here is FieldCtx.vmul.
+all q^3 images remains only for the lexicographically first collision
+reported as the witness of an odd-m negative.  Its images are built in
+blocks of x-slabs from numpy gathers into three q x q pair tables plus
+the cube table.  The pair tables and the monomial table both come from
+family.COEFF_EXPONENTS through one broadcasting _monomial, and every
+array product here is FieldCtx.vmul.
 
 Caps: is_permutation and count_zeros_D refuse m > 9 (the 2^27 image table
 and the q x q product table, gathered from the field's exp/log pair, are
@@ -206,27 +210,20 @@ def orbit_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     it has order 3 and fixes only (1,1,1): sigma(v) = c*v needs c^3 = 1,
     so c = 1.  O holds the orbit minima in increasing order, (q^2+q)/3 + 1
     of them, and canon[i] is the position in O of the orbit of r_i.  Built
-    on first use and cached on ctx.
+    on first use and cached on ctx as one entry.
     """
-    def rotation():
+    def build():
         x, y, z = projective_representatives(ctx)
         lead, off = _leading(y, z, x)
-        return _indices(ctx, lead, off, z, x)
-
-    def minima():
+        s = _indices(ctx, lead, off, z, x)
         idx = np.arange(s.size)
-        return np.flatnonzero((idx <= s) & (idx <= s[s]))
-
-    def classes():
+        o = np.flatnonzero((idx <= s) & (idx <= s[s]))
         canon = np.empty(s.size, dtype=np.uint32)
         for members in (o, s[o], s[s[o]]):
             canon[members] = np.arange(o.size, dtype=np.uint32)
-        return canon
+        return s, o, canon
 
-    s = ctx._table("orbit_rotation", rotation)
-    o = ctx._table("orbit_minima", minima)
-    canon = ctx._table("orbit_class", classes)
-    return s, o, canon
+    return ctx._table("orbit_tables", build)
 
 
 def rotation_steps(s: np.ndarray, k: int, j: int) -> int:
@@ -243,34 +240,33 @@ def rotation_steps(s: np.ndarray, k: int, j: int) -> int:
 _MONOMIAL_EXPONENTS = ((3, 0, 0),) + COEFF_EXPONENTS
 
 
-def _monomial_column(ctx: FieldCtx, j: int) -> np.ndarray:
-    """Monomial j of _MONOMIAL_EXPONENTS at every orbit minimum r_O[p].
+def _monomial_table(ctx: FieldCtx) -> np.ndarray:
+    """Monomial j of _MONOMIAL_EXPONENTS at every orbit minimum r_O[p], as
+    row j of a (9, 3, |O|) uint16 array.
 
-    Row i holds its values at the arguments rotated i times, (x,y,z),
-    (y,z,x) and (z,x,y), so F(r) is the XOR of the columns of x^3 and of
-    the family's set bits.  Built on first use and cached on ctx; two
-    threads racing on a cold entry build equal arrays.
+    Row [j, i] holds its values at the arguments rotated i times, (x,y,z),
+    (y,z,x) and (z,x,y), so F(r) is the XOR of rows 0 (x^3) and of the
+    family's set bits.  Built on first use and cached on ctx; two threads
+    racing on a cold entry build equal arrays.
     """
     def build():
         o = orbit_tables(ctx)[1]
         r = [a[o] for a in projective_representatives(ctx)]
-        return np.stack([_monomial(ctx, _MONOMIAL_EXPONENTS[j], *r[e:], *r[:e])
-                         for e in range(3)]).astype(np.uint16)
+        return np.array([[_monomial(ctx, exponents, *r[e:], *r[:e]) for e in range(3)]
+                         for exponents in _MONOMIAL_EXPONENTS], dtype=np.uint16)
 
-    return ctx._table(f"orbit_col{j}", build)
+    return ctx._table("orbit_monomials", build)
 
 
 def decision_tables(ctx: FieldCtx) -> None:
     """Build every table an odd-m decision at ctx reads, its subfields' too.
 
-    These are the orbit tables and the nine monomial columns (and the
-    field tables under them).  A caller that shares ctx between threads
-    builds them first, so that no two threads build one table twice.
+    These are the orbit tables and the monomial table (and the field
+    tables under them).  A caller that shares ctx between threads builds
+    them first, so that no two threads build one table twice.
     """
     for c in (*_subfield_ctxs(ctx.m), ctx):
-        orbit_tables(c)
-        for j in range(len(_MONOMIAL_EXPONENTS)):
-            _monomial_column(c, j)
+        _monomial_table(c)
 
 
 def representative(ctx: FieldCtx, i: int) -> Triple:
@@ -305,12 +301,9 @@ REPEATED_KEY = "repeated key"
 
 def _orbit_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
     """F at every orbit minimum r_O[p], as a (3, |O|) uint16 array: the XOR
-    of the monomial columns of x^3 and of the family's set bits."""
-    u = _monomial_column(ctx, 0).copy()
-    for j, bit in enumerate(fam.coeffs, start=1):
-        if bit:
-            u ^= _monomial_column(ctx, j)
-    return u
+    of the monomial table's rows for x^3 and the family's set bits."""
+    rows = np.flatnonzero((1, *fam.coeffs))
+    return np.bitwise_xor.reduce(_monomial_table(ctx)[rows], axis=0)
 
 
 def projective_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
@@ -456,13 +449,15 @@ def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> P
     scan for the lexicographically first collision, and one without
     reports the q^2+q+1 representatives, whichever test decided it: a
     failure on a subfield is also a failure of the projective decision,
-    so the report does not depend on which test ran first.  Even m
-    always takes the full scan.
+    so the report does not depend on which test ran first.  Even m gets
+    the full scan's report, with or without `witness`, from the cube
+    table: F(0,0,z) = (a2*z^3, a1*z^3, z^3) first repeats where z^3 does.
     """
     if ctx.m > IS_PERMUTATION_MAX_M:
         raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the image table")
     if ctx.m % 2 == 0:
-        return full_scan(ctx, fam)
+        _, at, first = _kernels.scan_bijection(ctx.cube_table)
+        return PermReport(fam.bitstring(), ctx.m, False, at + 1, ((0, 0, first), (0, 0, at)))
     if not fails_on_subfield(ctx, fam) and projective_obstruction(ctx, fam) is None:
         return PermReport(fam.bitstring(), ctx.m, True, 1 << (3 * ctx.m))
     if not witness:

@@ -326,6 +326,16 @@ def test_is_pp_basics(e8):
     assert is_pp(e8, lift_permutation(e8, named_family("T1")))
 
 
+def test_is_pp_refuses_another_field(e8):
+    """The map is evaluated over p.ext; another ext would size the table
+    by the wrong field and call a permutation of GF(8) a non-permutation
+    of GF(2^9)."""
+    poly = lift_permutation(ExtCtx(FieldCtx(1)), named_family("T3"))
+    assert is_pp(poly.ext, poly)
+    with pytest.raises(ValueError, match="is_pp over"):
+        is_pp(e8, poly)
+
+
 # -- QM equivalence ----------------------------------------------------------------
 
 def test_qm_reflexive(e8):

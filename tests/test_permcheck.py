@@ -14,7 +14,7 @@ from rotaperm.permcheck import (
     _MONOMIAL_EXPONENTS,
     REPEATED_KEY,
     ZERO_IMAGE,
-    _monomial_column,
+    _monomial_table,
     count_zeros_D,
     difference_check,
     family_images,
@@ -327,13 +327,25 @@ def test_m7_permutation_set_has_29_members(f128):
 def test_monomial_columns_match_scalar_products(m):
     ctx = FieldCtx(m)
     points = [representative(ctx, i) for i in orbit_tables(ctx)[1].tolist()]
-    for j, (ex, ey, ez) in enumerate(_MONOMIAL_EXPONENTS):
-        col = _monomial_column(ctx, j)
-        assert col.shape == (3, len(points)) and col.dtype == np.uint16
+    table = _monomial_table(ctx)
+    assert table.shape == (len(_MONOMIAL_EXPONENTS), 3, len(points)) and table.dtype == np.uint16
+    for (ex, ey, ez), col in zip(_MONOMIAL_EXPONENTS, table):
         for i, (x, y, z) in enumerate(points):
             for row, (a, b, c) in enumerate([(x, y, z), (y, z, x), (z, x, y)]):
                 expected = ctx.mul(ctx.mul(ctx.pow(a, ex), ctx.pow(b, ey)), ctx.pow(c, ez))
                 assert col[row, i] == expected
+
+
+def test_decision_caches_two_tables_per_field():
+    """All 256 decisions at m=5 add the orbit tables and the monomial table
+    to the field tables, nothing more."""
+    ctx = FieldCtx(5)
+    for table in (ctx.mul_table, ctx.sqr_table, ctx.cube_table, ctx.inv_table):
+        assert table.size
+    field_keys = set(ctx._np_cache)
+    for fam in all_families():
+        is_permutation(ctx, fam, witness=False)
+    assert set(ctx._np_cache) - field_keys == {"orbit_tables", "orbit_monomials"}
 
 
 def test_column_cache_follows_the_modulus():
@@ -383,12 +395,38 @@ def test_positive_without_witness_counts_every_point(f32):
     assert report.is_permutation and report.points_checked == 1 << 15
 
 
-def test_even_m_takes_the_full_scan():
+def test_even_m_is_decided_by_the_cube_lemma():
+    """Even m is never projective; the report is the cube table's first
+    repeat at (0,0,z), the same the full scan gives."""
     ctx = FieldCtx(2)
     fam = family_from_coeffs((0,) * 8)
     with pytest.raises(OddDegreeRequired):
         projective_obstruction(ctx, fam)
-    assert is_permutation(ctx, fam, witness=False) == full_scan(ctx, fam)
+    report = is_permutation(ctx, fam, witness=False)
+    assert report == full_scan(ctx, fam)
+    assert report.witness == ((0, 0, 1), (0, 0, 2)) and report.points_checked == 3
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_even_m_matches_full_scan_on_all_vectors(m):
+    ctx = FieldCtx(m)
+    for fam in all_families():
+        oracle = full_scan(ctx, fam)
+        assert not oracle.is_permutation
+        assert is_permutation(ctx, fam) == oracle, fam.bitstring()
+        assert is_permutation(ctx, fam, witness=False) == oracle, fam.bitstring()
+
+
+def test_even_m_images_no_point(monkeypatch):
+    import rotaperm.permcheck as pc
+
+    def no_images(ctx, fam):
+        raise AssertionError("even m imaged the cube")
+
+    monkeypatch.setattr(pc, "family_images", no_images)
+    for m in (2, 4, 6, 8):
+        report = is_permutation(FieldCtx(m), named_family("T1"))
+        assert not report.is_permutation and report.points_checked <= 1 << m
 
 
 def test_disagreeing_full_scan_is_an_internal_error(f8, monkeypatch):
