@@ -4,10 +4,8 @@ T3, T4, T5 have explicit closed forms from their solvability analyses;
 T1 goes through the cubic resolvent in Y = y^3 after the shearing map
 phi(u,v,w) = (v+w, u+w, u+v+w); T2 has no constructive inverse and is
 served from a projective inverse table: 3-homogeneity, F(lam*v) =
-lam^3 * F(v), leaves one entry per projective representative, and
-rotation equivariance, F(sigma v) = sigma F(v), one per rotation orbit
-of representatives, (q^2+q)/3 + 1 in all.  A lookup rotates the table's
-entry onto the target's representative and a cube root rescales it.
+lam^3 * F(v), leaves one entry per projective representative, q^2+q+1
+in all, and a cube root rescales the entry to the target.
 
 Every preimage, from a closed form, the resolvent or the table, is
 re-evaluated through the forward map before being returned: a mismatch
@@ -31,17 +29,10 @@ from .errors import (
 )
 from .family import FamilySpec, eval_F, family_from_coeffs, named_family
 from .field import FieldCtx, Triple
-from .permcheck import (
-    IS_PERMUTATION_MAX_M,
-    orbit_tables,
-    projective_keys,
-    representative,
-    representative_index,
-    rotation_steps,
-)
+from .permcheck import projective_images, projective_keys, representative, representative_index
 from .resolvent import resolvent_coeffs
 
-INVERT_TABLE_MAX_M = IS_PERMUTATION_MAX_M
+INVERT_TABLE_MAX_M = 9  # q^2+q+1 entries; a cold m=9 table builds in about 50 ms
 
 
 def _checked(ctx: FieldCtx, fam: FamilySpec, target: Triple, preimage: Triple) -> Triple:
@@ -170,59 +161,50 @@ def invert_T1_resolvent(ctx: FieldCtx, target: Triple) -> Triple:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _inverse_table(ctx: FieldCtx,
-                   coeffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lead, keys, source) of a permutation F, read-only, over the orbit classes.
+def _inverse_table(ctx: FieldCtx, coeffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, source) of a permutation F, read-only, over the q^2+q+1
+    representatives r_i.
 
-    lead and keys are permcheck.projective_keys at the orbit minima
-    r_O[p], and source[c] the p whose key lies in orbit class c.  Decided
-    from the same keys the table is built from, so a non-permutation
-    costs no q^3 scan.
+    lead and the keys are permcheck.projective_keys of F at every
+    representative (permcheck.projective_images), and source[j] the i
+    whose key is j.  Decided from the same keys the table is built from,
+    so a non-permutation costs no q^3 scan.
     """
     name = "".join(map(str, coeffs))
     if ctx.m % 2 == 0:
         # A cube root of unity lam != 1 exists, and F(lam*v) = F(v).
         raise NotAPermutation(f"family {name} at m={ctx.m}: no 3-homogeneous map permutes "
                               "GF(2^m)^3 for even m")
-    lead, keys = projective_keys(ctx, family_from_coeffs(coeffs))
+    lead, keys = projective_keys(ctx, projective_images(ctx, family_from_coeffs(coeffs)))
     n = lead.size
     source = np.full(n, n, dtype=np.uint32)
     if keys is not None:
-        source[orbit_tables(ctx)[2][keys]] = np.arange(n, dtype=np.uint32)
-    # n keys fill all n classes exactly when no class repeats, which is
-    # the permcheck decision.
+        source[keys] = np.arange(n, dtype=np.uint32)
+    # n keys fill all n slots exactly when no key repeats: by
+    # 3-homogeneity, exactly when F permutes GF(2^m)^3.
     if keys is None or (source == n).any():
         raise NotAPermutation(f"family {name} at m={ctx.m}")
-    for table in (lead, keys, source):
+    for table in (lead, source):
         table.setflags(write=False)
-    return lead, keys, source
+    return lead, source
 
 
 def invert_table(ctx: FieldCtx, fam: FamilySpec, target: Triple) -> Triple:
     """Preimage by lookup in the cached projective inverse table.
 
-    A target s*r_j (s its leading coordinate) lies in orbit class
-    c = canon[j], served by p = source[c] with key k = keys[p] and
-    S^e[k] = j.  Rotation equivariance and 3-homogeneity give
-    F(lam * sigma^e(r_O[p])) = lam^3 * lead[p] * sigma^e(r_k)
-    = lam^3 * lead[p] * mu * r_j, with mu the leading coordinate of
-    sigma^e(r_k); so lam^3 = s / (lead[p] * mu).
+    A target s*r_j (s its leading coordinate) is served by i = source[j],
+    with F(r_i) = lead[i] * r_j; so F(lam * r_i) = lam^3 * lead[i] * r_j
+    is the target for lam^3 = s / lead[i].
     """
     if ctx.m > INVERT_TABLE_MAX_M:
         raise DomainTooLarge(f"m={ctx.m} > {INVERT_TABLE_MAX_M} for a projective inverse table")
-    lead, keys, source = _inverse_table(ctx, fam.coeffs)
+    lead, source = _inverse_table(ctx, fam.coeffs)
     if not any(target):
         return _checked(ctx, fam, target, (0, 0, 0))
-    rotation, minima, canon = orbit_tables(ctx)
     s, j = representative_index(ctx, target)
-    p = int(source[canon[j]])
-    k = int(keys[p])
-    w, image = representative(ctx, int(minima[p])), representative(ctx, k)
-    for _ in range(rotation_steps(rotation, k, j)):
-        w, image = _rot(w), _rot(image)
-    mu = image[0] or image[1] or image[2]
-    lam = ctx.cube_root(ctx.div(s, ctx.mul(int(lead[p]), mu)))
-    return _checked(ctx, fam, target, tuple(ctx.mul(lam, v) for v in w))
+    i = int(source[j])
+    lam = ctx.cube_root(ctx.div(s, int(lead[i])))
+    return _checked(ctx, fam, target, tuple(ctx.mul(lam, v) for v in representative(ctx, i)))
 
 
 # The constructive inverter of each named family that has one, with its

@@ -276,8 +276,12 @@ def _json_hexes(obj, key: str, where: str) -> list[int]:
 
 def lifted_from_json(data: dict) -> LiftedPoly:
     """Rebuild a LiftedPoly (default base modulus for its degree); a missing
-    or ill-typed field raises ValueError naming it."""
-    base = FieldCtx(_json_field(data, "m", int, "the document"))
+    or ill-typed field raises ValueError naming it.  A base degree above
+    LIFT_MAX_BASE_M raises DomainTooLarge before any field is built."""
+    m = _json_field(data, "m", int, "the document")
+    if m > LIFT_MAX_BASE_M:
+        raise DomainTooLarge(f"log tables capped at base m={LIFT_MAX_BASE_M}")
+    base = FieldCtx(m)
     cubic_ascending = _json_hexes(data, "cubic", "the document")
     if (len(cubic_ascending) != 4 or cubic_ascending[3] != 1
             or any(not 0 <= v < base.q for v in cubic_ascending)):

@@ -36,16 +36,18 @@ Even m is answered without any image: 3 divides q-1, so z -> z^3 is
 3-to-1 on GF(2^m)^*, and F(0,0,z), a function of z^3 alone, repeats
 among the first q points, where the cube table names the first collision.
 
-The keys behind that decision (the index of each scaled image among the
-representatives, with its leading coordinate) also make the projective
-inverse table of rotaperm.invert, so a table inversion needs O(q^2)
-memory and no q^3 image.  The same orbit-minimum images, spread over
-each orbit by rotation and homogeneity, give F at every representative
-(projective_images), which is all the lift reads.  The full scan over
-all q^3 images remains only for the lexicographically first collision
-reported as the witness of an odd-m negative.  Its images are built in
-blocks of x-slabs from numpy gathers into three q x q pair tables plus
-the cube table.  The pair tables and the monomial table both come from
+One key function, projective_keys, scales any array of points to their
+representatives: the decision keys F at the orbit minima, orbit_tables
+keys the rotated representatives, and rotaperm.invert keys F at every
+representative.  Those images are the orbit-minimum images spread over
+each orbit by rotation and homogeneity (projective_images), which is
+also all the lift reads; so the orbit format stays inside this module,
+and a table inversion needs O(q^2) memory and no q^3 image.
+
+The full scan over all q^3 images remains only for the lexicographically
+first collision reported as the witness of an odd-m negative.  Its
+images are built in blocks of x-slabs from numpy gathers into three
+q x q pair tables plus the cube table.  The pair tables and the monomial table both come from
 family.COEFF_EXPONENTS through one broadcasting _monomial, and every
 array product here is FieldCtx.vmul.
 
@@ -189,20 +191,6 @@ def _leading(u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> tuple[np.ndarray
     return lead, off
 
 
-def _indices(ctx: FieldCtx, lead: np.ndarray, off: np.ndarray,
-             u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
-    """Index among the representatives of each nonzero point (u1, u2, u3)
-    scaled by 1/lead, as a uint32; lead and off come from _leading."""
-    q = ctx.q
-    inv = ctx.inv_table[lead].astype(np.intp)
-    # The scaled point is (1, y, z), (0, 1, z) or (0, 0, 1): its index is
-    # y*q + z, q^2 + z or q^2 + q, as in projective_representatives.
-    z = ctx.vmul(inv, u3).astype(np.uint32)
-    index = (ctx.vmul(inv, u2).astype(np.uint32) << ctx.m) | z
-    index[off] = np.where(u2[off] != 0, q * q + z[off], q * q + q)
-    return index
-
-
 def orbit_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, O, canon): the rotation sigma(x,y,z) = (y,z,x) on the representatives.
 
@@ -214,8 +202,7 @@ def orbit_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     def build():
         x, y, z = projective_representatives(ctx)
-        lead, off = _leading(y, z, x)
-        s = _indices(ctx, lead, off, z, x)
+        s = projective_keys(ctx, (y, z, x))[1]
         idx = np.arange(s.size)
         o = np.flatnonzero((idx <= s) & (idx <= s[s]))
         canon = np.empty(s.size, dtype=np.uint32)
@@ -301,9 +288,13 @@ REPEATED_KEY = "repeated key"
 
 def _orbit_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
     """F at every orbit minimum r_O[p], as a (3, |O|) uint16 array: the XOR
-    of the monomial table's rows for x^3 and the family's set bits."""
-    rows = np.flatnonzero((1, *fam.coeffs))
-    return np.bitwise_xor.reduce(_monomial_table(ctx)[rows], axis=0)
+    of the monomial table's rows for x^3 and the family's set bits, taken
+    in place on one copy of the x^3 row."""
+    table = _monomial_table(ctx)
+    images = table[0].copy()
+    for j in np.flatnonzero(fam.coeffs):
+        images ^= table[j + 1]
+    return images
 
 
 def projective_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
@@ -326,28 +317,36 @@ def projective_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
     return out
 
 
-def projective_keys(ctx: FieldCtx, fam: FamilySpec) -> tuple[np.ndarray, np.ndarray | None]:
-    """Leading coordinates and keys of F at the orbit minima (odd m).
+def projective_keys(ctx: FieldCtx, images) -> tuple[np.ndarray, np.ndarray | None]:
+    """Leading coordinates and keys of the columns of images, a (3, k)
+    array or three length-k arrays of field elements.
 
-    Indexed by orbit position p, with r = r_O[p] (see orbit_tables):
-    lead[p] is the leading nonzero coordinate of F(r), 0 when F(r) = 0,
-    and keys[p] the index among all the representatives of F(r) scaled by
-    1/lead[p], as a uint32.  F(sigma v) = sigma F(v) gives the rest of the
-    representatives: the key of r_S^e[O[p]] is S^e[keys[p]], and F has a
-    zero on an orbit only together with its minimum.  With a zero in lead,
-    keys is None: the zero image decides before any key is gathered.
+    lead[i] is the leading nonzero coordinate of column i, 0 for the zero
+    vector, and keys[i] the index among the representatives of column i
+    scaled by 1/lead[i], as a uint32.  With a zero in lead, keys is None:
+    the zero image decides before any key is gathered.
     """
-    if ctx.m % 2 == 0:
-        raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
-    u1, u2, u3 = _orbit_images(ctx, fam)
+    q = ctx.q
+    u1, u2, u3 = images
     lead, off = _leading(u1, u2, u3)
     if not lead.all():
         return lead, None
-    return lead, _indices(ctx, lead, off, u2, u3)
+    inv = ctx.inv_table[lead].astype(np.intp)
+    # The scaled point is (1, y, z), (0, 1, z) or (0, 0, 1): its index is
+    # y*q + z, q^2 + z or q^2 + q, as in projective_representatives.
+    z = ctx.vmul(inv, u3).astype(np.uint32)
+    keys = (ctx.vmul(inv, u2).astype(np.uint32) << ctx.m) | z
+    keys[off] = np.where(u2[off] != 0, q * q + z[off], q * q + q)
+    return lead, keys
 
 
 def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[Triple, ...]] | None:
     """Why F fails to permute GF(2^m)^3 (odd m), or None when it permutes.
+
+    lead and keys are projective_keys of F at the orbit minima r_O[p] (see
+    orbit_tables).  F(sigma v) = sigma F(v) gives the rest of the
+    representatives: the key of r_S^e[O[p]] is S^e[keys[p]], and F has a
+    zero on an orbit only together with its minimum.
 
     F permutes exactly when no lead is zero and canon[keys] has no repeat.
     By 3-homogeneity F permutes GF(2^m)^3 exactly when it is nonzero on
@@ -366,7 +365,9 @@ def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[T
     s = r_O[p'] and r = sigma^e(r_O[p]) as a representative, with e the
     rotation for which S^e[keys[p]] == keys[p'].
     """
-    lead, keys = projective_keys(ctx, fam)
+    if ctx.m % 2 == 0:
+        raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
+    lead, keys = projective_keys(ctx, _orbit_images(ctx, fam))
     s, o, canon = orbit_tables(ctx)
     if keys is None:
         return ZERO_IMAGE, (representative(ctx, int(o[np.flatnonzero(lead == 0)[0]])),)

@@ -185,6 +185,20 @@ def test_qm_malformed_document_is_usage_error(capsys, tmp_path, document, field)
     assert field in err
 
 
+def test_qm_above_the_base_cap_is_refused_on_reading(capsys, tmp_path):
+    """Two m=16 documents over the rootless cubic u^3+u+1: a domain error,
+    exit 2 and no stdout, before any base field is scanned for roots."""
+    paths = []
+    for name, e in (("p", 1), ("q", 2)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"m": 16, "cubic": ["0x1", "0x1", "0x0", "0x1"],
+                                    "terms": [{"e": e, "c": ["0x1", "0x0", "0x0"]}]}))
+        paths.append(str(path))
+    code, out, err = run(capsys, "qm", "--p", paths[0], "--q", paths[1])
+    assert (code, out) == (2, "")
+    assert "capped at base m=5" in err
+
+
 def test_lift_of_non_cubic_values_is_internal_error(capsys, monkeypatch):
     original = lift.projective_images
 

@@ -175,29 +175,27 @@ def test_even_m_is_refused_before_any_table():
 
 def test_inverse_table_is_read_only(f128):
     tables = inv._inverse_table(f128, named_family("T2").coeffs)
-    lead, keys, source = tables
-    classes = (128 * 128 + 128) // 3 + 1
-    assert lead.size == keys.size == source.size == classes
+    lead, source = tables
+    n = 128 * 128 + 128 + 1
+    assert lead.size == source.size == n
     assert not any(t.flags.writeable for t in tables)
-    assert sorted(source.tolist()) == list(range(classes))
+    assert sorted(source.tolist()) == list(range(n))
 
 
-@pytest.mark.parametrize("corrupt", ["lead", "keys", "source"])
+@pytest.mark.parametrize("corrupt", ["lead", "source"])
 def test_corrupted_table_entry_is_caught(f128, monkeypatch, corrupt):
-    """A wrong lead, keys or source entry yields a point that fails the re-check."""
+    """A wrong lead or source entry yields a point that fails the re-check."""
     fam = named_family("T2")
-    lead, keys, source = (a.copy() for a in inv._inverse_table(f128, fam.coeffs))
+    lead, source = (a.copy() for a in inv._inverse_table(f128, fam.coeffs))
     point = (5, 9, 77)
     target = eval_F(f128, fam, point)
     j = pc.representative_index(f128, target)[1]
-    p = int(source[pc.orbit_tables(f128)[2][j]])
+    i = int(source[j])
     if corrupt == "lead":
-        lead[p] = f128.mul(lead[p], 2)
-    elif corrupt == "keys":
-        keys[p] = (keys[p] + 1) % (128 * 128 + 128 + 1)
+        lead[i] = f128.mul(lead[i], 2)
     else:
-        source[source == p] = (p + 1) % source.size
-    monkeypatch.setattr(inv, "_inverse_table", lambda ctx, coeffs: (lead, keys, source))
+        source[j] = (i + 1) % source.size
+    monkeypatch.setattr(inv, "_inverse_table", lambda ctx, coeffs: (lead, source))
     with pytest.raises(FormulaInconsistent):
         invert_table(f128, fam, target)
 

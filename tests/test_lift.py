@@ -11,6 +11,7 @@ from rotaperm.errors import DomainTooLarge, FormulaInconsistent, ReducibleModulu
 from rotaperm.family import eval_F, family_from_coeffs, named_family
 from rotaperm.field import FieldCtx, _factorize
 from rotaperm.lift import (
+    LIFT_MAX_BASE_M,
     ExtCtx,
     LiftedPoly,
     is_pp,
@@ -308,6 +309,18 @@ def test_json_round_trip(e8):
     back = lifted_from_json(data)
     assert back.ext == e8
     assert back.terms == poly.terms
+
+
+def test_json_base_degree_refused_before_the_extension(monkeypatch):
+    """A base degree above LIFT_MAX_BASE_M is refused on reading "m": the
+    root scan of ExtCtx never runs."""
+    def no_scan(base, cubic):
+        raise AssertionError("the base field must not be scanned")
+    monkeypatch.setattr(ExtCtx, "_has_root", staticmethod(no_scan))
+    data = {"m": LIFT_MAX_BASE_M + 1, "cubic": ["0x1", "0x1", "0x0", "0x1"],
+            "terms": [{"e": 1, "c": ["0x1", "0x0", "0x0"]}]}
+    with pytest.raises(DomainTooLarge, match="capped at base m"):
+        lifted_from_json(data)
 
 
 def test_json_duplicate_exponent_rejected(e8):

@@ -30,6 +30,38 @@ def test_only_field_reads_the_product_table():
     assert found == []
 
 
+_ORBIT_NAMES = {"orbit_tables", "rotation_steps", "canon"}
+
+
+def _identifiers(tree):
+    """Every name a module binds, reads or imports, and every attribute it reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from filter(None, (*node.name.split("."), node.asname))
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_only_permcheck_knows_the_orbit_format():
+    """The rotation orbits of the projective representatives (orbit_tables,
+    rotation_steps and the canon classes) are used by permcheck.py alone,
+    so a change of orbit group changes one module.  Identifiers are
+    matched, not substrings: a docstring may say "canonical"."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        names = set(_identifiers(ast.parse(path.read_text(), filename=str(path))))
+        if path.name != "permcheck.py" and names & _ORBIT_NAMES:
+            found.append(f"{path.relative_to(SRC)}: {sorted(names & _ORBIT_NAMES)}")
+    assert _ORBIT_NAMES <= set(_identifiers(ast.parse((SRC / "permcheck.py").read_text())))
+    assert found == []
+
+
 def _load_tracing():
     """perfbench/tracing.py as a module of its own, loaded by path."""
     path = SRC.parent.parent / "perfbench" / "tracing.py"

@@ -6,15 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from rotaperm.errors import DomainTooLarge, FormulaInconsistent, OddDegreeRequired
+from rotaperm.errors import DomainTooLarge, FormulaInconsistent, NotAPermutation, OddDegreeRequired
 from rotaperm.family import NAMED_COEFFS, all_families, eval_F, family_from_coeffs, named_family
 from rotaperm.field import FieldCtx
+from rotaperm.invert import _inverse_table
 from rotaperm.mpoly import evaluate, substitute, parse
 from rotaperm.permcheck import (
     _MONOMIAL_EXPONENTS,
     REPEATED_KEY,
     ZERO_IMAGE,
     _monomial_table,
+    _orbit_images,
     count_zeros_D,
     difference_check,
     family_images,
@@ -228,15 +230,39 @@ def test_repeat_between_members_of_one_orbit(f32, monkeypatch):
     permutation are edited."""
     import rotaperm.permcheck as pc
     fam = named_family("T3")
-    lead, keys = projective_keys(f32, fam)
+    lead, keys = projective_keys(f32, _orbit_images(f32, fam))
     s, o, _ = orbit_tables(f32)
     fixed = representative_index(f32, (1, 1, 1))[1]
     p, p2 = np.flatnonzero(keys != fixed)[:2].tolist()
     edited = keys.copy()
     edited[p2] = s[keys[p]]
-    monkeypatch.setattr(pc, "projective_keys", lambda ctx, fam: (lead, edited))
+    monkeypatch.setattr(pc, "projective_keys", lambda ctx, images: (lead, edited))
     assert projective_obstruction(f32, fam) == (
         REPEATED_KEY, (representative(f32, int(s[o[p]])), representative(f32, int(o[p2]))))
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_keys_at_every_representative_match_full_key_oracle(m):
+    """Every vector: projective_keys of F at all q^2+q+1 representatives
+    equals the orbit-free oracle, and the inverse table refuses exactly
+    the vectors whose oracle has a zero image or a repeated key."""
+    ctx = FieldCtx(m)
+    columns = _full_columns(ctx)
+    for fam in all_families():
+        expected_lead, expected_keys = _full_keys(ctx, columns, fam)
+        lead, keys = projective_keys(ctx, projective_images(ctx, fam))
+        assert lead.tolist() == expected_lead.tolist(), fam.bitstring()
+        if expected_keys is None:
+            assert keys is None, fam.bitstring()
+        else:
+            assert keys.tolist() == expected_keys.tolist(), fam.bitstring()
+        refused = expected_keys is None or (np.diff(np.sort(expected_keys)) == 0).any()
+        try:
+            _inverse_table(ctx, fam.coeffs)
+        except NotAPermutation:
+            assert refused, fam.bitstring()
+        else:
+            assert not refused, fam.bitstring()
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])
@@ -266,7 +292,7 @@ def test_projective_keys_match_scalar_images(m):
     for bits in ("00000011", "01001000", "00000001", "11111111"):
         fam = family_from_coeffs(bits)
         images = [eval_F(ctx, fam, r) for r in points]
-        lead, keys = projective_keys(ctx, fam)
+        lead, keys = projective_keys(ctx, _orbit_images(ctx, fam))
         assert lead.tolist() == [next((v for v in w if v), 0) for w in images], bits
         if (0, 0, 0) in images:
             assert keys is None, bits
