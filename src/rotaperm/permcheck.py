@@ -25,31 +25,36 @@ each scaled by the inverse of its leading nonzero coordinate, are pairwise
 distinct.  Every family is also rotatable, F(sigma v) = sigma F(v) with
 sigma(x,y,z) = (y,z,x), and for odd m sigma fixes only the representative
 (1,1,1): the others fall into (q^2+q)/3 orbits of three (orbit_tables).
-So F is imaged at the orbit minima alone, and the decision is made on
-the orbit classes of their keys (projective_obstruction).  F's images
-there are XORs of rows of one monomial table: the values of x^3 and of
-each a1..a8 monomial at every orbit minimum under the three rotated
-arguments, built once per field context on first use and shared by all
-256 families.
+With 0/1 coefficients F also commutes with the Frobenius
+phi(x,y,z) = (x^2,y^2,z^2), which permutes the representatives, so the
+group G = <sigma, phi> of order 3m permutes them too (frobenius_tables):
+about (q^2+q)/3m orbits, 13, 73, 789 and 9749 at m = 3, 5, 7 and 9.  F is
+imaged at the G-orbit minima alone, and the decision is made on the
+G-classes of their keys and the sizes of those classes
+(projective_obstruction).  F's images there are XORs of rows of one
+monomial table: the values of x^3 and of each a1..a8 monomial at every
+G-minimum under the three rotated arguments, built once per field
+context on first use and shared by all 256 families.
 
 Even m is answered without any image: 3 divides q-1, so z -> z^3 is
 3-to-1 on GF(2^m)^*, and F(0,0,z), a function of z^3 alone, repeats
 among the first q points, where the cube table names the first collision.
 
 One key function, projective_keys, scales any array of points to their
-representatives: the decision keys F at the orbit minima, orbit_tables
-keys the rotated representatives, and rotaperm.invert keys F at every
-representative.  Those images are the orbit-minimum images spread over
-each orbit by rotation and homogeneity (projective_images), which is
+representatives: the decision keys F at the G-minima, orbit_tables keys
+the rotated representatives, and rotaperm.invert keys F at every
+representative.  Those images are F at the rotation orbit minima spread
+over each orbit by rotation and homogeneity (projective_images), which is
 also all the lift reads; so the orbit format stays inside this module,
-and a table inversion needs O(q^2) memory and no q^3 image.
+and a table inversion needs O(q^2) memory and no q^3 image.  They stay on
+rotation orbits: spreading from the G-minima takes 3m passes, not 3.
 
 The full scan over all q^3 images remains only for the lexicographically
 first collision reported as the witness of an odd-m negative.  Its
 images are built in blocks of x-slabs from numpy gathers into three
-q x q pair tables plus the cube table.  The pair tables and the monomial table both come from
-family.COEFF_EXPONENTS through one broadcasting _monomial, and every
-array product here is FieldCtx.vmul.
+q x q pair tables plus the cube table.  The pair tables and the monomial
+tables all come from family.COEFF_EXPONENTS through one broadcasting
+_monomial, and every array product here is FieldCtx.vmul.
 
 Caps: is_permutation and count_zeros_D refuse m > 9 (the 2^27 image table
 and the q x q product table, gathered from the field's exp/log pair, are
@@ -61,6 +66,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,14 +177,24 @@ def full_scan(ctx: FieldCtx, fam: FamilySpec) -> PermReport:
     return PermReport(fam.bitstring(), ctx.m, False, at + 1, witness)
 
 
+def representatives(ctx: FieldCtx, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, y, z of the representatives at the indices idx, computed from the
+    indices in idx's dtype: the array form of representative."""
+    qq = ctx.q * ctx.q
+    x, y, z = np.ones_like(idx), idx >> ctx.m, idx & ctx.mask
+    # Only the q+1 representatives off the chart x = 1 are patched by position.
+    off = np.flatnonzero(idx >= qq)
+    tail = idx[off] - qq  # z of (0,1,z), or q for (0,0,1)
+    line = tail < ctx.q
+    x[off] = 0
+    y[off] = line
+    z[off] = np.where(line, tail, 1)
+    return x, y, z
+
+
 def projective_representatives(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x, y, z of (1,y,z) in (y,z) order, then (0,1,z), then (0,0,1)."""
-    q = ctx.q
-    yz = np.arange(q * q)
-    x = np.repeat([1, 0], [q * q, q + 1])
-    y = np.concatenate([yz >> ctx.m, np.ones(q, dtype=yz.dtype), [0]])
-    z = np.concatenate([yz & ctx.mask, np.arange(q), [1]])
-    return x, y, z
+    return representatives(ctx, np.arange(ctx.q * ctx.q + ctx.q + 1))
 
 
 def _leading(u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,47 +229,106 @@ def orbit_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ctx._table("orbit_tables", build)
 
 
-def rotation_steps(s: np.ndarray, k: int, j: int) -> int:
-    """The e in 0..2 with S^e[k] = j, for two representatives of one orbit."""
-    start = k
-    for e in range(3):
-        if k == j:
-            return e
-        k = int(s[k])
-    raise FormulaInconsistent(f"representatives {start} and {j} are not in one rotation orbit")
+class FrobeniusTables(NamedTuple):
+    """The group G = <sigma, phi> on the representatives, with the decision's
+    monomial table at its orbit minima (frobenius_tables)."""
+
+    phi: np.ndarray        # phi[i]: index of phi(r_i), uint32
+    minima: np.ndarray     # the G-orbit minima, increasing, uint32
+    classes: np.ndarray    # classes[c]: position in minima of the G-orbit of rotation class c
+    sizes: np.ndarray      # sizes[g]: rotation classes in G-class g, uint32
+    monomials: np.ndarray  # (9, 3, |minima|) uint16, as _monomials_at
+
+
+def frobenius_tables(ctx: FieldCtx) -> FrobeniusTables:
+    """G = <sigma, phi> on the representatives, phi(x,y,z) = (x^2,y^2,z^2).
+
+    phi fixes the leading 1 of every representative, so it permutes them:
+    (1,y,z) goes to index sq[y]*q + sq[z].  It commutes with sigma, so it
+    permutes the rotation classes, class c going to canon[phi[O[c]]];
+    the G-class of c is the least class on that Frobenius orbit, found
+    by m-1 gathers, and its size is the number of rotation classes in it,
+    the orbit's length (a divisor of m).  O increases, so the least class
+    holds the G-orbit minimum.  Built on first use and cached on ctx as
+    one entry.
+    """
+    def build():
+        q, m = ctx.q, ctx.m
+        qq = q * q
+        _, o, canon = orbit_tables(ctx)
+        sq = ctx.sqr_table.astype(np.uint32)
+        phi = np.empty(qq + q + 1, dtype=np.uint32)
+        phi[:qq] = ((sq[:, None] << m) | sq[None, :]).reshape(-1)
+        phi[qq:qq + q] = qq + sq
+        phi[qq + q] = qq + q
+        step = canon[phi[o]]
+        least = np.arange(o.size, dtype=np.uint32)
+        moved = least
+        for _ in range(m - 1):
+            moved = step[moved]
+            np.minimum(least, moved, out=least)
+        heads = np.flatnonzero(least == np.arange(o.size))
+        rank = np.empty(o.size, dtype=np.uint32)
+        rank[heads] = np.arange(heads.size, dtype=np.uint32)
+        classes = rank[least]
+        sizes = np.bincount(classes, minlength=heads.size).astype(np.uint32)
+        minima = o[heads].astype(np.uint32)
+        return FrobeniusTables(phi, minima, classes, sizes, _monomials_at(ctx, minima))
+
+    return ctx._table("frobenius_tables", build)
+
+
+def group_move(ctx: FieldCtx, k: int, j: int, r: int, avoid: int) -> int:
+    """g(r) for the first g = S^e Phi^d, in d = 0..m-1 and then e = 0..2,
+    with g(k) = j and g(r) != avoid, all four being representative indices."""
+    s, phi = orbit_tables(ctx)[0], frobenius_tables(ctx).phi
+    start = k, r
+    for _ in range(ctx.m):
+        kk, rr = k, r
+        for _ in range(3):
+            if kk == j and rr != avoid:
+                return rr
+            kk, rr = int(s[kk]), int(s[rr])
+        k, r = int(phi[k]), int(phi[r])
+    raise FormulaInconsistent(
+        f"no element of <sigma, phi> takes representative {start[0]} to {j}"
+        f" and moves {start[1]} off {avoid}")
 
 
 # x^3, then the monomial under each coefficient bit a1..a8.
 _MONOMIAL_EXPONENTS = ((3, 0, 0),) + COEFF_EXPONENTS
 
 
-def _monomial_table(ctx: FieldCtx) -> np.ndarray:
-    """Monomial j of _MONOMIAL_EXPONENTS at every orbit minimum r_O[p], as
-    row j of a (9, 3, |O|) uint16 array.
+def _monomials_at(ctx: FieldCtx, idx: np.ndarray) -> np.ndarray:
+    """Monomial j of _MONOMIAL_EXPONENTS at the representatives idx, as row
+    j of a (9, 3, |idx|) uint16 array.
 
     Row [j, i] holds its values at the arguments rotated i times, (x,y,z),
     (y,z,x) and (z,x,y), so F(r) is the XOR of rows 0 (x^3) and of the
-    family's set bits.  Built on first use and cached on ctx; two threads
-    racing on a cold entry build equal arrays.
+    family's set bits (_images).
     """
-    def build():
-        o = orbit_tables(ctx)[1]
-        r = [a[o] for a in projective_representatives(ctx)]
-        return np.array([[_monomial(ctx, exponents, *r[e:], *r[:e]) for e in range(3)]
-                         for exponents in _MONOMIAL_EXPONENTS], dtype=np.uint16)
+    r = representatives(ctx, idx)
+    return np.array([[_monomial(ctx, exponents, *r[e:], *r[:e]) for e in range(3)]
+                     for exponents in _MONOMIAL_EXPONENTS], dtype=np.uint16)
 
-    return ctx._table("orbit_monomials", build)
+
+def _monomial_table(ctx: FieldCtx) -> np.ndarray:
+    """_monomials_at the rotation orbit minima O, which projective_images
+    spreads from.  Built on first use and cached on ctx; two threads
+    racing on a cold entry build equal arrays."""
+    return ctx._table("orbit_monomials", lambda: _monomials_at(ctx, orbit_tables(ctx)[1]))
 
 
 def decision_tables(ctx: FieldCtx) -> None:
     """Build every table an odd-m decision at ctx reads, its subfields' too.
 
-    These are the orbit tables and the monomial table (and the field
-    tables under them).  A caller that shares ctx between threads builds
-    them first, so that no two threads build one table twice.
+    These are the orbit tables and the Frobenius tables with their
+    monomial table (and the field tables under them).  A caller that
+    shares ctx between threads builds them first, so that no two threads
+    build one table twice.
     """
     for c in (*_subfield_ctxs(ctx.m), ctx):
-        _monomial_table(c)
+        frobenius_tables(c)
 
 
 def representative(ctx: FieldCtx, i: int) -> Triple:
@@ -286,28 +361,32 @@ ZERO_IMAGE = "zero image"
 REPEATED_KEY = "repeated key"
 
 
-def _orbit_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
-    """F at every orbit minimum r_O[p], as a (3, |O|) uint16 array: the XOR
-    of the monomial table's rows for x^3 and the family's set bits, taken
-    in place on one copy of the x^3 row."""
-    table = _monomial_table(ctx)
+def _images(table: np.ndarray, fam: FamilySpec) -> np.ndarray:
+    """F at the columns of a monomial table, as a (3, k) uint16 array: the
+    XOR of its rows for x^3 and the family's set bits, taken in place on
+    one copy of the x^3 row."""
     images = table[0].copy()
     for j in np.flatnonzero(fam.coeffs):
         images ^= table[j + 1]
     return images
 
 
+def _orbit_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
+    """F at every rotation orbit minimum r_O[p], as a (3, |O|) uint16 array."""
+    return _images(_monomial_table(ctx), fam)
+
+
 def projective_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
     """F at every representative, as a (3, q^2+q+1) uint16 array; column i is F(r_i).
 
-    F is imaged at the orbit minima alone (_orbit_images) and spread over
-    each orbit by rotation and homogeneity: sigma^e(r_i) = c * r_S^e[i],
-    with c the leading coordinate of sigma^e(r_i), so
-    F(r_S^e[i]) = c^-3 * sigma^e(F(r_i)).
+    F is imaged at the rotation orbit minima alone (_orbit_images) and
+    spread over each orbit by rotation and homogeneity:
+    sigma^e(r_i) = c * r_S^e[i], with c the leading coordinate of
+    sigma^e(r_i), so F(r_S^e[i]) = c^-3 * sigma^e(F(r_i)).
     """
     s, o, _ = orbit_tables(ctx)
     u = _orbit_images(ctx, fam)
-    r = [a[o] for a in projective_representatives(ctx)]
+    r = representatives(ctx, o)
     out = np.empty((3, s.size), dtype=u.dtype)
     members = o
     for e in range(3):
@@ -343,41 +422,53 @@ def projective_keys(ctx: FieldCtx, images) -> tuple[np.ndarray, np.ndarray | Non
 def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[Triple, ...]] | None:
     """Why F fails to permute GF(2^m)^3 (odd m), or None when it permutes.
 
-    lead and keys are projective_keys of F at the orbit minima r_O[p] (see
-    orbit_tables).  F(sigma v) = sigma F(v) gives the rest of the
-    representatives: the key of r_S^e[O[p]] is S^e[keys[p]], and F has a
-    zero on an orbit only together with its minimum.
+    lead and keys are projective_keys of F at the G-orbit minima r_M[p]
+    (M and G = <sigma, phi> as in frobenius_tables).  F(sigma v) =
+    sigma F(v), and F has 0/1 coefficients, so F(phi v) = phi F(v) as
+    well: the key of g(r_M[p]) is g(keys[p]) for every g in G, and F has
+    a zero on a G-orbit only together with its minimum.
 
-    F permutes exactly when no lead is zero and canon[keys] has no repeat.
     By 3-homogeneity F permutes GF(2^m)^3 exactly when it is nonzero on
     the representatives and permutes the projective points, r -> key(r).
-    That map commutes with S, so it sends the orbit of r_O[p] onto the
-    orbit of keys[p].  Without a repeat among the |O| classes, orbits go
-    to orbits one to one.  The fixed point (1,1,1) goes to a fixed point,
-    so its image takes the class of (1,1,1), and a 3-orbit sent to that
-    class would repeat it; a 3-orbit sent to a 3-orbit is sent one to one,
-    S^e[O[p]] -> S^e[keys[p]].  A repeat, conversely, is two
-    representatives with proportional images.
+    That map commutes with G, so it sends the G-orbit of r_M[p] onto the
+    G-orbit of keys[p], and whatever fixes r_M[p] or its rotation class
+    fixes keys[p] or its class: the image's size (its count of rotation
+    classes) divides the source's.  So a permutation keeps every size,
+    and F permutes exactly when no lead is zero, every size is kept and
+    the G-classes of canon[keys] have no repeat.  Without a repeat,
+    orbits go to orbits one to one; their sizes in representatives sum
+    to q^2+q+1 on both sides and none grows, so none shrinks, and each
+    orbit goes onto its image one to one.  That also makes a size
+    mismatch imply a repeat, so the sizes are compared first, where they
+    can decide alone.
 
     The obstruction is (ZERO_IMAGE, (r,)) for the first representative
-    with F(r) = 0, which is the first zero on O; or (REPEATED_KEY, (r, s))
-    from the first collision (p, p') of the scan over canon[keys]:
-    s = r_O[p'] and r = sigma^e(r_O[p]) as a representative, with e the
-    rotation for which S^e[keys[p]] == keys[p'].
+    with F(r) = 0, which is the first zero on M; or (REPEATED_KEY, (r, s)),
+    two representatives with proportional images, from group_move.  For
+    the first p whose size is not kept, r = r_M[p] and s = g(r) for the
+    first g that fixes keys[p] and moves r, a rotation of Phi^d(r) with
+    d the image's size.  Otherwise, for the first collision (p, p') of
+    the scan over the classes, s = r_M[p'] and r = g(r_M[p]) for the
+    first g with g(keys[p]) = keys[p'].
     """
     if ctx.m % 2 == 0:
         raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
-    lead, keys = projective_keys(ctx, _orbit_images(ctx, fam))
-    s, o, canon = orbit_tables(ctx)
+    t = frobenius_tables(ctx)
+    lead, keys = projective_keys(ctx, _images(t.monomials, fam))
     if keys is None:
-        return ZERO_IMAGE, (representative(ctx, int(o[np.flatnonzero(lead == 0)[0]])),)
-    ok, at, first = _kernels.scan_bijection(canon[keys])
+        return ZERO_IMAGE, (representative(ctx, int(t.minima[np.flatnonzero(lead == 0)[0]])),)
+    classes = t.classes[orbit_tables(ctx)[2][keys]]
+    shrunk = np.flatnonzero(t.sizes[classes] != t.sizes)
+    if shrunk.size:
+        p = int(shrunk[0])
+        r, k = int(t.minima[p]), int(keys[p])
+        return REPEATED_KEY, (representative(ctx, r), representative(ctx, group_move(ctx, k, k, r, r)))
+    ok, at, first = _kernels.scan_bijection(classes)
     if ok:
         return None
-    r = int(o[first])
-    for _ in range(rotation_steps(s, int(keys[first]), int(keys[at]))):
-        r = int(s[r])
-    return REPEATED_KEY, (representative(ctx, r), representative(ctx, int(o[at])))
+    s = int(t.minima[at])
+    r = group_move(ctx, int(keys[first]), int(keys[at]), int(t.minima[first]), s)
+    return REPEATED_KEY, (representative(ctx, r), representative(ctx, s))
 
 
 # Truth tables of x, y and z over GF(2)^3, point (x, y, z) at bit 4x + 2y + z.

@@ -5,12 +5,12 @@ run through the bijectivity decision without a witness (see
 rotaperm.permcheck).  It decides each vector on the proper subfields
 first: 184 of the 256 fail on GF(2)^3 from their coefficient bits
 alone, and at m=9 those outside P(3) fail on GF(8)^3.  Only the rest
-are imaged at m, on the (q^2+q)/3 + 1 rotation orbits of the q^2+q+1
-representatives, never the full cube.  A degree requested twice is
-decided once and still printed as requested.  The report records the
-per-degree permutation sets (as bitstrings, sorted), their
-intersection, and whether the five named families showed up everywhere
-they must.
+are imaged at m, once per orbit of the q^2+q+1 representatives under
+rotation and Frobenius (9749 orbits at m=9), never the full cube.  A
+degree requested twice is decided once and still printed as requested.
+The report records the per-degree permutation sets (as bitstrings,
+sorted), their intersection, and whether the five named families
+showed up everywhere they must.
 
 The tables every decision at a degree reads (permcheck.decision_tables)
 are built before the pool starts.  The families are then split over a

@@ -30,7 +30,7 @@ def test_only_field_reads_the_product_table():
     assert found == []
 
 
-_ORBIT_NAMES = {"orbit_tables", "rotation_steps", "canon"}
+_ORBIT_NAMES = {"orbit_tables", "canon", "frobenius_tables", "FrobeniusTables", "group_move"}
 
 
 def _identifiers(tree):
@@ -49,10 +49,12 @@ def _identifiers(tree):
 
 
 def test_only_permcheck_knows_the_orbit_format():
-    """The rotation orbits of the projective representatives (orbit_tables,
-    rotation_steps and the canon classes) are used by permcheck.py alone,
-    so a change of orbit group changes one module.  Identifiers are
-    matched, not substrings: a docstring may say "canonical"."""
+    """The orbits of the projective representatives under the rotation
+    (orbit_tables and the canon classes) and under <sigma, phi>
+    (frobenius_tables, its FrobeniusTables and the group_move search) are
+    used by permcheck.py alone, so a change of orbit group changes one
+    module.  Identifiers are matched, not substrings: a docstring may say
+    "canonical"."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         names = set(_identifiers(ast.parse(path.read_text(), filename=str(path))))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rotaperm._kernels import scan_bijection
 from rotaperm.errors import DomainTooLarge, FormulaInconsistent, NotAPermutation, OddDegreeRequired
 from rotaperm.family import NAMED_COEFFS, all_families, eval_F, family_from_coeffs, named_family
 from rotaperm.field import FieldCtx
@@ -15,11 +16,13 @@ from rotaperm.permcheck import (
     _MONOMIAL_EXPONENTS,
     REPEATED_KEY,
     ZERO_IMAGE,
+    _images,
     _monomial_table,
     _orbit_images,
     count_zeros_D,
     difference_check,
     family_images,
+    frobenius_tables,
     full_scan,
     is_permutation,
     orbit_tables,
@@ -30,6 +33,7 @@ from rotaperm.permcheck import (
     projective_representatives,
     representative,
     representative_index,
+    representatives,
 )
 from rotaperm.resolvent import D_POLY
 
@@ -157,6 +161,32 @@ def test_projective_representatives_cover_each_line_once(f8):
     assert len(covered) == q ** 3 - 1
 
 
+def _gathered_representatives(ctx):
+    """The oracle: every representative's coordinates, laid out chart by chart."""
+    q = ctx.q
+    yz = np.arange(q * q)
+    x = np.repeat([1, 0], [q * q, q + 1])
+    y = np.concatenate([yz >> ctx.m, np.ones(q, dtype=yz.dtype), [0]])
+    z = np.concatenate([yz & ctx.mask, np.arange(q), [1]])
+    return x, y, z
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_representatives_from_indices_match_gathered_arrays(m):
+    """Coordinates built from an index array equal those gathered from the
+    full arrays, for every representative, the rotation minima and the
+    G-minima, in the index array's dtype."""
+    ctx = FieldCtx(m)
+    full = _gathered_representatives(ctx)
+    o = orbit_tables(ctx)[1]
+    for idx in (np.arange(full[0].size), o, o.astype(np.uint32), frobenius_tables(ctx).minima):
+        got = representatives(ctx, idx)
+        for axis, want in zip(got, full):
+            assert axis.dtype == idx.dtype
+            assert axis.tolist() == want[idx].tolist()
+    assert all(a.tolist() == b.tolist() for a, b in zip(projective_representatives(ctx), full))
+
+
 def test_representative_indexing(f8):
     reps = list(zip(*(a.tolist() for a in projective_representatives(f8))))
     assert [representative(f8, i) for i in range(len(reps))] == reps
@@ -223,22 +253,152 @@ def test_orbit_decision_matches_full_key_oracle(m):
             assert obstruction is None, fam.bitstring()
 
 
+def _rotation_decision(ctx, fam):
+    """The oracle: the decision on rotation orbits alone, imaging F at every
+    orbit minimum r_O[p] and scanning the rotation classes of the keys."""
+    lead, keys = projective_keys(ctx, _orbit_images(ctx, fam))
+    s, o, canon = orbit_tables(ctx)
+    if keys is None:
+        return ZERO_IMAGE, (representative(ctx, int(o[np.flatnonzero(lead == 0)[0]])),)
+    ok, at, first = scan_bijection(canon[keys])
+    if ok:
+        return None
+    r, k = int(o[first]), int(keys[first])
+    while k != keys[at]:
+        r, k = int(s[r]), int(s[k])
+    return REPEATED_KEY, (representative(ctx, r), representative(ctx, int(o[at])))
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_frobenius_decision_matches_rotation_oracle(m):
+    """Every vector: the decision on <sigma, phi>-orbits against the one on
+    rotation orbits, which images about m times as many points.  They
+    agree on the outcome and the reason, and a zero image names the same
+    point; a repeated key may name another pair."""
+    ctx = FieldCtx(m)
+    for fam in all_families():
+        want, got = _rotation_decision(ctx, fam), projective_obstruction(ctx, fam)
+        if want is None or want[0] == ZERO_IMAGE:
+            assert got == want, fam.bitstring()
+        else:
+            assert got[0] == REPEATED_KEY, fam.bitstring()
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_frobenius_orbits_match_burnside(m):
+    """The G-orbits of the representatives, G = <sigma, phi> of order 3m:
+    their number is Burnside's count (1/3m) sum_g |fix g|, phi is the
+    Frobenius on the indices, the classes are constant on G-orbits and
+    each minimum is the least index of its orbit."""
+    ctx = FieldCtx(m)
+    s, o, canon = orbit_tables(ctx)
+    t = frobenius_tables(ctx)
+    n = s.size
+    idx = np.arange(n)
+    for i in range(0, n, 11):
+        x, y, z = representative(ctx, i)
+        assert representative_index(ctx, (ctx.sqr(x), ctx.sqr(y), ctx.sqr(z))) == (1, t.phi[i])
+    fixed, least, g_phi = 0, idx.copy(), idx
+    for _ in range(m):
+        g = g_phi
+        for _ in range(3):
+            fixed += int(np.count_nonzero(g == idx))
+            least = np.minimum(least, g)
+            g = s[g]
+        g_phi = t.phi[g_phi]
+    assert np.array_equal(g_phi, idx)
+    assert fixed % (3 * m) == 0 and t.minima.size == fixed // (3 * m)
+    assert t.minima.tolist() == np.unique(least).tolist()
+    g_class = t.classes[canon]
+    assert np.array_equal(g_class, g_class[s]) and np.array_equal(g_class, g_class[t.phi])
+    assert np.array_equal(t.minima[g_class], least)
+    assert t.sizes.tolist() == np.bincount(t.classes).tolist()
+    assert t.minima.size == {3: 13, 5: 73, 7: 789, 9: 9749}[m]
+
+
+def _edited_obstruction(ctx, bits, edit, monkeypatch):
+    """projective_obstruction of the family with keys edit(keys) at the G-minima."""
+    import rotaperm.permcheck as pc
+    fam = family_from_coeffs(bits)
+    lead, keys = projective_keys(ctx, _images(frobenius_tables(ctx).monomials, fam))
+    edited = edit(keys)
+    monkeypatch.setattr(pc, "projective_keys", lambda ctx, images: (lead, edited))
+    return projective_obstruction(ctx, fam), fam
+
+
+def test_size_mismatch_pair(f32, monkeypatch):
+    """A G-minimum whose image class is smaller: its key is kept and every
+    other minimum is keyed to itself, so only the size decides.  The pair
+    is r and a rotation of Phi^d(r), d the image's size, with
+    proportional images."""
+    t = frobenius_tables(f32)
+    _, _, canon = orbit_tables(f32)
+    where = {}
+
+    def edit(keys):
+        classes = t.classes[canon[keys]]
+        p = int(np.flatnonzero(t.sizes[classes] != t.sizes)[0])
+        where.update(p=p, sizes=(int(t.sizes[p]), int(t.sizes[classes[p]])))
+        edited = t.minima.copy()
+        edited[p] = keys[p]
+        return edited
+
+    obstruction, fam = _edited_obstruction(f32, "00000110", edit, monkeypatch)
+    assert where == {"p": 60, "sizes": (5, 1)}
+    assert obstruction == (REPEATED_KEY, ((1, 6, 17), (1, 20, 12)))
+    r, s = obstruction[1]
+    assert representative(f32, int(t.minima[60])) == r
+    assert s == tuple(f32.sqr(v) for v in r)
+    assert _proportional(f32, eval_F(f32, fam, r), eval_F(f32, fam, s))
+
+
+def test_class_repeat_pair(f32, monkeypatch):
+    """Two G-minima keyed to different representatives of one G-orbit: both
+    keys are kept, every other minimum is keyed to itself except the one
+    whose class they take, which takes the first one's.  The pair is
+    g(r_p) and r_p' for the g in G with g(keys[p]) = keys[p'], with
+    proportional images."""
+    t = frobenius_tables(f32)
+    _, _, canon = orbit_tables(f32)
+    where = {}
+
+    def edit(keys):
+        classes = t.classes[canon[keys]]
+        p, p2 = next((p, p2) for p in range(keys.size) for p2 in range(p + 1, keys.size)
+                     if classes[p] == classes[p2] and keys[p] != keys[p2])
+        c = int(classes[p])
+        where.update(p=p, p2=p2, c=c)
+        edited = t.minima.copy()
+        edited[[p, p2]] = keys[[p, p2]]
+        edited[c] = t.minima[p]
+        return edited
+
+    obstruction, fam = _edited_obstruction(f32, "00000101", edit, monkeypatch)
+    assert where == {"p": 2, "p2": 68, "c": 20}
+    assert obstruction == (REPEATED_KEY, ((0, 1, 9), (1, 7, 20)))
+    r, s = obstruction[1]
+    assert representative(f32, int(t.minima[68])) == s
+    assert _proportional(f32, eval_F(f32, fam, r), eval_F(f32, fam, s))
+
+
 def test_repeat_between_members_of_one_orbit(f32, monkeypatch):
-    """Two orbit minima keyed to different members of one orbit: the keys
-    differ, their classes repeat.  The 256 families never need the classes
-    for this (a zero or an equal key always shows too), so the keys of a
-    permutation are edited."""
+    """Two G-minima keyed to different members of one rotation orbit: the
+    keys differ, their classes repeat.  The keys of a permutation are
+    edited, at the first two minima whose key is not (1,1,1) and whose
+    sizes agree, so that the sizes stay kept."""
     import rotaperm.permcheck as pc
     fam = named_family("T3")
-    lead, keys = projective_keys(f32, _orbit_images(f32, fam))
-    s, o, _ = orbit_tables(f32)
+    t = frobenius_tables(f32)
+    lead, keys = projective_keys(f32, _images(t.monomials, fam))
+    s = orbit_tables(f32)[0]
     fixed = representative_index(f32, (1, 1, 1))[1]
     p, p2 = np.flatnonzero(keys != fixed)[:2].tolist()
+    assert (p, p2) == (0, 1) and t.sizes[p] == t.sizes[p2]
     edited = keys.copy()
     edited[p2] = s[keys[p]]
     monkeypatch.setattr(pc, "projective_keys", lambda ctx, images: (lead, edited))
     assert projective_obstruction(f32, fam) == (
-        REPEATED_KEY, (representative(f32, int(s[o[p]])), representative(f32, int(o[p2]))))
+        REPEATED_KEY, (representative(f32, int(s[t.minima[p]])), representative(f32, int(t.minima[p2]))))
 
 
 @pytest.mark.parametrize("m", [3, 5])
@@ -351,27 +511,33 @@ def test_m7_permutation_set_has_29_members(f128):
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_monomial_columns_match_scalar_products(m):
+    """The monomial tables at the rotation minima and at the G-minima."""
     ctx = FieldCtx(m)
-    points = [representative(ctx, i) for i in orbit_tables(ctx)[1].tolist()]
-    table = _monomial_table(ctx)
-    assert table.shape == (len(_MONOMIAL_EXPONENTS), 3, len(points)) and table.dtype == np.uint16
-    for (ex, ey, ez), col in zip(_MONOMIAL_EXPONENTS, table):
-        for i, (x, y, z) in enumerate(points):
-            for row, (a, b, c) in enumerate([(x, y, z), (y, z, x), (z, x, y)]):
-                expected = ctx.mul(ctx.mul(ctx.pow(a, ex), ctx.pow(b, ey)), ctx.pow(c, ez))
-                assert col[row, i] == expected
+    frobenius = frobenius_tables(ctx)
+    for minima, table in ((orbit_tables(ctx)[1], _monomial_table(ctx)),
+                          (frobenius.minima, frobenius.monomials)):
+        points = [representative(ctx, i) for i in minima.tolist()]
+        assert table.shape == (len(_MONOMIAL_EXPONENTS), 3, len(points)) and table.dtype == np.uint16
+        for (ex, ey, ez), col in zip(_MONOMIAL_EXPONENTS, table):
+            for i, (x, y, z) in enumerate(points):
+                for row, (a, b, c) in enumerate([(x, y, z), (y, z, x), (z, x, y)]):
+                    expected = ctx.mul(ctx.mul(ctx.pow(a, ex), ctx.pow(b, ey)), ctx.pow(c, ez))
+                    assert col[row, i] == expected
 
 
 def test_decision_caches_two_tables_per_field():
-    """All 256 decisions at m=5 add the orbit tables and the monomial table
-    to the field tables, nothing more."""
+    """All 256 decisions at m=5 add the orbit tables and the Frobenius
+    tables (with the monomial table at the G-minima) to the field tables,
+    nothing more; the rotation monomial table waits for projective_images."""
     ctx = FieldCtx(5)
     for table in (ctx.mul_table, ctx.sqr_table, ctx.cube_table, ctx.inv_table):
         assert table.size
     field_keys = set(ctx._np_cache)
     for fam in all_families():
         is_permutation(ctx, fam, witness=False)
-    assert set(ctx._np_cache) - field_keys == {"orbit_tables", "orbit_monomials"}
+    assert set(ctx._np_cache) - field_keys == {"orbit_tables", "frobenius_tables"}
+    projective_images(ctx, named_family("T3"))
+    assert set(ctx._np_cache) - field_keys == {"orbit_tables", "frobenius_tables", "orbit_monomials"}
 
 
 def test_column_cache_follows_the_modulus():
