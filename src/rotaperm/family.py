@@ -89,10 +89,12 @@ def named_family(name: str) -> FamilySpec:
     return family_from_coeffs(coeffs, name=name)
 
 
-def all_families():
-    """All 256 coefficient vectors, in bitstring order."""
-    for v in range(256):
-        yield family_from_coeffs(tuple((v >> (7 - i)) & 1 for i in range(8)))
+@lru_cache(maxsize=1)
+def all_families() -> tuple[FamilySpec, ...]:
+    """All 256 coefficient vectors, in bitstring order: one tuple, built
+    on the first call, so that a verb which never lists them skips it."""
+    return tuple(family_from_coeffs(tuple((v >> (7 - i)) & 1 for i in range(8)))
+                 for v in range(256))
 
 
 def _eval_f(ctx: FieldCtx, coeffs: tuple[int, ...], x: int, y: int, z: int) -> int:

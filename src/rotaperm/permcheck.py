@@ -4,14 +4,18 @@ Points pack into ints as (x << 2m) | (y << m) | z, so the domain is
 enumerated in lexicographic (x, y, z) order and image membership is a
 flat table lookup.
 
-For odd m the decision starts on the proper subfields.  Every family
-has 0/1 coefficients, so F maps GF(2^k)^3 into itself for every k | m,
-and a permutation of GF(2^m)^3 permutes GF(2^k)^3 (the subfield lemma:
-P(m) is inside P(k)).  GF(2) is decided in pure Python from the
-coefficient bits (permutes_gf2, which 72 of the 256 vectors pass), then
-each GF(2^k) with 1 < k < m by the witness-free decision there
-(fails_on_subfield).  Only a vector that permutes every proper subfield
-is imaged at m.  A witness-free negative still reports the q^2+q+1
+For odd m all 256 coefficient vectors are decided at once, in one
+blocked array pass per field, into a read-only (256,) bool array
+(permutation_mask) that is_permutation reads.  The pass starts on the
+proper subfields.  Every family has 0/1 coefficients, so F maps
+GF(2^k)^3 into itself for every k | m, and a permutation of GF(2^m)^3
+permutes GF(2^k)^3 (the subfield lemma: P(m) is inside P(k)).  GF(2) is
+decided in pure Python from the coefficient bits (permutes_gf2, which 72
+of the 256 vectors pass, once per process), then each GF(2^k) with
+1 < k < m contributes its own mask.  Of the vectors that permute every
+proper subfield, one of each y <-> z pair is imaged at m: tau(x,y,z) =
+(x,z,y) conjugates F into the map of f(x,z,y), so both or neither
+permute.  A witness-free negative still reports the q^2+q+1
 representatives as its points, whichever test decided it: by the lemma
 the projective decision at m fails as well, so the report is a function
 of the vector and m alone, and stays the one a decision without the
@@ -30,11 +34,12 @@ phi(x,y,z) = (x^2,y^2,z^2), which permutes the representatives, so the
 group G = <sigma, phi> of order 3m permutes them too (frobenius_tables):
 about (q^2+q)/3m orbits, 13, 73, 789 and 9749 at m = 3, 5, 7 and 9.  F is
 imaged at the G-orbit minima alone, and the decision is made on the
-G-classes of their keys and the sizes of those classes
-(projective_obstruction).  F's images there are XORs of rows of one
-monomial table: the values of x^3 and of each a1..a8 monomial at every
-G-minimum under the three rotated arguments, built once per field
-context on first use and shared by all 256 families.
+G-classes of their keys and the sizes of those classes (_decide_rows,
+a block of vectors at a time; projective_obstruction names the reason
+for one vector).  F's images there are XORs of rows of one monomial
+table: the values of x^3 and of each a1..a8 monomial at every G-minimum
+under the three rotated arguments, built once per field context on
+first use and shared by all 256 families.
 
 Even m is answered without any image: 3 divides q-1, so z -> z^3 is
 3-to-1 on GF(2^m)^*, and F(0,0,z), a function of z^3 alone, repeats
@@ -72,14 +77,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainTooLarge, FormulaInconsistent, OddDegreeRequired
-from .family import COEFF_EXPONENTS, FamilySpec
+from .family import COEFF_EXPONENTS, FamilySpec, all_families
 from .field import MAX_DEGREE, FieldCtx, Triple
 from .mpoly import VARS
 from .resolvent import D_POLY
 
 IS_PERMUTATION_MAX_M = 9
 DIFFERENCE_CHECK_MAX_M = 3
-IMAGE_BLOCK = 1 << 14  # points family_images builds per step; keeps each temporary small
+IMAGE_BLOCK = 1 << 14  # points family_images and _decide_rows image per step; keeps each temporary small
 
 
 @dataclass(frozen=True)
@@ -319,18 +324,6 @@ def _monomial_table(ctx: FieldCtx) -> np.ndarray:
     return ctx._table("orbit_monomials", lambda: _monomials_at(ctx, orbit_tables(ctx)[1]))
 
 
-def decision_tables(ctx: FieldCtx) -> None:
-    """Build every table an odd-m decision at ctx reads, its subfields' too.
-
-    These are the orbit tables and the Frobenius tables with their
-    monomial table (and the field tables under them).  A caller that
-    shares ctx between threads builds them first, so that no two threads
-    build one table twice.
-    """
-    for c in (*_subfield_ctxs(ctx.m), ctx):
-        frobenius_tables(c)
-
-
 def representative(ctx: FieldCtx, i: int) -> Triple:
     """Entry i of projective_representatives, without building the arrays."""
     qq = ctx.q * ctx.q
@@ -419,14 +412,27 @@ def projective_keys(ctx: FieldCtx, images) -> tuple[np.ndarray, np.ndarray | Non
     return lead, keys
 
 
-def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[Triple, ...]] | None:
-    """Why F fails to permute GF(2^m)^3 (odd m), or None when it permutes.
+# a1..a8 of every coefficient vector, row v for v read as an 8-bit integer
+# with a1 as the high bit, which is family.all_families() order.
+_VECTOR_BITS = ((np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1).astype(np.uint16)
 
-    lead and keys are projective_keys of F at the G-orbit minima r_M[p]
-    (M and G = <sigma, phi> as in frobenius_tables).  F(sigma v) =
-    sigma F(v), and F has 0/1 coefficients, so F(phi v) = phi F(v) as
-    well: the key of g(r_M[p]) is g(keys[p]) for every g in G, and F has
-    a zero on a G-orbit only together with its minimum.
+
+def _vector(fam: FamilySpec) -> int:
+    """fam's row of _VECTOR_BITS and of a permutation mask."""
+    return int(fam.bitstring(), 2)
+
+
+def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
+    """Whether F permutes GF(2^m)^3 (odd m), for the vectors at the rows
+    of _VECTOR_BITS, as a bool array.
+
+    A block of max(1, IMAGE_BLOCK // |M|) rows is imaged at a time, at the
+    G-orbit minima r_M[p] (M and G = <sigma, phi> as in frobenius_tables),
+    as one (rows, 3, |M|) XOR of monomial rows; projective_keys then keys
+    every row with no zero image at once.  F(sigma v) = sigma F(v), and F
+    has 0/1 coefficients, so F(phi v) = phi F(v) as well: the key of
+    g(r_M[p]) is g(keys[p]) for every g in G, and F has a zero on a
+    G-orbit only together with its minimum.
 
     By 3-homogeneity F permutes GF(2^m)^3 exactly when it is nonzero on
     the representatives and permutes the projective points, r -> key(r).
@@ -440,19 +446,45 @@ def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[T
     to q^2+q+1 on both sides and none grows, so none shrinks, and each
     orbit goes onto its image one to one.  That also makes a size
     mismatch imply a repeat, so the sizes are compared first, where they
-    can decide alone.
+    can decide alone, and only a row that keeps them is scanned.
+    """
+    t = frobenius_tables(ctx)
+    canon = orbit_tables(ctx)[2]
+    n = t.minima.size
+    verdicts = np.zeros(rows.size, dtype=bool)
+    step = max(1, IMAGE_BLOCK // n)
+    for s in range(0, rows.size, step):
+        bits = _VECTOR_BITS[rows[s:s + step], :, None, None]
+        images = np.repeat(t.monomials[:1], bits.shape[0], axis=0)
+        for j in range(8):
+            images ^= bits[:, j] * t.monomials[j + 1]
+        live = np.flatnonzero((images != 0).any(axis=1).all(axis=1))
+        _, keys = projective_keys(ctx, images[live].transpose(1, 0, 2).reshape(3, -1))
+        classes = t.classes[canon[keys]].reshape(live.size, n)
+        kept = (t.sizes[classes] == t.sizes).all(axis=1)
+        for i, c in zip(live[kept], classes[kept]):
+            verdicts[s + i] = _kernels.scan_bijection(c)[0]
+    return verdicts
 
-    The obstruction is (ZERO_IMAGE, (r,)) for the first representative
-    with F(r) = 0, which is the first zero on M; or (REPEATED_KEY, (r, s)),
-    two representatives with proportional images, from group_move.  For
-    the first p whose size is not kept, r = r_M[p] and s = g(r) for the
-    first g that fixes keys[p] and moves r, a rotation of Phi^d(r) with
-    d the image's size.  Otherwise, for the first collision (p, p') of
-    the scan over the classes, s = r_M[p'] and r = g(r_M[p]) for the
-    first g with g(keys[p]) = keys[p'].
+
+def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[Triple, ...]] | None:
+    """Why F fails to permute GF(2^m)^3 (odd m), or None when it permutes.
+
+    The verdict is _decide_rows on fam's row alone.  A negative is then
+    named from lead and keys, projective_keys of F at the G-orbit minima
+    r_M[p]: (ZERO_IMAGE, (r,)) for the first representative with
+    F(r) = 0, which is the first zero on M; or (REPEATED_KEY, (r, s)), two
+    representatives with proportional images, from group_move.  For the
+    first p whose size is not kept, r = r_M[p] and s = g(r) for the first
+    g that fixes keys[p] and moves r, a rotation of Phi^d(r) with d the
+    image's size.  Otherwise, for the first collision (p, p') of the scan
+    over the classes, s = r_M[p'] and r = g(r_M[p]) for the first g with
+    g(keys[p]) = keys[p'].
     """
     if ctx.m % 2 == 0:
         raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
+    if _decide_rows(ctx, np.array([_vector(fam)]))[0]:
+        return None
     t = frobenius_tables(ctx)
     lead, keys = projective_keys(ctx, _images(t.monomials, fam))
     if keys is None:
@@ -465,7 +497,9 @@ def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[T
         return REPEATED_KEY, (representative(ctx, r), representative(ctx, group_move(ctx, k, k, r, r)))
     ok, at, first = _kernels.scan_bijection(classes)
     if ok:
-        return None
+        raise FormulaInconsistent(
+            f"family {fam.bitstring()} at m={ctx.m}: the block decision fails a map"
+            " with no obstruction")
     s = int(t.minima[at])
     r = group_move(ctx, int(keys[first]), int(keys[at]), int(t.minima[first]), s)
     return REPEATED_KEY, (representative(ctx, r), representative(ctx, s))
@@ -516,41 +550,78 @@ def _subfield_ctxs(m: int) -> tuple[FieldCtx, ...]:
     return tuple(FieldCtx(k) for k in range(2, m) if m % k == 0)
 
 
-def fails_on_subfield(ctx: FieldCtx, fam: FamilySpec) -> bool:
-    """True when F fails to permute GF(2^k)^3 for some proper divisor k of m.
+# Row v's partner under y <-> z: tau(x, y, z) = (x, z, y) conjugates the map
+# of f(x, y, z) into that of f(x, z, y), whose bit j is the bit of f at the
+# monomial with y and z swapped (a1<->a2, a3<->a5, a4<->a6, a7<->a8).
+_Y_Z_SWAP = [COEFF_EXPONENTS.index((ex, ez, ey)) for ex, ey, ez in COEFF_EXPONENTS]
+_Y_Z_PARTNER = _VECTOR_BITS[:, _Y_Z_SWAP] @ (1 << np.arange(7, -1, -1))
 
-    F has 0/1 coefficients, so it maps GF(2^k)^3 into itself for every
-    k | m; a permutation of GF(2^m)^3 is injective there, so it permutes
-    GF(2^k)^3 too.  GF(2) is decided from the coefficient bits
-    (permutes_gf2), each larger proper subfield by the witness-free
-    decision there.
+
+@lru_cache(maxsize=1)
+def _gf2_mask() -> np.ndarray:
+    """permutes_gf2 of every vector, a read-only (256,) bool array in row
+    order; built once per process."""
+    mask = np.array([permutes_gf2(fam) for fam in all_families()])
+    mask.flags.writeable = False
+    return mask
+
+
+def permutation_mask(ctx: FieldCtx) -> np.ndarray:
+    """Whether F permutes GF(2^m)^3 (odd m), for every coefficient vector.
+
+    A read-only (256,) bool array indexed by a1..a8 read as an 8-bit
+    integer, a1 the high bit, which is family.all_families() order.  It
+    starts from the GF(2) mask and keeps a vector only if it permutes
+    every proper subfield (the subfield lemma: each GF(2^k) with k | m
+    ANDs in its own mask).  Of the rest, one vector per y <-> z pair is
+    decided by _decide_rows and its verdict copied to its partner:
+    tau F tau with tau(x, y, z) = (x, z, y) is the partner's map, and a
+    permutation exactly when F is one.  That is 38 of the 72 GF(2)
+    permutations at prime m, and 20 of P(3)'s 36 at m=9.  Built on first
+    use and cached on ctx as one entry, with every table under it (the
+    orbit and Frobenius tables, the subfields' masks); a caller that
+    shares ctx between threads builds it first, so that no two threads
+    build one table twice and every later decision is a lookup.
     """
-    if not permutes_gf2(fam):
-        return True
-    return any(not is_permutation(sub, fam, witness=False).is_permutation
-               for sub in _subfield_ctxs(ctx.m))
+    if ctx.m % 2 == 0:
+        raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
+
+    def build():
+        mask = _gf2_mask().copy()
+        for sub in _subfield_ctxs(ctx.m):
+            mask &= permutation_mask(sub)
+        rows = np.flatnonzero(mask & (np.arange(256) <= _Y_Z_PARTNER))
+        verdicts = _decide_rows(ctx, rows)
+        mask[:] = False
+        mask[rows] = verdicts
+        mask[_Y_Z_PARTNER[rows]] = verdicts
+        mask.flags.writeable = False
+        return mask
+
+    return ctx._table("permutation_mask", build)
 
 
 def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> PermReport:
     """Decide whether F permutes GF(2^m)^3.
 
-    Odd m is decided first on the proper subfields (fails_on_subfield:
-    GF(2) from the coefficient bits, then GF(2^k) for each proper divisor
-    k > 1 of m), and only then on the projective representatives.  A positive report
-    counts all 2^3m points; a negative with `witness` re-runs the full
-    scan for the lexicographically first collision, and one without
-    reports the q^2+q+1 representatives, whichever test decided it: a
-    failure on a subfield is also a failure of the projective decision,
-    so the report does not depend on which test ran first.  Even m gets
-    the full scan's report, with or without `witness`, from the cube
-    table: F(0,0,z) = (a2*z^3, a1*z^3, z^3) first repeats where z^3 does.
+    Odd m is answered from permutation_mask(ctx), built once per field
+    (GF(2) from the coefficient bits, then each proper subfield, then the
+    projective decision at m for one vector of each y <-> z pair).  A
+    positive report counts all 2^3m points; a negative with `witness`
+    re-runs the full scan for the lexicographically first collision, and
+    one without reports the q^2+q+1 representatives, whichever test
+    decided it: a failure on a subfield is also a failure of the
+    projective decision, so the report does not depend on which test ran
+    first.  Even m gets the full scan's report, with or without
+    `witness`, from the cube table: F(0,0,z) = (a2*z^3, a1*z^3, z^3) first
+    repeats where z^3 does.
     """
     if ctx.m > IS_PERMUTATION_MAX_M:
         raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the image table")
     if ctx.m % 2 == 0:
         _, at, first = _kernels.scan_bijection(ctx.cube_table)
         return PermReport(fam.bitstring(), ctx.m, False, at + 1, ((0, 0, first), (0, 0, at)))
-    if not fails_on_subfield(ctx, fam) and projective_obstruction(ctx, fam) is None:
+    if permutation_mask(ctx)[_vector(fam)]:
         return PermReport(fam.bitstring(), ctx.m, True, 1 << (3 * ctx.m))
     if not witness:
         return PermReport(fam.bitstring(), ctx.m, False, ctx.q * ctx.q + ctx.q + 1)

@@ -2,22 +2,24 @@
 
 For each requested odd degree every family of the eight-bit shape is
 run through the bijectivity decision without a witness (see
-rotaperm.permcheck).  It decides each vector on the proper subfields
-first: 184 of the 256 fail on GF(2)^3 from their coefficient bits
-alone, and at m=9 those outside P(3) fail on GF(8)^3.  Only the rest
-are imaged at m, once per orbit of the q^2+q+1 representatives under
-rotation and Frobenius (9749 orbits at m=9), never the full cube.  A
-degree requested twice is decided once and still printed as requested.
-The report records the per-degree permutation sets (as bitstrings,
-sorted), their intersection, and whether the five named families
-showed up everywhere they must.
+rotaperm.permcheck).  All 256 vectors of a degree are decided in one
+blocked pass into the field's permutation mask: 184 of the 256 fail on
+GF(2)^3 from their coefficient bits alone, and at m=9 those outside
+P(3) fail on GF(8)^3.  Of the rest one vector of each y <-> z pair is
+imaged at m (38 at m = 3, 5 and 7, 20 at m=9), once per orbit of the
+q^2+q+1 representatives under rotation and Frobenius (9749 orbits at
+m=9), never the full cube.  A degree requested twice is decided once
+and still printed as requested.  The report records the per-degree
+permutation sets (as bitstrings, sorted), their intersection, and
+whether the five named families showed up everywhere they must.
 
-The tables every decision at a degree reads (permcheck.decision_tables)
-are built before the pool starts.  The families are then split over a
-thread pool, one task per worker: worker i decides the strided slice
-families[i::w].  ROTAPERM_THREADS caps the width w (0 or unset means
-one worker per CPU), and w never exceeds the 256 families.  Results
-merge in bitstring order, so repeated runs are bit-identical.
+The mask and every table under it (permcheck.permutation_mask) are
+built on the main thread before the pool starts.  The families are then
+split over a thread pool, one task per worker: worker i looks up the
+strided slice families[i::w] in the mask.  ROTAPERM_THREADS caps the
+width w (0 or unset means one worker per CPU), and w never exceeds the
+256 families.  Results merge in bitstring order, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from .errors import DomainTooLarge, EvenDegree, UnsupportedDegree
 from .family import NAMED_COEFFS, all_families
 from .field import FieldCtx
-from .permcheck import IS_PERMUTATION_MAX_M, decision_tables, is_permutation
+from .permcheck import IS_PERMUTATION_MAX_M, is_permutation, permutation_mask
 
 ALL_ZERO = "00000000"
 
@@ -85,14 +87,15 @@ def search_all(degrees) -> SearchReport:
     for m in degrees:
         _check_degree(m)
     named = set(named_bitstrings())
-    families = list(all_families())
+    families = all_families()
     width = min(worker_count(), len(families))
     results: dict[int, tuple[str, ...]] = {}
     with ThreadPoolExecutor(max_workers=width) as pool:
         # A repeated degree is decided once.
         for m in dict.fromkeys(degrees):
             ctx = FieldCtx(m)
-            decision_tables(ctx)
+            # Built here, on this thread: FieldCtx's table cache has no lock.
+            permutation_mask(ctx)
             def job(chunk):
                 return [fam.bitstring() for fam in chunk
                         if is_permutation(ctx, fam, witness=False).is_permutation]

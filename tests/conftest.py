@@ -20,14 +20,18 @@ def f128():
 
 @pytest.fixture
 def projective_degrees(monkeypatch):
-    """The degree of every projective decision made while the test runs."""
+    """The degree of every vector the block decision (permcheck._decide_rows)
+    decides while the test runs, one entry per row.  The shared subfield
+    contexts are dropped first, so that their permutation masks are built
+    again inside the test and counted."""
     import rotaperm.permcheck as pc
     degrees = []
-    original = pc.projective_obstruction
+    original = pc._decide_rows
 
-    def counted(ctx, fam):
-        degrees.append(ctx.m)
-        return original(ctx, fam)
+    def counted(ctx, rows):
+        degrees.extend([ctx.m] * len(rows))
+        return original(ctx, rows)
 
-    monkeypatch.setattr(pc, "projective_obstruction", counted)
+    pc._subfield_ctxs.cache_clear()
+    monkeypatch.setattr(pc, "_decide_rows", counted)
     return degrees

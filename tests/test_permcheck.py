@@ -16,6 +16,8 @@ from rotaperm.permcheck import (
     _MONOMIAL_EXPONENTS,
     REPEATED_KEY,
     ZERO_IMAGE,
+    _Y_Z_PARTNER,
+    _decide_rows,
     _images,
     _monomial_table,
     _orbit_images,
@@ -26,6 +28,7 @@ from rotaperm.permcheck import (
     full_scan,
     is_permutation,
     orbit_tables,
+    permutation_mask,
     permutes_gf2,
     projective_images,
     projective_keys,
@@ -526,18 +529,20 @@ def test_monomial_columns_match_scalar_products(m):
 
 
 def test_decision_caches_two_tables_per_field():
-    """All 256 decisions at m=5 add the orbit tables and the Frobenius
-    tables (with the monomial table at the G-minima) to the field tables,
-    nothing more; the rotation monomial table waits for projective_images."""
+    """All 256 decisions at m=5 add the orbit tables, the Frobenius tables
+    (with the monomial table at the G-minima) and the permutation mask
+    they decide to the field tables, nothing more; the rotation monomial
+    table waits for projective_images."""
     ctx = FieldCtx(5)
     for table in (ctx.mul_table, ctx.sqr_table, ctx.cube_table, ctx.inv_table):
         assert table.size
     field_keys = set(ctx._np_cache)
+    decided = {"orbit_tables", "frobenius_tables", "permutation_mask"}
     for fam in all_families():
         is_permutation(ctx, fam, witness=False)
-    assert set(ctx._np_cache) - field_keys == {"orbit_tables", "frobenius_tables"}
+    assert set(ctx._np_cache) - field_keys == decided
     projective_images(ctx, named_family("T3"))
-    assert set(ctx._np_cache) - field_keys == {"orbit_tables", "frobenius_tables", "orbit_monomials"}
+    assert set(ctx._np_cache) - field_keys == decided | {"orbit_monomials"}
 
 
 def test_column_cache_follows_the_modulus():
@@ -669,11 +674,65 @@ def test_subfield_test_keeps_the_projective_decision(unfiltered_sets, m):
 
 def test_m9_is_decided_on_gf8_first(projective_degrees):
     """A vector outside P(3) fails at m=9 before the m=9 representatives
-    are imaged: only the 36 vectors of P(3) reach that decision."""
+    are imaged: only the 36 vectors of P(3) reach that decision, and one
+    of each y <-> z pair is decided, 20 at m=9 (38 of GF(2)'s 72 at m=3)."""
     ctx = FieldCtx(9)
     hits = sum(is_permutation(ctx, f, witness=False).is_permutation for f in all_families())
     assert hits == 23
-    assert (projective_degrees.count(3), projective_degrees.count(9)) == (72, 36)
+    assert (projective_degrees.count(3), projective_degrees.count(9)) == (38, 20)
+
+
+# -- the permutation mask: every vector of a field in one blocked pass --------------
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_mask_matches_per_family_oracle(m):
+    """Row v of the mask is the vector of all_families()[v], decided by the
+    per-family chain the mask replaces: GF(2) from the coefficient bits,
+    then projective_obstruction on each proper subfield and at m."""
+    ctx = FieldCtx(m)
+    chain = [FieldCtx(k) for k in range(2, m) if m % k == 0] + [ctx]
+    mask = permutation_mask(ctx)
+    assert mask.shape == (256,) and mask.dtype == bool
+    for v, fam in enumerate(all_families()):
+        assert int(fam.bitstring(), 2) == v
+        want = permutes_gf2(fam) and all(projective_obstruction(c, fam) is None for c in chain)
+        assert mask[v] == want, fam.bitstring()
+    assert int(mask.sum()) == {3: 36, 5: 29, 7: 29, 9: 23}[m]
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_y_z_pruned_mask_matches_unpruned_block_decision(m):
+    """The mask decides one vector of each y <-> z pair after the subfield
+    step; the block decision on all 256 vectors, with neither, agrees."""
+    ctx = FieldCtx(m)
+    assert np.array_equal(permutation_mask(ctx), _decide_rows(ctx, np.arange(256)))
+
+
+def test_y_z_partner_swaps_the_coefficients():
+    """a1<->a2, a3<->a5, a4<->a6 and a7<->a8, an involution."""
+    for v, fam in enumerate(all_families()):
+        a1, a2, a3, a4, a5, a6, a7, a8 = fam.bitstring()
+        assert format(int(_Y_Z_PARTNER[v]), "08b") == a2 + a1 + a5 + a6 + a3 + a4 + a8 + a7
+    assert np.array_equal(_Y_Z_PARTNER[_Y_Z_PARTNER], np.arange(256))
+
+
+@pytest.mark.parametrize("m", [5, 7])
+@pytest.mark.parametrize("block", [1, 1 << 22])
+def test_mask_independent_of_block(m, block, monkeypatch):
+    """One row a block, and every row in one block, give the same mask."""
+    import rotaperm.permcheck as pc
+    want = permutation_mask(FieldCtx(m))
+    monkeypatch.setattr(pc, "IMAGE_BLOCK", block)
+    assert np.array_equal(permutation_mask(FieldCtx(m)), want)
+
+
+def test_mask_is_read_only(f32):
+    mask = permutation_mask(f32)
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
+    with pytest.raises(OddDegreeRequired):
+        permutation_mask(FieldCtx(4))
 
 
 # -- D(Y, Z) zero count ----------------------------------------------------------

@@ -1,10 +1,13 @@
 """Coefficient-space classification: contents, determinism, candidate diff."""
 
+import threading
+
 import pytest
 
-from rotaperm import search
+from rotaperm import permcheck, search
 from rotaperm.errors import DomainTooLarge, EvenDegree, UnsupportedDegree
 from rotaperm.family import COEFF_EXPONENTS, NAMED_COEFFS
+from rotaperm.field import FieldCtx
 from rotaperm.search import ALL_ZERO, SearchReport, search_all, search_diff
 
 NAMED_BITS = {"".join(str(b) for b in v) for v in NAMED_COEFFS.values()}
@@ -41,7 +44,7 @@ def test_domain_caps(monkeypatch):
         raise AssertionError("a degree was decided before every degree was checked")
 
     monkeypatch.setattr(search, "is_permutation", no_work)
-    monkeypatch.setattr(search, "decision_tables", no_work)
+    monkeypatch.setattr(search, "permutation_mask", no_work)
     with pytest.raises(DomainTooLarge):
         search_all([11])
     with pytest.raises(DomainTooLarge):
@@ -84,17 +87,49 @@ def test_pool_is_no_wider_than_the_families(monkeypatch, report_m3):
 
 
 def test_only_gf2_permutations_reach_the_projective_decision(projective_degrees, report_m3):
-    """184 of the 256 vectors fail on GF(2)^3 and are never imaged at m=3."""
+    """184 of the 256 vectors fail on GF(2)^3 and are never imaged at m=3;
+    of the other 72, one of each y <-> z pair is imaged, 38 in all."""
     assert search_all([3]).results == report_m3.results
-    assert projective_degrees == [3] * 72
+    assert projective_degrees == [3] * 38
 
 
 def test_repeated_degree_is_decided_once(projective_degrees, report_m3):
     report = search_all([3, 3])
-    assert projective_degrees == [3] * 72
+    assert projective_degrees == [3] * 38
     assert report.to_json()["m"] == [3, 3]
     assert report.results == report_m3.results
     assert report.intersection == report_m3.results[3]
+
+
+def test_every_table_is_built_before_the_pool(monkeypatch):
+    """FieldCtx._table is not locked, so search_all builds every table on
+    the main thread before the pool starts; the pool threads only look
+    the permutation mask up.  The shared subfield contexts are dropped
+    first, so that m=9 builds GF(8)'s tables inside the test."""
+    main = threading.get_ident()
+    builds, deciders = [], set()
+    original_table, original_decide = FieldCtx._table, search.is_permutation
+
+    def recorded_table(self, key, build):
+        def recorded_build():
+            builds.append((threading.get_ident(), self.m, key))
+            return build()
+        return original_table(self, key, recorded_build)
+
+    def recorded_decide(ctx, fam, **kwargs):
+        deciders.add(threading.get_ident())
+        return original_decide(ctx, fam, **kwargs)
+
+    permcheck._subfield_ctxs.cache_clear()
+    monkeypatch.setenv("ROTAPERM_THREADS", "2")
+    monkeypatch.setattr(FieldCtx, "_table", recorded_table)
+    monkeypatch.setattr(search, "is_permutation", recorded_decide)
+    search_all([3, 5, 7])
+    search_all([9])
+    assert {(m, key) for _, m, key in builds} >= {
+        (m, "permutation_mask") for m in (3, 5, 7, 9)}
+    assert {thread for thread, _, _ in builds} == {main}
+    assert deciders and main not in deciders
 
 
 def _swap_y_z(bits):
