@@ -339,10 +339,8 @@ def lift_permutation(ext: ExtCtx, fam: FamilySpec) -> LiftedPoly:
     is l*r for exactly one representative r.  Base degree is capped at
     m = 5.
     """
-    ext._ensure_tables()
+    rep_log = _representative_logs(ext)
     m = ext.m
-    x, y, z = projective_representatives(ext.base)
-    rep_log = ext._log[x | (y << m) | (z << (2 * m))]
     f1, f2, f3 = projective_images(ext.base, fam).astype(np.int64)
     values = f1 | (f2 << m) | (f3 << (2 * m))
     ks = _do_exponents(ext)
@@ -354,13 +352,44 @@ def lift_permutation(ext: ExtCtx, fam: FamilySpec) -> LiftedPoly:
     return poly
 
 
+def _representative_logs(ext: ExtCtx) -> np.ndarray:
+    """Discrete logs of the q^2+q+1 coset representatives of
+    GF(2^3m)*/GF(2^m)*, in projective_representatives order."""
+    ext._ensure_tables()
+    m = ext.m
+    x, y, z = projective_representatives(ext.base)
+    return ext._log[x | (y << m) | (z << (2 * m))]
+
+
+def _is_projective(ext: ExtCtx, p: LiftedPoly) -> bool:
+    """Whether p(l*t) = l^3 p(t) for l in GF(2^m)* with l -> l^3 bijective:
+    odd base m, and every exponent e has 0 < e < 2^3m - 1 and e = 3 (mod q-1)."""
+    q1 = ext.base.q - 1
+    return ext.m % 2 == 1 and all(0 < e < ext.group and (e - 3) % q1 == 0 for e, _ in p.terms)
+
+
 def is_pp(ext: ExtCtx, p: LiftedPoly) -> bool:
-    """Exhaustive bijectivity check of the polynomial map; ext must be p.ext."""
+    """Whether the polynomial map permutes GF(2^3m); ext must be p.ext.
+
+    When p is 3-homogeneous over an odd base (_is_projective; every lift
+    is), p maps the coset r*GF(q)* onto p(r)*GF(q)*, since l -> l^3
+    permutes GF(q)*, and p(0) = 0.  So p permutes exactly when p(r) != 0
+    at each of the q^2+q+1 representatives r and the cosets p(r)*GF(q)*,
+    keyed by log p(r) mod q^2+q+1, are pairwise distinct.  Any other
+    polynomial is evaluated at every point.
+    """
     if ext != p.ext:
         raise ValueError(f"is_pp over {ext!r} of a polynomial over {p.ext!r}")
-    values = p.values()
-    seen = np.zeros(ext.size, dtype=bool)
-    seen[values] = True
+    if _is_projective(ext, p):
+        values = p._values_at_logs(_representative_logs(ext))
+        if not values.all():
+            return False
+        keys = ext._log[values] % values.size
+    else:
+        keys = p.values()
+    # As many keys as possible values: distinct exactly when every value is hit.
+    seen = np.zeros(keys.size, dtype=bool)
+    seen[keys] = True
     return bool(seen.all())
 
 

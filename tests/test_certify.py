@@ -36,6 +36,21 @@ def test_full_suite_passes():
     ]
 
 
+def test_run_all_builds_one_field_per_degree(monkeypatch):
+    """charsum_support and A_zero_classification share one FieldCtx per degree."""
+    built = []
+
+    def counted(m):
+        built.append(m)
+        return FieldCtx(m)
+    monkeypatch.setattr("rotaperm.certify.FieldCtx", counted)
+    assert [r.name for r in run_all()][-4:] == [
+        "charsum_support_m3", "charsum_support_m5",
+        "A_zero_classification_m3", "A_zero_classification_m5",
+    ]
+    assert built == [3, 5]
+
+
 def test_only_filter():
     assert [r.name for r in run_all(only="charsum")] == [
         "charsum_support_m3", "charsum_support_m5",
@@ -182,21 +197,82 @@ def test_resolvent_coeffs_arrays_match_scalars(m):
         assert np.array_equal(got, column)
 
 
-def _flip_A_at(point):
-    """resolvent_coeffs with A = 0 and A != 0 swapped at one point."""
+def _A_zero_classification_full(ctx, coeffs) -> CertReport:
+    """Oracle: A = 0 against the three lines at every one of the q^3 points."""
+    a, b, c = np.indices((ctx.q,) * 3).reshape(3, -1)
+    A = coeffs(ctx, a, b, c)[0]
+    classified = ((b == 0) & (a == c)) | ((a == 0) & (b == c)) | ((a == b) & (b == c))
+    bad = int(np.count_nonzero((A == 0) != classified))
+    notes = f"{bad} misclassified points" if bad else f"all {ctx.q ** 3} points classified"
+    return CertReport(f"A_zero_classification_m{ctx.m}", "pass" if bad == 0 else "fail", None, notes)
+
+
+def _flip_A_on_line(ctx, point):
+    """resolvent_coeffs with A = 0 and A != 0 swapped on the whole line
+    {l*point : l != 0} (just the origin when point is 0): still homogeneous."""
+    line = {tuple(ctx.mul(lam, u) for u in point) for lam in range(1, ctx.q)}
+    packed = np.array(sorted((a << (2 * ctx.m)) | (b << ctx.m) | c for a, b, c in line))
+
     def mutant(ctx, a, b, c):
         A, B, C, D = rs.resolvent_coeffs(ctx, a, b, c)
-        hit = (a == point[0]) & (b == point[1]) & (c == point[2])
+        hit = np.isin((a.astype(np.int64) << (2 * ctx.m)) | (b.astype(np.int64) << ctx.m) | c, packed)
         return np.where(hit, A == 0, A), B, C, D
     return mutant
 
 
 @pytest.mark.parametrize("point", [(0, 0, 0), (1, 2, 3), (5, 0, 5)])
 def test_A_zero_classification_counts_a_single_flip(monkeypatch, point):
-    monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", _flip_A_at(point))
-    report = cert_A_zero_classification(FieldCtx(3))
+    """A flipped on the single line through the point: its q-1 points, or the origin alone."""
+    ctx = FieldCtx(3)
+    monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", _flip_A_on_line(ctx, point))
+    report = cert_A_zero_classification(ctx)
     assert not report.passed
-    assert report.notes == "1 misclassified points"
+    assert report.notes == ("1 misclassified points" if point == (0, 0, 0) else "7 misclassified points")
+
+
+def _lines(m):
+    """The origin, the three classified lines, and seeded other lines."""
+    rng = random.Random(41 + m)
+    q = 1 << m
+    return [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (0, 0, 1)] + [
+        (rng.randrange(q), rng.randrange(q), rng.randrange(1, q)) for _ in range(6)]
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_A_zero_classification_matches_full_cube_oracle(monkeypatch, m):
+    """The projective certificate gives the full q^3 pass's status and notes,
+    on the true blocks and with A flipped on any one line."""
+    ctx = FieldCtx(m)
+    assert cert_A_zero_classification(ctx) == _A_zero_classification_full(ctx, rs.resolvent_coeffs)
+    for point in _lines(m):
+        mutant = _flip_A_on_line(ctx, point)
+        monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", mutant)
+        report = cert_A_zero_classification(ctx)
+        assert not report.passed
+        assert report == _A_zero_classification_full(ctx, mutant), point
+
+
+def _assert_blocks_homogeneous(ctx, lam, a, b, c):
+    """A, B, C, D at l*v are l^6, l^7, l^8, l^9 times their values at v."""
+    scaled = rs.resolvent_coeffs(ctx, ctx.vmul(lam, a), ctx.vmul(lam, b), ctx.vmul(lam, c))
+    for degree, block, at_scaled in zip((6, 7, 8, 9), rs.resolvent_coeffs(ctx, a, b, c), scaled):
+        assert np.array_equal(at_scaled, ctx.vmul(ctx.vpow(lam, degree), block)), degree
+
+
+def test_resolvent_blocks_are_homogeneous_m3():
+    """Every point and every l at m=3: the A-zero certificate's reduction rests on this."""
+    ctx = FieldCtx(3)
+    a, b, c = np.indices((ctx.q,) * 3).reshape(3, -1)
+    for lam in range(1, ctx.q):
+        _assert_blocks_homogeneous(ctx, np.full(a.shape, lam), a, b, c)
+
+
+def test_resolvent_blocks_are_homogeneous_m5():
+    """Every point at m=5, each with its own seeded l."""
+    ctx = FieldCtx(5)
+    a, b, c = np.indices((ctx.q,) * 3).reshape(3, -1)
+    lam = np.random.default_rng(5).integers(1, ctx.q, size=a.shape)
+    _assert_blocks_homogeneous(ctx, lam, a, b, c)
 
 
 @pytest.mark.parametrize("m", [7, 4, 2])
@@ -204,6 +280,7 @@ def test_A_zero_classification_refuses_before_building_the_grid(monkeypatch, m):
     def no_grid(*_):
         raise AssertionError("grid built")
     monkeypatch.setattr("rotaperm.certify._cube_grid", no_grid)
+    monkeypatch.setattr("rotaperm.certify.projective_representatives", no_grid)
     monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", no_grid)
     report = cert_A_zero_classification(FieldCtx(m))
     assert not report.passed

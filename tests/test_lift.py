@@ -21,7 +21,7 @@ from rotaperm.lift import (
     qm_transform,
     support,
 )
-from rotaperm.permcheck import family_images
+from rotaperm.permcheck import family_images, is_permutation
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +347,106 @@ def test_is_pp_refuses_another_field(e8):
     assert is_pp(poly.ext, poly)
     with pytest.raises(ValueError, match="is_pp over"):
         is_pp(e8, poly)
+
+
+def _is_pp_full(p):
+    """Oracle: p permutes exactly when its values at all 2^3m points are distinct."""
+    return np.unique(p.values()).size == p.ext.size
+
+
+def _lifts(m, vectors=range(256)):
+    ext = ExtCtx(FieldCtx(m))
+    for v in vectors:
+        yield v, lift_permutation(ext, family_from_coeffs(f"{v:08b}"))
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_is_pp_projective_path_matches_full_evaluation_on_all_lifts(m):
+    """Every lift takes the projective path, and its verdict is the full
+    evaluation's and the bijectivity decision's of the family."""
+    ctx = FieldCtx(m)
+    verdicts = []
+    for v, poly in _lifts(m):
+        assert lift._is_projective(poly.ext, poly)
+        verdict = is_pp(poly.ext, poly)
+        decided = is_permutation(ctx, family_from_coeffs(f"{v:08b}")).is_permutation
+        assert verdict == _is_pp_full(poly) == decided, v
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+def _no_representatives(*_):
+    raise AssertionError("projective path taken")
+
+
+def test_is_pp_off_the_projective_path_evaluates_everywhere(e8, monkeypatch):
+    """Polynomials that are not 3-homogeneous over an odd base keep the full
+    evaluation: monomials whose exponent is not 3 mod q-1, a constant term,
+    X^(2^3m-1), and an extension of GF(4), where l -> l^3 is not bijective."""
+    t1 = lift_permutation(e8, named_family("T1")).coeff_map()
+    e2 = ExtCtx(FieldCtx(1))  # q-1 = 1: only the range 0 < e < 7 keeps these off
+    e2_t1 = lift_permutation(e2, named_family("T1")).coeff_map()
+    e4 = ExtCtx(FieldCtx(2))
+    cases = [
+        (LiftedPoly.make(e8, {1: 1}), True),
+        (LiftedPoly.make(e8, {2: 1}), True),
+        (LiftedPoly.make(e8, {7: 1}), False),
+        (LiftedPoly.make(e8, {**t1, 0: 5}), True),
+        (LiftedPoly.make(e8, {**t1, e8.group: 1}), False),
+        (LiftedPoly.make(e2, {**e2_t1, 0: 1}), True),
+        (LiftedPoly.make(e2, {**e2_t1, e2.group: 1}), False),
+        (lift_permutation(e4, named_family("T1")), False),
+        (LiftedPoly.make(e4, {1: 1}), True),
+        (LiftedPoly.make(e4, {3: 1}), False),
+    ]
+    monkeypatch.setattr(lift, "_representative_logs", _no_representatives)
+    for poly, want in cases:
+        assert not lift._is_projective(poly.ext, poly), poly.terms
+        assert is_pp(poly.ext, poly) is _is_pp_full(poly) is want, poly.terms
+
+
+def test_is_pp_zero_at_one_representative(e8):
+    """T1's lift with its value at one representative r0 set to 0: the other
+    cosets stay distinct, but r0's whole coset and 0 share the image 0.
+    r0 is the representative whose coset key was the last one, q^2+q."""
+    rep_log = lift._representative_logs(e8)
+    reps = e8._exp[rep_log].tolist()
+    values = lift_permutation(e8, named_family("T1"))._values_at_logs(rep_log).tolist()
+    n = len(reps)
+    r0 = [int(e8._log[v]) % n for v in values].index(n - 1)
+    values[r0] = 0
+    # sum_t f(t) t^-k over the cosets: sum_r f(r) r^-k for k = 3 (mod q-1), else 0.
+    coeffs = {}
+    for k in range(3, e8.group, e8.base.q - 1):
+        acc = 0
+        for r, v in zip(reps, values):
+            acc ^= e8.mul(v, e8.pow(r, e8.group - k))
+        coeffs[k] = acc
+    poly = LiftedPoly.make(e8, coeffs)
+    assert poly._values_at_logs(rep_log).tolist() == values
+    assert lift._is_projective(e8, poly)
+    assert is_pp(e8, poly) is _is_pp_full(poly) is False
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_is_pp_perturbed_coefficient_same_verdict_on_both_paths(m):
+    """One coefficient of a lift changed keeps the polynomial on the projective
+    path; its verdict equals the full evaluation's."""
+    rng = random.Random(19 + m)
+    picks = range(256) if m == 3 else sorted(rng.sample(range(256), 24))
+    verdicts = []
+    for v, poly in _lifts(m, picks):
+        if not poly.terms:
+            continue
+        coeffs = poly.coeff_map()
+        e = rng.choice(sorted(coeffs))
+        coeffs[e] ^= rng.randrange(1, poly.ext.size)
+        mutant = LiftedPoly.make(poly.ext, coeffs)
+        assert lift._is_projective(mutant.ext, mutant)
+        verdict = is_pp(mutant.ext, mutant)
+        assert verdict == _is_pp_full(mutant), (v, e)
+        verdicts.append(verdict)
+    assert not all(verdicts)
 
 
 # -- QM equivalence ----------------------------------------------------------------
