@@ -13,8 +13,11 @@ sigma(x,y,z) = (y,z,x) and sigma^2.  Coefficient vectors serialize as
 Five vectors are singled out by name (T1..T5); these are the families
 whose bijectivity this package certifies and inverts.
 
-A FamilySpec holds only its coefficient bits.  Numeric work (eval_F,
-the bijectivity decision, inversion) reads the bits directly; the
+A FamilySpec holds its coefficient bits; building one computes nothing
+else.  Numeric work (eval_F, the bijectivity decision, inversion) reads
+the bits directly.  The bitstring and the row (a1..a8 read as an 8-bit
+integer, a1 the high bit, which indexes a permutation mask) are computed
+on first use and kept on the spec, so a repeated lookup is O(1); the
 symbolic f and F are built on first use and memoised per vector.
 """
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import UnknownName
 from .field import FieldCtx, Triple
@@ -56,7 +59,8 @@ def _symbolic(coeffs: tuple[int, ...]) -> tuple[MPoly, MPoly, MPoly]:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Coefficient bits; the symbolic map is built on first use."""
+    """Coefficient bits; the bitstring, row and symbolic map are built on
+    first use."""
 
     coeffs: tuple[int, ...]
     name: str | None = dc_field(default=None, compare=False)
@@ -69,8 +73,18 @@ class FamilySpec:
     def F(self) -> tuple[MPoly, MPoly, MPoly]:
         return _symbolic(self.coeffs)
 
-    def bitstring(self) -> str:
+    @cached_property
+    def _bits(self) -> str:
         return "".join(str(b) for b in self.coeffs)
+
+    @cached_property
+    def row(self) -> int:
+        """a1..a8 read as an 8-bit integer, a1 the high bit: the index of
+        this vector in all_families() and in a permutation mask."""
+        return int(self._bits, 2)
+
+    def bitstring(self) -> str:
+        return self._bits
 
 
 def family_from_coeffs(bits, name: str | None = None) -> FamilySpec:

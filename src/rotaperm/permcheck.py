@@ -59,7 +59,10 @@ first collision reported as the witness of an odd-m negative.  Its
 images are built in blocks of x-slabs from numpy gathers into three
 q x q pair tables plus the cube table.  The pair tables and the monomial
 tables all come from family.COEFF_EXPONENTS through one broadcasting
-_monomial, and every array product here is FieldCtx.vmul.
+_monomial, and every array product here is FieldCtx.vmul.  A monomial
+table evaluates each of its nine monomials once per representative: the
+rotated arguments only permute the nine (_ROTATED), so the other two
+rotations are gathers.
 
 Caps: is_permutation and count_zeros_D refuse m > 9 (the 2^27 image table
 and the q x q product table, gathered from the field's exp/log pair, are
@@ -87,7 +90,7 @@ DIFFERENCE_CHECK_MAX_M = 3
 IMAGE_BLOCK = 1 << 14  # points family_images and _decide_rows image per step; keeps each temporary small
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PermReport:
     """Outcome of one bijectivity decision."""
 
@@ -302,6 +305,11 @@ def group_move(ctx: FieldCtx, k: int, j: int, r: int, avoid: int) -> int:
 
 # x^3, then the monomial under each coefficient bit a1..a8.
 _MONOMIAL_EXPONENTS = ((3, 0, 0),) + COEFF_EXPONENTS
+# _ROTATED[j, i]: the monomial that is monomial j at the arguments rotated i
+# times.  x^a y^b z^c at (y,z,x) is x^c y^a z^b at (x,y,z), so the exponents
+# rotate right once per rotation, and the nine are closed under it.
+_ROTATED = np.array([[_MONOMIAL_EXPONENTS.index(e[3 - i:] + e[:3 - i]) for i in range(3)]
+                     for e in _MONOMIAL_EXPONENTS])
 
 
 def _monomials_at(ctx: FieldCtx, idx: np.ndarray) -> np.ndarray:
@@ -310,11 +318,13 @@ def _monomials_at(ctx: FieldCtx, idx: np.ndarray) -> np.ndarray:
 
     Row [j, i] holds its values at the arguments rotated i times, (x,y,z),
     (y,z,x) and (z,x,y), so F(r) is the XOR of rows 0 (x^3) and of the
-    family's set bits (_images).
+    family's set bits (_images).  Each monomial is evaluated once, at
+    (x,y,z); row [j, i] is then the row of monomial _ROTATED[j, i].
     """
     r = representatives(ctx, idx)
-    return np.array([[_monomial(ctx, exponents, *r[e:], *r[:e]) for e in range(3)]
-                     for exponents in _MONOMIAL_EXPONENTS], dtype=np.uint16)
+    values = np.array([_monomial(ctx, exponents, *r) for exponents in _MONOMIAL_EXPONENTS],
+                      dtype=np.uint16)
+    return values[_ROTATED]
 
 
 def _monomial_table(ctx: FieldCtx) -> np.ndarray:
@@ -418,8 +428,9 @@ _VECTOR_BITS = ((np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1).astype(np
 
 
 def _vector(fam: FamilySpec) -> int:
-    """fam's row of _VECTOR_BITS and of a permutation mask."""
-    return int(fam.bitstring(), 2)
+    """fam's row of _VECTOR_BITS and of a permutation mask, computed on the
+    spec's first lookup and kept on it (FamilySpec.row)."""
+    return fam.row
 
 
 def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from rotaperm.family import (
 from rotaperm.field import FieldCtx
 from rotaperm.invert import invert_point
 from rotaperm.mpoly import evaluate, homogeneous_degree, parse, substitute
-from rotaperm.permcheck import family_images, is_permutation
+from rotaperm.permcheck import _vector, family_images, is_permutation
 
 
 def test_coefficient_layout():
@@ -96,6 +96,24 @@ def test_bitstring_serialization():
     assert named_family("T3").bitstring() == "00000011"
     assert family_from_coeffs("10011010").bitstring() == "10011010"
     assert family_from_coeffs("10011010").coeffs == named_family("T1").coeffs
+
+
+def test_row_and_bitstring_are_kept_on_the_spec():
+    """The cached row and bitstring of a spec, however it was built, equal
+    the ones computed from its bits."""
+    for v, fam in enumerate(all_families()):
+        bits = "".join(map(str, fam.coeffs))
+        built = (fam, family_from_coeffs(bits), family_from_coeffs(fam.coeffs))
+        for spec in built:
+            assert _vector(spec) == int(bits, 2) == v
+            assert spec.bitstring() == bits and spec.bitstring() is spec.bitstring()
+        assert built[1] == built[2] == fam and hash(built[1]) == hash(built[2]) == hash(fam)
+    for name, coeffs in NAMED_COEFFS.items():
+        fam = named_family(name)
+        assert _vector(fam) == int("".join(map(str, coeffs)), 2)
+        assert fam.bitstring() == "".join(map(str, coeffs))
+        assert fam == named_family(name) == family_from_coeffs(coeffs)
+        assert hash(fam) == hash(family_from_coeffs(coeffs))
 
 
 def test_is_rotatable_counterexamples():

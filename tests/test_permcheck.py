@@ -1,5 +1,6 @@
 """Bijectivity decisions, the difference criterion, and the D(Y,Z) zero count."""
 
+import dataclasses
 import json
 import warnings
 
@@ -12,6 +13,7 @@ from rotaperm.family import NAMED_COEFFS, all_families, eval_F, family_from_coef
 from rotaperm.field import FieldCtx
 from rotaperm.invert import _inverse_table
 from rotaperm.mpoly import evaluate, substitute, parse
+import rotaperm.permcheck as pc
 from rotaperm.permcheck import (
     _MONOMIAL_EXPONENTS,
     REPEATED_KEY,
@@ -19,8 +21,11 @@ from rotaperm.permcheck import (
     _Y_Z_PARTNER,
     _decide_rows,
     _images,
+    _monomial,
     _monomial_table,
+    _monomials_at,
     _orbit_images,
+    _vector,
     count_zeros_D,
     difference_check,
     family_images,
@@ -528,6 +533,38 @@ def test_monomial_columns_match_scalar_products(m):
                     assert col[row, i] == expected
 
 
+def _monomials_at_oracle(ctx, idx):
+    """Each monomial evaluated at each of the three rotated arguments."""
+    r = representatives(ctx, idx)
+    return np.array([[_monomial(ctx, exponents, *r[e:], *r[:e]) for e in range(3)]
+                     for exponents in _MONOMIAL_EXPONENTS], dtype=np.uint16)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_rotated_monomial_table_matches_27_evaluations(m):
+    """Nine evaluations and a gather equal the 27 evaluations, at every
+    representative and at the G-minima."""
+    ctx = FieldCtx(m)
+    for idx in (np.arange(ctx.q * ctx.q + ctx.q + 1), frobenius_tables(ctx).minima):
+        want = _monomials_at_oracle(ctx, idx)
+        got = _monomials_at(ctx, idx)
+        assert got.shape == want.shape == (9, 3, idx.size)
+        assert got.dtype == want.dtype == np.uint16
+        assert np.array_equal(got, want)
+
+
+def test_monomial_table_evaluates_each_monomial_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _monomial(*args)
+
+    monkeypatch.setattr(pc, "_monomial", counted)
+    frobenius_tables(FieldCtx(5))
+    assert sorted(calls) == sorted(_MONOMIAL_EXPONENTS)
+
+
 def test_decision_caches_two_tables_per_field():
     """All 256 decisions at m=5 add the orbit tables, the Frobenius tables
     (with the monomial table at the G-minima) and the permutation mask
@@ -724,6 +761,29 @@ def test_mask_independent_of_block(m, block, monkeypatch):
     want = permutation_mask(FieldCtx(m))
     monkeypatch.setattr(pc, "IMAGE_BLOCK", block)
     assert np.array_equal(permutation_mask(FieldCtx(m)), want)
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_verdicts_are_lookups_once_the_mask_is_built(m, monkeypatch):
+    """With the mask built, no witness-free verdict images or decides anything."""
+    ctx = FieldCtx(m)
+    mask = permutation_mask(ctx)
+
+    def refuse(*args):
+        raise AssertionError("a verdict reached the decision")
+
+    monkeypatch.setattr(pc, "_decide_rows", refuse)
+    monkeypatch.setattr(pc, "_monomials_at", refuse)
+    for v, fam in enumerate(all_families()):
+        assert is_permutation(ctx, fam, witness=False).is_permutation == mask[v]
+
+
+def test_perm_report_is_frozen(f8):
+    report = is_permutation(f8, named_family("T3"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.is_permutation = False
+    assert report == is_permutation(f8, named_family("T3"))
+    assert report.to_json() == {"family": "00000011", "m": 3, "permutation": True, "points": 512}
 
 
 def test_mask_is_read_only(f32):
