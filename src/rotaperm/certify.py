@@ -2,7 +2,8 @@
 
 Each certificate recomputes a derived object from defining inputs and
 compares it with the recorded expansion (symbolic certs), or checks a
-trace/zero-set claim at every point of a small field (numeric certs).
+trace/zero-set claim over a small field (numeric certs): the character-sum
+support at every parameter t and unknown w, and the zero set of A.
 Defining formulas outrank recorded expansions: the two long reference
 expansions of K1 and K2 are diffed informationally and never gate the
 exit code.
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import resolvent as rs
-from .errors import DomainTooLarge
 from .field import FieldCtx
 from .mpoly import MPoly, resultant, to_text, zero
 from .permcheck import projective_representatives
@@ -51,15 +51,8 @@ class CertReport:
         return out
 
 
-NUMERIC_MAX_M = 5  # the exhaustive (a, b, c) check holds arrays of q^3 entries
+NUMERIC_MAX_M = 5  # the largest m cert_A_zero_classification accepts
 NUMERIC_DEGREES = (3, 5)  # the degrees run_all runs the numeric checks at
-
-
-def _cube_grid(ctx: FieldCtx) -> np.ndarray:
-    """Every point (a, b, c) of GF(2^m)^3, as three flat uint16 arrays."""
-    if ctx.m > NUMERIC_MAX_M:
-        raise DomainTooLarge(f"exhaustive (a, b, c) checks capped at m={NUMERIC_MAX_M}")
-    return np.indices((ctx.q,) * 3, dtype=np.uint16).reshape(3, -1)
 
 
 def _sym_report(name: str, diff: MPoly, notes: str = "", mandatory: bool = True) -> CertReport:
@@ -124,20 +117,6 @@ def beta_printed_expansions() -> list[CertReport]:
         _sym_report("printed_K1", k1 + rs.K1_EXPANDED, mandatory=False),
         _sym_report("printed_K2", k2 + rs.K2_EXPANDED, mandatory=False),
     ]
-
-
-def beta_trace_fallback(ctx: FieldCtx) -> bool:
-    """Numeric stand-in for the beta identity: the discriminant fraction
-    (AC+B^2)^3 / (A^2 (AD+BC)^2) has trace 0 wherever it is defined."""
-    A, B, C, D = resolvent_coeffs(ctx, *_cube_grid(ctx))
-    mul, sqr = ctx.vmul, ctx.sqr_table
-    den = sqr[mul(A, mul(A, D) ^ mul(B, C))]  # zero exactly where A or AD+BC is
-    frac = mul(ctx.cube_table[mul(A, C) ^ sqr[B]], ctx.inv_table[den])
-    trace = np.zeros_like(frac)
-    for _ in range(ctx.m):
-        trace ^= frac
-        frac = sqr[frac]
-    return not trace[den != 0].any()
 
 
 def cert_resultant_Q(q1: MPoly | None = None, q2: MPoly | None = None) -> CertReport:

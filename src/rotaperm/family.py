@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 from .errors import UnknownName
 from .field import FieldCtx, Triple
-from .mpoly import VARS, MPoly, parse, substitute
+from .mpoly import VARS, MPoly, substitute
 
 SIGMA = {"x": "y", "y": "z", "z": "x"}
 
@@ -137,28 +137,3 @@ def eval_F(ctx: FieldCtx, fam: FamilySpec, point: Triple) -> Triple:
         _eval_f(ctx, fam.coeffs, y, z, x),
         _eval_f(ctx, fam.coeffs, z, x, y),
     )
-
-
-def is_rotatable(components: tuple[MPoly, MPoly, MPoly]) -> bool:
-    """True iff component i+1 is component 1 under the i-th rotation."""
-    first = components[0]
-    rotated = first
-    for comp in components:
-        if comp != rotated:
-            return False
-        rotated = substitute(rotated, SIGMA)
-    return True
-
-
-# Literal component triples of the two known APN permutation families,
-# kept only for cross-checks (they are not coefficient-vector families).
-LI_NIKOLAY_F1 = (
-    parse("x^3 + x^2*z + y*z^2"),
-    parse("x^2*z + y^3"),
-    parse("x*y^2 + y^2*z + z^3"),
-)
-LI_NIKOLAY_F2 = (
-    parse("x^3 + x*y^2 + y*z^2"),
-    parse("x*y^2 + z^3"),
-    parse("x^2*z + y^3 + y^2*z"),
-)

@@ -30,7 +30,6 @@ from .errors import (
     UnsupportedDegree,
 )
 
-FieldElem = int
 Triple = tuple[int, int, int]
 
 MAX_DEGREE = 16

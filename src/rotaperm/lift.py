@@ -300,12 +300,6 @@ def lifted_from_json(data: dict) -> LiftedPoly:
     return LiftedPoly.make(ext, mapping)
 
 
-def support(p: LiftedPoly) -> tuple[tuple[int, ...], int]:
-    """Sorted exponents with nonzero coefficients, and their count."""
-    exps = tuple(e for e, _ in p.terms)
-    return exps, len(exps)
-
-
 # ---------------------------------------------------------------------------
 # interpolation of a lifted coordinate map
 # ---------------------------------------------------------------------------

@@ -360,16 +360,6 @@ def evaluate(p: MPoly, ctx: FieldCtx, assignment: Mapping[str, int]) -> int:
     return acc
 
 
-def homogeneous_degree(p: MPoly) -> int | None:
-    """Common total degree of all terms, or None; zero polynomial -> 0."""
-    degrees = {sum(term) for term in p.terms}
-    if not degrees:
-        return 0
-    if len(degrees) == 1:
-        return degrees.pop()
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Sylvester resultant
 # ---------------------------------------------------------------------------

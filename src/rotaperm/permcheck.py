@@ -35,11 +35,10 @@ group G = <sigma, phi> of order 3m permutes them too (frobenius_tables):
 about (q^2+q)/3m orbits, 13, 73, 789 and 9749 at m = 3, 5, 7 and 9.  F is
 imaged at the G-orbit minima alone, and the decision is made on the
 G-classes of their keys and the sizes of those classes (_decide_rows,
-a block of vectors at a time; projective_obstruction names the reason
-for one vector).  F's images there are XORs of rows of one monomial
-table: the values of x^3 and of each a1..a8 monomial at every G-minimum
-under the three rotated arguments, built once per field context on
-first use and shared by all 256 families.
+a block of vectors at a time).  F's images there are XORs of rows of
+one monomial table: the values of x^3 and of each a1..a8 monomial at
+every G-minimum under the three rotated arguments, built once per field
+context on first use and shared by all 256 families.
 
 Even m is answered without any image: 3 divides q-1, so z -> z^3 is
 3-to-1 on GF(2^m)^*, and F(0,0,z), a function of z^3 alone, repeats
@@ -48,30 +47,27 @@ among the first q points, where the cube table names the first collision.
 One key function, projective_keys, scales any array of points to their
 representatives: the decision keys F at the G-minima, orbit_tables keys
 the rotated representatives, and rotaperm.invert keys F at every
-representative.  Those images are F at the rotation orbit minima spread
-over each orbit by rotation and homogeneity (projective_images), which is
-also all the lift reads; so the orbit format stays inside this module,
-and a table inversion needs O(q^2) memory and no q^3 image.  They stay on
-rotation orbits: spreading from the G-minima takes 3m passes, not 3.
+representative.  Those images (projective_images) are also all the lift
+reads; they need no orbit table, so the orbit format stays inside this
+module, and a table inversion needs O(q^2) memory and no q^3 image.
 
 The full scan over all q^3 images remains only for the lexicographically
 first collision reported as the witness of an odd-m negative.  Its
 images are built in blocks of x-slabs from numpy gathers into three
-q x q pair tables plus the cube table.  The pair tables and the monomial
-tables all come from family.COEFF_EXPONENTS through one broadcasting
-_monomial, and every array product here is FieldCtx.vmul.  A monomial
-table evaluates each of its nine monomials once per representative: the
-rotated arguments only permute the nine (_ROTATED), so the other two
+q x q pair tables plus the cube table.  The pair tables, the monomial
+table and projective_images all come from family.COEFF_EXPONENTS through
+one broadcasting _monomial, and every array product here is
+FieldCtx.vmul.  Each of the nine monomials is evaluated once per point:
+the rotated arguments only permute the nine (_ROTATED), so the other two
 rotations are gathers.
 
-Caps: is_permutation and count_zeros_D refuse m > 9 (the 2^27 image table
-and the q x q product table, gathered from the field's exp/log pair, are
-the ceiling) and the pairwise difference check refuses m > 3 (2^6m pairs).
+Cap: is_permutation refuses m > 9 (the 2^27 image table of the witness
+scan and the q x q product table, gathered from the field's exp/log
+pair, are the ceiling).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -82,11 +78,8 @@ from . import _kernels
 from .errors import DomainTooLarge, FormulaInconsistent, OddDegreeRequired
 from .family import COEFF_EXPONENTS, FamilySpec, all_families
 from .field import MAX_DEGREE, FieldCtx, Triple
-from .mpoly import VARS
-from .resolvent import D_POLY
 
 IS_PERMUTATION_MAX_M = 9
-DIFFERENCE_CHECK_MAX_M = 3
 IMAGE_BLOCK = 1 << 14  # points family_images and _decide_rows image per step; keeps each temporary small
 
 
@@ -110,9 +103,6 @@ class PermReport:
         if self.witness is not None:
             out["witness"] = [[hex(v) for v in p] for p in self.witness]
         return out
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def _monomial(ctx: FieldCtx, exponents: tuple[int, int, int], x, y, z) -> np.ndarray:
@@ -286,23 +276,6 @@ def frobenius_tables(ctx: FieldCtx) -> FrobeniusTables:
     return ctx._table("frobenius_tables", build)
 
 
-def group_move(ctx: FieldCtx, k: int, j: int, r: int, avoid: int) -> int:
-    """g(r) for the first g = S^e Phi^d, in d = 0..m-1 and then e = 0..2,
-    with g(k) = j and g(r) != avoid, all four being representative indices."""
-    s, phi = orbit_tables(ctx)[0], frobenius_tables(ctx).phi
-    start = k, r
-    for _ in range(ctx.m):
-        kk, rr = k, r
-        for _ in range(3):
-            if kk == j and rr != avoid:
-                return rr
-            kk, rr = int(s[kk]), int(s[rr])
-        k, r = int(phi[k]), int(phi[r])
-    raise FormulaInconsistent(
-        f"no element of <sigma, phi> takes representative {start[0]} to {j}"
-        f" and moves {start[1]} off {avoid}")
-
-
 # x^3, then the monomial under each coefficient bit a1..a8.
 _MONOMIAL_EXPONENTS = ((3, 0, 0),) + COEFF_EXPONENTS
 # _ROTATED[j, i]: the monomial that is monomial j at the arguments rotated i
@@ -318,20 +291,13 @@ def _monomials_at(ctx: FieldCtx, idx: np.ndarray) -> np.ndarray:
 
     Row [j, i] holds its values at the arguments rotated i times, (x,y,z),
     (y,z,x) and (z,x,y), so F(r) is the XOR of rows 0 (x^3) and of the
-    family's set bits (_images).  Each monomial is evaluated once, at
-    (x,y,z); row [j, i] is then the row of monomial _ROTATED[j, i].
+    family's set bits.  Each monomial is evaluated once, at (x,y,z); row
+    [j, i] is then the row of monomial _ROTATED[j, i].
     """
     r = representatives(ctx, idx)
     values = np.array([_monomial(ctx, exponents, *r) for exponents in _MONOMIAL_EXPONENTS],
                       dtype=np.uint16)
     return values[_ROTATED]
-
-
-def _monomial_table(ctx: FieldCtx) -> np.ndarray:
-    """_monomials_at the rotation orbit minima O, which projective_images
-    spreads from.  Built on first use and cached on ctx; two threads
-    racing on a cold entry build equal arrays."""
-    return ctx._table("orbit_monomials", lambda: _monomials_at(ctx, orbit_tables(ctx)[1]))
 
 
 def representative(ctx: FieldCtx, i: int) -> Triple:
@@ -360,42 +326,28 @@ def representative_index(ctx: FieldCtx, v: Triple) -> tuple[int, int]:
     return s, qq + ctx.q
 
 
-ZERO_IMAGE = "zero image"
-REPEATED_KEY = "repeated key"
-
-
-def _images(table: np.ndarray, fam: FamilySpec) -> np.ndarray:
-    """F at the columns of a monomial table, as a (3, k) uint16 array: the
-    XOR of its rows for x^3 and the family's set bits, taken in place on
-    one copy of the x^3 row."""
-    images = table[0].copy()
-    for j in np.flatnonzero(fam.coeffs):
-        images ^= table[j + 1]
-    return images
-
-
-def _orbit_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
-    """F at every rotation orbit minimum r_O[p], as a (3, |O|) uint16 array."""
-    return _images(_monomial_table(ctx), fam)
-
-
 def projective_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
     """F at every representative, as a (3, q^2+q+1) uint16 array; column i is F(r_i).
 
-    F is imaged at the rotation orbit minima alone (_orbit_images) and
-    spread over each orbit by rotation and homogeneity:
-    sigma^e(r_i) = c * r_S^e[i], with c the leading coordinate of
-    sigma^e(r_i), so F(r_S^e[i]) = c^-3 * sigma^e(F(r_i)).
+    Each of the nine monomials is evaluated once at every representative,
+    broadcasting over the chart (1, y, z) as the q x q grid of (y, z) and
+    then over the q+1 points (0, 1, z), (0, 0, 1).  Component i of F is
+    the XOR of x^3 and of the family's set bits at the arguments rotated
+    i times, which is monomial _ROTATED[j, i] at (x,y,z), so the rotated
+    rows are read, never built.  Nothing is cached.
     """
-    s, o, _ = orbit_tables(ctx)
-    u = _orbit_images(ctx, fam)
-    r = representatives(ctx, o)
-    out = np.empty((3, s.size), dtype=u.dtype)
-    members = o
-    for e in range(3):
-        lead, _ = _leading(*r[e:], *r[:e])
-        out[:, members] = ctx.vmul(ctx.vpow(lead, -3), np.roll(u, -e, axis=0))
-        members = s[members]
+    q, qq = ctx.q, ctx.q * ctx.q
+    line = np.arange(q)
+    chart = (1, line[:, None], line[None, :])
+    rest = representatives(ctx, np.arange(qq, qq + q + 1))
+    values = np.empty((len(_MONOMIAL_EXPONENTS), qq + q + 1), dtype=np.uint16)
+    for row, exponents in zip(values, _MONOMIAL_EXPONENTS):
+        row[:qq].reshape(q, q)[:] = _monomial(ctx, exponents, *chart)
+        row[qq:] = _monomial(ctx, exponents, *rest)
+    out = values[_ROTATED[0]]
+    for j in np.flatnonzero(fam.coeffs) + 1:
+        for i in range(3):
+            out[i] ^= values[_ROTATED[j, i]]
     return out
 
 
@@ -425,12 +377,6 @@ def projective_keys(ctx: FieldCtx, images) -> tuple[np.ndarray, np.ndarray | Non
 # a1..a8 of every coefficient vector, row v for v read as an 8-bit integer
 # with a1 as the high bit, which is family.all_families() order.
 _VECTOR_BITS = ((np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1).astype(np.uint16)
-
-
-def _vector(fam: FamilySpec) -> int:
-    """fam's row of _VECTOR_BITS and of a permutation mask, computed on the
-    spec's first lookup and kept on it (FamilySpec.row)."""
-    return fam.row
 
 
 def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
@@ -476,44 +422,6 @@ def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
         for i, c in zip(live[kept], classes[kept]):
             verdicts[s + i] = _kernels.scan_bijection(c)[0]
     return verdicts
-
-
-def projective_obstruction(ctx: FieldCtx, fam: FamilySpec) -> tuple[str, tuple[Triple, ...]] | None:
-    """Why F fails to permute GF(2^m)^3 (odd m), or None when it permutes.
-
-    The verdict is _decide_rows on fam's row alone.  A negative is then
-    named from lead and keys, projective_keys of F at the G-orbit minima
-    r_M[p]: (ZERO_IMAGE, (r,)) for the first representative with
-    F(r) = 0, which is the first zero on M; or (REPEATED_KEY, (r, s)), two
-    representatives with proportional images, from group_move.  For the
-    first p whose size is not kept, r = r_M[p] and s = g(r) for the first
-    g that fixes keys[p] and moves r, a rotation of Phi^d(r) with d the
-    image's size.  Otherwise, for the first collision (p, p') of the scan
-    over the classes, s = r_M[p'] and r = g(r_M[p]) for the first g with
-    g(keys[p]) = keys[p'].
-    """
-    if ctx.m % 2 == 0:
-        raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
-    if _decide_rows(ctx, np.array([_vector(fam)]))[0]:
-        return None
-    t = frobenius_tables(ctx)
-    lead, keys = projective_keys(ctx, _images(t.monomials, fam))
-    if keys is None:
-        return ZERO_IMAGE, (representative(ctx, int(t.minima[np.flatnonzero(lead == 0)[0]])),)
-    classes = t.classes[orbit_tables(ctx)[2][keys]]
-    shrunk = np.flatnonzero(t.sizes[classes] != t.sizes)
-    if shrunk.size:
-        p = int(shrunk[0])
-        r, k = int(t.minima[p]), int(keys[p])
-        return REPEATED_KEY, (representative(ctx, r), representative(ctx, group_move(ctx, k, k, r, r)))
-    ok, at, first = _kernels.scan_bijection(classes)
-    if ok:
-        raise FormulaInconsistent(
-            f"family {fam.bitstring()} at m={ctx.m}: the block decision fails a map"
-            " with no obstruction")
-    s = int(t.minima[at])
-    r = group_move(ctx, int(keys[first]), int(keys[at]), int(t.minima[first]), s)
-    return REPEATED_KEY, (representative(ctx, r), representative(ctx, s))
 
 
 # Truth tables of x, y and z over GF(2)^3, point (x, y, z) at bit 4x + 2y + z.
@@ -632,7 +540,7 @@ def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> P
     if ctx.m % 2 == 0:
         _, at, first = _kernels.scan_bijection(ctx.cube_table)
         return PermReport(fam.bitstring(), ctx.m, False, at + 1, ((0, 0, first), (0, 0, at)))
-    if permutation_mask(ctx)[_vector(fam)]:
+    if permutation_mask(ctx)[fam.row]:
         return PermReport(fam.bitstring(), ctx.m, True, 1 << (3 * ctx.m))
     if not witness:
         return PermReport(fam.bitstring(), ctx.m, False, ctx.q * ctx.q + ctx.q + 1)
@@ -642,53 +550,3 @@ def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> P
             f"family {fam.bitstring()} at m={ctx.m}: subfield or projective decision"
             " and full scan disagree")
     return report
-
-
-def difference_check(ctx: FieldCtx, fam: FamilySpec) -> bool:
-    """True iff F(v + s) != F(v) for every v and every nonzero shift s."""
-    if ctx.m > DIFFERENCE_CHECK_MAX_M:
-        raise DomainTooLarge(f"m={ctx.m} > {DIFFERENCE_CHECK_MAX_M} for the pairwise check")
-    q, m = ctx.q, ctx.m
-    images = family_images(ctx, fam).reshape(q, q, q)
-    idx = np.arange(q)
-    for shift in range(1, q * q * q):
-        sa, sb, sc = _unpack(ctx, shift)
-        moved = images[np.ix_(idx ^ sa, idx ^ sb, idx ^ sc)]
-        if (moved == images).any():
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# zero count of the reduced difference form D(Y, Z)
-# ---------------------------------------------------------------------------
-
-_T_IDX = VARS.index("t")
-_Y_IDX = VARS.index("Y")
-_Z_IDX = VARS.index("Z")
-
-
-def count_zeros_D(ctx: FieldCtx, t: int) -> int:
-    """Number of (Y, Z) pairs with D(Y, Z) = 0, for one parameter t.
-
-    D is taken from its symbolic form and never has a mixed Y*Z term,
-    so the grid evaluation splits into a Y-profile and a Z-profile.
-    """
-    if ctx.m > IS_PERMUTATION_MAX_M:
-        raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the q x q grid")
-    q = ctx.q
-    vec = np.arange(q)
-    u = np.zeros(q, dtype=np.uint16)
-    v = np.zeros(q, dtype=np.uint16)
-    for term in D_POLY.terms:
-        e_y, e_z = term[_Y_IDX], term[_Z_IDX]
-        if e_y and e_z:
-            raise FormulaInconsistent("D(Y,Z) has a mixed Y*Z term; it must be Y/Z-separable")
-        scale = ctx.pow(t, term[_T_IDX])
-        if e_y:
-            u ^= ctx.vmul(scale, ctx.vpow(vec, e_y))
-        elif e_z:
-            v ^= ctx.vmul(scale, ctx.vpow(vec, e_z))
-        else:
-            v ^= scale
-    return int(np.count_nonzero((u[:, None] ^ v[None, :]) == 0))

@@ -5,8 +5,8 @@ is reduced by two resultants to a univariate cubic A*Y^3+B*Y^2+C*Y+D in
 Y = y^3.  This module holds that system, the expected expansions of the
 two resultants, the A/B/C/D coefficient blocks with their product
 factorizations, the discriminant-trace witness beta, and the
-difference-system polynomials (Q1, Q2, their resultant, and the reduced
-two-variable form D(Y, Z)) used by the character-sum verification.
+difference-system polynomials (Q1, Q2 and their resultant) used by the
+character-sum verification.
 
 Everything here is a fixed constant of the ring F2[x,y,z,a,b,c,t,Y,Z];
 the certifier recomputes each derived object from its definition and
@@ -25,9 +25,6 @@ from .mpoly import MPoly, parse
 P1 = parse("x^3 + y^3 + a")
 P2 = parse("y^3 + z^3 + b")
 P3 = parse("x*y^2 + y*z^2 + x^2*z + c")
-
-# Components of the sheared map H = phi . F for the resolvent family.
-H_SYSTEM = (parse("x^3 + y^3"), parse("y^3 + z^3"), parse("x*y^2 + y*z^2 + x^2*z"))
 
 # Expected first elimination: Res_x(P1, P3).
 G_EXPANDED = parse(
@@ -144,18 +141,6 @@ EQ16_EXPANDED = parse("a + b") ** 2 * (
     + parse("a^2") * _S * parse("z^2")
     + parse("a + b") * _S ** 2 * parse("z")
     + _S ** 3
-)
-
-# Normalized two-variable form of the difference resultant (t = b/a).
-_T1 = parse("1 + t + t^2")
-D_POLY = (
-    parse("Y^4")
-    + parse("t^2") * _T1 * parse("Y^2")
-    + parse("1 + t") * _T1 ** 2 * parse("Y")
-    + parse("t^2") * parse("Z^4")
-    + _T1 * parse("Z^2")
-    + parse("1 + t") * _T1 ** 2 * parse("Z")
-    + _T1 ** 3
 )
 
 

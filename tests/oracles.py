@@ -1,0 +1,159 @@
+"""Slow or symbolic oracles that only the tests read.
+
+Each is kept beside the fast path it checks, outside the package: the
+pairwise difference criterion and the D(Y,Z) zero count behind the
+character-sum step, the exhaustive beta-trace check, the symbolic
+rotatability test with a literal non-rotatable triple, the homogeneity
+degree of a polynomial, the support of a lifted polynomial, and the
+sheared resolvent system H.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rotaperm.certify import NUMERIC_MAX_M
+from rotaperm.errors import DomainTooLarge, FormulaInconsistent
+from rotaperm.family import SIGMA, FamilySpec
+from rotaperm.field import FieldCtx
+from rotaperm.lift import LiftedPoly
+from rotaperm.mpoly import VARS, MPoly, parse, substitute
+from rotaperm.permcheck import IS_PERMUTATION_MAX_M, _unpack, family_images
+from rotaperm.resolvent import resolvent_coeffs
+
+# ---------------------------------------------------------------------------
+# the pairwise difference criterion
+# ---------------------------------------------------------------------------
+
+DIFFERENCE_CHECK_MAX_M = 3
+
+
+def difference_check(ctx: FieldCtx, fam: FamilySpec) -> bool:
+    """True iff F(v + s) != F(v) for every v and every nonzero shift s."""
+    if ctx.m > DIFFERENCE_CHECK_MAX_M:
+        raise DomainTooLarge(f"m={ctx.m} > {DIFFERENCE_CHECK_MAX_M} for the pairwise check")
+    q, m = ctx.q, ctx.m
+    images = family_images(ctx, fam).reshape(q, q, q)
+    idx = np.arange(q)
+    for shift in range(1, q * q * q):
+        sa, sb, sc = _unpack(ctx, shift)
+        moved = images[np.ix_(idx ^ sa, idx ^ sb, idx ^ sc)]
+        if (moved == images).any():
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# zero count of the reduced difference form D(Y, Z)
+# ---------------------------------------------------------------------------
+
+# Normalized two-variable form of the difference resultant (t = b/a).
+_T1 = parse("1 + t + t^2")
+D_POLY = (
+    parse("Y^4")
+    + parse("t^2") * _T1 * parse("Y^2")
+    + parse("1 + t") * _T1 ** 2 * parse("Y")
+    + parse("t^2") * parse("Z^4")
+    + _T1 * parse("Z^2")
+    + parse("1 + t") * _T1 ** 2 * parse("Z")
+    + _T1 ** 3
+)
+
+_T_IDX = VARS.index("t")
+_Y_IDX = VARS.index("Y")
+_Z_IDX = VARS.index("Z")
+
+
+def count_zeros_D(ctx: FieldCtx, t: int) -> int:
+    """Number of (Y, Z) pairs with D(Y, Z) = 0, for one parameter t.
+
+    D is taken from its symbolic form and never has a mixed Y*Z term,
+    so the grid evaluation splits into a Y-profile and a Z-profile.
+    """
+    if ctx.m > IS_PERMUTATION_MAX_M:
+        raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the q x q grid")
+    q = ctx.q
+    vec = np.arange(q)
+    u = np.zeros(q, dtype=np.uint16)
+    v = np.zeros(q, dtype=np.uint16)
+    for term in D_POLY.terms:
+        e_y, e_z = term[_Y_IDX], term[_Z_IDX]
+        if e_y and e_z:
+            raise FormulaInconsistent("D(Y,Z) has a mixed Y*Z term; it must be Y/Z-separable")
+        scale = ctx.pow(t, term[_T_IDX])
+        if e_y:
+            u ^= ctx.vmul(scale, ctx.vpow(vec, e_y))
+        elif e_z:
+            v ^= ctx.vmul(scale, ctx.vpow(vec, e_z))
+        else:
+            v ^= scale
+    return int(np.count_nonzero((u[:, None] ^ v[None, :]) == 0))
+
+
+# ---------------------------------------------------------------------------
+# the beta trace over every point of GF(2^m)^3
+# ---------------------------------------------------------------------------
+
+def _cube_grid(ctx: FieldCtx) -> np.ndarray:
+    """Every point (a, b, c) of GF(2^m)^3, as three flat uint16 arrays."""
+    if ctx.m > NUMERIC_MAX_M:
+        raise DomainTooLarge(f"exhaustive (a, b, c) checks capped at m={NUMERIC_MAX_M}")
+    return np.indices((ctx.q,) * 3, dtype=np.uint16).reshape(3, -1)
+
+
+def beta_trace_fallback(ctx: FieldCtx) -> bool:
+    """Numeric stand-in for the beta identity: the discriminant fraction
+    (AC+B^2)^3 / (A^2 (AD+BC)^2) has trace 0 wherever it is defined."""
+    A, B, C, D = resolvent_coeffs(ctx, *_cube_grid(ctx))
+    mul, sqr = ctx.vmul, ctx.sqr_table
+    den = sqr[mul(A, mul(A, D) ^ mul(B, C))]  # zero exactly where A or AD+BC is
+    frac = mul(ctx.cube_table[mul(A, C) ^ sqr[B]], ctx.inv_table[den])
+    trace = np.zeros_like(frac)
+    for _ in range(ctx.m):
+        trace ^= frac
+        frac = sqr[frac]
+    return not trace[den != 0].any()
+
+
+# ---------------------------------------------------------------------------
+# symbolic structure
+# ---------------------------------------------------------------------------
+
+def is_rotatable(components: tuple[MPoly, MPoly, MPoly]) -> bool:
+    """True iff component i+1 is component 1 under the i-th rotation."""
+    first = components[0]
+    rotated = first
+    for comp in components:
+        if comp != rotated:
+            return False
+        rotated = substitute(rotated, SIGMA)
+    return True
+
+
+# Literal component triple of a known APN permutation family, kept only
+# for cross-checks (it is not a coefficient-vector family).
+LI_NIKOLAY_F1 = (
+    parse("x^3 + x^2*z + y*z^2"),
+    parse("x^2*z + y^3"),
+    parse("x*y^2 + y^2*z + z^3"),
+)
+
+
+def homogeneous_degree(p: MPoly) -> int | None:
+    """Common total degree of all terms, or None; zero polynomial -> 0."""
+    degrees = {sum(term) for term in p.terms}
+    if not degrees:
+        return 0
+    if len(degrees) == 1:
+        return degrees.pop()
+    return None
+
+
+def support(p: LiftedPoly) -> tuple[tuple[int, ...], int]:
+    """Sorted exponents with nonzero coefficients, and their count."""
+    exps = tuple(e for e, _ in p.terms)
+    return exps, len(exps)
+
+
+# Components of the sheared map H = phi . F for the resolvent family.
+H_SYSTEM = (parse("x^3 + y^3"), parse("y^3 + z^3"), parse("x*y^2 + y*z^2 + x^2*z"))

@@ -8,7 +8,6 @@ import random
 import time
 
 from rotaperm.certify import (
-    beta_trace_fallback,
     cert_beta_identity,
     cert_charsum_support,
     cert_factorizations,
@@ -25,14 +24,11 @@ from rotaperm.invert import (
     invert_T5,
     invert_table,
 )
-from rotaperm.lift import ExtCtx, LiftedPoly, is_pp, lift_permutation, qm_equivalent, support
-from rotaperm.permcheck import (
-    count_zeros_D,
-    difference_check,
-    family_images,
-    is_permutation,
-)
+from rotaperm.lift import ExtCtx, LiftedPoly, is_pp, lift_permutation, qm_equivalent
+from rotaperm.permcheck import family_images, is_permutation
 from rotaperm.search import search_all
+
+from oracles import beta_trace_fallback, count_zeros_D, difference_check, support
 
 NAMES = ("T1", "T2", "T3", "T4", "T5")
 INVERTERS = {

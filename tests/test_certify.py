@@ -9,7 +9,6 @@ import rotaperm.resolvent as rs
 from rotaperm.certify import (
     CertReport,
     beta_printed_expansions,
-    beta_trace_fallback,
     cert_A_zero_classification,
     cert_beta_identity,
     cert_charsum_support,
@@ -22,6 +21,9 @@ from rotaperm.certify import (
 from rotaperm.errors import DomainTooLarge
 from rotaperm.field import FieldCtx
 from rotaperm.mpoly import evaluate, parse, resultant
+
+import oracles
+from oracles import beta_trace_fallback
 
 
 def test_full_suite_passes():
@@ -279,7 +281,7 @@ def test_resolvent_blocks_are_homogeneous_m5():
 def test_A_zero_classification_refuses_before_building_the_grid(monkeypatch, m):
     def no_grid(*_):
         raise AssertionError("grid built")
-    monkeypatch.setattr("rotaperm.certify._cube_grid", no_grid)
+    monkeypatch.setattr(oracles, "_cube_grid", no_grid)
     monkeypatch.setattr("rotaperm.certify.projective_representatives", no_grid)
     monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", no_grid)
     report = cert_A_zero_classification(FieldCtx(m))
@@ -320,7 +322,7 @@ def test_beta_trace_matches_reference_loop(monkeypatch, f8, block):
         coeffs = list(rs.resolvent_coeffs(ctx, a, b, c))
         coeffs[i] ^= 1
         return tuple(coeffs)
-    monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", perturbed)
+    monkeypatch.setattr(oracles, "resolvent_coeffs", perturbed)
     assert beta_trace_fallback(f8) is _beta_trace_fallback_py(f8, perturbed) is False
 
 

@@ -9,19 +9,13 @@ import pytest
 import rotaperm.family
 import rotaperm.mpoly
 from rotaperm.errors import UnknownName
-from rotaperm.family import (
-    LI_NIKOLAY_F1,
-    NAMED_COEFFS,
-    all_families,
-    eval_F,
-    family_from_coeffs,
-    is_rotatable,
-    named_family,
-)
+from rotaperm.family import NAMED_COEFFS, all_families, eval_F, family_from_coeffs, named_family
 from rotaperm.field import FieldCtx
 from rotaperm.invert import invert_point
-from rotaperm.mpoly import evaluate, homogeneous_degree, parse, substitute
-from rotaperm.permcheck import _vector, family_images, is_permutation
+from rotaperm.mpoly import evaluate, parse, substitute
+from rotaperm.permcheck import family_images, is_permutation
+
+from oracles import LI_NIKOLAY_F1, homogeneous_degree, is_rotatable
 
 
 def test_coefficient_layout():
@@ -105,12 +99,12 @@ def test_row_and_bitstring_are_kept_on_the_spec():
         bits = "".join(map(str, fam.coeffs))
         built = (fam, family_from_coeffs(bits), family_from_coeffs(fam.coeffs))
         for spec in built:
-            assert _vector(spec) == int(bits, 2) == v
+            assert spec.row == int(bits, 2) == v
             assert spec.bitstring() == bits and spec.bitstring() is spec.bitstring()
         assert built[1] == built[2] == fam and hash(built[1]) == hash(built[2]) == hash(fam)
     for name, coeffs in NAMED_COEFFS.items():
         fam = named_family(name)
-        assert _vector(fam) == int("".join(map(str, coeffs)), 2)
+        assert fam.row == int("".join(map(str, coeffs)), 2)
         assert fam.bitstring() == "".join(map(str, coeffs))
         assert fam == named_family(name) == family_from_coeffs(coeffs)
         assert hash(fam) == hash(family_from_coeffs(coeffs))

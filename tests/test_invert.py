@@ -82,7 +82,8 @@ def test_sheared_system_matches_family():
     """phi composed with the T1 map is exactly the three-equation system
     the resolvent eliminates."""
     from rotaperm.mpoly import parse
-    from rotaperm.resolvent import H_SYSTEM, P1, P2, P3
+    from rotaperm.resolvent import P1, P2, P3
+    from oracles import H_SYSTEM
     f1, f2, f3 = named_family("T1").F
     assert (f2 + f3, f1 + f3, f1 + f2 + f3) == H_SYSTEM
     assert P1 == H_SYSTEM[0] + parse("a")

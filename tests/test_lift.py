@@ -19,9 +19,10 @@ from rotaperm.lift import (
     lifted_from_json,
     qm_equivalent,
     qm_transform,
-    support,
 )
 from rotaperm.permcheck import family_images, is_permutation
+
+from oracles import support
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
-"""Source rules that a reader of one module cannot see at a glance, and the
-names the benchmark's tracer reaches into."""
+"""Source rules that a reader of one module cannot see at a glance, the
+names the benchmark's tracer reaches into, and a reader for every
+top-level name of the package."""
 
 import ast
 import importlib.util
@@ -7,6 +8,7 @@ from importlib import import_module
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rotaperm"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def test_no_bare_assert_in_the_package():
@@ -30,7 +32,7 @@ def test_only_field_reads_the_product_table():
     assert found == []
 
 
-_ORBIT_NAMES = {"orbit_tables", "canon", "frobenius_tables", "FrobeniusTables", "group_move"}
+_ORBIT_NAMES = {"orbit_tables", "canon", "frobenius_tables", "FrobeniusTables"}
 
 
 def _identifiers(tree):
@@ -51,8 +53,7 @@ def _identifiers(tree):
 def test_only_permcheck_knows_the_orbit_format():
     """The orbits of the projective representatives under the rotation
     (orbit_tables and the canon classes) and under <sigma, phi>
-    (frobenius_tables, its FrobeniusTables and the group_move search) are
-    used by permcheck.py alone, so a change of orbit group changes one
+    (frobenius_tables and its FrobeniusTables) are used by permcheck.py alone, so a change of orbit group changes one
     module.  Identifiers are matched, not substrings: a docstring may say
     "canonical"."""
     found = []
@@ -92,3 +93,60 @@ def test_traced_names_resolve():
             missing.append(f"{module}.{attr}")
     assert tracing.FUNCTIONS and tracing.METHODS and tracing.COUNTED
     assert missing == []
+
+
+def _bindings(tree):
+    """(name, statement) for every function, class and constant a module
+    binds at its top level, dunders aside."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, stmt) for name in names if not name.startswith("__"))
+
+
+def _reads(node):
+    """Every identifier read under node: loaded names and attributes."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+
+
+def _unread_names(src, perfbench, exported):
+    """Top-level names of the modules under src that nothing reads: not an
+    identifier in src outside the statement that binds it, not an
+    identifier or a string in perfbench, and not in exported."""
+    statements = [(path, stmt) for path in sorted(src.rglob("*.py"))
+                  for stmt in ast.parse(path.read_text(), filename=str(path)).body]
+    read_by = {}
+    for path, stmt in statements:
+        for name in _reads(stmt):
+            read_by.setdefault(name, set()).add((path, id(stmt)))
+    bench = set(exported)
+    for path in sorted(perfbench.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bench.update(_reads(tree))
+        bench.update(n.value for n in ast.walk(tree)
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    unread = []
+    for path in sorted(src.rglob("*.py")):
+        for name, stmt in _bindings(ast.parse(path.read_text(), filename=str(path))):
+            readers = read_by.get(name, set()) - {(path, id(stmt))}
+            if not readers and name not in bench:
+                unread.append(f"{path.relative_to(src)}: {name}")
+    return unread
+
+
+def test_every_top_level_name_has_a_reader():
+    """A function, class or constant of the package is read somewhere in
+    the package, read by the benchmark, or exported in rotaperm.__all__.
+    Code that only tests read belongs in tests/oracles.py."""
+    exported = import_module("rotaperm").__all__
+    assert list(_bindings(ast.parse((SRC / "field.py").read_text())))
+    assert _unread_names(SRC, PERFBENCH, exported) == []

@@ -21,7 +21,6 @@ from rotaperm.mpoly import (
     VARS,
     MPoly,
     evaluate,
-    homogeneous_degree,
     one,
     parse,
     resultant,
@@ -31,6 +30,8 @@ from rotaperm.mpoly import (
     zero,
 )
 from rotaperm.resolvent import G_EXPANDED, P1, P3
+
+from oracles import homogeneous_degree
 
 SIGMA = {"x": "y", "y": "z", "z": "x"}
 

@@ -16,18 +16,10 @@ from rotaperm.mpoly import evaluate, substitute, parse
 import rotaperm.permcheck as pc
 from rotaperm.permcheck import (
     _MONOMIAL_EXPONENTS,
-    REPEATED_KEY,
-    ZERO_IMAGE,
     _Y_Z_PARTNER,
     _decide_rows,
-    _images,
     _monomial,
-    _monomial_table,
     _monomials_at,
-    _orbit_images,
-    _vector,
-    count_zeros_D,
-    difference_check,
     family_images,
     frobenius_tables,
     full_scan,
@@ -37,13 +29,14 @@ from rotaperm.permcheck import (
     permutes_gf2,
     projective_images,
     projective_keys,
-    projective_obstruction,
     projective_representatives,
     representative,
     representative_index,
     representatives,
 )
-from rotaperm.resolvent import D_POLY
+
+import oracles
+from oracles import D_POLY, count_zeros_D, difference_check
 
 
 def test_t3_is_permutation(f8):
@@ -117,7 +110,7 @@ def test_family_images_independent_of_block(m, monkeypatch):
 
 def test_report_serialization(f8):
     report = is_permutation(f8, named_family("T3"))
-    assert json.loads(report.dumps()) == {
+    assert json.loads(json.dumps(report.to_json())) == {
         "family": "00000011",
         "m": 3,
         "permutation": True,
@@ -153,9 +146,9 @@ def test_difference_check_equals_is_permutation_for_all_vectors(f8):
 
 # -- projective decision against the full-scan oracle ----------------------------
 
-def _proportional(ctx, u, v):
-    """True iff u = c*v for some nonzero c."""
-    return any(tuple(ctx.mul(c, w) for w in v) == u for c in range(1, ctx.q))
+def _verdict(ctx, fam):
+    """The projective decision on fam's row alone, with no subfield step."""
+    return bool(_decide_rows(ctx, np.array([fam.row]))[0])
 
 
 def test_projective_representatives_cover_each_line_once(f8):
@@ -245,51 +238,32 @@ def _full_keys(ctx, columns, fam):
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9])
 def test_orbit_decision_matches_full_key_oracle(m):
-    """Every vector: the orbit decision and its reason against the keys at
-    all q^2+q+1 representatives; a zero image names the first zero."""
+    """Every vector: the orbit decision against the keys at all q^2+q+1
+    representatives, which permute exactly when no image is zero and no
+    key repeats."""
     ctx = FieldCtx(m)
     columns = _full_columns(ctx)
     for fam in all_families():
-        lead, keys = _full_keys(ctx, columns, fam)
-        obstruction = projective_obstruction(ctx, fam)
-        if keys is None:
-            first = representative(ctx, int(np.flatnonzero(lead == 0)[0]))
-            assert obstruction == (ZERO_IMAGE, (first,)), fam.bitstring()
-        elif (np.diff(np.sort(keys)) == 0).any():
-            assert obstruction[0] == REPEATED_KEY, fam.bitstring()
-        else:
-            assert obstruction is None, fam.bitstring()
+        _, keys = _full_keys(ctx, columns, fam)
+        want = keys is not None and not (np.diff(np.sort(keys)) == 0).any()
+        assert _verdict(ctx, fam) == want, fam.bitstring()
 
 
 def _rotation_decision(ctx, fam):
-    """The oracle: the decision on rotation orbits alone, imaging F at every
+    """The oracle: the decision on rotation orbits alone, keying F at every
     orbit minimum r_O[p] and scanning the rotation classes of the keys."""
-    lead, keys = projective_keys(ctx, _orbit_images(ctx, fam))
-    s, o, canon = orbit_tables(ctx)
-    if keys is None:
-        return ZERO_IMAGE, (representative(ctx, int(o[np.flatnonzero(lead == 0)[0]])),)
-    ok, at, first = scan_bijection(canon[keys])
-    if ok:
-        return None
-    r, k = int(o[first]), int(keys[first])
-    while k != keys[at]:
-        r, k = int(s[r]), int(s[k])
-    return REPEATED_KEY, (representative(ctx, r), representative(ctx, int(o[at])))
+    _, o, canon = orbit_tables(ctx)
+    _, keys = projective_keys(ctx, projective_images(ctx, fam)[:, o])
+    return keys is not None and scan_bijection(canon[keys])[0]
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9])
 def test_frobenius_decision_matches_rotation_oracle(m):
     """Every vector: the decision on <sigma, phi>-orbits against the one on
-    rotation orbits, which images about m times as many points.  They
-    agree on the outcome and the reason, and a zero image names the same
-    point; a repeated key may name another pair."""
+    rotation orbits, which keys about m times as many points."""
     ctx = FieldCtx(m)
     for fam in all_families():
-        want, got = _rotation_decision(ctx, fam), projective_obstruction(ctx, fam)
-        if want is None or want[0] == ZERO_IMAGE:
-            assert got == want, fam.bitstring()
-        else:
-            assert got[0] == REPEATED_KEY, fam.bitstring()
+        assert _verdict(ctx, fam) == _rotation_decision(ctx, fam), fam.bitstring()
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9])
@@ -324,21 +298,23 @@ def test_frobenius_orbits_match_burnside(m):
     assert t.minima.size == {3: 13, 5: 73, 7: 789, 9: 9749}[m]
 
 
-def _edited_obstruction(ctx, bits, edit, monkeypatch):
-    """projective_obstruction of the family with keys edit(keys) at the G-minima."""
-    import rotaperm.permcheck as pc
+def _minima_keys(ctx, fam):
+    """lead and keys of F at the G-minima, as the block decision keys them."""
+    return projective_keys(ctx, projective_images(ctx, fam)[:, frobenius_tables(ctx).minima])
+
+
+def _edited_verdict(ctx, bits, edit, monkeypatch):
+    """The projective decision on the family with keys edit(keys) at the G-minima."""
     fam = family_from_coeffs(bits)
-    lead, keys = projective_keys(ctx, _images(frobenius_tables(ctx).monomials, fam))
+    lead, keys = _minima_keys(ctx, fam)
     edited = edit(keys)
     monkeypatch.setattr(pc, "projective_keys", lambda ctx, images: (lead, edited))
-    return projective_obstruction(ctx, fam), fam
+    return _verdict(ctx, fam)
 
 
 def test_size_mismatch_pair(f32, monkeypatch):
     """A G-minimum whose image class is smaller: its key is kept and every
-    other minimum is keyed to itself, so only the size decides.  The pair
-    is r and a rotation of Phi^d(r), d the image's size, with
-    proportional images."""
+    other minimum is keyed to itself, so only the size decides."""
     t = frobenius_tables(f32)
     _, _, canon = orbit_tables(f32)
     where = {}
@@ -351,21 +327,15 @@ def test_size_mismatch_pair(f32, monkeypatch):
         edited[p] = keys[p]
         return edited
 
-    obstruction, fam = _edited_obstruction(f32, "00000110", edit, monkeypatch)
+    assert _edited_verdict(f32, "00000110", edit, monkeypatch) is False
     assert where == {"p": 60, "sizes": (5, 1)}
-    assert obstruction == (REPEATED_KEY, ((1, 6, 17), (1, 20, 12)))
-    r, s = obstruction[1]
-    assert representative(f32, int(t.minima[60])) == r
-    assert s == tuple(f32.sqr(v) for v in r)
-    assert _proportional(f32, eval_F(f32, fam, r), eval_F(f32, fam, s))
 
 
 def test_class_repeat_pair(f32, monkeypatch):
     """Two G-minima keyed to different representatives of one G-orbit: both
     keys are kept, every other minimum is keyed to itself except the one
-    whose class they take, which takes the first one's.  The pair is
-    g(r_p) and r_p' for the g in G with g(keys[p]) = keys[p'], with
-    proportional images."""
+    whose class they take, which takes the first one's.  The sizes are
+    kept, so only the scan over the classes decides."""
     t = frobenius_tables(f32)
     _, _, canon = orbit_tables(f32)
     where = {}
@@ -381,12 +351,8 @@ def test_class_repeat_pair(f32, monkeypatch):
         edited[c] = t.minima[p]
         return edited
 
-    obstruction, fam = _edited_obstruction(f32, "00000101", edit, monkeypatch)
+    assert _edited_verdict(f32, "00000101", edit, monkeypatch) is False
     assert where == {"p": 2, "p2": 68, "c": 20}
-    assert obstruction == (REPEATED_KEY, ((0, 1, 9), (1, 7, 20)))
-    r, s = obstruction[1]
-    assert representative(f32, int(t.minima[68])) == s
-    assert _proportional(f32, eval_F(f32, fam, r), eval_F(f32, fam, s))
 
 
 def test_repeat_between_members_of_one_orbit(f32, monkeypatch):
@@ -394,19 +360,18 @@ def test_repeat_between_members_of_one_orbit(f32, monkeypatch):
     keys differ, their classes repeat.  The keys of a permutation are
     edited, at the first two minima whose key is not (1,1,1) and whose
     sizes agree, so that the sizes stay kept."""
-    import rotaperm.permcheck as pc
     fam = named_family("T3")
     t = frobenius_tables(f32)
-    lead, keys = projective_keys(f32, _images(t.monomials, fam))
+    lead, keys = _minima_keys(f32, fam)
     s = orbit_tables(f32)[0]
     fixed = representative_index(f32, (1, 1, 1))[1]
     p, p2 = np.flatnonzero(keys != fixed)[:2].tolist()
     assert (p, p2) == (0, 1) and t.sizes[p] == t.sizes[p2]
+    assert _verdict(f32, fam) is True
     edited = keys.copy()
     edited[p2] = s[keys[p]]
     monkeypatch.setattr(pc, "projective_keys", lambda ctx, images: (lead, edited))
-    assert projective_obstruction(f32, fam) == (
-        REPEATED_KEY, (representative(f32, int(s[t.minima[p]])), representative(f32, int(t.minima[p2]))))
+    assert _verdict(f32, fam) is False
 
 
 @pytest.mark.parametrize("m", [3, 5])
@@ -460,7 +425,7 @@ def test_projective_keys_match_scalar_images(m):
     for bits in ("00000011", "01001000", "00000001", "11111111"):
         fam = family_from_coeffs(bits)
         images = [eval_F(ctx, fam, r) for r in points]
-        lead, keys = projective_keys(ctx, _orbit_images(ctx, fam))
+        lead, keys = projective_keys(ctx, projective_images(ctx, fam)[:, orbit_tables(ctx)[1]])
         assert lead.tolist() == [next((v for v in w if v), 0) for w in images], bits
         if (0, 0, 0) in images:
             assert keys is None, bits
@@ -470,16 +435,18 @@ def test_projective_keys_match_scalar_images(m):
 
 
 _ALL_VECTORS = [f"{v:08b}" for v in range(256)]
+_NAMED_VECTORS = [NAMED_COEFFS[n] for n in sorted(NAMED_COEFFS)] + ["00000001", "11111111"]
 
 
 @pytest.mark.parametrize("m, vectors", [
     (1, _ALL_VECTORS),
     (3, _ALL_VECTORS),
     (5, _ALL_VECTORS),
-    (7, [NAMED_COEFFS[n] for n in sorted(NAMED_COEFFS)] + ["00000001", "11111111"]),
-], ids=["m1-all", "m3-all", "m5-all", "m7-named"])
+    (7, _NAMED_VECTORS),
+    (9, _NAMED_VECTORS),
+], ids=["m1-all", "m3-all", "m5-all", "m7-named", "m9-named"])
 def test_projective_images_match_eval_F(m, vectors):
-    """F spread from the orbit minima equals F at every representative."""
+    """F from the nine monomial rows equals F at every representative."""
     ctx = FieldCtx(m)
     points = list(zip(*(a.tolist() for a in projective_representatives(ctx))))
     for bits in vectors:
@@ -492,15 +459,10 @@ def test_projective_images_match_eval_F(m, vectors):
 @pytest.mark.parametrize("m", [3, 5])
 def test_projective_matches_full_scan_for_all_vectors(m):
     ctx = FieldCtx(m)
-    reasons = set()
     for fam in all_families():
         oracle = full_scan(ctx, fam)
-        obstruction = projective_obstruction(ctx, fam)
-        assert (obstruction is None) == oracle.is_permutation, fam.bitstring()
+        assert _verdict(ctx, fam) == oracle.is_permutation, fam.bitstring()
         assert is_permutation(ctx, fam) == oracle, fam.bitstring()
-        if obstruction is not None:
-            reasons.add(obstruction[0])
-    assert reasons == {ZERO_IMAGE, REPEATED_KEY}
 
 
 @pytest.mark.parametrize("bits", [*("".join(map(str, c)) for c in NAMED_COEFFS.values()),
@@ -508,29 +470,28 @@ def test_projective_matches_full_scan_for_all_vectors(m):
 def test_projective_matches_full_scan_m7(f128, bits):
     fam = family_from_coeffs(bits)
     oracle = full_scan(f128, fam)
-    assert (projective_obstruction(f128, fam) is None) == oracle.is_permutation
+    assert _verdict(f128, fam) == oracle.is_permutation
     assert is_permutation(f128, fam) == oracle
 
 
 def test_m7_permutation_set_has_29_members(f128):
-    hits = [fam for fam in all_families() if projective_obstruction(f128, fam) is None]
+    hits = [fam for fam in all_families() if _verdict(f128, fam)]
     assert len(hits) == 29
 
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_monomial_columns_match_scalar_products(m):
-    """The monomial tables at the rotation minima and at the G-minima."""
+    """The monomial table at the G-minima."""
     ctx = FieldCtx(m)
     frobenius = frobenius_tables(ctx)
-    for minima, table in ((orbit_tables(ctx)[1], _monomial_table(ctx)),
-                          (frobenius.minima, frobenius.monomials)):
-        points = [representative(ctx, i) for i in minima.tolist()]
-        assert table.shape == (len(_MONOMIAL_EXPONENTS), 3, len(points)) and table.dtype == np.uint16
-        for (ex, ey, ez), col in zip(_MONOMIAL_EXPONENTS, table):
-            for i, (x, y, z) in enumerate(points):
-                for row, (a, b, c) in enumerate([(x, y, z), (y, z, x), (z, x, y)]):
-                    expected = ctx.mul(ctx.mul(ctx.pow(a, ex), ctx.pow(b, ey)), ctx.pow(c, ez))
-                    assert col[row, i] == expected
+    table = frobenius.monomials
+    points = [representative(ctx, i) for i in frobenius.minima.tolist()]
+    assert table.shape == (len(_MONOMIAL_EXPONENTS), 3, len(points)) and table.dtype == np.uint16
+    for (ex, ey, ez), col in zip(_MONOMIAL_EXPONENTS, table):
+        for i, (x, y, z) in enumerate(points):
+            for row, (a, b, c) in enumerate([(x, y, z), (y, z, x), (z, x, y)]):
+                expected = ctx.mul(ctx.mul(ctx.pow(a, ex), ctx.pow(b, ey)), ctx.pow(c, ez))
+                assert col[row, i] == expected
 
 
 def _monomials_at_oracle(ctx, idx):
@@ -554,6 +515,9 @@ def test_rotated_monomial_table_matches_27_evaluations(m):
 
 
 def test_monomial_table_evaluates_each_monomial_once(monkeypatch):
+    """Nine _monomial calls for the monomial table; projective_images makes
+    two per monomial, one for the chart (1, y, z) and one for the q+1
+    points with x = 0, and so evaluates each once per representative."""
     calls = []
 
     def counted(*args):
@@ -561,15 +525,19 @@ def test_monomial_table_evaluates_each_monomial_once(monkeypatch):
         return _monomial(*args)
 
     monkeypatch.setattr(pc, "_monomial", counted)
-    frobenius_tables(FieldCtx(5))
+    ctx = FieldCtx(5)
+    frobenius_tables(ctx)
     assert sorted(calls) == sorted(_MONOMIAL_EXPONENTS)
+    calls.clear()
+    projective_images(ctx, named_family("T1"))
+    assert sorted(calls) == sorted(_MONOMIAL_EXPONENTS * 2)
 
 
 def test_decision_caches_two_tables_per_field():
     """All 256 decisions at m=5 add the orbit tables, the Frobenius tables
     (with the monomial table at the G-minima) and the permutation mask
-    they decide to the field tables, nothing more; the rotation monomial
-    table waits for projective_images."""
+    they decide to the field tables, nothing more; projective_images adds
+    no entry."""
     ctx = FieldCtx(5)
     for table in (ctx.mul_table, ctx.sqr_table, ctx.cube_table, ctx.inv_table):
         assert table.size
@@ -579,7 +547,7 @@ def test_decision_caches_two_tables_per_field():
         is_permutation(ctx, fam, witness=False)
     assert set(ctx._np_cache) - field_keys == decided
     projective_images(ctx, named_family("T3"))
-    assert set(ctx._np_cache) - field_keys == decided | {"orbit_monomials"}
+    assert set(ctx._np_cache) - field_keys == decided
 
 
 def test_column_cache_follows_the_modulus():
@@ -592,25 +560,6 @@ def test_column_cache_follows_the_modulus():
             assert is_permutation(ctx, fam) == oracle, (ctx, fam.bitstring())
             hits += oracle.is_permutation
         assert hits == 29
-
-
-@pytest.mark.parametrize("m", [3, 5])
-def test_obstructions_are_genuine(m):
-    """A zero image is a nonzero point mapped to 0; a repeated key is two
-    representatives with proportional images."""
-    ctx = FieldCtx(m)
-    for fam in all_families():
-        obstruction = projective_obstruction(ctx, fam)
-        if obstruction is None:
-            continue
-        reason, points = obstruction
-        if reason == ZERO_IMAGE:
-            (r,) = points
-            assert r != (0, 0, 0) and eval_F(ctx, fam, r) == (0, 0, 0)
-        else:
-            r, s = points
-            assert r != s
-            assert _proportional(ctx, eval_F(ctx, fam, r), eval_F(ctx, fam, s))
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])
@@ -635,7 +584,7 @@ def test_even_m_is_decided_by_the_cube_lemma():
     ctx = FieldCtx(2)
     fam = family_from_coeffs((0,) * 8)
     with pytest.raises(OddDegreeRequired):
-        projective_obstruction(ctx, fam)
+        permutation_mask(ctx)
     report = is_permutation(ctx, fam, witness=False)
     assert report == full_scan(ctx, fam)
     assert report.witness == ((0, 0, 1), (0, 0, 2)) and report.points_checked == 3
@@ -680,7 +629,7 @@ def unfiltered_sets():
     sets = {1: {f.bitstring() for f in all_families() if full_scan(FieldCtx(1), f).is_permutation}}
     for m in (3, 5, 7, 9):
         ctx = FieldCtx(m)
-        sets[m] = {f.bitstring() for f in all_families() if projective_obstruction(ctx, f) is None}
+        sets[m] = {f.bitstring() for f in all_families() if _verdict(ctx, f)}
     return sets
 
 
@@ -725,14 +674,14 @@ def test_m9_is_decided_on_gf8_first(projective_degrees):
 def test_mask_matches_per_family_oracle(m):
     """Row v of the mask is the vector of all_families()[v], decided by the
     per-family chain the mask replaces: GF(2) from the coefficient bits,
-    then projective_obstruction on each proper subfield and at m."""
+    then the projective decision on each proper subfield and at m."""
     ctx = FieldCtx(m)
     chain = [FieldCtx(k) for k in range(2, m) if m % k == 0] + [ctx]
     mask = permutation_mask(ctx)
     assert mask.shape == (256,) and mask.dtype == bool
     for v, fam in enumerate(all_families()):
         assert int(fam.bitstring(), 2) == v
-        want = permutes_gf2(fam) and all(projective_obstruction(c, fam) is None for c in chain)
+        want = permutes_gf2(fam) and all(_verdict(c, fam) for c in chain)
         assert mask[v] == want, fam.bitstring()
     assert int(mask.sum()) == {3: 36, 5: 29, 7: 29, 9: 23}[m]
 
@@ -822,8 +771,7 @@ def test_count_zeros_domain_cap():
 
 
 def test_count_zeros_rejects_a_mixed_term(f8, monkeypatch):
-    import rotaperm.permcheck as pc
-    monkeypatch.setattr(pc, "D_POLY", D_POLY + parse("Y*Z"))
+    monkeypatch.setattr(oracles, "D_POLY", D_POLY + parse("Y*Z"))
     with pytest.raises(FormulaInconsistent):
         count_zeros_D(f8, 1)
 
