@@ -9,17 +9,16 @@ blocked array pass per field, into a read-only (256,) bool array
 (permutation_mask) that is_permutation reads.  The pass starts on the
 proper subfields.  Every family has 0/1 coefficients, so F maps
 GF(2^k)^3 into itself for every k | m, and a permutation of GF(2^m)^3
-permutes GF(2^k)^3 (the subfield lemma: P(m) is inside P(k)).  GF(2) is
-decided in pure Python from the coefficient bits (permutes_gf2, which 72
-of the 256 vectors pass, once per process), then each GF(2^k) with
-1 < k < m contributes its own mask.  Of the vectors that permute every
-proper subfield, one of each y <-> z pair is imaged at m: tau(x,y,z) =
-(x,z,y) conjugates F into the map of f(x,z,y), so both or neither
-permute.  A witness-free negative still reports the q^2+q+1
-representatives as its points, whichever test decided it: by the lemma
-the projective decision at m fails as well, so the report is a function
-of the vector and m alone, and stays the one a decision without the
-subfield step gives.
+permutes GF(2^k)^3 (the subfield lemma: P(m) is inside P(k)).  Each
+proper subfield, GF(2) (k = 1, where 72 of the 256 vectors permute)
+included, contributes its own mask, decided the same way and built once
+per process.  Of the vectors that permute every proper subfield, one of
+each y <-> z pair is imaged at m: tau(x,y,z) = (x,z,y) conjugates F into
+the map of f(x,z,y), so both or neither permute.  A witness-free negative
+still reports the q^2+q+1 representatives as its points, whichever test
+decided it: by the lemma the projective decision at m fails as well, so
+the report is a function of the vector and m alone, and stays the one a
+decision without the subfield step gives.
 
 The decision at m is projective.  Every family is 3-homogeneous,
 F(lam*v) = lam^3 * F(v), and lam -> lam^3 permutes GF(2^m)^* when m is
@@ -28,10 +27,10 @@ representatives r in {(1,y,z)} u {(0,1,z)} u {(0,0,1)} and their images,
 each scaled by the inverse of its leading nonzero coordinate, are pairwise
 distinct.  Every family is also rotatable, F(sigma v) = sigma F(v) with
 sigma(x,y,z) = (y,z,x), and for odd m sigma fixes only the representative
-(1,1,1): the others fall into (q^2+q)/3 orbits of three (orbit_tables).
-With 0/1 coefficients F also commutes with the Frobenius
+(1,1,1): the others fall into (q^2+q)/3 orbits of three.  With 0/1
+coefficients F also commutes with the Frobenius
 phi(x,y,z) = (x^2,y^2,z^2), which permutes the representatives, so the
-group G = <sigma, phi> of order 3m permutes them too (frobenius_tables):
+group G = <sigma, phi> of order 3m permutes them too (group_tables):
 about (q^2+q)/3m orbits, 13, 73, 789 and 9749 at m = 3, 5, 7 and 9.  F is
 imaged at the G-orbit minima alone, and the decision is made on the
 G-classes of their keys and the sizes of those classes (_decide_rows,
@@ -45,11 +44,11 @@ Even m is answered without any image: 3 divides q-1, so z -> z^3 is
 among the first q points, where the cube table names the first collision.
 
 One key function, projective_keys, scales any array of points to their
-representatives: the decision keys F at the G-minima, orbit_tables keys
-the rotated representatives, and rotaperm.invert keys F at every
-representative.  Those images (projective_images) are also all the lift
-reads; they need no orbit table, so the orbit format stays inside this
-module, and a table inversion needs O(q^2) memory and no q^3 image.
+representatives: the decision keys F at the G-minima, group_tables keys
+the rotated and squared representatives, and rotaperm.invert keys F at
+every representative.  Those images (projective_images) are also all the
+lift reads; they need no orbit table, so the orbit format stays inside
+this module, and a table inversion needs O(q^2) memory and no q^3 image.
 
 The full scan over all q^3 images remains only for the lexicographically
 first collision reported as the witness of an odd-m negative.  Its
@@ -76,7 +75,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainTooLarge, FormulaInconsistent, OddDegreeRequired
-from .family import COEFF_EXPONENTS, FamilySpec, all_families
+from .family import COEFF_EXPONENTS, FamilySpec
 from .field import MAX_DEGREE, FieldCtx, Triple
 
 IS_PERMUTATION_MAX_M = 9
@@ -205,64 +204,56 @@ def _leading(u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> tuple[np.ndarray
     return lead, off
 
 
-def orbit_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, O, canon): the rotation sigma(x,y,z) = (y,z,x) on the representatives.
+def _rotation_classes(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(O, canon): the classes of the rotation sigma(x,y,z) = (y,z,x) on the
+    representatives.
 
-    S[i] is the index of sigma(r_i) among the representatives.  For odd m
-    it has order 3 and fixes only (1,1,1): sigma(v) = c*v needs c^3 = 1,
-    so c = 1.  O holds the orbit minima in increasing order, (q^2+q)/3 + 1
-    of them, and canon[i] is the position in O of the orbit of r_i.  Built
-    on first use and cached on ctx as one entry.
+    S[i], the index of sigma(r_i) among the representatives, has order 3
+    for odd m and fixes only (1,1,1): sigma(v) = c*v needs c^3 = 1, so
+    c = 1.  O holds the orbit minima in increasing order, (q^2+q)/3 + 1 of
+    them, and canon[i] is the position in O of the orbit of r_i.  S and
+    the coordinates it is keyed from are dropped on return.
     """
-    def build():
-        x, y, z = projective_representatives(ctx)
-        s = projective_keys(ctx, (y, z, x))[1]
-        idx = np.arange(s.size)
-        o = np.flatnonzero((idx <= s) & (idx <= s[s]))
-        canon = np.empty(s.size, dtype=np.uint32)
-        for members in (o, s[o], s[s[o]]):
-            canon[members] = np.arange(o.size, dtype=np.uint32)
-        return s, o, canon
-
-    return ctx._table("orbit_tables", build)
+    x, y, z = projective_representatives(ctx)
+    s = projective_keys(ctx, (y, z, x))[1]
+    idx = np.arange(s.size)
+    o = np.flatnonzero((idx <= s) & (idx <= s[s]))
+    canon = np.empty(s.size, dtype=np.uint32)
+    for members in (o, s[o], s[s[o]]):
+        canon[members] = np.arange(o.size, dtype=np.uint32)
+    return o, canon
 
 
-class FrobeniusTables(NamedTuple):
+class GroupTables(NamedTuple):
     """The group G = <sigma, phi> on the representatives, with the decision's
-    monomial table at its orbit minima (frobenius_tables)."""
+    monomial table at its orbit minima (group_tables)."""
 
-    phi: np.ndarray        # phi[i]: index of phi(r_i), uint32
     minima: np.ndarray     # the G-orbit minima, increasing, uint32
-    classes: np.ndarray    # classes[c]: position in minima of the G-orbit of rotation class c
+    classes: np.ndarray    # classes[i]: position in minima of the G-orbit of r_i, uint32
     sizes: np.ndarray      # sizes[g]: rotation classes in G-class g, uint32
     monomials: np.ndarray  # (9, 3, |minima|) uint16, as _monomials_at
 
 
-def frobenius_tables(ctx: FieldCtx) -> FrobeniusTables:
+def group_tables(ctx: FieldCtx) -> GroupTables:
     """G = <sigma, phi> on the representatives, phi(x,y,z) = (x^2,y^2,z^2).
 
-    phi fixes the leading 1 of every representative, so it permutes them:
-    (1,y,z) goes to index sq[y]*q + sq[z].  It commutes with sigma, so it
-    permutes the rotation classes, class c going to canon[phi[O[c]]];
-    the G-class of c is the least class on that Frobenius orbit, found
-    by m-1 gathers, and its size is the number of rotation classes in it,
-    the orbit's length (a divisor of m).  O increases, so the least class
-    holds the G-orbit minimum.  Built on first use and cached on ctx as
-    one entry.
+    phi fixes the leading 1 of every representative, so it permutes them,
+    and it commutes with sigma, so it permutes the rotation classes: class
+    c goes to the class of phi(r_O[c]).  The G-class of c is the least
+    class on that Frobenius orbit, found by m-1 gathers, and its size is
+    the number of rotation classes in it, the orbit's length (a divisor of
+    m).  O increases, so the least class holds the G-orbit minimum.  Built
+    on first use and cached on ctx as one entry; the rotation and
+    Frobenius index maps are build temporaries.
     """
     def build():
-        q, m = ctx.q, ctx.m
-        qq = q * q
-        _, o, canon = orbit_tables(ctx)
-        sq = ctx.sqr_table.astype(np.uint32)
-        phi = np.empty(qq + q + 1, dtype=np.uint32)
-        phi[:qq] = ((sq[:, None] << m) | sq[None, :]).reshape(-1)
-        phi[qq:qq + q] = qq + sq
-        phi[qq + q] = qq + q
-        step = canon[phi[o]]
+        o, canon = _rotation_classes(ctx)
+        x, y, z = representatives(ctx, o)  # x is 0 or 1, its own square
+        sq = ctx.sqr_table
+        step = canon[projective_keys(ctx, (x, sq[y], sq[z]))[1]]
         least = np.arange(o.size, dtype=np.uint32)
         moved = least
-        for _ in range(m - 1):
+        for _ in range(ctx.m - 1):
             moved = step[moved]
             np.minimum(least, moved, out=least)
         heads = np.flatnonzero(least == np.arange(o.size))
@@ -271,9 +262,9 @@ def frobenius_tables(ctx: FieldCtx) -> FrobeniusTables:
         classes = rank[least]
         sizes = np.bincount(classes, minlength=heads.size).astype(np.uint32)
         minima = o[heads].astype(np.uint32)
-        return FrobeniusTables(phi, minima, classes, sizes, _monomials_at(ctx, minima))
+        return GroupTables(minima, classes[canon], sizes, _monomials_at(ctx, minima))
 
-    return ctx._table("frobenius_tables", build)
+    return ctx._table("group_tables", build)
 
 
 # x^3, then the monomial under each coefficient bit a1..a8.
@@ -384,7 +375,7 @@ def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
     of _VECTOR_BITS, as a bool array.
 
     A block of max(1, IMAGE_BLOCK // |M|) rows is imaged at a time, at the
-    G-orbit minima r_M[p] (M and G = <sigma, phi> as in frobenius_tables),
+    G-orbit minima r_M[p] (M and G = <sigma, phi> as in group_tables),
     as one (rows, 3, |M|) XOR of monomial rows; projective_keys then keys
     every row with no zero image at once.  F(sigma v) = sigma F(v), and F
     has 0/1 coefficients, so F(phi v) = phi F(v) as well: the key of
@@ -398,15 +389,14 @@ def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
     fixes keys[p] or its class: the image's size (its count of rotation
     classes) divides the source's.  So a permutation keeps every size,
     and F permutes exactly when no lead is zero, every size is kept and
-    the G-classes of canon[keys] have no repeat.  Without a repeat,
+    the G-classes of the keys have no repeat.  Without a repeat,
     orbits go to orbits one to one; their sizes in representatives sum
     to q^2+q+1 on both sides and none grows, so none shrinks, and each
     orbit goes onto its image one to one.  That also makes a size
     mismatch imply a repeat, so the sizes are compared first, where they
     can decide alone, and only a row that keeps them is scanned.
     """
-    t = frobenius_tables(ctx)
-    canon = orbit_tables(ctx)[2]
+    t = group_tables(ctx)
     n = t.minima.size
     verdicts = np.zeros(rows.size, dtype=bool)
     step = max(1, IMAGE_BLOCK // n)
@@ -417,56 +407,20 @@ def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
             images ^= bits[:, j] * t.monomials[j + 1]
         live = np.flatnonzero((images != 0).any(axis=1).all(axis=1))
         _, keys = projective_keys(ctx, images[live].transpose(1, 0, 2).reshape(3, -1))
-        classes = t.classes[canon[keys]].reshape(live.size, n)
+        classes = t.classes[keys].reshape(live.size, n)
         kept = (t.sizes[classes] == t.sizes).all(axis=1)
         for i, c in zip(live[kept], classes[kept]):
             verdicts[s + i] = _kernels.scan_bijection(c)[0]
     return verdicts
 
 
-# Truth tables of x, y and z over GF(2)^3, point (x, y, z) at bit 4x + 2y + z.
-_GF2_X, _GF2_Y, _GF2_Z = 0xF0, 0xCC, 0xAA
-
-
-def _gf2_component(coeffs: tuple[int, ...], x: int, y: int, z: int) -> int:
-    """Truth table of f(x, y, z) over GF(2)^3, from the tables of x, y and z.
-
-    On GF(2) every power u^e with e > 0 is u, so x^3 + a1*y^3 + a2*z^3 is
-    linear and the mixed monomials pair off: x^2*y and x*y^2 are both x*y.
-    """
-    a1, a2, a3, a4, a5, a6, a7, a8 = coeffs
-    t = x
-    if a1: t ^= y
-    if a2: t ^= z
-    if a3 ^ a4: t ^= x & y
-    if a5 ^ a6: t ^= x & z
-    if a7 ^ a8: t ^= y & z
-    return t
-
-
-def permutes_gf2(fam: FamilySpec) -> bool:
-    """Whether F permutes GF(2)^3, from the coefficient bits alone.
-
-    A map of GF(2)^3 is a bijection exactly when each of the seven nonzero
-    XOR combinations of its three component tables is balanced (four of
-    the eight points).
-    """
-    c = fam.coeffs
-    f1 = _gf2_component(c, _GF2_X, _GF2_Y, _GF2_Z)
-    f2 = _gf2_component(c, _GF2_Y, _GF2_Z, _GF2_X)
-    f3 = _gf2_component(c, _GF2_Z, _GF2_X, _GF2_Y)
-    return all(t.bit_count() == 4 for t in (f1, f2, f3, f1 ^ f2, f1 ^ f3, f2 ^ f3, f1 ^ f2 ^ f3))
-
-
 @lru_cache(maxsize=MAX_DEGREE)
-def _subfield_ctxs(m: int) -> tuple[FieldCtx, ...]:
-    """GF(2^k) for each proper divisor k > 1 of m, in increasing k.
-
-    Built once per m and shared by every context of that degree: any
-    modulus of degree k will do, since F has 0/1 coefficients and so
-    commutes with the isomorphism between two models of GF(2^k).
-    """
-    return tuple(FieldCtx(k) for k in range(2, m) if m % k == 0)
+def _subfield(k: int) -> FieldCtx:
+    """GF(2^k), built once per process and shared by every field that
+    contains it, so each subfield's mask is decided once: any modulus of
+    degree k will do, since F has 0/1 coefficients and so commutes with
+    the isomorphism between two models of GF(2^k)."""
+    return FieldCtx(k)
 
 
 # Row v's partner under y <-> z: tau(x, y, z) = (x, z, y) conjugates the map
@@ -476,39 +430,31 @@ _Y_Z_SWAP = [COEFF_EXPONENTS.index((ex, ez, ey)) for ex, ey, ez in COEFF_EXPONEN
 _Y_Z_PARTNER = _VECTOR_BITS[:, _Y_Z_SWAP] @ (1 << np.arange(7, -1, -1))
 
 
-@lru_cache(maxsize=1)
-def _gf2_mask() -> np.ndarray:
-    """permutes_gf2 of every vector, a read-only (256,) bool array in row
-    order; built once per process."""
-    mask = np.array([permutes_gf2(fam) for fam in all_families()])
-    mask.flags.writeable = False
-    return mask
-
-
 def permutation_mask(ctx: FieldCtx) -> np.ndarray:
     """Whether F permutes GF(2^m)^3 (odd m), for every coefficient vector.
 
     A read-only (256,) bool array indexed by a1..a8 read as an 8-bit
-    integer, a1 the high bit, which is family.all_families() order.  It
-    starts from the GF(2) mask and keeps a vector only if it permutes
-    every proper subfield (the subfield lemma: each GF(2^k) with k | m
+    integer, a1 the high bit, which is family.all_families() order.  A
+    vector is kept only if it permutes every proper subfield (the
+    subfield lemma: each GF(2^k) with k | m and k < m, GF(2) included,
     ANDs in its own mask).  Of the rest, one vector per y <-> z pair is
     decided by _decide_rows and its verdict copied to its partner:
     tau F tau with tau(x, y, z) = (x, z, y) is the partner's map, and a
-    permutation exactly when F is one.  That is 38 of the 72 GF(2)
-    permutations at prime m, and 20 of P(3)'s 36 at m=9.  Built on first
-    use and cached on ctx as one entry, with every table under it (the
-    orbit and Frobenius tables, the subfields' masks); a caller that
-    shares ctx between threads builds it first, so that no two threads
-    build one table twice and every later decision is a lookup.
+    permutation exactly when F is one.  That is 136 rows at m=1, 38 of
+    the 72 GF(2) permutations at prime m, and 20 of P(3)'s 36 at m=9.
+    Built on first use and cached on ctx as one entry, with group_tables
+    beside it and the subfields' masks on their shared contexts; a caller
+    that shares ctx between threads builds it first, so that no two
+    threads build one table twice and every later decision is a lookup.
     """
     if ctx.m % 2 == 0:
         raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
 
     def build():
-        mask = _gf2_mask().copy()
-        for sub in _subfield_ctxs(ctx.m):
-            mask &= permutation_mask(sub)
+        mask = np.ones(256, dtype=bool)
+        for k in range(1, ctx.m):
+            if ctx.m % k == 0:
+                mask &= permutation_mask(_subfield(k))
         rows = np.flatnonzero(mask & (np.arange(256) <= _Y_Z_PARTNER))
         verdicts = _decide_rows(ctx, rows)
         mask[:] = False
@@ -524,8 +470,8 @@ def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> P
     """Decide whether F permutes GF(2^m)^3.
 
     Odd m is answered from permutation_mask(ctx), built once per field
-    (GF(2) from the coefficient bits, then each proper subfield, then the
-    projective decision at m for one vector of each y <-> z pair).  A
+    (each proper subfield, GF(2) first, then the projective decision at
+    m for one vector of each y <-> z pair).  A
     positive report counts all 2^3m points; a negative with `witness`
     re-runs the full scan for the lexicographically first collision, and
     one without reports the q^2+q+1 representatives, whichever test

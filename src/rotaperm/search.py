@@ -3,15 +3,15 @@
 For each requested odd degree every family of the eight-bit shape is
 run through the bijectivity decision without a witness (see
 rotaperm.permcheck).  All 256 vectors of a degree are decided in one
-blocked pass into the field's permutation mask: 184 of the 256 fail on
-GF(2)^3 from their coefficient bits alone, and at m=9 those outside
-P(3) fail on GF(8)^3.  Of the rest one vector of each y <-> z pair is
-imaged at m (38 at m = 3, 5 and 7, 20 at m=9), once per orbit of the
-q^2+q+1 representatives under rotation and Frobenius (9749 orbits at
-m=9), never the full cube.  A degree requested twice is decided once
-and still printed as requested.  The report records the per-degree
-permutation sets (as bitstrings, sorted), their intersection, and
-whether the five named families showed up everywhere they must.
+blocked pass into the field's permutation mask, by one projective
+decision on each proper subfield and then at m: 184 of the 256 fail on
+GF(2)^3, decided once per process, and at m=9 those outside P(3) fail
+on GF(8)^3.  Of the rest one vector of each y <-> z pair is imaged at m
+(38 at m = 3, 5 and 7, 20 at m=9), once per orbit of the q^2+q+1
+representatives under rotation and Frobenius (9749 orbits at m=9), never
+the full cube.  A degree requested twice is decided once and still
+printed as requested.  The report records the per-degree permutation
+sets (as bitstrings, sorted) and their intersection.
 
 The mask and every table under it (permcheck.permutation_mask) are
 built on the main thread before the pool starts.  The families are then
@@ -50,7 +50,6 @@ class SearchReport:
     degrees: tuple[int, ...]
     results: dict[int, tuple[str, ...]]
     intersection: tuple[str, ...]
-    contains_five_families: dict[int, bool]
 
     def to_json(self, candidates: tuple[str, ...] | None = None) -> dict:
         out = {
@@ -86,7 +85,6 @@ def search_all(degrees) -> SearchReport:
     degrees = tuple(degrees)
     for m in degrees:
         _check_degree(m)
-    named = set(named_bitstrings())
     families = all_families()
     width = min(worker_count(), len(families))
     results: dict[int, tuple[str, ...]] = {}
@@ -105,9 +103,7 @@ def search_all(degrees) -> SearchReport:
     for m in degrees:
         s = set(results[m])
         common = s if common is None else common & s
-    intersection = tuple(sorted(common or ()))
-    contains = {m: named <= set(results[m]) for m in degrees}
-    return SearchReport(degrees, results, intersection, contains)
+    return SearchReport(degrees, results, tuple(sorted(common or ())))
 
 
 def search_diff(report: SearchReport) -> tuple[str, ...]:

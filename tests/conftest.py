@@ -22,8 +22,8 @@ def f128():
 def projective_degrees(monkeypatch):
     """The degree of every vector the block decision (permcheck._decide_rows)
     decides while the test runs, one entry per row.  The shared subfield
-    contexts are dropped first, so that their permutation masks are built
-    again inside the test and counted."""
+    contexts, GF(2)'s included, are dropped first, so that their
+    permutation masks are built again inside the test and counted."""
     import rotaperm.permcheck as pc
     degrees = []
     original = pc._decide_rows
@@ -32,6 +32,6 @@ def projective_degrees(monkeypatch):
         degrees.extend([ctx.m] * len(rows))
         return original(ctx, rows)
 
-    pc._subfield_ctxs.cache_clear()
+    pc._subfield.cache_clear()
     monkeypatch.setattr(pc, "_decide_rows", counted)
     return degrees

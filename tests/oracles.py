@@ -4,11 +4,15 @@ Each is kept beside the fast path it checks, outside the package: the
 pairwise difference criterion and the D(Y,Z) zero count behind the
 character-sum step, the exhaustive beta-trace check, the symbolic
 rotatability test with a literal non-rotatable triple, the homogeneity
-degree of a polynomial, the support of a lifted polynomial, and the
-sheared resolvent system H.
+degree of a polynomial, the support of a lifted polynomial, the sheared
+resolvent system H, the rotation and the Frobenius as index maps on the
+projective representatives, and the GF(2) bijectivity test from the
+coefficient bits.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +22,13 @@ from rotaperm.family import SIGMA, FamilySpec
 from rotaperm.field import FieldCtx
 from rotaperm.lift import LiftedPoly
 from rotaperm.mpoly import VARS, MPoly, parse, substitute
-from rotaperm.permcheck import IS_PERMUTATION_MAX_M, _unpack, family_images
+from rotaperm.permcheck import (
+    IS_PERMUTATION_MAX_M,
+    _unpack,
+    family_images,
+    representative,
+    representative_index,
+)
 from rotaperm.resolvent import resolvent_coeffs
 
 # ---------------------------------------------------------------------------
@@ -157,3 +167,65 @@ def support(p: LiftedPoly) -> tuple[tuple[int, ...], int]:
 
 # Components of the sheared map H = phi . F for the resolvent family.
 H_SYSTEM = (parse("x^3 + y^3"), parse("y^3 + z^3"), parse("x*y^2 + y*z^2 + x^2*z"))
+
+
+# ---------------------------------------------------------------------------
+# sigma and phi on the projective representatives
+# ---------------------------------------------------------------------------
+
+def _index_map(ctx: FieldCtx, move) -> np.ndarray:
+    """i -> the index of move(r_i) among the representatives, one scalar
+    representative_index a point."""
+    n = ctx.q * ctx.q + ctx.q + 1
+    return np.array([representative_index(ctx, move(*representative(ctx, i)))[1]
+                     for i in range(n)])
+
+
+@lru_cache(maxsize=None)
+def rotation_map(ctx: FieldCtx) -> np.ndarray:
+    """S[i]: the index of sigma(r_i), sigma(x,y,z) = (y,z,x)."""
+    return _index_map(ctx, lambda x, y, z: (y, z, x))
+
+
+@lru_cache(maxsize=None)
+def frobenius_map(ctx: FieldCtx) -> np.ndarray:
+    """phi[i]: the index of phi(r_i), phi(x,y,z) = (x^2,y^2,z^2)."""
+    return _index_map(ctx, lambda x, y, z: (ctx.sqr(x), ctx.sqr(y), ctx.sqr(z)))
+
+
+# ---------------------------------------------------------------------------
+# bijectivity on GF(2)^3 from the coefficient bits
+# ---------------------------------------------------------------------------
+
+# Truth tables of x, y and z over GF(2)^3, point (x, y, z) at bit 4x + 2y + z.
+_GF2_X, _GF2_Y, _GF2_Z = 0xF0, 0xCC, 0xAA
+
+
+def _gf2_component(coeffs: tuple[int, ...], x: int, y: int, z: int) -> int:
+    """Truth table of f(x, y, z) over GF(2)^3, from the tables of x, y and z.
+
+    On GF(2) every power u^e with e > 0 is u, so x^3 + a1*y^3 + a2*z^3 is
+    linear and the mixed monomials pair off: x^2*y and x*y^2 are both x*y.
+    """
+    a1, a2, a3, a4, a5, a6, a7, a8 = coeffs
+    t = x
+    if a1: t ^= y
+    if a2: t ^= z
+    if a3 ^ a4: t ^= x & y
+    if a5 ^ a6: t ^= x & z
+    if a7 ^ a8: t ^= y & z
+    return t
+
+
+def permutes_gf2(fam: FamilySpec) -> bool:
+    """Whether F permutes GF(2)^3, from the coefficient bits alone.
+
+    A map of GF(2)^3 is a bijection exactly when each of the seven nonzero
+    XOR combinations of its three component tables is balanced (four of
+    the eight points).
+    """
+    c = fam.coeffs
+    f1 = _gf2_component(c, _GF2_X, _GF2_Y, _GF2_Z)
+    f2 = _gf2_component(c, _GF2_Y, _GF2_Z, _GF2_X)
+    f3 = _gf2_component(c, _GF2_Z, _GF2_X, _GF2_Y)
+    return all(t.bit_count() == 4 for t in (f1, f2, f3, f1 ^ f2, f1 ^ f3, f2 ^ f3, f1 ^ f2 ^ f3))

@@ -26,7 +26,7 @@ from rotaperm.invert import (
 )
 from rotaperm.lift import ExtCtx, LiftedPoly, is_pp, lift_permutation, qm_equivalent
 from rotaperm.permcheck import family_images, is_permutation
-from rotaperm.search import search_all
+from rotaperm.search import named_bitstrings, search_all
 
 from oracles import beta_trace_fallback, count_zeros_D, difference_check, support
 
@@ -145,7 +145,7 @@ def test_criterion_6_search():
     named_bits = {"".join(str(b) for b in v) for v in NAMED_COEFFS.values()}
     for m in (3, 5, 7):
         assert named_bits <= set(report.results[m]), m
-        assert report.contains_five_families[m]
+        assert set(named_bitstrings()) <= set(report.results[m]), m
     again = search_all((3, 5, 7))
     assert again.results == report.results and again.intersection == report.intersection
     ctx = FieldCtx(3)

@@ -1,6 +1,6 @@
 """Source rules that a reader of one module cannot see at a glance, the
 names the benchmark's tracer reaches into, and a reader for every
-top-level name of the package."""
+top-level name and every record field of the package."""
 
 import ast
 import importlib.util
@@ -32,7 +32,7 @@ def test_only_field_reads_the_product_table():
     assert found == []
 
 
-_ORBIT_NAMES = {"orbit_tables", "canon", "frobenius_tables", "FrobeniusTables"}
+_ORBIT_NAMES = {"group_tables", "GroupTables", "canon"}
 
 
 def _identifiers(tree):
@@ -52,10 +52,10 @@ def _identifiers(tree):
 
 def test_only_permcheck_knows_the_orbit_format():
     """The orbits of the projective representatives under the rotation
-    (orbit_tables and the canon classes) and under <sigma, phi>
-    (frobenius_tables and its FrobeniusTables) are used by permcheck.py alone, so a change of orbit group changes one
-    module.  Identifiers are matched, not substrings: a docstring may say
-    "canonical"."""
+    (the canon classes) and under <sigma, phi> (group_tables and its
+    GroupTables) are used by permcheck.py alone, so a change of orbit
+    group changes one module.  Identifiers are matched, not substrings: a
+    docstring may say "canonical"."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         names = set(_identifiers(ast.parse(path.read_text(), filename=str(path))))
@@ -150,3 +150,36 @@ def test_every_top_level_name_has_a_reader():
     exported = import_module("rotaperm").__all__
     assert list(_bindings(ast.parse((SRC / "field.py").read_text())))
     assert _unread_names(SRC, PERFBENCH, exported) == []
+
+
+def _record_fields(tree):
+    """(class, field) for every annotated field of a dataclass or NamedTuple."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(n, ast.Name) and n.id in {"dataclass", "NamedTuple"}
+               for n in (*decorators, *node.bases)):
+            yield from ((node.name, stmt.target.id) for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+
+
+def _unread_fields(src, perfbench):
+    """Record fields of the modules under src that no module under src or
+    perfbench reads as an attribute."""
+    read, fields = set(), []
+    for path in (*sorted(src.rglob("*.py")), *sorted(perfbench.rglob("*.py"))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read.update(n.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+        if path.is_relative_to(src):
+            fields.extend(_record_fields(tree))
+    assert fields
+    return [f"{cls}.{name}" for cls, name in fields if name not in read]
+
+
+def test_every_record_field_has_a_reader():
+    """Every field of a dataclass or NamedTuple in the package is read as
+    an attribute in the package or the benchmark: a field that only tests
+    read is built on every call for nothing."""
+    assert _unread_fields(SRC, PERFBENCH) == []

@@ -21,12 +21,10 @@ from rotaperm.permcheck import (
     _monomial,
     _monomials_at,
     family_images,
-    frobenius_tables,
     full_scan,
+    group_tables,
     is_permutation,
-    orbit_tables,
     permutation_mask,
-    permutes_gf2,
     projective_images,
     projective_keys,
     projective_representatives,
@@ -36,7 +34,7 @@ from rotaperm.permcheck import (
 )
 
 import oracles
-from oracles import D_POLY, count_zeros_D, difference_check
+from oracles import D_POLY, count_zeros_D, difference_check, frobenius_map, permutes_gf2, rotation_map
 
 
 def test_t3_is_permutation(f8):
@@ -151,6 +149,15 @@ def _verdict(ctx, fam):
     return bool(_decide_rows(ctx, np.array([fam.row]))[0])
 
 
+def _rotation_classes(ctx):
+    """O, the rotation orbit minima in increasing order, and canon[i], the
+    position in O of the orbit of r_i, from the oracle S."""
+    s = rotation_map(ctx)
+    least = np.minimum(np.minimum(np.arange(s.size), s), s[s])
+    o = np.unique(least)
+    return o, np.searchsorted(o, least)
+
+
 def test_projective_representatives_cover_each_line_once(f8):
     q = f8.q
     reps = list(zip(*(a.tolist() for a in projective_representatives(f8))))
@@ -179,8 +186,8 @@ def test_representatives_from_indices_match_gathered_arrays(m):
     G-minima, in the index array's dtype."""
     ctx = FieldCtx(m)
     full = _gathered_representatives(ctx)
-    o = orbit_tables(ctx)[1]
-    for idx in (np.arange(full[0].size), o, o.astype(np.uint32), frobenius_tables(ctx).minima):
+    o = _rotation_classes(ctx)[0]
+    for idx in (np.arange(full[0].size), o, o.astype(np.uint32), group_tables(ctx).minima):
         got = representatives(ctx, idx)
         for axis, want in zip(got, full):
             assert axis.dtype == idx.dtype
@@ -249,10 +256,9 @@ def test_orbit_decision_matches_full_key_oracle(m):
         assert _verdict(ctx, fam) == want, fam.bitstring()
 
 
-def _rotation_decision(ctx, fam):
+def _rotation_decision(ctx, fam, o, canon):
     """The oracle: the decision on rotation orbits alone, keying F at every
     orbit minimum r_O[p] and scanning the rotation classes of the keys."""
-    _, o, canon = orbit_tables(ctx)
     _, keys = projective_keys(ctx, projective_images(ctx, fam)[:, o])
     return keys is not None and scan_bijection(canon[keys])[0]
 
@@ -262,24 +268,23 @@ def test_frobenius_decision_matches_rotation_oracle(m):
     """Every vector: the decision on <sigma, phi>-orbits against the one on
     rotation orbits, which keys about m times as many points."""
     ctx = FieldCtx(m)
+    o, canon = _rotation_classes(ctx)
     for fam in all_families():
-        assert _verdict(ctx, fam) == _rotation_decision(ctx, fam), fam.bitstring()
+        assert _verdict(ctx, fam) == _rotation_decision(ctx, fam, o, canon), fam.bitstring()
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9])
 def test_frobenius_orbits_match_burnside(m):
     """The G-orbits of the representatives, G = <sigma, phi> of order 3m:
-    their number is Burnside's count (1/3m) sum_g |fix g|, phi is the
-    Frobenius on the indices, the classes are constant on G-orbits and
-    each minimum is the least index of its orbit."""
+    their number is Burnside's count (1/3m) sum_g |fix g| over the oracle
+    S and phi, the classes are constant on G-orbits, each minimum is the
+    least index of its orbit and each size counts the rotation classes of
+    its G-class."""
     ctx = FieldCtx(m)
-    s, o, canon = orbit_tables(ctx)
-    t = frobenius_tables(ctx)
+    s, phi = rotation_map(ctx), frobenius_map(ctx)
+    t = group_tables(ctx)
     n = s.size
     idx = np.arange(n)
-    for i in range(0, n, 11):
-        x, y, z = representative(ctx, i)
-        assert representative_index(ctx, (ctx.sqr(x), ctx.sqr(y), ctx.sqr(z))) == (1, t.phi[i])
     fixed, least, g_phi = 0, idx.copy(), idx
     for _ in range(m):
         g = g_phi
@@ -287,20 +292,20 @@ def test_frobenius_orbits_match_burnside(m):
             fixed += int(np.count_nonzero(g == idx))
             least = np.minimum(least, g)
             g = s[g]
-        g_phi = t.phi[g_phi]
+        g_phi = phi[g_phi]
     assert np.array_equal(g_phi, idx)
     assert fixed % (3 * m) == 0 and t.minima.size == fixed // (3 * m)
     assert t.minima.tolist() == np.unique(least).tolist()
-    g_class = t.classes[canon]
-    assert np.array_equal(g_class, g_class[s]) and np.array_equal(g_class, g_class[t.phi])
-    assert np.array_equal(t.minima[g_class], least)
-    assert t.sizes.tolist() == np.bincount(t.classes).tolist()
+    assert np.array_equal(t.classes, t.classes[s]) and np.array_equal(t.classes, t.classes[phi])
+    assert np.array_equal(t.minima[t.classes], least)
+    o = _rotation_classes(ctx)[0]
+    assert t.sizes.tolist() == np.bincount(t.classes[o]).tolist()
     assert t.minima.size == {3: 13, 5: 73, 7: 789, 9: 9749}[m]
 
 
 def _minima_keys(ctx, fam):
     """lead and keys of F at the G-minima, as the block decision keys them."""
-    return projective_keys(ctx, projective_images(ctx, fam)[:, frobenius_tables(ctx).minima])
+    return projective_keys(ctx, projective_images(ctx, fam)[:, group_tables(ctx).minima])
 
 
 def _edited_verdict(ctx, bits, edit, monkeypatch):
@@ -315,12 +320,11 @@ def _edited_verdict(ctx, bits, edit, monkeypatch):
 def test_size_mismatch_pair(f32, monkeypatch):
     """A G-minimum whose image class is smaller: its key is kept and every
     other minimum is keyed to itself, so only the size decides."""
-    t = frobenius_tables(f32)
-    _, _, canon = orbit_tables(f32)
+    t = group_tables(f32)
     where = {}
 
     def edit(keys):
-        classes = t.classes[canon[keys]]
+        classes = t.classes[keys]
         p = int(np.flatnonzero(t.sizes[classes] != t.sizes)[0])
         where.update(p=p, sizes=(int(t.sizes[p]), int(t.sizes[classes[p]])))
         edited = t.minima.copy()
@@ -336,12 +340,11 @@ def test_class_repeat_pair(f32, monkeypatch):
     keys are kept, every other minimum is keyed to itself except the one
     whose class they take, which takes the first one's.  The sizes are
     kept, so only the scan over the classes decides."""
-    t = frobenius_tables(f32)
-    _, _, canon = orbit_tables(f32)
+    t = group_tables(f32)
     where = {}
 
     def edit(keys):
-        classes = t.classes[canon[keys]]
+        classes = t.classes[keys]
         p, p2 = next((p, p2) for p in range(keys.size) for p2 in range(p + 1, keys.size)
                      if classes[p] == classes[p2] and keys[p] != keys[p2])
         c = int(classes[p])
@@ -361,9 +364,9 @@ def test_repeat_between_members_of_one_orbit(f32, monkeypatch):
     edited, at the first two minima whose key is not (1,1,1) and whose
     sizes agree, so that the sizes stay kept."""
     fam = named_family("T3")
-    t = frobenius_tables(f32)
+    t = group_tables(f32)
     lead, keys = _minima_keys(f32, fam)
-    s = orbit_tables(f32)[0]
+    s = rotation_map(f32)
     fixed = representative_index(f32, (1, 1, 1))[1]
     p, p2 = np.flatnonzero(keys != fixed)[:2].tolist()
     assert (p, p2) == (0, 1) and t.sizes[p] == t.sizes[p2]
@@ -400,32 +403,35 @@ def test_keys_at_every_representative_match_full_key_oracle(m):
 
 @pytest.mark.parametrize("m", [3, 5, 7])
 def test_orbit_tables(m):
-    """S is the rotation, of order 3 with the one fixed point (1,1,1); O
-    holds the orbit minima and canon is constant on every orbit."""
+    """The oracle S is the rotation, of order 3 with the one fixed point
+    (1,1,1); O holds the orbit minima and canon is constant on every
+    orbit.  group_tables' classes are constant on every rotation orbit,
+    and its sizes count all (q^2+q)/3 + 1 rotation classes."""
     ctx = FieldCtx(m)
     q = ctx.q
-    s, o, canon = orbit_tables(ctx)
+    s = rotation_map(ctx)
+    o, canon = _rotation_classes(ctx)
     idx = np.arange(q * q + q + 1)
     assert np.array_equal(s[s[s]], idx)
     assert np.flatnonzero(s == idx).tolist() == [representative_index(ctx, (1, 1, 1))[1]]
-    for i in range(0, idx.size, 7):
-        x, y, z = representative(ctx, i)
-        assert representative_index(ctx, (y, z, x))[1] == s[i]
     assert o.size == (q * q + q) // 3 + 1
-    assert o.tolist() == sorted(set(np.minimum(np.minimum(idx, s), s[s]).tolist()))
     assert np.array_equal(canon, canon[s])
     assert np.array_equal(o[canon[o]], o)
+    t = group_tables(ctx)
+    assert np.array_equal(t.classes, t.classes[s])
+    assert int(t.sizes.sum()) == o.size
 
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_projective_keys_match_scalar_images(m):
     """lead and keys at the orbit minima against eval_F and representative_index."""
     ctx = FieldCtx(m)
-    points = [representative(ctx, i) for i in orbit_tables(ctx)[1].tolist()]
+    o = _rotation_classes(ctx)[0]
+    points = [representative(ctx, i) for i in o.tolist()]
     for bits in ("00000011", "01001000", "00000001", "11111111"):
         fam = family_from_coeffs(bits)
         images = [eval_F(ctx, fam, r) for r in points]
-        lead, keys = projective_keys(ctx, projective_images(ctx, fam)[:, orbit_tables(ctx)[1]])
+        lead, keys = projective_keys(ctx, projective_images(ctx, fam)[:, o])
         assert lead.tolist() == [next((v for v in w if v), 0) for w in images], bits
         if (0, 0, 0) in images:
             assert keys is None, bits
@@ -483,9 +489,9 @@ def test_m7_permutation_set_has_29_members(f128):
 def test_monomial_columns_match_scalar_products(m):
     """The monomial table at the G-minima."""
     ctx = FieldCtx(m)
-    frobenius = frobenius_tables(ctx)
-    table = frobenius.monomials
-    points = [representative(ctx, i) for i in frobenius.minima.tolist()]
+    t = group_tables(ctx)
+    table = t.monomials
+    points = [representative(ctx, i) for i in t.minima.tolist()]
     assert table.shape == (len(_MONOMIAL_EXPONENTS), 3, len(points)) and table.dtype == np.uint16
     for (ex, ey, ez), col in zip(_MONOMIAL_EXPONENTS, table):
         for i, (x, y, z) in enumerate(points):
@@ -506,7 +512,7 @@ def test_rotated_monomial_table_matches_27_evaluations(m):
     """Nine evaluations and a gather equal the 27 evaluations, at every
     representative and at the G-minima."""
     ctx = FieldCtx(m)
-    for idx in (np.arange(ctx.q * ctx.q + ctx.q + 1), frobenius_tables(ctx).minima):
+    for idx in (np.arange(ctx.q * ctx.q + ctx.q + 1), group_tables(ctx).minima):
         want = _monomials_at_oracle(ctx, idx)
         got = _monomials_at(ctx, idx)
         assert got.shape == want.shape == (9, 3, idx.size)
@@ -526,7 +532,7 @@ def test_monomial_table_evaluates_each_monomial_once(monkeypatch):
 
     monkeypatch.setattr(pc, "_monomial", counted)
     ctx = FieldCtx(5)
-    frobenius_tables(ctx)
+    group_tables(ctx)
     assert sorted(calls) == sorted(_MONOMIAL_EXPONENTS)
     calls.clear()
     projective_images(ctx, named_family("T1"))
@@ -534,20 +540,34 @@ def test_monomial_table_evaluates_each_monomial_once(monkeypatch):
 
 
 def test_decision_caches_two_tables_per_field():
-    """All 256 decisions at m=5 add the orbit tables, the Frobenius tables
-    (with the monomial table at the G-minima) and the permutation mask
-    they decide to the field tables, nothing more; projective_images adds
-    no entry."""
+    """All 256 decisions at m=5 add the group tables (with the monomial
+    table at the G-minima) and the permutation mask they decide to the
+    field tables, nothing more; projective_images adds no entry."""
     ctx = FieldCtx(5)
     for table in (ctx.mul_table, ctx.sqr_table, ctx.cube_table, ctx.inv_table):
         assert table.size
     field_keys = set(ctx._np_cache)
-    decided = {"orbit_tables", "frobenius_tables", "permutation_mask"}
+    decided = {"group_tables", "permutation_mask"}
     for fam in all_families():
         is_permutation(ctx, fam, witness=False)
     assert set(ctx._np_cache) - field_keys == decided
     projective_images(ctx, named_family("T3"))
     assert set(ctx._np_cache) - field_keys == decided
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_group_tables_hold_one_array_per_representative(m):
+    """The cached decision data holds one array over the q^2+q+1
+    representatives, the uint32 G-classes; the rotation and Frobenius
+    maps are not kept, and no cached array is int64."""
+    ctx = FieldCtx(m)
+    permutation_mask(ctx)
+    t = group_tables(ctx)
+    n = ctx.q * ctx.q + ctx.q + 1
+    assert [name for name, a in t._asdict().items() if a.size == n] == ["classes"]
+    assert t.classes.dtype == np.uint32
+    cached = [a for v in ctx._np_cache.values() for a in (v if isinstance(v, tuple) else (v,))]
+    assert cached and all(a.dtype != np.int64 for a in cached)
 
 
 def test_column_cache_follows_the_modulus():
@@ -639,6 +659,14 @@ def test_gf2_step_matches_full_scan_at_m1(unfiltered_sets):
     assert len(hits) == 72
 
 
+def test_gf2_mask_matches_full_scan_at_m1(unfiltered_sets):
+    """GF(2) is decided by the projective decision at m=1 like any other
+    field, and its mask is the full scan's on all 256 vectors."""
+    mask = permutation_mask(FieldCtx(1))
+    assert {f.bitstring() for f in all_families() if mask[f.row]} == unfiltered_sets[1]
+    assert int(mask.sum()) == 72
+
+
 def test_permutation_sets_nest_along_subfields(unfiltered_sets):
     p = unfiltered_sets
     assert {m: len(v) for m, v in p.items()} == {1: 72, 3: 36, 5: 29, 7: 29, 9: 23}
@@ -661,10 +689,12 @@ def test_subfield_test_keeps_the_projective_decision(unfiltered_sets, m):
 def test_m9_is_decided_on_gf8_first(projective_degrees):
     """A vector outside P(3) fails at m=9 before the m=9 representatives
     are imaged: only the 36 vectors of P(3) reach that decision, and one
-    of each y <-> z pair is decided, 20 at m=9 (38 of GF(2)'s 72 at m=3)."""
+    of each y <-> z pair is decided, 20 at m=9 (38 of GF(2)'s 72 at m=3,
+    and 136 of the 256 at m=1, where no subfield comes first)."""
     ctx = FieldCtx(9)
     hits = sum(is_permutation(ctx, f, witness=False).is_permutation for f in all_families())
     assert hits == 23
+    assert projective_degrees.count(1) == 136
     assert (projective_degrees.count(3), projective_degrees.count(9)) == (38, 20)
 
 

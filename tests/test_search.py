@@ -8,7 +8,7 @@ from rotaperm import permcheck, search
 from rotaperm.errors import DomainTooLarge, EvenDegree, UnsupportedDegree
 from rotaperm.family import COEFF_EXPONENTS, NAMED_COEFFS
 from rotaperm.field import FieldCtx
-from rotaperm.search import ALL_ZERO, SearchReport, search_all, search_diff
+from rotaperm.search import ALL_ZERO, SearchReport, named_bitstrings, search_all, search_diff
 
 NAMED_BITS = {"".join(str(b) for b in v) for v in NAMED_COEFFS.values()}
 
@@ -20,7 +20,7 @@ def report_m3():
 
 def test_named_families_present(report_m3):
     assert NAMED_BITS <= set(report_m3.results[3])
-    assert report_m3.contains_five_families[3]
+    assert set(named_bitstrings()) <= set(report_m3.results[3])
 
 
 def test_monomial_vector_present(report_m3):
@@ -59,7 +59,7 @@ def test_m9_permutations_are_the_m3_5_7_intersection():
     m9 = search_all([9])
     assert m9.results[9] == search_all([3, 5, 7]).intersection
     assert len(m9.results[9]) == 23
-    assert m9.contains_five_families[9]
+    assert set(named_bitstrings()) <= set(m9.results[9])
 
 
 def test_pool_is_no_wider_than_the_families(monkeypatch, report_m3):
@@ -88,14 +88,25 @@ def test_pool_is_no_wider_than_the_families(monkeypatch, report_m3):
 
 def test_only_gf2_permutations_reach_the_projective_decision(projective_degrees, report_m3):
     """184 of the 256 vectors fail on GF(2)^3 and are never imaged at m=3;
-    of the other 72, one of each y <-> z pair is imaged, 38 in all."""
+    of the other 72, one of each y <-> z pair is imaged, 38 in all.  GF(2)
+    itself is decided first, on one vector of each of the 136 pairs."""
     assert search_all([3]).results == report_m3.results
-    assert projective_degrees == [3] * 38
+    assert projective_degrees == [1] * 136 + [3] * 38
+
+
+def test_gf2_is_decided_once_per_process(projective_degrees):
+    """The GF(2) mask lives on a shared subfield context: a second search
+    builds new masks at m = 3, 5 and 7 and decides no m=1 row."""
+    first = search_all([3, 5, 7])
+    assert projective_degrees == [1] * 136 + [3] * 38 + [5] * 38 + [7] * 38
+    projective_degrees.clear()
+    assert search_all([3, 5, 7]).results == first.results
+    assert projective_degrees == [3] * 38 + [5] * 38 + [7] * 38
 
 
 def test_repeated_degree_is_decided_once(projective_degrees, report_m3):
     report = search_all([3, 3])
-    assert projective_degrees == [3] * 38
+    assert projective_degrees == [1] * 136 + [3] * 38
     assert report.to_json()["m"] == [3, 3]
     assert report.results == report_m3.results
     assert report.intersection == report_m3.results[3]
@@ -105,7 +116,7 @@ def test_every_table_is_built_before_the_pool(monkeypatch):
     """FieldCtx._table is not locked, so search_all builds every table on
     the main thread before the pool starts; the pool threads only look
     the permutation mask up.  The shared subfield contexts are dropped
-    first, so that m=9 builds GF(8)'s tables inside the test."""
+    first, so that GF(2)'s and GF(8)'s tables are built inside the test."""
     main = threading.get_ident()
     builds, deciders = [], set()
     original_table, original_decide = FieldCtx._table, search.is_permutation
@@ -120,7 +131,7 @@ def test_every_table_is_built_before_the_pool(monkeypatch):
         deciders.add(threading.get_ident())
         return original_decide(ctx, fam, **kwargs)
 
-    permcheck._subfield_ctxs.cache_clear()
+    permcheck._subfield.cache_clear()
     monkeypatch.setenv("ROTAPERM_THREADS", "2")
     monkeypatch.setattr(FieldCtx, "_table", recorded_table)
     monkeypatch.setattr(search, "is_permutation", recorded_decide)
@@ -161,8 +172,8 @@ def test_diff_excludes_named_and_monomial():
         results={3: tuple(sorted(NAMED_BITS | {ALL_ZERO, "01010101"})),
                  5: tuple(sorted(NAMED_BITS | {ALL_ZERO, "01010101"}))},
         intersection=tuple(sorted(NAMED_BITS | {ALL_ZERO, "01010101"})),
-        contains_five_families={3: True, 5: True},
     )
+    assert set(named_bitstrings()) <= set(report.results[3])
     assert search_diff(report) == ("01010101",)
 
 
