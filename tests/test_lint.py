@@ -65,6 +65,18 @@ def test_only_permcheck_knows_the_orbit_format():
     assert found == []
 
 
+def test_package_reads_no_environment():
+    """No module of the package reads os.environ or os.getenv, so a run is
+    decided by its arguments alone.  Identifiers are matched, as above."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        read = set(_identifiers(ast.parse(path.read_text(), filename=str(path))))
+        read &= {"environ", "getenv"}
+        if read:
+            found.append(f"{path.relative_to(SRC)}: {sorted(read)}")
+    assert found == []
+
+
 def _load_tracing():
     """perfbench/tracing.py as a module of its own, loaded by path."""
     path = SRC.parent.parent / "perfbench" / "tracing.py"

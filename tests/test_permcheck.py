@@ -277,9 +277,8 @@ def test_frobenius_decision_matches_rotation_oracle(m):
 def test_frobenius_orbits_match_burnside(m):
     """The G-orbits of the representatives, G = <sigma, phi> of order 3m:
     their number is Burnside's count (1/3m) sum_g |fix g| over the oracle
-    S and phi, the classes are constant on G-orbits, each minimum is the
-    least index of its orbit and each size counts the rotation classes of
-    its G-class."""
+    S and phi, the classes are constant on G-orbits and each minimum is
+    the least index of its orbit."""
     ctx = FieldCtx(m)
     s, phi = rotation_map(ctx), frobenius_map(ctx)
     t = group_tables(ctx)
@@ -298,8 +297,6 @@ def test_frobenius_orbits_match_burnside(m):
     assert t.minima.tolist() == np.unique(least).tolist()
     assert np.array_equal(t.classes, t.classes[s]) and np.array_equal(t.classes, t.classes[phi])
     assert np.array_equal(t.minima[t.classes], least)
-    o = _rotation_classes(ctx)[0]
-    assert t.sizes.tolist() == np.bincount(t.classes[o]).tolist()
     assert t.minima.size == {3: 13, 5: 73, 7: 789, 9: 9749}[m]
 
 
@@ -319,27 +316,29 @@ def _edited_verdict(ctx, bits, edit, monkeypatch):
 
 def test_size_mismatch_pair(f32, monkeypatch):
     """A G-minimum whose image class is smaller: its key is kept and every
-    other minimum is keyed to itself, so only the size decides."""
+    other minimum is keyed to itself.  The smaller image forces a repeat
+    of its class, which the scan over the classes finds."""
     t = group_tables(f32)
+    sizes = np.bincount(t.classes)  # representatives in each G-class
     where = {}
 
     def edit(keys):
         classes = t.classes[keys]
-        p = int(np.flatnonzero(t.sizes[classes] != t.sizes)[0])
-        where.update(p=p, sizes=(int(t.sizes[p]), int(t.sizes[classes[p]])))
+        p = int(np.flatnonzero(sizes[classes] != sizes)[0])
+        where.update(p=p, sizes=(int(sizes[p]), int(sizes[classes[p]])))
         edited = t.minima.copy()
         edited[p] = keys[p]
         return edited
 
     assert _edited_verdict(f32, "00000110", edit, monkeypatch) is False
-    assert where == {"p": 60, "sizes": (5, 1)}
+    assert where == {"p": 60, "sizes": (15, 3)}
 
 
 def test_class_repeat_pair(f32, monkeypatch):
     """Two G-minima keyed to different representatives of one G-orbit: both
     keys are kept, every other minimum is keyed to itself except the one
-    whose class they take, which takes the first one's.  The sizes are
-    kept, so only the scan over the classes decides."""
+    whose class they take, which takes the first one's.  Every class keeps
+    its size, so the repeat is not one that a smaller image forces."""
     t = group_tables(f32)
     where = {}
 
@@ -362,14 +361,14 @@ def test_repeat_between_members_of_one_orbit(f32, monkeypatch):
     """Two G-minima keyed to different members of one rotation orbit: the
     keys differ, their classes repeat.  The keys of a permutation are
     edited, at the first two minima whose key is not (1,1,1) and whose
-    sizes agree, so that the sizes stay kept."""
+    G-classes are of one size."""
     fam = named_family("T3")
-    t = group_tables(f32)
+    sizes = np.bincount(group_tables(f32).classes)
     lead, keys = _minima_keys(f32, fam)
     s = rotation_map(f32)
     fixed = representative_index(f32, (1, 1, 1))[1]
     p, p2 = np.flatnonzero(keys != fixed)[:2].tolist()
-    assert (p, p2) == (0, 1) and t.sizes[p] == t.sizes[p2]
+    assert (p, p2) == (0, 1) and sizes[p] == sizes[p2]
     assert _verdict(f32, fam) is True
     edited = keys.copy()
     edited[p2] = s[keys[p]]
@@ -405,8 +404,7 @@ def test_keys_at_every_representative_match_full_key_oracle(m):
 def test_orbit_tables(m):
     """The oracle S is the rotation, of order 3 with the one fixed point
     (1,1,1); O holds the orbit minima and canon is constant on every
-    orbit.  group_tables' classes are constant on every rotation orbit,
-    and its sizes count all (q^2+q)/3 + 1 rotation classes."""
+    orbit.  group_tables' classes are constant on every rotation orbit."""
     ctx = FieldCtx(m)
     q = ctx.q
     s = rotation_map(ctx)
@@ -419,7 +417,6 @@ def test_orbit_tables(m):
     assert np.array_equal(o[canon[o]], o)
     t = group_tables(ctx)
     assert np.array_equal(t.classes, t.classes[s])
-    assert int(t.sizes.sum()) == o.size
 
 
 @pytest.mark.parametrize("m", [3, 5])

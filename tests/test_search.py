@@ -1,6 +1,8 @@
 """Coefficient-space classification: contents, determinism, candidate diff."""
 
+import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from rotaperm.family import COEFF_EXPONENTS, NAMED_COEFFS
 from rotaperm.field import FieldCtx
 from rotaperm.search import ALL_ZERO, SearchReport, named_bitstrings, search_all, search_diff
 
+GOLDEN_M3_5_7 = Path(__file__).parent / "golden" / "search_m3_5_7.json"
 NAMED_BITS = {"".join(str(b) for b in v) for v in NAMED_COEFFS.values()}
 
 
@@ -62,28 +65,17 @@ def test_m9_permutations_are_the_m3_5_7_intersection():
     assert set(named_bitstrings()) <= set(m9.results[9])
 
 
-def test_pool_is_no_wider_than_the_families(monkeypatch, report_m3):
-    """One task per worker: a huge ROTAPERM_THREADS asks for 256 workers,
-    not 100000.  The stand-in pool runs each slice inline, so no thread starts."""
-    widths = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setenv("ROTAPERM_THREADS", "100000")
-    monkeypatch.setattr(search, "ThreadPoolExecutor", InlinePool)
-    assert search_all([3]).results == report_m3.results
-    assert widths == [256]
+@pytest.mark.parametrize("threads", [None, "1", "3", "100000", "nonsense"])
+def test_search_reads_no_thread_setting(monkeypatch, threads):
+    """One search thread whatever ROTAPERM_THREADS says: the package reads
+    no environment, and the results are the same."""
+    if threads is None:
+        monkeypatch.delenv("ROTAPERM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ROTAPERM_THREADS", threads)
+    assert search.worker_count() == 1
+    report = search_all([3, 5, 7])
+    assert report.to_json(search_diff(report)) == json.loads(GOLDEN_M3_5_7.read_text())
 
 
 def test_only_gf2_permutations_reach_the_projective_decision(projective_degrees, report_m3):
@@ -113,10 +105,10 @@ def test_repeated_degree_is_decided_once(projective_degrees, report_m3):
 
 
 def test_every_table_is_built_before_the_pool(monkeypatch):
-    """FieldCtx._table is not locked, so search_all builds every table on
-    the main thread before the pool starts; the pool threads only look
-    the permutation mask up.  The shared subfield contexts are dropped
-    first, so that GF(2)'s and GF(8)'s tables are built inside the test."""
+    """search_all builds every table on the main thread before its pool
+    thread starts; that thread only looks the permutation mask up.  The
+    shared subfield contexts are dropped first, so that GF(2)'s and
+    GF(8)'s tables are built inside the test."""
     main = threading.get_ident()
     builds, deciders = [], set()
     original_table, original_decide = FieldCtx._table, search.is_permutation
@@ -132,7 +124,6 @@ def test_every_table_is_built_before_the_pool(monkeypatch):
         return original_decide(ctx, fam, **kwargs)
 
     permcheck._subfield.cache_clear()
-    monkeypatch.setenv("ROTAPERM_THREADS", "2")
     monkeypatch.setattr(FieldCtx, "_table", recorded_table)
     monkeypatch.setattr(search, "is_permutation", recorded_decide)
     search_all([3, 5, 7])
