@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the JSON to a file")
     p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("resultant", help="Sylvester resultant of two polynomials")
+    p = sub.add_parser("resultant", help="resultant of two polynomials in one variable")
     p.add_argument("-v", dest="var", required=True, help="variable to eliminate")
     p.add_argument("-f", dest="f", required=True, help="first polynomial")
     p.add_argument("-g", dest="g", required=True, help="second polynomial")

@@ -14,8 +14,10 @@ scalar products, powers and inverses read it, and the numpy tables
 product in the package goes through FieldCtx.vmul, the only reader of the
 q x q product table; rotaperm.permcheck builds its pair tables and orbit
 columns from family.COEFF_EXPONENTS through it.  Shift-and-XOR reduction
-only builds the pair.  Root finding (quadratic, cubic) is by
-exhaustive scan - exactness over cleverness at this scale.
+only builds the pair.  A quadratic's root comes from the half-trace at
+odd m and from a scan of the field at even m; a cubic's roots from a scan
+of the field, cross-checked by the trace criterion - exactness over
+cleverness at this scale.
 """
 
 from __future__ import annotations
@@ -114,8 +116,11 @@ def find_generator(order: int, power) -> int:
 class FieldCtx:
     """GF(2^m) with a validated irreducible modulus.
 
-    Immutable after construction; safe to share between threads.  All
-    operations take and return plain ints < 2^m.
+    The degree, modulus and exp/log pair are fixed at construction.  The
+    numpy tables, and what other modules cache on the context through
+    `_table`, fill on first use with no lock, so build them before two
+    threads share a fresh context.  All operations take and return plain
+    ints < 2^m.
     """
 
     def __init__(self, m: int, modulus: int | None = None) -> None:

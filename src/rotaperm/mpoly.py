@@ -10,20 +10,27 @@ the first variable (x) in the most significant field.  Per-variable
 exponents are capped at 63, so two fields sum to at most 126 < 128 and
 a product of monomials is one integer addition with no carry between
 fields.  A product exponent above the cap sets bit 6 of its field, and
-one AND with a mask precomputed per arity finds it: overflowing the cap
-is a hard error, never wraparound.  `MPoly.terms` is a read-only view of
-the same monomials as exponent tuples.
+one AND of the OR of a product's monomials with a mask precomputed per
+arity finds it: overflowing the cap is a hard error, never wraparound.
+A product XORs in the sums of one row of monomials at a time, so a sum
+formed an even number of times cancels.  `MPoly.terms` is a read-only
+view of the same monomials as exponent tuples.
 
 Canonical form orders terms descending-lexicographically by exponent
 vector, which reproduces the usual "highest power first" reading of a
 polynomial and makes printed comparisons byte-stable.  With x in the top
 field this is plain descending order of the packed ints.
+
+A resultant is the determinant of a matrix with polynomial entries,
+expanded by memoized minors under one monomial bound: the d x d
+multiplication matrix of an operand monic of degree d where there is
+one, else the Sylvester matrix (see `resultant`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -99,10 +106,10 @@ class MPoly:
 
     def _capped(self, mono: frozenset[int], what: str) -> "MPoly":
         mask = _overflow_mask(len(self.vars))
-        for key in mono:
-            if key & mask:
-                raise DegreeOverflow(
-                    f"{what} exponent outside 0..{MAX_EXPONENT}: {_unpack(key, len(self.vars))}")
+        if reduce(or_, mono, 0) & mask:  # OR has no carries: a field's bit 6 is some monomial's
+            key = next(key for key in mono if key & mask)
+            raise DegreeOverflow(
+                f"{what} exponent outside 0..{MAX_EXPONENT}: {_unpack(key, len(self.vars))}")
         return MPoly._packed(mono, self.vars)
 
     # -- ring structure -------------------------------------------------
@@ -115,11 +122,13 @@ class MPoly:
     def __mul__(self, other: "MPoly") -> "MPoly":
         if self.vars != other.vars:
             raise VariableMismatch("polynomials live over different variable tuples")
-        sums = [a + b for a in self._mono for b in other._mono]
-        mono = frozenset(sums)
-        if len(mono) != len(sums):  # a repeated sum: keep the odd counts
-            mono = frozenset(k for k, c in Counter(sums).items() if c & 1)
-        return self._capped(mono, "product")
+        small, large = self._mono, other._mono
+        if len(small) > len(large):
+            small, large = large, small
+        acc: set[int] = set()
+        for a in small:  # one row's sums are distinct, so XOR in a row at a time
+            acc ^= {a + b for b in large}
+        return self._capped(frozenset(acc), "product")
 
     def sqr(self) -> "MPoly":
         """Frobenius: squaring doubles every exponent, so every packed int."""
@@ -361,23 +370,32 @@ def evaluate(p: MPoly, ctx: FieldCtx, assignment: Mapping[str, int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester resultant
+# resultants
 # ---------------------------------------------------------------------------
 
 def resultant(p: MPoly, q: MPoly, eliminate: str) -> MPoly:
-    """Determinant of the Sylvester matrix of p and q w.r.t. one variable.
+    """Res_v(p, q) for v = eliminate, a polynomial in the other variables.
 
-    Entries are polynomials in the remaining variables.  The rows are
-    reordered sparsest first (a row swap changes no sign in
-    characteristic 2), then the determinant is expanded along them by
-    minors, memoized on the subset of columns still free: few nonzero
-    entries near the top keep the set of reachable subsets small.
+    When p or q is monic in v (leading coefficient 1), call it f, of
+    degree d (the lower degree when both are), and the other g.  Then
+    Res(f, g) is the product of g(alpha) over the roots alpha of f, which
+    is the determinant of the d x d matrix of multiplication by g on
+    R[v]/(f) (`_multiplication_rows`); there is no sign in characteristic
+    2.  Otherwise the matrix is the Sylvester matrix of order
+    deg p + deg q.  Both go to one determinant routine, `_determinant`.
+    Reduced entries can have higher degree than the Sylvester minors, so
+    when the multiplication matrix passes a bound below, the Sylvester
+    matrix decides: the monic path only turns refusals into results.
 
-    The memo is the work and the memory: together its minors may hold
-    at most RESULTANT_MAX_MONOMIALS monomials (a zero minor counts as
-    one), and DomainTooLarge is raised as soon as the minor being summed
-    would pass that, so two short inputs cannot run for minutes or fill
-    memory.
+    The bounds: the monomials formed to build a multiplication matrix
+    and those of the memoized minors may number at most
+    RESULTANT_MAX_MONOMIALS together, and a product of an entry and a
+    minor may form at most `width` times that many before cancellation,
+    `width` being the size of the widest coefficient of p or q.  A
+    Sylvester entry is such a coefficient, so there the minors alone
+    decide.  DomainTooLarge is raised as soon as one would pass, so two
+    short inputs cannot run for minutes or fill memory; an exponent past
+    the cap raises DegreeOverflow.
     """
     n = p.degree_in(eliminate)
     m = q.degree_in(eliminate)
@@ -385,16 +403,81 @@ def resultant(p: MPoly, q: MPoly, eliminate: str) -> MPoly:
         raise DegenerateInput(f"neither polynomial involves {eliminate!r}")
     pc = [p.coefficient_of(eliminate, n - k) for k in range(n + 1)]
     qc = [q.coefficient_of(eliminate, m - k) for k in range(m + 1)]
-    order = n + m
+    width = max(len(c._mono) for c in pc + qc)
+    too_large = (f"resultant in {eliminate!r} needs more than "
+                 f"{RESULTANT_MAX_MONOMIALS} monomials of minors")
+    p_monic = pc[0] == one(p.vars)
+    q_monic = qc[0] == one(q.vars)
+    if p_monic or q_monic:
+        fc, gc = (pc, qc) if p_monic and (n <= m or not q_monic) else (qc, pc)
+        try:
+            rows, held = _multiplication_rows(fc, gc, too_large)
+            return _determinant(rows, p.vars, held, width, too_large)
+        except (DegreeOverflow, DomainTooLarge):
+            pass  # the entries reduced mod f outgrew a bound; Sylvester's may not
     # Each Sylvester row as its (column bit, entry) pairs, zero entries dropped.
     rows = [[(1 << (i + k), c) for k, c in enumerate(pc) if c] for i in range(m)]
     rows += [[(1 << (i + k), c) for k, c in enumerate(qc) if c] for i in range(n)]
-    rows.sort(key=len)
-    z = zero(p.vars)
-    memo: dict[int, MPoly] = {0: one(p.vars)}
-    held = 1  # monomials in memo, a zero minor counted as one
-    too_large = (f"resultant in {eliminate!r} needs more than "
-                 f"{RESULTANT_MAX_MONOMIALS} monomials of minors")
+    return _determinant(rows, p.vars, 0, width, too_large)
+
+
+def _multiplication_rows(fc: list[MPoly], gc: list[MPoly], too_large: str
+                         ) -> tuple[list[list[tuple[int, MPoly]]], int]:
+    """The matrix of multiplication by g on R[v]/(f), and the monomials
+    formed to build it; fc and gc are the coefficients of f and g, highest
+    power first, and f is monic of degree d = len(fc) - 1.
+
+    The matrix comes as its columns, the rows of its transpose, which has
+    the same determinant: row j holds (bit i, coefficient of v^i in
+    v^j * g mod f), zero entries dropped.  Row 0 is g reduced from the top
+    by v^d = (f's lower terms), an exact division by the monic f; row
+    j + 1 is row j shifted up one power and reduced the same way.  The
+    monomials formed are g's and those of every product before
+    cancellation, which bound both the work and the entries; they count
+    toward the bound before each product is formed.
+    """
+    d = len(fc) - 1
+    lower = [(d - k, c) for k, c in enumerate(fc) if k and c]
+    r = gc[::-1]  # the remainder, lowest power first
+    formed = sum(len(c._mono) for c in r)
+    rows = []
+    for _ in range(d):
+        for top in range(len(r) - 1, d - 1, -1):
+            c = r[top]
+            if not c:
+                continue
+            for k, fk in lower:
+                formed += len(c._mono) * len(fk._mono)
+                if formed > RESULTANT_MAX_MONOMIALS:
+                    raise DomainTooLarge(too_large)
+                r[top - d + k] += c * fk
+        del r[d:]
+        rows.append([(1 << i, c) for i, c in enumerate(r) if c])
+        r.insert(0, zero(fc[0].vars))
+    return rows, formed
+
+
+def _determinant(rows: list[list[tuple[int, MPoly]]], vars: tuple[str, ...],
+                 held: int, width: int, too_large: str) -> MPoly:
+    """Determinant of a square matrix given by its rows of (column bit,
+    entry) pairs, zero entries dropped.
+
+    The rows are reordered sparsest first (a row swap changes no sign in
+    characteristic 2), then the determinant is expanded along them by
+    minors, memoized on the subset of columns still free: few nonzero
+    entries near the top keep the set of reachable subsets small.  The
+    memo is the work and the memory.  With the `held` monomials the
+    caller already spent, its minors may hold at most
+    RESULTANT_MAX_MONOMIALS monomials (a zero minor counts as one), and a
+    product of an entry and a minor may form at most `width` times that
+    many before cancellation.  DomainTooLarge(too_large) is raised as
+    soon as the minor being summed would pass either.
+    """
+    rows = sorted(rows, key=len)
+    order = len(rows)
+    z = zero(vars)
+    memo: dict[int, MPoly] = {0: one(vars)}
+    held += 1
 
     def det(mask: int) -> MPoly:
         nonlocal held
@@ -404,7 +487,10 @@ def resultant(p: MPoly, q: MPoly, eliminate: str) -> MPoly:
         acc = z
         for bit, entry in rows[order - mask.bit_count()]:
             if mask & bit:
-                acc = acc + entry * det(mask ^ bit)
+                minor = det(mask ^ bit)
+                if len(entry._mono) * len(minor._mono) > width * RESULTANT_MAX_MONOMIALS:
+                    raise DomainTooLarge(too_large)
+                acc = acc + entry * minor
                 if held + len(acc._mono) > RESULTANT_MAX_MONOMIALS:
                     raise DomainTooLarge(too_large)  # one minor may not outgrow the bound either
         held += len(acc._mono) or 1

@@ -327,10 +327,23 @@ def test_resultant_syntax_error(capsys):
 
 def test_resultant_past_the_work_bound_is_usage_error(capsys):
     start = time.perf_counter()
-    code, out, err = run(capsys, "resultant", "-v", "x", "-f", "x^30+y", "-g", "x^30+z")
+    code, out, err = run(capsys, "resultant", "-v", "x", "-f", "x^30*a+y", "-g", "x^30*b+z")
     assert time.perf_counter() - start < 5
     assert (code, out) == (2, "")
     assert "monomials of minors" in err
+
+
+def test_monic_resultant_past_the_old_bound(capsys):
+    """(y + z)^30: x^30 + y is monic, so its 30 x 30 multiplication matrix
+    decides, where the order-60 Sylvester expansion was refused."""
+    want = ("y^30 + y^28*z^2 + y^26*z^4 + y^24*z^6 + y^22*z^8 + y^20*z^10 + y^18*z^12"
+            " + y^16*z^14 + y^14*z^16 + y^12*z^18 + y^10*z^20 + y^8*z^22 + y^6*z^24"
+            " + y^4*z^26 + y^2*z^28 + z^30")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "resultant", "-v", "x", "-f", "x^30+y", "-g", "x^30+z")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, json.dumps({"var": "x", "resultant": want}) + "\n", want + "\n")
+    assert want.count("+") == 15
 
 
 def test_resultant_at_the_exponent_cap(capsys):

@@ -107,6 +107,47 @@ def test_traced_names_resolve():
     assert missing == []
 
 
+def _defined_names(body):
+    """Names a module or class body binds: defs, classes, assignments, imports."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt.name
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            yield from (alias.asname or alias.name for alias in stmt.names)
+
+
+def test_traced_names_are_defined_in_the_source():
+    """The same tables read as source text, not imported: each (module,
+    attribute) of FUNCTIONS, and each (module, class, attribute) of
+    METHODS and COUNTED, is bound in that module's file under src/rotaperm
+    (the attribute in the class body), and the package the tests import
+    is that tree."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    tables = {target.id: ast.literal_eval(stmt.value) for stmt in tree.body
+              if isinstance(stmt, ast.Assign) for target in stmt.targets
+              if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "METHODS", "COUNTED")}
+    assert set(tables) == {"FUNCTIONS", "METHODS", "COUNTED"} and all(tables.values())
+    modules = {}
+
+    def body_of(module):
+        if module not in modules:
+            path = SRC / (module.removeprefix("rotaperm.") + ".py")
+            modules[module] = ast.parse(path.read_text()).body if path.is_file() else []
+        return modules[module]
+
+    missing = [f"{module}.{attr}" for _, module, attr in tables["FUNCTIONS"]
+               if attr not in set(_defined_names(body_of(module)))]
+    for _, module, cls_name, attr in (*tables["METHODS"], *tables["COUNTED"]):
+        classes = [s for s in body_of(module) if isinstance(s, ast.ClassDef) and s.name == cls_name]
+        if not classes or attr not in set(_defined_names(classes[0].body)):
+            missing.append(f"{module}.{cls_name}.{attr}")
+    assert missing == []
+    assert Path(import_module("rotaperm").__file__).resolve().parent == SRC
+
+
 def _bindings(tree):
     """(name, statement) for every function, class and constant a module
     binds at its top level, dunders aside."""

@@ -296,12 +296,46 @@ def _resultant_unsorted(p, q, eliminate):
     return det((1 << order) - 1)
 
 
+# The README's pair is the first: P1 and P3.  P1 and P2 are monic in the
+# eliminated variable, so the first two go through the multiplication
+# matrix; Q1 and Q2 share the leading coefficient a + b, so the Sylvester
+# matrix decides the third.
 CERTIFY_ELIMINATIONS = [(rs.P1, rs.P3, "x"), (rs.G_EXPANDED, rs.P2, "z"), (rs.Q1, rs.Q2, "x")]
+
+
+@pytest.fixture
+def decided(monkeypatch):
+    """(order, held) of every determinant that `resultant` finished while
+    the test runs: held is 0 for the Sylvester matrix and the monomials
+    formed to build a multiplication matrix otherwise."""
+    import rotaperm.mpoly as mp
+    calls = []
+    original = mp._determinant
+
+    def recorded(rows, vars, held, width, too_large):
+        result = original(rows, vars, held, width, too_large)
+        calls.append((len(rows), held))
+        return result
+
+    monkeypatch.setattr(mp, "_determinant", recorded)
+    return calls
 
 
 @pytest.mark.parametrize("p, q, eliminate", CERTIFY_ELIMINATIONS)
 def test_sparse_rows_first_matches_natural_row_order(p, q, eliminate):
     assert resultant(p, q, eliminate) == _resultant_unsorted(p, q, eliminate)
+
+
+@pytest.mark.parametrize("p, q, eliminate, order, monic", [
+    (*CERTIFY_ELIMINATIONS[0], 3, True),
+    (*CERTIFY_ELIMINATIONS[1], 3, True),
+    (*CERTIFY_ELIMINATIONS[2], 4, False),
+])
+def test_certify_eliminations_take_the_monic_path_where_there_is_one(p, q, eliminate, order,
+                                                                      monic, decided):
+    resultant(p, q, eliminate)
+    assert [n for n, _ in decided] == [order]
+    assert (decided[0][1] > 0) == monic
 
 
 def test_sparse_rows_first_on_random_pairs():
@@ -316,8 +350,47 @@ def test_sparse_rows_first_on_random_pairs():
         checked += 1
 
 
+def _of_degree(rng, v, degree, monic):
+    """A random polynomial of degree `degree` in v whose leading coefficient
+    is 1 when monic, and otherwise neither 0 nor 1."""
+    i = VARS.index(v)
+    lead = one()
+    while not monic and lead in (zero(), one()):
+        lead = MPoly(t[:i] + (0,) + t[i + 1:]
+                     for t in random_poly(rng, nvars=4, max_terms=2, max_exp=2).terms)
+    lower = MPoly(t for t in random_poly(rng, nvars=4, max_terms=4, max_exp=2).terms
+                  if t[i] < degree)
+    return lead * var(v) ** degree + lower
+
+
+# (degree of p, p monic, degree of q, q monic)
+MONIC_SHAPES = [
+    (4, True, 2, False), (2, True, 4, False),  # p monic, of higher and of lower degree
+    (2, False, 4, True), (4, False, 2, True),  # q monic, of higher and of lower degree
+    (2, True, 3, True), (3, True, 2, True), (3, True, 3, True),  # both monic
+    (3, True, 0, False), (0, False, 2, True),  # the other operand of degree 0 in v
+    (0, True, 3, False),  # the monic operand is 1
+]
+
+
+@pytest.mark.parametrize("eliminate", ["x", "y", "z"])
+@pytest.mark.parametrize("n, p_monic, m, q_monic", MONIC_SHAPES)
+def test_multiplication_matrix_matches_sylvester_on_random_pairs(n, p_monic, m, q_monic,
+                                                                 eliminate, decided):
+    rng = random.Random(f"{n}{p_monic}{m}{q_monic}{eliminate}")
+    d = min(k for k, monic in ((n, p_monic), (m, q_monic)) if monic)
+    for _ in range(4):
+        p = _of_degree(rng, eliminate, n, p_monic)
+        q = _of_degree(rng, eliminate, m, q_monic)
+        decided.clear()
+        assert resultant(p, q, eliminate) == _resultant_unsorted(p, q, eliminate)
+        assert len(decided) == 1 and decided[0][0] == d and decided[0][1] > 0
+
+
 def test_resultant_product_count_is_pinned(monkeypatch):
-    """Sparse rows first: Res_z(g, P2) takes 167 products (527 in natural row order)."""
+    """Res_z(g, P2) through the 3 x 3 multiplication matrix of the monic P2
+    takes 17 products (527 for its order-9 Sylvester matrix expanded in
+    natural row order)."""
     calls = []
     product = MPoly.__mul__
 
@@ -327,7 +400,7 @@ def test_resultant_product_count_is_pinned(monkeypatch):
 
     monkeypatch.setattr(MPoly, "__mul__", counted)
     resultant(rs.G_EXPANDED, rs.P2, "z")
-    assert len(calls) == 167
+    assert len(calls) == 17
     calls.clear()
     _resultant_unsorted(rs.G_EXPANDED, rs.P2, "z")
     assert len(calls) == 527
@@ -339,15 +412,99 @@ def _dense(v, degree):
 
 
 @pytest.mark.parametrize("f, g", [
-    (parse("x^30 + y"), parse("x^30 + z")),
-    (parse("x^30 + 1"), parse("x^29 + 1")),  # almost every minor is zero
     (_dense("y", 10), _dense("z", 10)),
+    (parse("x^30*a + y"), parse("x^30*b + z")),  # no monic operand
+    (parse("x^30*a + 1"), parse("x^29*b + 1")),  # no monic operand; almost every minor is zero
 ])
 def test_resultant_past_the_work_bound_is_refused(f, g):
     start = time.perf_counter()
     with pytest.raises(DomainTooLarge, match="monomials of minors"):
         resultant(f, g, "x")
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("f, g, want", [
+    (parse("x^30 + y"), parse("x^30 + z"), parse("y + z") ** 30),
+    (parse("x^30 + 1"), parse("x^29 + 1"), zero()),  # both vanish at x = 1
+])
+def test_monic_resultant_past_the_old_bound(f, g, want):
+    """Both pairs passed the work bound as order-60 and order-59 Sylvester
+    expansions; through the multiplication matrix they are exact."""
+    start = time.perf_counter()
+    assert resultant(f, g, "x") == want
+    assert time.perf_counter() - start < 5
+    assert len(want.terms) in (0, 16)
+
+
+def _coefficients(p, v):
+    """p's coefficients in v, highest power first."""
+    n = p.degree_in(v)
+    return [p.coefficient_of(v, n - k) for k in range(n + 1)]
+
+
+def test_multiplication_matrix_build_is_bounded(monkeypatch):
+    """The reduction of x^60 by a monic quadratic forms more monomials than
+    the bound: it is refused before the product that would pass it, and
+    the Sylvester matrix, whose x^60 rows hold one entry each, decides."""
+    import rotaperm.mpoly as mp
+    f = parse("x^2 + x*y + x*z + x*a + x*b + x*c + x*t + y + z")
+    g = parse("x^60")
+    formed = []
+    product = MPoly.__mul__
+
+    def counted(a, b):
+        formed.append(len(a.terms) * len(b.terms))
+        return product(a, b)
+
+    monkeypatch.setattr(MPoly, "__mul__", counted)
+    with pytest.raises(DomainTooLarge, match="monomials of minors"):
+        mp._multiplication_rows(_coefficients(f, "x"), _coefficients(g, "x"), "monomials of minors")
+    assert len(g.terms) + sum(formed) <= mp.RESULTANT_MAX_MONOMIALS
+    monkeypatch.undo()
+    start = time.perf_counter()
+    assert resultant(f, g, "x") == parse("y + z") ** 60
+    assert time.perf_counter() - start < 5
+
+
+def test_determinant_bounds_each_product_before_forming_it():
+    """det [[e, 1], [1, e]] = e^2 + 1 with e of 324 monomials: the product
+    e * e forms 104 976 > 2^16 monomials before cancellation, so it is
+    refused for inputs whose widest coefficient has one monomial, and
+    formed for two."""
+    import rotaperm.mpoly as mp
+    e = MPoly((0, i, j) + (0,) * 6 for i in range(18) for j in range(18))
+    rows = [[(1, e), (2, one())], [(1, one()), (2, e)]]
+    with pytest.raises(DomainTooLarge, match="monomials of minors"):
+        mp._determinant(rows, VARS, 0, 1, "monomials of minors")
+    assert mp._determinant(rows, VARS, 0, 2, "monomials of minors") == e.sqr() + one()
+
+
+def test_monic_pair_past_both_bounds_is_refused():
+    f = parse("x^11") + _dense("y", 10)
+    start = time.perf_counter()
+    with pytest.raises(DomainTooLarge, match="monomials of minors"):
+        resultant(f, _dense("z", 10), "x")
+    assert time.perf_counter() - start < 5
+
+
+def test_multiplication_matrix_past_the_exponent_cap():
+    """x^3 mod (x^2 + y^40) is y^40 * x, and x times that is y^80: an
+    overflow, never a wrapped exponent.  The resultant is y^120, so the
+    Sylvester matrix overflows too."""
+    import rotaperm.mpoly as mp
+    f, g = parse("x^2 + y^40"), parse("x^3")
+    with pytest.raises(DegreeOverflow, match="80"):
+        mp._multiplication_rows(_coefficients(f, "x"), _coefficients(g, "x"), "")
+    with pytest.raises(DegreeOverflow):
+        resultant(f, g, "x")
+
+
+def test_sylvester_decides_where_the_reduced_entries_overflow(decided):
+    """Both are monic; reducing x^18 by the quintic passes exponent 63,
+    while the order-23 Sylvester minors stay under it."""
+    f, g = parse("x^18 + x^8*y*a"), parse("x^5 + x^4*y^2 + x*a^2 + a")
+    assert resultant(f, g, "x") == _resultant_unsorted(f, g, "x")
+    assert decided == [(23, 0)]
 
 
 def test_resultant_at_the_exponent_cap_fits_the_bound():
