@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import resolvent as rs
-from .field import FieldCtx
+from .field import FieldCtx, shared_field
 from .mpoly import MPoly, resultant, to_text, zero
 from .permcheck import projective_representatives
 from .resolvent import resolvent_coeffs
@@ -204,7 +204,7 @@ def run_all(only: str | None = None) -> list[CertReport]:
         *beta_printed_expansions(),
         cert_resultant_Q(),
     ]
-    ctxs = [FieldCtx(m) for m in NUMERIC_DEGREES]
+    ctxs = [shared_field(m) for m in NUMERIC_DEGREES]
     reports += [cert_charsum_support(ctx) for ctx in ctxs]
     reports += [cert_A_zero_classification(ctx) for ctx in ctxs]
     if only is not None:

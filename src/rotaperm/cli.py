@@ -23,7 +23,7 @@ from .errors import (
     RotapermError,
 )
 from .family import NAMED_COEFFS, FamilySpec, family_from_coeffs, named_family
-from .field import FieldCtx
+from .field import shared_field
 from .invert import invert_point
 from .lift import ExtCtx, check_base_degree, lift_permutation, lifted_from_json, qm_equivalent
 from .mpoly import parse as parse_poly, resultant, to_text
@@ -57,7 +57,7 @@ def _odd(m: int) -> int:
 
 def _cmd_verify(args) -> int:
     fam = _family_from_args(args)
-    ctx = FieldCtx(_odd(args.m))
+    ctx = shared_field(_odd(args.m))
     report = is_permutation(ctx, fam)
     _emit(report.to_json(),
           f"family {report.family} at m={report.m}: "
@@ -67,7 +67,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invert(args) -> int:
     fam = named_family(args.family)
-    ctx = FieldCtx(_odd(args.m))
+    ctx = shared_field(_odd(args.m))
     parts = args.target.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("target needs three comma-separated hex values")
@@ -90,7 +90,7 @@ def _cmd_lift(args) -> int:
     fam = named_family(args.family)
     # Refused before any field is built.  Every named family permutes at odd m.
     check_base_degree(_odd(args.m))
-    poly = lift_permutation(ExtCtx(FieldCtx(args.m)), fam)
+    poly = lift_permutation(ExtCtx(shared_field(args.m)), fam)
     payload = poly.to_json()
     if args.out:
         with open(args.out, "w") as fh:

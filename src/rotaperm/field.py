@@ -3,7 +3,8 @@
 Elements are plain ints: bit k of the int is the coefficient of x^k, so
 0x5 = x^2 + 1 (little-endian bit-polynomial).  Addition is ^ and needs
 no helper.  All interpretation lives in a FieldCtx, which carries the
-degree, the reduction modulus, and precomputed tables.
+degree, the reduction modulus, and precomputed tables; shared_field gives
+the one default-modulus context of each degree that the package reads.
 
 Degrees up to 16 are supported; every modulus (default or supplied) is
 re-validated by trial division at construction, so a wrong table entry
@@ -21,6 +22,8 @@ cleverness at this scale.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,7 +122,11 @@ class FieldCtx:
     The degree, modulus and exp/log pair are fixed at construction.  The
     numpy tables, and what other modules cache on the context through
     `_table`, fill on first use with no lock, so build them before two
-    threads share a fresh context.  All operations take and return plain
+    threads share a fresh context; once cached, every array is read-only.
+    Every default-modulus context of the package comes from shared_field,
+    one per degree per process, so its tables are built once and read by
+    every later call; construct a FieldCtx directly for a custom modulus
+    or a private set of tables.  All operations take and return plain
     ints < 2^m.
     """
 
@@ -144,7 +151,7 @@ class FieldCtx:
             group = max(self.q - 1, 1)
             self.inv3 = pow(3, -1, group) if group > 1 else 1
         self._build_log_tables()
-        self._np_cache: dict[str, np.ndarray] = {}
+        self._np_cache: dict[str, np.ndarray | tuple[np.ndarray, ...]] = {}
 
     def __repr__(self) -> str:
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
@@ -310,11 +317,18 @@ class FieldCtx:
     # vectorized tables: lazy uint16 gathers from the exp/log pair
     # ------------------------------------------------------------------
 
-    def _table(self, key: str, build) -> np.ndarray:
-        """The cached table under key, built by build() on first use."""
+    def _table(self, key: str, build) -> np.ndarray | tuple[np.ndarray, ...]:
+        """The cached table under key, built by build() on first use.
+
+        build returns an array or a tuple of arrays; each is made read-only
+        before it is cached, since a shared context hands it to every caller.
+        """
         t = self._np_cache.get(key)
         if t is None:
-            t = self._np_cache[key] = build()
+            t = build()
+            for a in t if isinstance(t, tuple) else (t,):
+                a.flags.writeable = False
+            self._np_cache[key] = t
         return t
 
     def _logs(self, vec) -> np.ndarray:
@@ -370,3 +384,16 @@ class FieldCtx:
         order = self.q - 1
         powers = self._exps()[self._logs(vec) * (n % order) % order]
         return np.where(np.asarray(vec) == 0, np.uint16(n == 0), powers)
+
+
+@lru_cache(maxsize=MAX_DEGREE)
+def shared_field(m: int) -> FieldCtx:
+    """GF(2^m) with the default modulus, built once per process.
+
+    Every verb and library call of the package takes its default-modulus
+    contexts from here, so the tables cached on them (products, the
+    permutation mask and the decision tables under it) are built once per
+    degree and read by every later call.  At most MAX_DEGREE contexts are
+    kept, one per degree.
+    """
+    return FieldCtx(m)

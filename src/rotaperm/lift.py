@@ -32,7 +32,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainTooLarge, FormulaInconsistent, ReducibleModulus
 from .family import FamilySpec
-from .field import FieldCtx, Triple, find_generator
+from .field import FieldCtx, Triple, find_generator, shared_field
 from .permcheck import projective_images, projective_representatives
 
 LIFT_MAX_BASE_M = 5  # the 2^3m-entry exp and log tables are the ceiling
@@ -285,7 +285,7 @@ def lifted_from_json(data: dict) -> LiftedPoly:
     LIFT_MAX_BASE_M raises DomainTooLarge before any field is built."""
     m = _json_field(data, "m", int, "the document")
     check_base_degree(m)
-    base = FieldCtx(m)
+    base = shared_field(m)
     cubic_ascending = _json_hexes(data, "cubic", "the document")
     if (len(cubic_ascending) != 4 or cubic_ascending[3] != 1
             or any(not 0 <= v < base.q for v in cubic_ascending)):

@@ -11,8 +11,10 @@ proper subfields.  Every family has 0/1 coefficients, so F maps
 GF(2^k)^3 into itself for every k | m, and a permutation of GF(2^m)^3
 permutes GF(2^k)^3 (the subfield lemma: P(m) is inside P(k)).  Each
 proper subfield, GF(2) (k = 1, where 72 of the 256 vectors permute)
-included, contributes its own mask, decided the same way and built once
-per process.  Of the vectors that permute every proper subfield, one of
+included, contributes its own mask, decided the same way on the
+subfield's context from field.shared_field.  The verbs take their
+contexts from there too, so every field's mask is built once per
+process.  Of the vectors that permute every proper subfield, one of
 each y <-> z pair is imaged at m: tau(x,y,z) = (x,z,y) conjugates F into
 the map of f(x,z,y), so both or neither permute.  A witness-free negative
 still reports the q^2+q+1 representatives as its points, whichever test
@@ -68,7 +70,6 @@ pair, are the ceiling).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +77,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainTooLarge, FormulaInconsistent, OddDegreeRequired
 from .family import COEFF_EXPONENTS, FamilySpec
-from .field import MAX_DEGREE, FieldCtx, Triple
+from .field import FieldCtx, Triple, shared_field
 
 IS_PERMUTATION_MAX_M = 9
 IMAGE_BLOCK = 1 << 14  # points family_images and _decide_rows image per step; keeps each temporary small
@@ -403,15 +404,6 @@ def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
     return verdicts
 
 
-@lru_cache(maxsize=MAX_DEGREE)
-def _subfield(k: int) -> FieldCtx:
-    """GF(2^k), built once per process and shared by every field that
-    contains it, so each subfield's mask is decided once: any modulus of
-    degree k will do, since F has 0/1 coefficients and so commutes with
-    the isomorphism between two models of GF(2^k)."""
-    return FieldCtx(k)
-
-
 # Row v's partner under y <-> z: tau(x, y, z) = (x, z, y) conjugates the map
 # of f(x, y, z) into that of f(x, z, y), whose bit j is the bit of f at the
 # monomial with y and z swapped (a1<->a2, a3<->a5, a4<->a6, a7<->a8).
@@ -432,22 +424,26 @@ def permutation_mask(ctx: FieldCtx) -> np.ndarray:
     permutation exactly when F is one.  That is 136 rows at m=1, 38 of
     the 72 GF(2) permutations at prime m, and 20 of P(3)'s 36 at m=9.
     Built on first use and cached on ctx as one entry, with group_tables
-    beside it and the subfields' masks on their shared contexts.
+    beside it and the subfields' masks on their contexts from
+    field.shared_field, so on the contexts the verbs use, every field's
+    mask is built once per process.
     """
     if ctx.m % 2 == 0:
         raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
 
     def build():
         mask = np.ones(256, dtype=bool)
+        # The default-modulus subfield serves every modulus of ctx: F has
+        # 0/1 coefficients, so it commutes with the isomorphism between two
+        # models of GF(2^k).
         for k in range(1, ctx.m):
             if ctx.m % k == 0:
-                mask &= permutation_mask(_subfield(k))
+                mask &= permutation_mask(shared_field(k))
         rows = np.flatnonzero(mask & (np.arange(256) <= _Y_Z_PARTNER))
         verdicts = _decide_rows(ctx, rows)
         mask[:] = False
         mask[rows] = verdicts
         mask[_Y_Z_PARTNER[rows]] = verdicts
-        mask.flags.writeable = False
         return mask
 
     return ctx._table("permutation_mask", build)

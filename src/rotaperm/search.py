@@ -13,11 +13,12 @@ the full cube.  A degree requested twice is decided once and still
 printed as requested.  The report records the per-degree permutation
 sets (as bitstrings, sorted) and their intersection.
 
-The mask and every table under it (permcheck.permutation_mask) are
-built before the search's one pool thread starts its lookups.  Each
-degree's 256 lookups run as one task on that thread, in all_families()
-order, which is bitstring order, so repeated runs are bit-identical and
-the results need no sort.
+The mask and every table under it (permcheck.permutation_mask) live on
+the degree's context from field.shared_field, so they are built once per
+process, before the search's one pool thread starts its lookups; a
+repeated search reads them.  Each degree's 256 lookups run as one task
+on that thread, in all_families() order, which is bitstring order, so
+repeated runs are bit-identical and the results need no sort.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import DomainTooLarge, EvenDegree, UnsupportedDegree
 from .family import NAMED_COEFFS, all_families
-from .field import FieldCtx
+from .field import FieldCtx, shared_field
 from .permcheck import IS_PERMUTATION_MAX_M, is_permutation, permutation_mask
 
 ALL_ZERO = "00000000"
@@ -91,7 +92,7 @@ def search_all(degrees) -> SearchReport:
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         # A repeated degree is decided once.
         for m in dict.fromkeys(degrees):
-            ctx = FieldCtx(m)
+            ctx = shared_field(m)
             permutation_mask(ctx)
             results[m] = pool.submit(_permutations, ctx, families).result()
     common = None

@@ -21,10 +21,11 @@ def f128():
 @pytest.fixture
 def projective_degrees(monkeypatch):
     """The degree of every vector the block decision (permcheck._decide_rows)
-    decides while the test runs, one entry per row.  The shared subfield
-    contexts, GF(2)'s included, are dropped first, so that their
-    permutation masks are built again inside the test and counted."""
+    decides while the test runs, one entry per row.  The shared contexts
+    (field.shared_field), GF(2)'s included, are dropped first, so that
+    their permutation masks are built again inside the test and counted."""
     import rotaperm.permcheck as pc
+    from rotaperm.field import shared_field
     degrees = []
     original = pc._decide_rows
 
@@ -32,6 +33,6 @@ def projective_degrees(monkeypatch):
         degrees.extend([ctx.m] * len(rows))
         return original(ctx, rows)
 
-    pc._subfield.cache_clear()
+    shared_field.cache_clear()
     monkeypatch.setattr(pc, "_decide_rows", counted)
     return degrees

@@ -19,7 +19,7 @@ from rotaperm.certify import (
     run_all,
 )
 from rotaperm.errors import DomainTooLarge
-from rotaperm.field import FieldCtx
+from rotaperm.field import FieldCtx, shared_field
 from rotaperm.mpoly import evaluate, parse, resultant
 
 import oracles
@@ -39,17 +39,21 @@ def test_full_suite_passes():
 
 
 def test_run_all_builds_one_field_per_degree(monkeypatch):
-    """charsum_support and A_zero_classification share one FieldCtx per degree."""
+    """charsum_support and A_zero_classification share one FieldCtx per
+    degree, from field.shared_field: a second run_all builds none."""
     built = []
 
     def counted(m):
         built.append(m)
         return FieldCtx(m)
-    monkeypatch.setattr("rotaperm.certify.FieldCtx", counted)
+    shared_field.cache_clear()
+    monkeypatch.setattr("rotaperm.field.FieldCtx", counted)
     assert [r.name for r in run_all()][-4:] == [
         "charsum_support_m3", "charsum_support_m5",
         "A_zero_classification_m3", "A_zero_classification_m5",
     ]
+    assert built == [3, 5]
+    run_all()
     assert built == [3, 5]
 
 

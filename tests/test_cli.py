@@ -9,9 +9,10 @@ import pytest
 from rotaperm import cli, lift, permcheck
 from rotaperm.cli import build_parser, main
 from rotaperm.family import eval_F, named_family
-from rotaperm.field import FieldCtx
+from rotaperm.field import FieldCtx, shared_field
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH_SEARCH = Path(__file__).parent.parent / "perfbench" / "expected" / "search_m3_5_7.json"
 
 
 def run(capsys, *argv):
@@ -206,7 +207,7 @@ def test_lift_is_refused_before_any_field_is_built(capsys, monkeypatch, m):
     def no_build(*args, **kwargs):
         raise AssertionError(f"built for lift --m {m}")
 
-    monkeypatch.setattr(cli, "FieldCtx", no_build)
+    monkeypatch.setattr(cli, "shared_field", no_build)
     monkeypatch.setattr(cli, "ExtCtx", no_build)
     monkeypatch.setattr(permcheck, "permutation_mask", no_build)
     code, out, err = run(capsys, "lift", "--family", "T1", "--m", str(m))
@@ -349,3 +350,65 @@ def test_monic_resultant_past_the_old_bound(capsys):
 def test_resultant_at_the_exponent_cap(capsys):
     code, out, _ = run(capsys, "resultant", "-v", "x", "-f", "x^63*y", "-g", "x^63*z")
     assert (code, out) == (0, '{"var": "x", "resultant": "0"}\n')
+
+
+# -- one field context per degree per process (field.shared_field) ----------------
+
+def _recorded_builds(monkeypatch) -> list:
+    """(m, key) of every table FieldCtx._table builds from now on."""
+    builds = []
+    original = FieldCtx._table
+
+    def recorded(self, key, build):
+        def recorded_build():
+            builds.append((self.m, key))
+            return build()
+        return original(self, key, recorded_build)
+
+    monkeypatch.setattr(FieldCtx, "_table", recorded)
+    return builds
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--m", "3,5,7"),
+    ("verify", "--family", "T3", "--m", "7"),
+    ("certify",),
+])
+def test_a_second_call_builds_no_table(capsys, monkeypatch, argv):
+    """The verbs take their fields from shared_field: a second call in the
+    same process reads the tables the first one built, and prints the
+    same bytes with the same exit code."""
+    shared_field.cache_clear()
+    builds = _recorded_builds(monkeypatch)
+    first = run(capsys, *argv)
+    assert builds
+    builds.clear()
+    assert run(capsys, *argv)[:2] == first[:2]
+    assert builds == []
+
+
+def test_repeated_search_prints_the_golden(capsys, monkeypatch):
+    """Two in-process searches print the benchmark's golden stdout; the
+    second builds no table."""
+    want = BENCH_SEARCH.read_text()
+    builds = _recorded_builds(monkeypatch)
+    assert run(capsys, "search", "--m", "3,5,7")[:2] == (0, want)
+    builds.clear()
+    assert run(capsys, "search", "--m", "3,5,7")[:2] == (0, want)
+    assert builds == []
+
+
+def test_shared_tables_are_read_only(capsys):
+    """A stray write into a shared table would corrupt every later call of
+    the process, so every array cached on a shared context is read-only
+    after search, certify, lift and a table invert."""
+    for argv in (("search", "--m", "3,5,7"), ("certify",),
+                 ("lift", "--family", "T1", "--m", "5"),
+                 ("invert", "--family", "T2", "--m", "7", "--target", "0x1,0x2,0x3",
+                  "--method", "table")):
+        assert run(capsys, *argv)[0] == 0, argv
+    for m in (1, 3, 5, 7):
+        cache = shared_field(m)._np_cache
+        arrays = [a for v in cache.values() for a in (v if isinstance(v, tuple) else (v,))]
+        assert arrays, m
+        assert not any(a.flags.writeable for a in arrays), m

@@ -12,7 +12,7 @@ from rotaperm.errors import (
     ReducibleModulus,
     UnsupportedDegree,
 )
-from rotaperm.field import DEFAULT_MODULI, FieldCtx
+from rotaperm.field import DEFAULT_MODULI, FieldCtx, shared_field
 
 
 def naive_mul(m: int, modulus: int, a: int, b: int) -> int:
@@ -138,6 +138,28 @@ def test_vector_tables_match_scalar_ops(m):
     assert ctx.inv_table.tolist() == [0] + [ctx.inv(a) for a in elems[1:]]
     for t in (ctx.mul_table, ctx.sqr_table, ctx.cube_table, ctx.inv_table):
         assert t.dtype == np.uint16
+        assert not t.flags.writeable
+
+
+def test_cached_tuples_are_read_only():
+    """_table marks every array of a cached tuple read-only, not the tuple alone."""
+    ctx = FieldCtx(3)
+    pair = ctx._table("test_pair", lambda: (np.zeros(3), np.ones(2)))
+    assert ctx._table("test_pair", lambda: None) is pair
+    assert not any(a.flags.writeable for a in pair)
+    with pytest.raises(ValueError):
+        pair[1][0] = 0
+
+
+def test_shared_field_is_one_context_per_degree():
+    """One default-modulus context per degree per process; the constructor
+    still builds a context of its own, equal to the shared one."""
+    assert shared_field(5) is shared_field(5)
+    own = FieldCtx(5)
+    assert own is not shared_field(5) and own == shared_field(5)
+    assert shared_field(5).modulus == DEFAULT_MODULI[5]
+    with pytest.raises(UnsupportedDegree):
+        shared_field(17)
 
 
 def test_vpow_matches_scalar_pow(f32):

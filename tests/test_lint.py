@@ -236,3 +236,19 @@ def test_every_record_field_has_a_reader():
     an attribute in the package or the benchmark: a field that only tests
     read is built on every call for nothing."""
     assert _unread_fields(SRC, PERFBENCH) == []
+
+
+def test_only_field_builds_a_field():
+    """Every default-modulus context comes from field.shared_field, one per
+    degree per process: a module that calls FieldCtx(...) itself would
+    rebuild every table on each call, and no result would show it."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "FieldCtx" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert "FieldCtx(" in (SRC / "field.py").read_text()
+    assert found == []

@@ -10,7 +10,7 @@ import pytest
 from rotaperm._kernels import scan_bijection
 from rotaperm.errors import DomainTooLarge, FormulaInconsistent, NotAPermutation, OddDegreeRequired
 from rotaperm.family import NAMED_COEFFS, all_families, eval_F, family_from_coeffs, named_family
-from rotaperm.field import FieldCtx
+from rotaperm.field import FieldCtx, shared_field
 from rotaperm.invert import _inverse_table
 from rotaperm.mpoly import evaluate, substitute, parse
 import rotaperm.permcheck as pc
@@ -760,6 +760,14 @@ def test_perm_report_is_frozen(f8):
         report.is_permutation = False
     assert report == is_permutation(f8, named_family("T3"))
     assert report.to_json() == {"family": "00000011", "m": 3, "permutation": True, "points": 512}
+
+
+def test_custom_modulus_is_not_shared_and_decides_the_same():
+    """A context with its own modulus gets tables of its own, and the same
+    mask as the shared default-modulus context: F has 0/1 coefficients."""
+    ctx = FieldCtx(5, 0b111011)
+    assert ctx is not shared_field(5) and ctx != shared_field(5)
+    assert np.array_equal(permutation_mask(ctx), permutation_mask(shared_field(5)))
 
 
 def test_mask_is_read_only(f32):

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from rotaperm import permcheck, search
+from rotaperm import search
 from rotaperm.errors import DomainTooLarge, EvenDegree, UnsupportedDegree
 from rotaperm.family import COEFF_EXPONENTS, NAMED_COEFFS
-from rotaperm.field import FieldCtx
+from rotaperm.field import FieldCtx, shared_field
 from rotaperm.search import ALL_ZERO, SearchReport, named_bitstrings, search_all, search_diff
 
 GOLDEN_M3_5_7 = Path(__file__).parent / "golden" / "search_m3_5_7.json"
@@ -87,13 +87,13 @@ def test_only_gf2_permutations_reach_the_projective_decision(projective_degrees,
 
 
 def test_gf2_is_decided_once_per_process(projective_degrees):
-    """The GF(2) mask lives on a shared subfield context: a second search
-    builds new masks at m = 3, 5 and 7 and decides no m=1 row."""
+    """Every mask, GF(2)'s included, lives on a shared context: a second
+    search reads the masks of m = 3, 5 and 7 and decides no row at all."""
     first = search_all([3, 5, 7])
     assert projective_degrees == [1] * 136 + [3] * 38 + [5] * 38 + [7] * 38
     projective_degrees.clear()
     assert search_all([3, 5, 7]).results == first.results
-    assert projective_degrees == [3] * 38 + [5] * 38 + [7] * 38
+    assert projective_degrees == []
 
 
 def test_repeated_degree_is_decided_once(projective_degrees, report_m3):
@@ -107,8 +107,8 @@ def test_repeated_degree_is_decided_once(projective_degrees, report_m3):
 def test_every_table_is_built_before_the_pool(monkeypatch):
     """search_all builds every table on the main thread before its pool
     thread starts; that thread only looks the permutation mask up.  The
-    shared subfield contexts are dropped first, so that GF(2)'s and
-    GF(8)'s tables are built inside the test."""
+    shared contexts are dropped first, so that every degree's tables,
+    GF(2)'s and GF(8)'s included, are built inside the test."""
     main = threading.get_ident()
     builds, deciders = [], set()
     original_table, original_decide = FieldCtx._table, search.is_permutation
@@ -123,7 +123,7 @@ def test_every_table_is_built_before_the_pool(monkeypatch):
         deciders.add(threading.get_ident())
         return original_decide(ctx, fam, **kwargs)
 
-    permcheck._subfield.cache_clear()
+    shared_field.cache_clear()
     monkeypatch.setattr(FieldCtx, "_table", recorded_table)
     monkeypatch.setattr(search, "is_permutation", recorded_decide)
     search_all([3, 5, 7])
