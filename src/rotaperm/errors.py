@@ -46,10 +46,6 @@ class VariableMismatch(RotapermError):
     """Binary operation on polynomials over different variable tuples."""
 
 
-class MissingAssignment(RotapermError):
-    """evaluate() called without a value for some occurring variable."""
-
-
 class DegenerateInput(RotapermError):
     """Resultant requested in a variable absent from both polynomials."""
 

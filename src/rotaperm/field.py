@@ -13,8 +13,8 @@ of the multiplicative group defines all arithmetic at every degree:
 scalar products, powers and inverses read it, and the numpy tables
 (products, squares, cubes, inverses) are gathers from it.  Every array
 product in the package goes through FieldCtx.vmul, the only reader of the
-q x q product table; rotaperm.permcheck builds its pair tables and orbit
-columns from family.COEFF_EXPONENTS through it.  Shift-and-XOR reduction
+q x q product table; rotaperm.permcheck's one evaluator of F multiplies
+the monomials of family.COEFF_EXPONENTS through it.  Shift-and-XOR reduction
 only builds the pair.  A quadratic's root comes from the half-trace at
 odd m and from a scan of the field at even m; a cubic's roots from a scan
 of the field, cross-checked by the trace criterion - exactness over

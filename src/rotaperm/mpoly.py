@@ -37,12 +37,10 @@ from .errors import (
     DegenerateInput,
     DegreeOverflow,
     DomainTooLarge,
-    MissingAssignment,
     PolyParseError,
     UnknownVariable,
     VariableMismatch,
 )
-from .field import FieldCtx
 
 VARS: tuple[str, ...] = ("x", "y", "z", "a", "b", "c", "t", "Y", "Z")
 MAX_EXPONENT = 63
@@ -165,9 +163,6 @@ class MPoly:
         return to_text(self)
 
     # -- queries ----------------------------------------------------------
-
-    def used_vars(self) -> set[str]:
-        return {self.vars[i] for term in self.terms for i, e in enumerate(term) if e}
 
     def degree_in(self, var: str) -> int:
         """Formal degree in one variable (0 for the zero polynomial)."""
@@ -344,29 +339,6 @@ def substitute(p: MPoly, mapping: Mapping[str, "MPoly | str"]) -> MPoly:
                 prod = prod * piece
         out = out + prod
     return out
-
-
-def evaluate(p: MPoly, ctx: FieldCtx, assignment: Mapping[str, int]) -> int:
-    """Value of p under a full assignment of its occurring variables."""
-    needed = p.used_vars()
-    missing = needed - set(assignment)
-    if missing:
-        raise MissingAssignment(f"no value for {sorted(missing)}")
-    values = [assignment.get(name, 0) for name in p.vars]
-    power_cache: dict[tuple[int, int], int] = {}
-    acc = 0
-    for term in p.terms:
-        prod = 1
-        for i, e in enumerate(term):
-            if e:
-                key = (i, e)
-                v = power_cache.get(key)
-                if v is None:
-                    v = ctx.pow(values[i], e)
-                    power_cache[key] = v
-                prod = ctx.mul(prod, v)
-        acc ^= prod
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,7 @@ group G = <sigma, phi> of order 3m permutes them too (group_tables):
 about (q^2+q)/3m orbits, 13, 73, 789 and 9749 at m = 3, 5, 7 and 9.  F is
 imaged at the G-orbit minima alone, and the decision is made on the
 G-classes of their keys (_decide_rows, a block of vectors at a time).
-F's images there are XORs of rows of one monomial table: the values of
-x^3 and of each a1..a8 monomial at every G-minimum under the three
-rotated arguments, built once per field context on first use and shared
-by all 256 families.
+The cached decision data is the group structure alone; no image is kept.
 
 Even m is answered without any image: 3 divides q-1, so z -> z^3 is
 3-to-1 on GF(2^m)^*, and F(0,0,z), a function of z^3 alone, repeats
@@ -53,14 +50,12 @@ lift reads; they need no orbit table, so the orbit format stays inside
 this module, and a table inversion needs O(q^2) memory and no q^3 image.
 
 The full scan over all q^3 images remains only for the lexicographically
-first collision reported as the witness of an odd-m negative.  Its
-images are built in blocks of x-slabs from numpy gathers into three
-q x q pair tables plus the cube table.  The pair tables, the monomial
-table and projective_images all come from family.COEFF_EXPONENTS through
-one broadcasting _monomial, and every array product here is
-FieldCtx.vmul.  Each of the nine monomials is evaluated once per point:
-the rotated arguments only permute the nine (_ROTATED), so the other two
-rotations are gathers.
+first collision reported as the witness of an odd-m negative.  Every
+image of F here, the cube's x-slabs, the representatives and the
+G-minima, comes from one broadcasting evaluator, _images, over
+family.COEFF_EXPONENTS; every array product is FieldCtx.vmul.  The
+rotations only permute the nine monomials (_ROTATED), so each monomial a
+block of vectors uses is evaluated once per call.
 
 Cap: is_permutation refuses m > 9 (the 2^27 image table of the witness
 scan and the q x q product table, gathered from the field's exp/log
@@ -80,7 +75,7 @@ from .family import COEFF_EXPONENTS, FamilySpec
 from .field import FieldCtx, Triple, shared_field
 
 IS_PERMUTATION_MAX_M = 9
-IMAGE_BLOCK = 1 << 14  # points family_images and _decide_rows image per step; keeps each temporary small
+IMAGE_BLOCK = 1 << 16  # points per _images call in family_images and _decide_rows; bounds temporaries
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,42 +113,63 @@ def _monomial(ctx: FieldCtx, exponents: tuple[int, int, int], x, y, z) -> np.nda
     return value
 
 
-def _pair_tables(ctx: FieldCtx, coeffs: tuple[int, ...]):
-    """Tables P_xy, P_xz, P_yz with f(x,y,z) = x^3 ^ P_xy[x,y] ^ P_xz[x,z] ^ P_yz[y,z].
+# x^3, then the monomial under each coefficient bit a1..a8.
+_MONOMIAL_EXPONENTS = ((3, 0, 0),) + COEFF_EXPONENTS
+# _ROTATED[j][i]: the monomial that is monomial j at the arguments rotated i
+# times.  x^a y^b z^c at (y,z,x) is x^c y^a z^b at (x,y,z), so the exponents
+# rotate right once per rotation, and the nine are closed under it.
+_ROTATED = tuple(tuple(_MONOMIAL_EXPONENTS.index(e[3 - i:] + e[:3 - i]) for i in range(3))
+                 for e in _MONOMIAL_EXPONENTS)
 
-    Each monomial of COEFF_EXPONENTS omits x, y or z; it is imaged over
-    the q x q grid of the other two and goes to the table they index.
+
+def _images(ctx: FieldCtx, bits: np.ndarray | tuple[int, ...], x, y, z) -> np.ndarray:
+    """F at the points (x, y, z), as a uint16 array of shape (3, *block, *points).
+
+    bits is a1..a8 of one vector, shape (8,) and block (), or of k
+    vectors, shape (k, 8) and block (k,); x, y and z are ints or arrays of
+    field elements that broadcast to the points' shape.  Component i, f at
+    the arguments rotated i times, is the XOR of monomial _ROTATED[j][i] at
+    (x, y, z) over x^3 (j = 0) and the set bits j, so each monomial the
+    block uses is evaluated once, over the variables it reads.  The terms
+    are summed apart by a variable they omit, and only the three sums are
+    broadcast to every point: over x-slabs a term without x costs one
+    q x q grid.
     """
-    rows, cols = np.arange(ctx.q)[:, None], np.arange(ctx.q)[None, :]
-    grids = ((None, rows, cols), (rows, None, cols), (rows, cols, None))
-    tables = np.zeros((3, ctx.q, ctx.q), dtype=np.uint16)  # P_yz, P_xz, P_xy
-    for bit, exponents in zip(coeffs, COEFF_EXPONENTS):
-        if bit:
-            omitted = exponents.index(0)
-            tables[omitted] ^= _monomial(ctx, exponents, *grids[omitted])
-    p_yz, p_xz, p_xy = tables
-    return ctx.cube_table, p_xy, p_xz, p_yz
+    bits = np.asarray(bits, dtype=np.uint16)
+    block = bits.shape[:-1]
+    points = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z))
+    # coeffs[j - 1]: bit j - 1 of each vector, the coefficient of monomial j.
+    coeffs = bits.T.reshape((8,) + block + (1,) * len(points))
+    used = [0, *(np.flatnonzero(coeffs.reshape(8, -1).any(axis=1)) + 1).tolist()]
+    values = {k: _monomial(ctx, _MONOMIAL_EXPONENTS[k], x, y, z)
+              for k in {_ROTATED[j][i] for j in used for i in range(3)}}
+    out = np.empty((3,) + block + points, dtype=np.uint16)
+    for i in range(3):
+        sums = [0, 0, 0]
+        for j in used:
+            k = _ROTATED[j][i]
+            term = coeffs[j - 1] * values[k] if block and j else values[k]
+            g = _MONOMIAL_EXPONENTS[k].index(0)  # 0, 1, 2 for x, y, z
+            sums[g] = sums[g] ^ term
+        np.bitwise_xor(sums[0], sums[1], out=out[i])
+        out[i] ^= sums[2]
+    return out
 
 
 def family_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
     """Packed image of every domain point, indexed by packed point.
 
-    Built a block of x-slabs at a time: each block of the three
-    components is a handful of gathers from the pair tables, and a block
-    holds at most IMAGE_BLOCK points (one slab when q^2 is larger).
+    Built by _images a block of x-slabs at a time, at most IMAGE_BLOCK
+    points (one slab when q^2 is larger).
     """
     q, m = ctx.q, ctx.m
-    cube, p_xy, p_xz, p_yz = _pair_tables(ctx, fam.coeffs)
-    cube = cube.astype(np.uint32)
+    line = np.arange(q)
     packed = np.empty((q, q, q), dtype=np.uint32)
     rows = max(1, IMAGE_BLOCK // (q * q))
     for start in range(0, q, rows):
-        xs = slice(start, start + rows)
-        # f(x,y,z), f(y,z,x) and f(z,x,y) over x in xs, indexed [x, y, z].
-        f1 = cube[xs, None, None] ^ p_xy[xs, :, None] ^ p_xz[xs, None, :] ^ p_yz[None]
-        f2 = cube[None, :, None] ^ p_xy[None] ^ p_xz[:, xs].T[:, :, None] ^ p_yz[:, xs].T[:, None, :]
-        f3 = cube[None, None, :] ^ p_xy[:, xs].T[:, None, :] ^ p_xz.T[None] ^ p_yz[xs, :, None]
-        packed[xs] = (f1 << (2 * m)) | (f2 << m) | f3
+        xs = line[start:start + rows, None, None]
+        f1, f2, f3 = _images(ctx, fam.coeffs, xs, line[:, None], line).astype(np.uint32)
+        packed[start:start + rows] = (f1 << (2 * m)) | (f2 << m) | f3
     return packed.reshape(-1)
 
 
@@ -226,12 +242,10 @@ def _rotation_classes(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
 
 
 class GroupTables(NamedTuple):
-    """The G-orbits of the representatives, G = <sigma, phi>, with the
-    decision's monomial table at their minima (group_tables)."""
+    """The G-orbits of the representatives, G = <sigma, phi> (group_tables)."""
 
-    minima: np.ndarray     # the G-orbit minima, increasing, uint32
-    classes: np.ndarray    # classes[i]: position in minima of the G-orbit of r_i, uint32
-    monomials: np.ndarray  # (9, 3, |minima|) uint16, as _monomials_at
+    minima: np.ndarray   # the G-orbit minima, increasing, uint32
+    classes: np.ndarray  # classes[i]: position in minima of the G-orbit of r_i, uint32
 
 
 def group_tables(ctx: FieldCtx) -> GroupTables:
@@ -243,7 +257,7 @@ def group_tables(ctx: FieldCtx) -> GroupTables:
     class on that Frobenius orbit, found by m-1 gathers.  O increases, so
     the least class holds the G-orbit minimum.  Built on first use and
     cached on ctx as one entry; the rotation and Frobenius index maps are
-    build temporaries.
+    build temporaries, and no image of F is kept.
     """
     def build():
         o, canon = _rotation_classes(ctx)
@@ -258,34 +272,9 @@ def group_tables(ctx: FieldCtx) -> GroupTables:
         heads = np.flatnonzero(least == np.arange(o.size))
         rank = np.empty(o.size, dtype=np.uint32)
         rank[heads] = np.arange(heads.size, dtype=np.uint32)
-        minima = o[heads].astype(np.uint32)
-        return GroupTables(minima, rank[least][canon], _monomials_at(ctx, minima))
+        return GroupTables(o[heads].astype(np.uint32), rank[least][canon])
 
     return ctx._table("group_tables", build)
-
-
-# x^3, then the monomial under each coefficient bit a1..a8.
-_MONOMIAL_EXPONENTS = ((3, 0, 0),) + COEFF_EXPONENTS
-# _ROTATED[j, i]: the monomial that is monomial j at the arguments rotated i
-# times.  x^a y^b z^c at (y,z,x) is x^c y^a z^b at (x,y,z), so the exponents
-# rotate right once per rotation, and the nine are closed under it.
-_ROTATED = np.array([[_MONOMIAL_EXPONENTS.index(e[3 - i:] + e[:3 - i]) for i in range(3)]
-                     for e in _MONOMIAL_EXPONENTS])
-
-
-def _monomials_at(ctx: FieldCtx, idx: np.ndarray) -> np.ndarray:
-    """Monomial j of _MONOMIAL_EXPONENTS at the representatives idx, as row
-    j of a (9, 3, |idx|) uint16 array.
-
-    Row [j, i] holds its values at the arguments rotated i times, (x,y,z),
-    (y,z,x) and (z,x,y), so F(r) is the XOR of rows 0 (x^3) and of the
-    family's set bits.  Each monomial is evaluated once, at (x,y,z); row
-    [j, i] is then the row of monomial _ROTATED[j, i].
-    """
-    r = representatives(ctx, idx)
-    values = np.array([_monomial(ctx, exponents, *r) for exponents in _MONOMIAL_EXPONENTS],
-                      dtype=np.uint16)
-    return values[_ROTATED]
 
 
 def representative(ctx: FieldCtx, i: int) -> Triple:
@@ -317,26 +306,14 @@ def representative_index(ctx: FieldCtx, v: Triple) -> tuple[int, int]:
 def projective_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
     """F at every representative, as a (3, q^2+q+1) uint16 array; column i is F(r_i).
 
-    Each of the nine monomials is evaluated once at every representative,
-    broadcasting over the chart (1, y, z) as the q x q grid of (y, z) and
-    then over the q+1 points (0, 1, z), (0, 0, 1).  Component i of F is
-    the XOR of x^3 and of the family's set bits at the arguments rotated
-    i times, which is monomial _ROTATED[j, i] at (x,y,z), so the rotated
-    rows are read, never built.  Nothing is cached.
+    Two _images calls: the chart (1, y, z) as the q x q grid of (y, z),
+    then the q+1 points (0, 1, z), (0, 0, 1).  Nothing is cached.
     """
     q, qq = ctx.q, ctx.q * ctx.q
     line = np.arange(q)
-    chart = (1, line[:, None], line[None, :])
-    rest = representatives(ctx, np.arange(qq, qq + q + 1))
-    values = np.empty((len(_MONOMIAL_EXPONENTS), qq + q + 1), dtype=np.uint16)
-    for row, exponents in zip(values, _MONOMIAL_EXPONENTS):
-        row[:qq].reshape(q, q)[:] = _monomial(ctx, exponents, *chart)
-        row[qq:] = _monomial(ctx, exponents, *rest)
-    out = values[_ROTATED[0]]
-    for j in np.flatnonzero(fam.coeffs) + 1:
-        for i in range(3):
-            out[i] ^= values[_ROTATED[j, i]]
-    return out
+    chart = _images(ctx, fam.coeffs, 1, line[:, None], line).reshape(3, qq)
+    rest = _images(ctx, fam.coeffs, *representatives(ctx, np.arange(qq, qq + q + 1)))
+    return np.concatenate([chart, rest], axis=1)
 
 
 def projective_keys(ctx: FieldCtx, images) -> tuple[np.ndarray, np.ndarray | None]:
@@ -373,11 +350,11 @@ def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
 
     A block of max(1, IMAGE_BLOCK // |M|) rows is imaged at a time, at the
     G-orbit minima r_M[p] (M and G = <sigma, phi> as in group_tables),
-    as one (rows, 3, |M|) XOR of monomial rows; projective_keys then keys
-    every row with no zero image at once.  F(sigma v) = sigma F(v), and F
-    has 0/1 coefficients, so F(phi v) = phi F(v) as well: the key of
-    g(r_M[p]) is g(keys[p]) for every g in G, and F has a zero on a
-    G-orbit only together with its minimum.
+    by one _images call; projective_keys then keys every row with no zero
+    image at once.  F(sigma v) = sigma F(v), and F has 0/1 coefficients,
+    so F(phi v) = phi F(v) as well: the key of g(r_M[p]) is g(keys[p]) for
+    every g in G, and F has a zero on a G-orbit only together with its
+    minimum.
 
     By 3-homogeneity F permutes GF(2^m)^3 exactly when it is nonzero on
     the representatives and permutes the projective points, r -> key(r).
@@ -393,12 +370,9 @@ def _decide_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
     verdicts = np.zeros(rows.size, dtype=bool)
     step = max(1, IMAGE_BLOCK // n)
     for s in range(0, rows.size, step):
-        bits = _VECTOR_BITS[rows[s:s + step], :, None, None]
-        images = np.repeat(t.monomials[:1], bits.shape[0], axis=0)
-        for j in range(8):
-            images ^= bits[:, j] * t.monomials[j + 1]
-        live = np.flatnonzero((images != 0).any(axis=1).all(axis=1))
-        _, keys = projective_keys(ctx, images[live].transpose(1, 0, 2).reshape(3, -1))
+        images = _images(ctx, _VECTOR_BITS[rows[s:s + step]], *representatives(ctx, t.minima))
+        live = np.flatnonzero((images != 0).any(axis=0).all(axis=1))
+        _, keys = projective_keys(ctx, images[:, live].reshape(3, -1))
         for i, c in zip(live, t.classes[keys].reshape(live.size, n)):
             verdicts[s + i] = _kernels.scan_bijection(c)[0]
     return verdicts

@@ -6,18 +6,19 @@ character-sum step, the exhaustive beta-trace check, the symbolic
 rotatability test with a literal non-rotatable triple, the homogeneity
 degree of a polynomial, the support of a lifted polynomial, the sheared
 resolvent system H, the rotation and the Frobenius as index maps on the
-projective representatives, and the GF(2) bijectivity test from the
-coefficient bits.
+projective representatives, the GF(2) bijectivity test from the
+coefficient bits, and the evaluation of a polynomial at one point.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Mapping
 
 import numpy as np
 
 from rotaperm.certify import NUMERIC_MAX_M
-from rotaperm.errors import DomainTooLarge, FormulaInconsistent
+from rotaperm.errors import DomainTooLarge, FormulaInconsistent, RotapermError
 from rotaperm.family import SIGMA, FamilySpec
 from rotaperm.field import FieldCtx
 from rotaperm.lift import LiftedPoly
@@ -30,6 +31,37 @@ from rotaperm.permcheck import (
     representative_index,
 )
 from rotaperm.resolvent import resolvent_coeffs
+
+# ---------------------------------------------------------------------------
+# the value of a polynomial at one point
+# ---------------------------------------------------------------------------
+
+class MissingAssignment(RotapermError):
+    """evaluate() called without a value for some occurring variable."""
+
+
+def evaluate(p: MPoly, ctx: FieldCtx, assignment: Mapping[str, int]) -> int:
+    """Value of p under a full assignment of its occurring variables."""
+    needed = {p.vars[i] for term in p.terms for i, e in enumerate(term) if e}
+    missing = needed - set(assignment)
+    if missing:
+        raise MissingAssignment(f"no value for {sorted(missing)}")
+    values = [assignment.get(name, 0) for name in p.vars]
+    power_cache: dict[tuple[int, int], int] = {}
+    acc = 0
+    for term in p.terms:
+        prod = 1
+        for i, e in enumerate(term):
+            if e:
+                key = (i, e)
+                v = power_cache.get(key)
+                if v is None:
+                    v = ctx.pow(values[i], e)
+                    power_cache[key] = v
+                prod = ctx.mul(prod, v)
+        acc ^= prod
+    return acc
+
 
 # ---------------------------------------------------------------------------
 # the pairwise difference criterion

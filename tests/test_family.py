@@ -12,10 +12,10 @@ from rotaperm.errors import UnknownName
 from rotaperm.family import NAMED_COEFFS, all_families, eval_F, family_from_coeffs, named_family
 from rotaperm.field import FieldCtx
 from rotaperm.invert import invert_point
-from rotaperm.mpoly import evaluate, parse, substitute
+from rotaperm.mpoly import parse, substitute
 from rotaperm.permcheck import family_images, is_permutation
 
-from oracles import LI_NIKOLAY_F1, homogeneous_degree, is_rotatable
+from oracles import LI_NIKOLAY_F1, evaluate, homogeneous_degree, is_rotatable
 
 
 def test_coefficient_layout():

@@ -19,8 +19,9 @@ from rotaperm.invert import (
     invert_point,
     invert_table,
 )
-from rotaperm.mpoly import evaluate
 from rotaperm.resolvent import A_BLOCK, B_BLOCK, C_BLOCK, D_BLOCK, resolvent_coeffs
+
+from oracles import evaluate
 
 INVERTERS = {
     "T1": lambda ctx, fam, t: invert_T1_resolvent(ctx, t),

@@ -32,6 +32,22 @@ def test_only_field_reads_the_product_table():
     assert found == []
 
 
+def test_only_images_evaluates_a_monomial():
+    """Every image of F goes through permcheck._images, the one caller of
+    _monomial, so a second array evaluator of F cannot come back beside
+    it unseen."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers = {id(node): f.name for f in ast.walk(tree)
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_monomial" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{path.relative_to(SRC)}:{callers.get(id(node))}")
+    assert found == ["permcheck.py:_images"]
+
+
 _ORBIT_NAMES = {"group_tables", "GroupTables", "canon"}
 
 

@@ -12,7 +12,6 @@ from rotaperm.errors import (
     DegenerateInput,
     DegreeOverflow,
     DomainTooLarge,
-    MissingAssignment,
     PolyParseError,
     UnknownVariable,
 )
@@ -20,7 +19,6 @@ from rotaperm.mpoly import (
     MAX_EXPONENT,
     VARS,
     MPoly,
-    evaluate,
     one,
     parse,
     resultant,
@@ -31,7 +29,7 @@ from rotaperm.mpoly import (
 )
 from rotaperm.resolvent import G_EXPANDED, P1, P3
 
-from oracles import homogeneous_degree
+from oracles import MissingAssignment, evaluate, homogeneous_degree
 
 SIGMA = {"x": "y", "y": "z", "z": "x"}
 

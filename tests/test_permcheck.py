@@ -12,16 +12,19 @@ from rotaperm.errors import DomainTooLarge, FormulaInconsistent, NotAPermutation
 from rotaperm.family import NAMED_COEFFS, all_families, eval_F, family_from_coeffs, named_family
 from rotaperm.field import FieldCtx, shared_field
 from rotaperm.invert import _inverse_table
-from rotaperm.mpoly import evaluate, substitute, parse
+from rotaperm.mpoly import substitute, parse
 import rotaperm.permcheck as pc
 from rotaperm.permcheck import (
     _MONOMIAL_EXPONENTS,
+    _ROTATED,
+    _VECTOR_BITS,
     _Y_Z_PARTNER,
     _decide_rows,
+    _images,
     _monomial,
-    _monomials_at,
     family_images,
     full_scan,
+    GroupTables,
     group_tables,
     is_permutation,
     permutation_mask,
@@ -34,7 +37,8 @@ from rotaperm.permcheck import (
 )
 
 import oracles
-from oracles import D_POLY, count_zeros_D, difference_check, frobenius_map, permutes_gf2, rotation_map
+from oracles import (D_POLY, count_zeros_D, difference_check, evaluate, frobenius_map, permutes_gf2,
+                     rotation_map)
 
 
 def test_t3_is_permutation(f8):
@@ -482,19 +486,32 @@ def test_m7_permutation_set_has_29_members(f128):
     assert len(hits) == 29
 
 
+# The zero vector, then the unit vector of each bit a1..a8: F of unit
+# vector j is x^3 and monomial j, each at the three rotated arguments.
+_UNIT_VECTORS = np.vstack([np.zeros(8, dtype=np.uint16), np.eye(8, dtype=np.uint16)])
+
+
 @pytest.mark.parametrize("m", [3, 5])
 def test_monomial_columns_match_scalar_products(m):
-    """The monomial table at the G-minima."""
+    """_images at the G-minima, for the zero vector and each unit vector,
+    against scalar products of powers."""
     ctx = FieldCtx(m)
-    t = group_tables(ctx)
-    table = t.monomials
-    points = [representative(ctx, i) for i in t.minima.tolist()]
-    assert table.shape == (len(_MONOMIAL_EXPONENTS), 3, len(points)) and table.dtype == np.uint16
-    for (ex, ey, ez), col in zip(_MONOMIAL_EXPONENTS, table):
-        for i, (x, y, z) in enumerate(points):
-            for row, (a, b, c) in enumerate([(x, y, z), (y, z, x), (z, x, y)]):
-                expected = ctx.mul(ctx.mul(ctx.pow(a, ex), ctx.pow(b, ey)), ctx.pow(c, ez))
-                assert col[row, i] == expected
+    minima = group_tables(ctx).minima
+    points = [representative(ctx, i) for i in minima.tolist()]
+
+    def scalar(exponents, v):
+        a, b, c = (ctx.pow(t, e) for t, e in zip(v, exponents))
+        return ctx.mul(ctx.mul(a, b), c)
+
+    for j, bits in enumerate(_UNIT_VECTORS):
+        got = _images(ctx, bits, *representatives(ctx, minima))
+        assert got.shape == (3, len(points)) and got.dtype == np.uint16
+        for p, (x, y, z) in enumerate(points):
+            for i, v in enumerate([(x, y, z), (y, z, x), (z, x, y)]):
+                want = scalar(_MONOMIAL_EXPONENTS[0], v)
+                if j:
+                    want ^= scalar(_MONOMIAL_EXPONENTS[j], v)
+                assert got[i, p] == want, (j, p, i)
 
 
 def _monomials_at_oracle(ctx, idx):
@@ -506,21 +523,34 @@ def _monomials_at_oracle(ctx, idx):
 
 @pytest.mark.parametrize("m", [1, 3, 5, 7])
 def test_rotated_monomial_table_matches_27_evaluations(m):
-    """Nine evaluations and a gather equal the 27 evaluations, at every
-    representative and at the G-minima."""
+    """Each unit vector's images, XORed with the zero vector's, equal its
+    monomial at the three rotated arguments (27 evaluations in all), at
+    every representative and at the G-minima."""
     ctx = FieldCtx(m)
     for idx in (np.arange(ctx.q * ctx.q + ctx.q + 1), group_tables(ctx).minima):
         want = _monomials_at_oracle(ctx, idx)
-        got = _monomials_at(ctx, idx)
-        assert got.shape == want.shape == (9, 3, idx.size)
-        assert got.dtype == want.dtype == np.uint16
-        assert np.array_equal(got, want)
+        r = representatives(ctx, idx)
+        base = _images(ctx, _UNIT_VECTORS[0], *r)
+        assert np.array_equal(base, want[0])
+        for j in range(1, 9):
+            got = _images(ctx, _UNIT_VECTORS[j], *r)
+            assert got.shape == want[j].shape == (3, idx.size)
+            assert got.dtype == want.dtype == np.uint16
+            assert np.array_equal(got ^ base, want[j]), j
+
+
+def _uses(bits):
+    """The monomials F of the vectors bits reads: x^3 and each set bit's,
+    at the three rotated arguments."""
+    used = [0, *(np.flatnonzero(np.reshape(bits, (-1, 8)).any(axis=0)) + 1).tolist()]
+    return sorted({_MONOMIAL_EXPONENTS[_ROTATED[j][i]] for j in used for i in range(3)})
 
 
 def test_monomial_table_evaluates_each_monomial_once(monkeypatch):
-    """Nine _monomial calls for the monomial table; projective_images makes
-    two per monomial, one for the chart (1, y, z) and one for the q+1
-    points with x = 0, and so evaluates each once per representative."""
+    """group_tables images nothing; projective_images makes two _monomial
+    calls per monomial the family uses, one for the chart (1, y, z) and one
+    for the q+1 points with x = 0, and so evaluates each once per
+    representative; _decide_rows makes one per used monomial per block."""
     calls = []
 
     def counted(*args):
@@ -530,16 +560,68 @@ def test_monomial_table_evaluates_each_monomial_once(monkeypatch):
     monkeypatch.setattr(pc, "_monomial", counted)
     ctx = FieldCtx(5)
     group_tables(ctx)
+    assert calls == []
+    t1 = named_family("T1")
+    projective_images(ctx, t1)
+    assert sorted(calls) == sorted(_uses(t1.coeffs) * 2)
+    assert len(_uses(t1.coeffs)) < len(_MONOMIAL_EXPONENTS)
+    calls.clear()
+    _decide_rows(ctx, np.arange(256))  # 73 minima: one block
     assert sorted(calls) == sorted(_MONOMIAL_EXPONENTS)
     calls.clear()
-    projective_images(ctx, named_family("T1"))
-    assert sorted(calls) == sorted(_MONOMIAL_EXPONENTS * 2)
+    rows = np.array([0, t1.row, 255])
+    monkeypatch.setattr(pc, "IMAGE_BLOCK", 1)  # one row a block
+    _decide_rows(ctx, rows)
+    assert sorted(calls) == sorted(e for v in rows for e in _uses(_VECTOR_BITS[v]))
+
+
+def _point_shapes(ctx, rng):
+    """Seeded points in the three shapes the package images: the chart
+    grid (1, y, z), a block of x-slabs over lines of y and z, and three
+    index arrays of one shape."""
+    def draw(*shape):
+        return rng.integers(0, ctx.q, size=shape)
+
+    return [(1, draw(3, 1), draw(4)),
+            (draw(2, 1, 1), draw(1, 3, 1), draw(4)),
+            (draw(7), draw(7), draw(7))]
+
+
+@pytest.mark.parametrize("m, vectors", [
+    (1, range(256)), (3, range(256)), (5, range(256)),
+    (7, [family_from_coeffs(b).row for b in _NAMED_VECTORS]),
+], ids=["m1-all", "m3-all", "m5-all", "m7-named"])
+def test_images_match_eval_F(m, vectors):
+    """_images against the pointwise map, at seeded points of each shape."""
+    ctx = FieldCtx(m)
+    rng = np.random.default_rng(m)
+    for x, y, z in _point_shapes(ctx, rng):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z))
+        points = list(zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in (x, y, z))))
+        for v in vectors:
+            fam = family_from_coeffs(_VECTOR_BITS[v].tolist())
+            got = _images(ctx, _VECTOR_BITS[v], x, y, z)
+            assert got.shape == (3,) + shape and got.dtype == np.uint16
+            want = [eval_F(ctx, fam, r) for r in points]
+            assert list(zip(*got.reshape(3, -1).tolist())) == want, v
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_images_of_a_block_match_single_vectors(m):
+    """A (k, 8) block of vectors images as its k rows do one at a time."""
+    ctx = FieldCtx(m)
+    rng = np.random.default_rng(10 + m)
+    rows = rng.choice(256, size=9, replace=False)
+    for x, y, z in _point_shapes(ctx, rng):
+        got = _images(ctx, _VECTOR_BITS[rows], x, y, z)
+        for b, v in enumerate(rows):
+            assert np.array_equal(got[:, b], _images(ctx, _VECTOR_BITS[v], x, y, z)), v
 
 
 def test_decision_caches_two_tables_per_field():
-    """All 256 decisions at m=5 add the group tables (with the monomial
-    table at the G-minima) and the permutation mask they decide to the
-    field tables, nothing more; projective_images adds no entry."""
+    """All 256 decisions at m=5 add the group tables and the permutation
+    mask they decide to the field tables, nothing more; projective_images
+    adds no entry."""
     ctx = FieldCtx(5)
     for table in (ctx.mul_table, ctx.sqr_table, ctx.cube_table, ctx.inv_table):
         assert table.size
@@ -554,12 +636,14 @@ def test_decision_caches_two_tables_per_field():
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9])
 def test_group_tables_hold_one_array_per_representative(m):
-    """The cached decision data holds one array over the q^2+q+1
-    representatives, the uint32 G-classes; the rotation and Frobenius
-    maps are not kept, and no cached array is int64."""
+    """The cached decision data holds the group structure alone, the
+    G-orbit minima and one array over the q^2+q+1 representatives, the
+    uint32 G-classes; the rotation and Frobenius maps and every image of F
+    are not kept, and no cached array is int64."""
     ctx = FieldCtx(m)
     permutation_mask(ctx)
     t = group_tables(ctx)
+    assert GroupTables._fields == ("minima", "classes")
     n = ctx.q * ctx.q + ctx.q + 1
     assert [name for name, a in t._asdict().items() if a.size == n] == ["classes"]
     assert t.classes.dtype == np.uint32
@@ -749,7 +833,7 @@ def test_verdicts_are_lookups_once_the_mask_is_built(m, monkeypatch):
         raise AssertionError("a verdict reached the decision")
 
     monkeypatch.setattr(pc, "_decide_rows", refuse)
-    monkeypatch.setattr(pc, "_monomials_at", refuse)
+    monkeypatch.setattr(pc, "_images", refuse)
     for v, fam in enumerate(all_families()):
         assert is_permutation(ctx, fam, witness=False).is_permutation == mask[v]
 
