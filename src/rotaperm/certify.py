@@ -195,25 +195,18 @@ def cert_A_zero_classification(ctx: FieldCtx) -> CertReport:
 
 
 def run_all(only: str | None = None) -> list[CertReport]:
-    """Every certificate in fixed registration order, or those whose name
-    contains the substring only.
-
-    A certificate runs only when a name it reports matches:
-    beta_printed_expansions reports printed_K1 and printed_K2 from one
-    call, and each numeric certificate runs once per NUMERIC_DEGREES entry.
-    """
-    steps = [
-        (["resultant_g"], lambda: [cert_resultant_g()]),
-        (["resultant_h"], lambda: [cert_resultant_h()]),
-        (["factorizations"], lambda: [cert_factorizations()]),
-        (["beta_identity"], lambda: [cert_beta_identity()]),
-        (["printed_K1", "printed_K2"], beta_printed_expansions),
-        (["resultant_Q"], lambda: [cert_resultant_Q()]),
+    """Every certificate in fixed registration order (filtered by substring)."""
+    reports: list[CertReport] = [
+        cert_resultant_g(),
+        cert_resultant_h(),
+        cert_factorizations(),
+        cert_beta_identity(),
+        *beta_printed_expansions(),
+        cert_resultant_Q(),
     ]
-    for prefix, cert in (("charsum_support", cert_charsum_support),
-                         ("A_zero_classification", cert_A_zero_classification)):
-        steps += [([f"{prefix}_m{m}"], lambda cert=cert, m=m: [cert(shared_field(m))])
-                  for m in NUMERIC_DEGREES]
-    reports = [r for names, run in steps if only is None or any(only in n for n in names)
-               for r in run()]
-    return [r for r in reports if only is None or only in r.name]
+    ctxs = [shared_field(m) for m in NUMERIC_DEGREES]
+    reports += [cert_charsum_support(ctx) for ctx in ctxs]
+    reports += [cert_A_zero_classification(ctx) for ctx in ctxs]
+    if only is not None:
+        reports = [r for r in reports if only in r.name]
+    return reports

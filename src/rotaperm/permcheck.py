@@ -75,7 +75,7 @@ from .family import COEFF_EXPONENTS, FamilySpec
 from .field import FieldCtx, Triple, shared_field
 
 IS_PERMUTATION_MAX_M = 9
-IMAGE_BLOCK = 1 << 16  # points per _images call in family_images and _decide_rows; bounds temporaries
+IMAGE_BLOCK = 1 << 16  # points per block in family_images and _decide_rows; bounds temporaries
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,8 +132,8 @@ def _images(ctx: FieldCtx, bits: np.ndarray | tuple[int, ...], x, y, z) -> np.nd
     (x, y, z) over x^3 (j = 0) and the set bits j, so each monomial the
     block uses is evaluated once, over the variables it reads.  The terms
     are summed apart by a variable they omit, and only the three sums are
-    broadcast to every point: over x-slabs a term without x costs one
-    q x q grid.
+    broadcast to every point: on the chart grid (1, y, z) a term without
+    y or z costs one line.
     """
     bits = np.asarray(bits, dtype=np.uint16)
     block = bits.shape[:-1]
@@ -159,17 +159,25 @@ def _images(ctx: FieldCtx, bits: np.ndarray | tuple[int, ...], x, y, z) -> np.nd
 def family_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
     """Packed image of every domain point, indexed by packed point.
 
-    Built by _images a block of x-slabs at a time, at most IMAGE_BLOCK
-    points (one slab when q^2 is larger).
+    No monomial reads all of x, y and z, so over GF(2) F(x,y,z) is
+    F(x,y,0) + F(x,0,z) + F(x,0,0) + F(0,y,z) + F(0,y,0) + F(0,0,z), which
+    keeps each monomial once or three times.  _images gives each term once,
+    over at most a q x q grid, and they are summed a block of x-slabs at a
+    time, at most IMAGE_BLOCK points (one slab when q^2 is larger).
     """
-    q, m = ctx.q, ctx.m
-    line = np.arange(q)
+    q, m, c = ctx.q, ctx.m, fam.coeffs
+    x, y, z = np.ix_(np.arange(q), np.arange(q), np.arange(q))
+    xy = _images(ctx, c, x, y, 0) ^ _images(ctx, c, x, 0, 0)
+    xz = _images(ctx, c, x, 0, z)
+    yz = _images(ctx, c, 0, y, z) ^ _images(ctx, c, 0, y, 0) ^ _images(ctx, c, 0, 0, z)
     packed = np.empty((q, q, q), dtype=np.uint32)
     rows = max(1, IMAGE_BLOCK // (q * q))
     for start in range(0, q, rows):
-        xs = line[start:start + rows, None, None]
-        f1, f2, f3 = _images(ctx, fam.coeffs, xs, line[:, None], line).astype(np.uint32)
-        packed[start:start + rows] = (f1 << (2 * m)) | (f2 << m) | f3
+        block = slice(start, start + rows)
+        images = xy[:, block] ^ yz
+        images ^= xz[:, block]
+        f1, f2, f3 = images.astype(np.uint32)
+        packed[block] = (f1 << (2 * m)) | (f2 << m) | f3
     return packed.reshape(-1)
 
 

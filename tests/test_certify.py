@@ -63,26 +63,6 @@ def test_only_filter():
     ]
 
 
-def test_only_runs_the_certificates_it_prints(monkeypatch):
-    """A filtered run computes no certificate it does not print."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a filtered-out certificate ran")
-
-    for name in ("cert_resultant_g", "cert_resultant_h", "cert_factorizations",
-                 "cert_beta_identity", "beta_printed_expansions", "cert_resultant_Q",
-                 "cert_A_zero_classification"):
-        monkeypatch.setattr(f"rotaperm.certify.{name}", refuse)
-    assert [r.name for r in run_all(only="charsum")] == ["charsum_support_m3", "charsum_support_m5"]
-
-
-def test_each_certificate_is_found_by_its_own_name():
-    """Every name run_all reports selects that certificate, so the names
-    run_all filters on before running match the names the reports carry."""
-    for report in run_all():
-        assert report in run_all(only=report.name), report.name
-    assert [r.name for r in run_all(only="K2")] == ["printed_K2"]
-
-
 def test_printed_expansions_are_informational():
     for report in beta_printed_expansions():
         assert not report.mandatory
