@@ -1,9 +1,11 @@
 """Exact toolkit for rotatable 3-homogeneous permutations of GF(2^m)^3.
 
 Layers, bottom up: field (GF(2^m) arithmetic and small-equation
-solvers), mpoly (sparse polynomials over GF(2) with Sylvester
-resultants), family (the eight-bit coefficient families and the five
-named ones), permcheck (exhaustive bijectivity), invert (closed-form /
+solvers), mpoly (sparse polynomials over GF(2) with resultants from
+the multiplication matrix of a monic operand or the Sylvester matrix),
+family (the eight-bit coefficient families and the five named ones),
+permcheck (the projective bijectivity decision, and the first
+collision of a negative), invert (closed-form /
 resolvent / table inverters), lift (GF(2^3m) permutation polynomials
 and QM-equivalence), certify (symbolic and numeric identity
 certificates), search (classification of all 256 vectors), cli.

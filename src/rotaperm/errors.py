@@ -43,7 +43,7 @@ class UnknownVariable(RotapermError):
 
 
 class VariableMismatch(RotapermError):
-    """Binary operation on polynomials over different variable tuples."""
+    """Exponent vector whose length is not the number of ring variables."""
 
 
 class DegenerateInput(RotapermError):
@@ -65,7 +65,8 @@ class DomainTooLarge(RotapermError):
 
 
 class EvenDegree(RotapermError):
-    """Search requested for an even extension degree."""
+    """Search, or the CLI's verify, invert or lift, requested for an even
+    extension degree."""
 
 
 class NotAPermutation(RotapermError):
@@ -73,9 +74,9 @@ class NotAPermutation(RotapermError):
 
 
 class FormulaInconsistent(RotapermError):
-    """A defensive re-check failed: a closed-form preimage against the forward
-    map, or an invariant such as the cubic trace criterion, the Y/Z
-    separability of D, or the projective decision against the full scan."""
+    """A defensive re-check failed: a preimage or a lift against the forward
+    map, or an invariant such as the cubic trace criterion or the
+    projective decision against the witness scan."""
 
 
 class NoPreimage(RotapermError):

@@ -10,8 +10,8 @@ the first variable (x) in the most significant field.  Per-variable
 exponents are capped at 63, so two fields sum to at most 126 < 128 and
 a product of monomials is one integer addition with no carry between
 fields.  A product exponent above the cap sets bit 6 of its field, and
-one AND of the OR of a product's monomials with a mask precomputed per
-arity finds it: overflowing the cap is a hard error, never wraparound.
+one AND of the OR of a product's monomials with one fixed mask finds
+it: overflowing the cap is a hard error, never wraparound.
 A product XORs in the sums of one row of monomials at a time, so a sum
 formed an even number of times cancels.  `MPoly.terms` is a read-only
 view of the same monomials as exponent tuples.
@@ -29,7 +29,7 @@ one, else the Sylvester matrix (see `resultant`).
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping
 
@@ -47,17 +47,13 @@ MAX_EXPONENT = 63
 FIELD_BITS = 7  # one field holds a sum of two capped exponents without carry
 _FIELD = (1 << FIELD_BITS) - 1
 RESULTANT_MAX_MONOMIALS = 1 << 16  # monomials one resultant's memoized minors may hold
+# Bit 6 of every field: set in a packed sum exactly where an exponent passed 63.
+_OVERFLOW = sum(1 << (FIELD_BITS * i + 6) for i in range(len(VARS)))
 
 
-@lru_cache(maxsize=None)
-def _overflow_mask(arity: int) -> int:
-    """Bit 6 of every field: set in a packed sum exactly where an exponent passed 63."""
-    return sum(1 << (FIELD_BITS * i + 6) for i in range(arity))
-
-
-def _shift(i: int, arity: int) -> int:
+def _shift(i: int) -> int:
     """Bit offset of variable i's field; variable 0 is the most significant."""
-    return FIELD_BITS * (arity - 1 - i)
+    return FIELD_BITS * (len(VARS) - 1 - i)
 
 
 def _pack(term: tuple[int, ...]) -> int:
@@ -67,21 +63,20 @@ def _pack(term: tuple[int, ...]) -> int:
     return key
 
 
-def _unpack(key: int, arity: int) -> tuple[int, ...]:
-    return tuple((key >> _shift(i, arity)) & _FIELD for i in range(arity))
+def _unpack(key: int) -> tuple[int, ...]:
+    return tuple((key >> _shift(i)) & _FIELD for i in range(len(VARS)))
 
 
 class MPoly:
     """Immutable sparse polynomial over GF(2) in the fixed ring."""
 
-    __slots__ = ("vars", "_mono")
+    __slots__ = ("_mono",)
 
-    def __init__(self, terms: Iterable[tuple[int, ...]] = (), vars: tuple[str, ...] = VARS) -> None:
-        self.vars = vars
+    def __init__(self, terms: Iterable[tuple[int, ...]] = ()) -> None:
         acc: set[int] = set()
         for term in terms:
             term = tuple(term)
-            if len(term) != len(vars):
+            if len(term) != len(VARS):
                 raise VariableMismatch(f"exponent vector {term} has wrong arity")
             if any(e < 0 or e > MAX_EXPONENT for e in term):
                 raise DegreeOverflow(f"exponent outside 0..{MAX_EXPONENT}: {term}")
@@ -89,37 +84,29 @@ class MPoly:
         self._mono = frozenset(acc)
 
     @classmethod
-    def _packed(cls, mono: frozenset[int], vars: tuple[str, ...]) -> "MPoly":
+    def _packed(cls, mono: frozenset[int]) -> "MPoly":
         """A polynomial from already packed, already capped monomials."""
         p = cls.__new__(cls)
-        p.vars = vars
         p._mono = mono
         return p
 
     @property
     def terms(self) -> frozenset[tuple[int, ...]]:
-        """The monomials as exponent vectors, in the order of `vars`."""
-        n = len(self.vars)
-        return frozenset(_unpack(key, n) for key in self._mono)
+        """The monomials as exponent vectors, in the order of `VARS`."""
+        return frozenset(_unpack(key) for key in self._mono)
 
     def _capped(self, mono: frozenset[int], what: str) -> "MPoly":
-        mask = _overflow_mask(len(self.vars))
-        if reduce(or_, mono, 0) & mask:  # OR has no carries: a field's bit 6 is some monomial's
-            key = next(key for key in mono if key & mask)
-            raise DegreeOverflow(
-                f"{what} exponent outside 0..{MAX_EXPONENT}: {_unpack(key, len(self.vars))}")
-        return MPoly._packed(mono, self.vars)
+        if reduce(or_, mono, 0) & _OVERFLOW:  # OR has no carries: a field's bit 6 is some monomial's
+            key = next(key for key in mono if key & _OVERFLOW)
+            raise DegreeOverflow(f"{what} exponent outside 0..{MAX_EXPONENT}: {_unpack(key)}")
+        return MPoly._packed(mono)
 
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: "MPoly") -> "MPoly":
-        if self.vars != other.vars:
-            raise VariableMismatch("polynomials live over different variable tuples")
-        return MPoly._packed(self._mono ^ other._mono, self.vars)
+        return MPoly._packed(self._mono ^ other._mono)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        if self.vars != other.vars:
-            raise VariableMismatch("polynomials live over different variable tuples")
         small, large = self._mono, other._mono
         if len(small) > len(large):
             small, large = large, small
@@ -135,7 +122,7 @@ class MPoly:
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = one(self.vars)
+        result = one()
         base = self
         while n:
             if n & 1:
@@ -147,11 +134,11 @@ class MPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MPoly):
-            return self.vars == other.vars and self._mono == other._mono
+            return self._mono == other._mono
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.vars, self._mono))
+        return hash(self._mono)
 
     def __bool__(self) -> bool:
         return bool(self._mono)
@@ -166,38 +153,34 @@ class MPoly:
 
     def degree_in(self, var: str) -> int:
         """Formal degree in one variable (0 for the zero polynomial)."""
-        shift = _shift(_index_of(var, self.vars), len(self.vars))
+        shift = _shift(_index_of(var))
         return max(((key >> shift) & _FIELD for key in self._mono), default=0)
 
     def coefficient_of(self, var: str, power: int) -> "MPoly":
         """Coefficient of var**power, as a polynomial with var removed."""
-        shift = _shift(_index_of(var, self.vars), len(self.vars))
+        shift = _shift(_index_of(var))
         field = power << shift
         return MPoly._packed(
-            frozenset(key - field for key in self._mono if (key >> shift) & _FIELD == power),
-            self.vars)
+            frozenset(key - field for key in self._mono if (key >> shift) & _FIELD == power))
 
 
-def _index_of(var: str, vars: tuple[str, ...]) -> int:
+def _index_of(var: str) -> int:
     try:
-        return vars.index(var)
+        return VARS.index(var)
     except ValueError:
-        raise UnknownVariable(f"variable {var!r} not in {vars}") from None
+        raise UnknownVariable(f"variable {var!r} not in the ring {VARS}") from None
 
 
-def zero(vars: tuple[str, ...] = VARS) -> MPoly:
-    return MPoly((), vars)
+def zero() -> MPoly:
+    return MPoly()
 
 
-def one(vars: tuple[str, ...] = VARS) -> MPoly:
-    return MPoly([(0,) * len(vars)], vars)
+def one() -> MPoly:
+    return MPoly([(0,) * len(VARS)])
 
 
-def var(name: str, vars: tuple[str, ...] = VARS) -> MPoly:
-    i = _index_of(name, vars)
-    term = [0] * len(vars)
-    term[i] = 1
-    return MPoly([tuple(term)], vars)
+def var(name: str) -> MPoly:
+    return MPoly._packed(frozenset({1 << _shift(_index_of(name))}))
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +191,10 @@ def to_text(p: MPoly) -> str:
     """Canonical text: terms descending-lex, explicit '*' and '^'."""
     if not p:
         return "0"
-    n = len(p.vars)
     chunks = []
     for key in sorted(p._mono, reverse=True):
-        term = _unpack(key, n)
         factors = []
-        for name, e in zip(p.vars, term):
+        for name, e in zip(VARS, _unpack(key)):
             if e == 1:
                 factors.append(name)
             elif e > 1:
@@ -222,7 +203,7 @@ def to_text(p: MPoly) -> str:
     return " + ".join(chunks)
 
 
-def parse(text: str, vars: tuple[str, ...] = VARS) -> MPoly:
+def parse(text: str) -> MPoly:
     """Parse the grammar  poly := term ('+' term)*  with
     term := factor ('*'? factor)*,  factor := VAR ('^' UINT)? | '0' | '1'.
 
@@ -230,7 +211,6 @@ def parse(text: str, vars: tuple[str, ...] = VARS) -> MPoly:
     PolyParseError with the offending offset, or UnknownVariable for a
     letter outside the ring.
     """
-    n = len(vars)
     pos = 0
     length = len(text)
 
@@ -251,9 +231,7 @@ def parse(text: str, vars: tuple[str, ...] = VARS) -> MPoly:
             return True
         if not ch.isalpha():
             raise PolyParseError(f"expected a variable, got {ch!r}", pos)
-        if ch not in vars:
-            raise UnknownVariable(f"variable {ch!r} not in the ring {vars}")
-        idx = vars.index(ch)
+        idx = _index_of(ch)
         pos += 1
         exponent = 1
         skip_ws()
@@ -273,7 +251,7 @@ def parse(text: str, vars: tuple[str, ...] = VARS) -> MPoly:
 
     def parse_term() -> tuple[int, ...] | None:
         nonlocal pos
-        term = [0] * n
+        term = [0] * len(VARS)
         nonzero = True
         while True:
             skip_ws()
@@ -303,7 +281,7 @@ def parse(text: str, vars: tuple[str, ...] = VARS) -> MPoly:
         if text[pos] != "+":
             raise PolyParseError(f"expected '+', got {text[pos]!r}", pos)
         pos += 1
-    return MPoly(terms, vars)
+    return MPoly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +290,14 @@ def parse(text: str, vars: tuple[str, ...] = VARS) -> MPoly:
 
 def substitute(p: MPoly, mapping: Mapping[str, "MPoly | str"]) -> MPoly:
     """Simultaneous substitution variable -> polynomial (or variable name)."""
-    repl: list[MPoly] = []
-    for i, name in enumerate(p.vars):
-        value = mapping.get(name)
-        if value is None:
-            repl.append(var(name, p.vars))
-        elif isinstance(value, str):
-            repl.append(var(value, p.vars))
-        else:
-            if value.vars != p.vars:
-                raise VariableMismatch("replacement over a different variable tuple")
-            repl.append(value)
     for key in mapping:
-        _index_of(key, p.vars)
-    out = zero(p.vars)
+        _index_of(key)
+    repl = [mapping.get(name, name) for name in VARS]
+    repl = [var(value) if isinstance(value, str) else value for value in repl]
+    out = zero()
     power_cache: dict[tuple[int, int], MPoly] = {}
     for term in p.terms:
-        prod = one(p.vars)
+        prod = one()
         for i, e in enumerate(term):
             if e:
                 key = (i, e)
@@ -378,19 +347,19 @@ def resultant(p: MPoly, q: MPoly, eliminate: str) -> MPoly:
     width = max(len(c._mono) for c in pc + qc)
     too_large = (f"resultant in {eliminate!r} needs more than "
                  f"{RESULTANT_MAX_MONOMIALS} monomials of minors")
-    p_monic = pc[0] == one(p.vars)
-    q_monic = qc[0] == one(q.vars)
+    p_monic = pc[0] == one()
+    q_monic = qc[0] == one()
     if p_monic or q_monic:
         fc, gc = (pc, qc) if p_monic and (n <= m or not q_monic) else (qc, pc)
         try:
             rows, held = _multiplication_rows(fc, gc, too_large)
-            return _determinant(rows, p.vars, held, width, too_large)
+            return _determinant(rows, held, width, too_large)
         except (DegreeOverflow, DomainTooLarge):
             pass  # the entries reduced mod f outgrew a bound; Sylvester's may not
     # Each Sylvester row as its (column bit, entry) pairs, zero entries dropped.
     rows = [[(1 << (i + k), c) for k, c in enumerate(pc) if c] for i in range(m)]
     rows += [[(1 << (i + k), c) for k, c in enumerate(qc) if c] for i in range(n)]
-    return _determinant(rows, p.vars, 0, width, too_large)
+    return _determinant(rows, 0, width, too_large)
 
 
 def _multiplication_rows(fc: list[MPoly], gc: list[MPoly], too_large: str
@@ -425,12 +394,12 @@ def _multiplication_rows(fc: list[MPoly], gc: list[MPoly], too_large: str
                 r[top - d + k] += c * fk
         del r[d:]
         rows.append([(1 << i, c) for i, c in enumerate(r) if c])
-        r.insert(0, zero(fc[0].vars))
+        r.insert(0, zero())
     return rows, formed
 
 
-def _determinant(rows: list[list[tuple[int, MPoly]]], vars: tuple[str, ...],
-                 held: int, width: int, too_large: str) -> MPoly:
+def _determinant(rows: list[list[tuple[int, MPoly]]], held: int, width: int,
+                 too_large: str) -> MPoly:
     """Determinant of a square matrix given by its rows of (column bit,
     entry) pairs, zero entries dropped.
 
@@ -447,8 +416,8 @@ def _determinant(rows: list[list[tuple[int, MPoly]]], vars: tuple[str, ...],
     """
     rows = sorted(rows, key=len)
     order = len(rows)
-    z = zero(vars)
-    memo: dict[int, MPoly] = {0: one(vars)}
+    z = zero()
+    memo: dict[int, MPoly] = {0: one()}
     held += 1
 
     def det(mask: int) -> MPoly:

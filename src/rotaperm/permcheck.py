@@ -49,17 +49,21 @@ every representative.  Those images (projective_images) are also all the
 lift reads; they need no orbit table, so the orbit format stays inside
 this module, and a table inversion needs O(q^2) memory and no q^3 image.
 
-The full scan over all q^3 images remains only for the lexicographically
-first collision reported as the witness of an odd-m negative.  Every
-image of F here, the cube's x-slabs, the representatives and the
-G-minima, comes from one broadcasting evaluator, _images, over
-family.COEFF_EXPONENTS; every array product is FieldCtx.vmul.  The
-rotations only permute the nine monomials (_ROTATED), so each monomial a
-block of vectors uses is evaluated once per call.
+The witness of an odd-m negative, the lexicographically first
+collision, comes from full_scan, which images and scans prefixes of 1,
+2, 4, ... x-slabs until one repeats.  Every measured negative at m <= 9
+repeats within the first three slabs, so a negative images at most 4q^2
+points, not q^3.  Every image of F here, the x-slabs, the
+representatives and the G-minima, comes from one broadcasting
+evaluator, _images, over family.COEFF_EXPONENTS; every array product is
+FieldCtx.vmul.  The rotations only permute the nine monomials
+(_ROTATED), so each monomial a block of vectors uses is evaluated once
+per call.
 
-Cap: is_permutation refuses m > 9 (the 2^27 image table of the witness
-scan and the q x q product table, gathered from the field's exp/log
-pair, are the ceiling).
+Cap: is_permutation refuses m > 9.  The witness scan stops at the first
+slab prefix that repeats, and no proof bounds that prefix below the
+whole cube: a negative whose first repeat came late would image all
+2^3m points, 512 MB of images at m = 9.
 """
 
 from __future__ import annotations
@@ -156,8 +160,9 @@ def _images(ctx: FieldCtx, bits: np.ndarray | tuple[int, ...], x, y, z) -> np.nd
     return out
 
 
-def family_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
-    """Packed image of every domain point, indexed by packed point.
+def family_images(ctx: FieldCtx, fam: FamilySpec, slabs: int | None = None) -> np.ndarray:
+    """Packed image of every domain point in the first `slabs` x-slabs (all
+    q of them when slabs is None), indexed by packed point.
 
     No monomial reads all of x, y and z, so over GF(2) F(x,y,z) is
     F(x,y,0) + F(x,0,z) + F(x,0,0) + F(0,y,z) + F(0,y,0) + F(0,0,z), which
@@ -166,13 +171,14 @@ def family_images(ctx: FieldCtx, fam: FamilySpec) -> np.ndarray:
     time, at most IMAGE_BLOCK points (one slab when q^2 is larger).
     """
     q, m, c = ctx.q, ctx.m, fam.coeffs
-    x, y, z = np.ix_(np.arange(q), np.arange(q), np.arange(q))
+    slabs = q if slabs is None else slabs
+    x, y, z = np.ix_(np.arange(slabs), np.arange(q), np.arange(q))
     xy = _images(ctx, c, x, y, 0) ^ _images(ctx, c, x, 0, 0)
     xz = _images(ctx, c, x, 0, z)
     yz = _images(ctx, c, 0, y, z) ^ _images(ctx, c, 0, y, 0) ^ _images(ctx, c, 0, 0, z)
-    packed = np.empty((q, q, q), dtype=np.uint32)
+    packed = np.empty((slabs, q, q), dtype=np.uint32)
     rows = max(1, IMAGE_BLOCK // (q * q))
-    for start in range(0, q, rows):
+    for start in range(0, slabs, rows):
         block = slice(start, start + rows)
         images = xy[:, block] ^ yz
         images ^= xz[:, block]
@@ -186,13 +192,21 @@ def _unpack(ctx: FieldCtx, p: int) -> Triple:
 
 
 def full_scan(ctx: FieldCtx, fam: FamilySpec) -> PermReport:
-    """Mark all 2^3m images; bijective iff no repeat.
+    """Scan the 2^3m images in lexicographic order; bijective iff no repeat.
 
-    The reported witness is the first collision in lexicographic scan
-    order: the earliest point whose image was already taken, paired with
-    the point that took it.
+    The reported witness is the first collision in that order: the
+    earliest point whose image was already taken, paired with the point
+    that took it.  Prefixes of 1, 2, 4, ... x-slabs are imaged and scanned
+    until one repeats or the prefix is the whole cube.  This is exact: a
+    prefix holds every point before any point it holds, so its first
+    repeat, and the earlier point with that image, are the cube's.
     """
-    ok, at, first = _kernels.scan_bijection(family_images(ctx, fam))
+    slabs = 1
+    while True:
+        ok, at, first = _kernels.scan_bijection(family_images(ctx, fam, slabs))
+        if not ok or slabs == ctx.q:
+            break
+        slabs *= 2
     if ok:
         return PermReport(fam.bitstring(), ctx.m, True, 1 << (3 * ctx.m))
     witness = (_unpack(ctx, first), _unpack(ctx, at))
@@ -436,15 +450,14 @@ def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> P
 
     Odd m is answered from permutation_mask(ctx), built once per field
     (each proper subfield, GF(2) first, then the projective decision at
-    m for one vector of each y <-> z pair).  A
-    positive report counts all 2^3m points; a negative with `witness`
-    re-runs the full scan for the lexicographically first collision, and
-    one without reports the q^2+q+1 representatives, whichever test
-    decided it: a failure on a subfield is also a failure of the
-    projective decision, so the report does not depend on which test ran
-    first.  Even m gets the full scan's report, with or without
-    `witness`, from the cube table: F(0,0,z) = (a2*z^3, a1*z^3, z^3) first
-    repeats where z^3 does.
+    m for one vector of each y <-> z pair).  A positive report counts all
+    2^3m points; a negative with `witness` runs full_scan, over x-slab
+    prefixes, for the lexicographically first collision, and one without
+    reports the q^2+q+1 representatives, whichever test decided it: a
+    failure on a subfield is also a failure of the projective decision,
+    so the report does not depend on which test ran first.  Even m gets
+    the full scan's report, with or without `witness`, from the cube
+    table: F(0,0,z) = (a2*z^3, a1*z^3, z^3) first repeats where z^3 does.
     """
     if ctx.m > IS_PERMUTATION_MAX_M:
         raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the image table")

@@ -42,11 +42,11 @@ class MissingAssignment(RotapermError):
 
 def evaluate(p: MPoly, ctx: FieldCtx, assignment: Mapping[str, int]) -> int:
     """Value of p under a full assignment of its occurring variables."""
-    needed = {p.vars[i] for term in p.terms for i, e in enumerate(term) if e}
+    needed = {VARS[i] for term in p.terms for i, e in enumerate(term) if e}
     missing = needed - set(assignment)
     if missing:
         raise MissingAssignment(f"no value for {sorted(missing)}")
-    values = [assignment.get(name, 0) for name in p.vars]
+    values = [assignment.get(name, 0) for name in VARS]
     power_cache: dict[tuple[int, int], int] = {}
     acc = 0
     for term in p.terms:

@@ -53,6 +53,15 @@ def test_verify_coeffs_negative_exit_code(capsys):
      ' "witness": [["0x0", "0x0", "0x1"], ["0x0", "0x1", "0x0"]]}\n'),
     (("--family", "T3", "--m", "9"), 0,
      '{"family": "00000011", "m": 9, "permutation": true, "points": 134217728}\n'),
+    (("--coeffs", "00000001", "--m", "9"), 1,
+     '{"family": "00000001", "m": 9, "permutation": false, "points": 262146,'
+     ' "witness": [["0x0", "0x1", "0x1"], ["0x1", "0x0", "0x1"]]}\n'),
+    (("--coeffs", "11111111", "--m", "9"), 1,
+     '{"family": "11111111", "m": 9, "permutation": false, "points": 513,'
+     ' "witness": [["0x0", "0x0", "0x1"], ["0x0", "0x1", "0x0"]]}\n'),
+    (("--coeffs", "01011111", "--m", "9"), 1,
+     '{"family": "01011111", "m": 9, "permutation": false, "points": 263265,'
+     ' "witness": [["0x0", "0x4e", "0x13"], ["0x1", "0x2", "0x60"]]}\n'),
 ])
 def test_verify_golden_stdout(capsys, argv, code, stdout):
     assert run(capsys, "verify", *argv)[:2] == (code, stdout)

@@ -48,6 +48,23 @@ def test_only_images_evaluates_a_monomial():
     assert found == ["permcheck.py:_images"]
 
 
+def test_package_images_only_slab_prefixes():
+    """Every call of family_images in the package passes its slabs
+    argument, so the image of the whole q^3 cube (512 MB at m=9, and a
+    1 GB scan of it) is built only by the tests and the benchmark, and
+    cannot come back into a verb unseen."""
+    found, calls = [], 0
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "family_images" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls += 1
+                if len(node.args) < 3 and "slabs" not in {k.arg for k in node.keywords}:
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert calls
+    assert found == []
+
+
 _ORBIT_NAMES = {"group_tables", "GroupTables", "canon"}
 
 

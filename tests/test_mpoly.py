@@ -14,6 +14,7 @@ from rotaperm.errors import (
     DomainTooLarge,
     PolyParseError,
     UnknownVariable,
+    VariableMismatch,
 )
 from rotaperm.mpoly import (
     MAX_EXPONENT,
@@ -92,6 +93,14 @@ def test_exponent_cap_is_hard():
         parse("x^64")
     with pytest.raises(DegreeOverflow):
         parse("x^32") * parse("x^32")
+
+
+def test_exponent_vector_of_wrong_length_is_refused():
+    """Every polynomial lives in the one ring VARS, so the arity check of
+    MPoly() is the one place a foreign exponent vector can be caught."""
+    with pytest.raises(VariableMismatch, match="wrong arity"):
+        MPoly([(1, 2)])
+    assert MPoly([(1,) + (0,) * (len(VARS) - 1)]) == var("x")
 
 
 # -- packed monomials against the exponent-tuple oracle -----------------------------
@@ -310,8 +319,8 @@ def decided(monkeypatch):
     calls = []
     original = mp._determinant
 
-    def recorded(rows, vars, held, width, too_large):
-        result = original(rows, vars, held, width, too_large)
+    def recorded(rows, held, width, too_large):
+        result = original(rows, held, width, too_large)
         calls.append((len(rows), held))
         return result
 
@@ -473,8 +482,8 @@ def test_determinant_bounds_each_product_before_forming_it():
     e = MPoly((0, i, j) + (0,) * 6 for i in range(18) for j in range(18))
     rows = [[(1, e), (2, one())], [(1, one()), (2, e)]]
     with pytest.raises(DomainTooLarge, match="monomials of minors"):
-        mp._determinant(rows, VARS, 0, 1, "monomials of minors")
-    assert mp._determinant(rows, VARS, 0, 2, "monomials of minors") == e.sqr() + one()
+        mp._determinant(rows, 0, 1, "monomials of minors")
+    assert mp._determinant(rows, 0, 2, "monomials of minors") == e.sqr() + one()
 
 
 def test_monic_pair_past_both_bounds_is_refused():

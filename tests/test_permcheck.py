@@ -110,6 +110,60 @@ def test_family_images_independent_of_block(m, monkeypatch):
             assert np.array_equal(family_images(ctx, fam), want), (bits, block)
 
 
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_family_images_of_a_prefix_are_the_cube_images_truncated(m):
+    """The first k x-slabs are the first k*q^2 entries of the whole cube,
+    for one slab, two, and all but the last (an uneven last block at m=7)."""
+    ctx = FieldCtx(m)
+    for bits in ("00000001", "11111111", "10011010"):
+        fam = family_from_coeffs(bits)
+        cube = family_images(ctx, fam)
+        for k in (1, 2, ctx.q - 1):
+            assert np.array_equal(family_images(ctx, fam, k), cube[:k * ctx.q * ctx.q]), (bits, k)
+
+
+def _whole_cube_scan(ctx, fam):
+    """full_scan's report from one scan of all q^3 images."""
+    ok, at, first = scan_bijection(family_images(ctx, fam))
+    if ok:
+        return pc.PermReport(fam.bitstring(), ctx.m, True, 1 << (3 * ctx.m))
+    witness = (pc._unpack(ctx, first), pc._unpack(ctx, at))
+    return pc.PermReport(fam.bitstring(), ctx.m, False, at + 1, witness)
+
+
+@pytest.mark.parametrize("m, vectors", [
+    (3, [f"{v:08b}" for v in range(256)]),
+    (5, [f"{v:08b}" for v in range(256)]),
+    (7, ["".join(map(str, c)) for c in NAMED_COEFFS.values()] + ["00000001", "11111111"]),
+], ids=["m3-all", "m5-all", "m7-named"])
+def test_full_scan_of_slab_prefixes_matches_the_whole_cube(m, vectors):
+    ctx = FieldCtx(m)
+    for bits in vectors:
+        fam = family_from_coeffs(bits)
+        assert full_scan(ctx, fam) == _whole_cube_scan(ctx, fam), bits
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_every_negative_witness_images_at_most_four_slabs(m, monkeypatch):
+    """Each negative's first repeat lies in x-slab 0, 1 or 2, so the
+    witness scan stops at the prefix of 4 slabs, never at the cube."""
+    ctx = FieldCtx(m)
+    original = pc.family_images
+    asked = []
+
+    def recorded(ctx, fam, slabs=None):
+        asked.append(slabs)
+        return original(ctx, fam, slabs)
+
+    monkeypatch.setattr(pc, "family_images", recorded)
+    negatives = 0
+    for fam in all_families():
+        if not is_permutation(ctx, fam).is_permutation:
+            negatives += 1
+    assert negatives == {3: 220, 5: 227, 7: 227}[m]
+    assert asked and None not in asked and max(asked) <= 4
+
+
 def test_report_serialization(f8):
     report = is_permutation(f8, named_family("T3"))
     assert json.loads(json.dumps(report.to_json())) == {
