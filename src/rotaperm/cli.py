@@ -25,7 +25,7 @@ from .errors import (
 from .family import NAMED_COEFFS, FamilySpec, family_from_coeffs, named_family
 from .field import shared_field
 from .invert import invert_point
-from .lift import ExtCtx, check_base_degree, lift_permutation, lifted_from_json, qm_equivalent
+from .lift import check_base_degree, lift_permutation, lifted_from_json, qm_equivalent, shared_ext
 from .mpoly import parse as parse_poly, resultant, to_text
 from .permcheck import is_permutation
 from .search import search_all, search_diff
@@ -90,7 +90,7 @@ def _cmd_lift(args) -> int:
     fam = named_family(args.family)
     # Refused before any field is built.  Every named family permutes at odd m.
     check_base_degree(_odd(args.m))
-    poly = lift_permutation(ExtCtx(shared_field(args.m)), fam)
+    poly = lift_permutation(shared_ext(args.m), fam)
     payload = poly.to_json()
     if args.out:
         with open(args.out, "w") as fh:

@@ -184,6 +184,17 @@ class ExtCtx:
         return int(self._log[u])
 
 
+@functools.lru_cache(maxsize=LIFT_MAX_BASE_M)
+def shared_ext(m: int) -> ExtCtx:
+    """GF(2^3m) over shared_field(m) with the default cubic, built once per
+    process, so a repeated lift scans for its cubic once per base degree.
+
+    A direct ExtCtx(base) still scans.  At most LIFT_MAX_BASE_M extensions
+    are kept, one per degree the lift accepts.
+    """
+    return ExtCtx(shared_field(m))
+
+
 @functools.lru_cache(maxsize=8)
 def _ext_tables(ext: ExtCtx) -> tuple[np.ndarray, np.ndarray, int]:
     """Read-only exp and log tables of GF(2^3m)* and its generator.

@@ -24,7 +24,9 @@ field this is plain descending order of the packed ints.
 A resultant is the determinant of a matrix with polynomial entries,
 expanded by memoized minors under one monomial bound: the d x d
 multiplication matrix of an operand monic of degree d where there is
-one, else the Sylvester matrix (see `resultant`).
+one, else the Sylvester matrix (see `resultant`).  Two operands of one
+degree and one leading coefficient other than 1 are first reduced by
+one remainder step, which lowers the order of that matrix.
 """
 
 from __future__ import annotations
@@ -317,36 +319,76 @@ def substitute(p: MPoly, mapping: Mapping[str, "MPoly | str"]) -> MPoly:
 def resultant(p: MPoly, q: MPoly, eliminate: str) -> MPoly:
     """Res_v(p, q) for v = eliminate, a polynomial in the other variables.
 
+    When p and q have one degree n and one leading coefficient c other
+    than 1 in v, one remainder step comes first: with h = p + q, of degree
+    e < n in v, Res(p, q) = c^(n-e) * Res(p, h), exact and with no sign in
+    characteristic 2 (the product of q(alpha) = h(alpha) over the roots
+    alpha of p), and 0 when h = 0.  The pair (p, h) then goes to a matrix
+    of order at most n + e instead of 2n; the Q1, Q2 of certify's
+    difference system share c = a + b, and their order-4 Sylvester matrix
+    becomes an order-3 one.  If that path passes a bound below, the pair
+    (p, q) decides as it did without the step.
+
     When p or q is monic in v (leading coefficient 1), call it f, of
     degree d (the lower degree when both are), and the other g.  Then
     Res(f, g) is the product of g(alpha) over the roots alpha of f, which
     is the determinant of the d x d matrix of multiplication by g on
-    R[v]/(f) (`_multiplication_rows`); there is no sign in characteristic
-    2.  Otherwise the matrix is the Sylvester matrix of order
-    deg p + deg q.  Both go to one determinant routine, `_determinant`.
-    Reduced entries can have higher degree than the Sylvester minors, so
-    when the multiplication matrix passes a bound below, the Sylvester
-    matrix decides: the monic path only turns refusals into results.
+    R[v]/(f) (`_multiplication_rows`).  Otherwise the matrix is the
+    Sylvester matrix of order deg p + deg q.  Both go to one determinant
+    routine, `_determinant`.  Reduced entries can have higher degree than
+    the Sylvester minors, so when the multiplication matrix passes a
+    bound below, the Sylvester matrix decides: the remainder step and the
+    monic path only turn refusals into results.
 
     The bounds: the monomials formed to build a multiplication matrix
     and those of the memoized minors may number at most
     RESULTANT_MAX_MONOMIALS together, and a product of an entry and a
     minor may form at most `width` times that many before cancellation,
-    `width` being the size of the widest coefficient of p or q.  A
+    `width` being the size of the widest coefficient of the pair.  A
     Sylvester entry is such a coefficient, so there the minors alone
-    decide.  DomainTooLarge is raised as soon as one would pass, so two
-    short inputs cannot run for minutes or fill memory; an exponent past
-    the cap raises DegreeOverflow.
+    decide.  Each product by c in c^(n-e) * Res(p, h) is such a product
+    too, and may hold at most RESULTANT_MAX_MONOMIALS monomials.
+    DomainTooLarge is raised as soon as one would pass, so two short
+    inputs cannot run for minutes or fill memory; an exponent past the
+    cap raises DegreeOverflow.
     """
     n = p.degree_in(eliminate)
     m = q.degree_in(eliminate)
     if n == 0 and m == 0:
         raise DegenerateInput(f"neither polynomial involves {eliminate!r}")
-    pc = [p.coefficient_of(eliminate, n - k) for k in range(n + 1)]
-    qc = [q.coefficient_of(eliminate, m - k) for k in range(m + 1)]
-    width = max(len(c._mono) for c in pc + qc)
     too_large = (f"resultant in {eliminate!r} needs more than "
                  f"{RESULTANT_MAX_MONOMIALS} monomials of minors")
+    pc = _coefficients(p, eliminate, n)
+    qc = _coefficients(q, eliminate, m)
+    lead = pc[0]
+    if n == m and lead == qc[0] != one():
+        h = p + q
+        if not h:
+            return zero()
+        e = h.degree_in(eliminate)
+        try:
+            r = _matrix_resultant(pc, _coefficients(h, eliminate, e), too_large)
+            for _ in range(n - e):
+                r = lead * r
+                if len(r._mono) > RESULTANT_MAX_MONOMIALS:
+                    raise DomainTooLarge(too_large)
+            return r
+        except (DegreeOverflow, DomainTooLarge):
+            pass  # the reduced pair or its factor outgrew a bound; the pair itself may not
+    return _matrix_resultant(pc, qc, too_large)
+
+
+def _coefficients(p: MPoly, v: str, degree: int) -> list[MPoly]:
+    """p's coefficients in v, highest power first; degree is deg_v(p)."""
+    return [p.coefficient_of(v, degree - k) for k in range(degree + 1)]
+
+
+def _matrix_resultant(pc: list[MPoly], qc: list[MPoly], too_large: str) -> MPoly:
+    """The resultant of the polynomials with coefficients pc and qc
+    (highest power first) through the multiplication matrix of a monic
+    one where there is one, else through the Sylvester matrix."""
+    n, m = len(pc) - 1, len(qc) - 1
+    width = max(len(c._mono) for c in pc + qc)
     p_monic = pc[0] == one()
     q_monic = qc[0] == one()
     if p_monic or q_monic:

@@ -21,6 +21,7 @@ from rotaperm.certify import (
 from rotaperm.errors import DomainTooLarge
 from rotaperm.field import FieldCtx, shared_field
 from rotaperm.mpoly import parse, resultant
+from rotaperm.permcheck import projective_representatives
 
 import oracles
 from oracles import beta_trace_fallback, evaluate
@@ -92,6 +93,37 @@ def test_beta_perturbation_fails():
         parse("a^2 + a*b + b^2") ** 3, parse("a^2*b + a*b^2 + c^3"),
     ))
     assert not cert_beta_identity(beta=wrong).passed
+
+
+@pytest.mark.parametrize("which", ["k1", "k2"])
+def test_beta_identity_fails_on_a_perturbed_K_override(which):
+    """beta_identity reads the K1 and K2 it is given, as run_all passes them."""
+    assert cert_beta_identity(k1=rs.K1_EXPANDED, k2=rs.K2_EXPANDED).passed
+    perturbed = {"k1": rs.K1_EXPANDED, "k2": rs.K2_EXPANDED}
+    perturbed[which] = perturbed[which] + parse("a^2*b*c")
+    report = cert_beta_identity(**perturbed)
+    assert not report.passed and report.diff
+    other = [r for r in beta_printed_expansions(**perturbed) if not r.passed]
+    assert [r.name for r in other] == [f"printed_{which.upper()}"]
+
+
+def test_run_all_derives_K1_and_K2_once(monkeypatch):
+    """run_all derives K1 and K2 once and hands them to both of their
+    readers, which then derive nothing."""
+    import rotaperm.certify as cert
+    calls = []
+    original = cert._k1_k2
+
+    def counted(k1=None, k2=None):
+        calls.append((k1 is None, k2 is None))
+        return original(k1, k2)
+
+    monkeypatch.setattr(cert, "_k1_k2", counted)
+    assert all(r.passed for r in run_all(only="beta") + run_all(only="printed"))
+    assert calls.count((True, True)) == 2 and len(calls) == 6
+    calls.clear()
+    assert cert_beta_identity().passed
+    assert calls == [(True, True)]
 
 
 def test_resultant_Q_perturbation_fails():
@@ -203,10 +235,29 @@ def test_resolvent_coeffs_arrays_match_scalars(m):
         assert np.array_equal(got, column)
 
 
-def _A_zero_classification_full(ctx, coeffs) -> CertReport:
+def test_resolvent_A_is_the_A_block_at_every_point_m3(f8):
+    """The A-zero certificate's A, one array call over the cube, is A_BLOCK
+    at each of the 512 points."""
+    a, b, c = np.indices((f8.q,) * 3).reshape(3, -1)
+    got = rs.resolvent_A(f8, a, b, c)
+    assert got.shape == a.shape
+    want = [evaluate(rs.A_BLOCK, f8, {"a": u, "b": v, "c": w})
+            for u, v, w in zip(a.tolist(), b.tolist(), c.tolist())]
+    assert got.tolist() == want
+    assert [rs.resolvent_A(f8, u, v, w) for u, v, w in zip(a.tolist(), b.tolist(), c.tolist())] == want
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_resolvent_A_is_resolvent_coeffs_A_at_the_representatives(m):
+    ctx = FieldCtx(m)
+    a, b, c = (np.append(r, 0) for r in projective_representatives(ctx))
+    assert np.array_equal(rs.resolvent_A(ctx, a, b, c), rs.resolvent_coeffs(ctx, a, b, c)[0])
+
+
+def _A_zero_classification_full(ctx, evaluate_A) -> CertReport:
     """Oracle: A = 0 against the three lines at every one of the q^3 points."""
     a, b, c = np.indices((ctx.q,) * 3).reshape(3, -1)
-    A = coeffs(ctx, a, b, c)[0]
+    A = evaluate_A(ctx, a, b, c)
     classified = ((b == 0) & (a == c)) | ((a == 0) & (b == c)) | ((a == b) & (b == c))
     bad = int(np.count_nonzero((A == 0) != classified))
     notes = f"{bad} misclassified points" if bad else f"all {ctx.q ** 3} points classified"
@@ -214,15 +265,15 @@ def _A_zero_classification_full(ctx, coeffs) -> CertReport:
 
 
 def _flip_A_on_line(ctx, point):
-    """resolvent_coeffs with A = 0 and A != 0 swapped on the whole line
+    """resolvent_A with A = 0 and A != 0 swapped on the whole line
     {l*point : l != 0} (just the origin when point is 0): still homogeneous."""
     line = {tuple(ctx.mul(lam, u) for u in point) for lam in range(1, ctx.q)}
     packed = np.array(sorted((a << (2 * ctx.m)) | (b << ctx.m) | c for a, b, c in line))
 
     def mutant(ctx, a, b, c):
-        A, B, C, D = rs.resolvent_coeffs(ctx, a, b, c)
+        A = rs.resolvent_A(ctx, a, b, c)
         hit = np.isin((a.astype(np.int64) << (2 * ctx.m)) | (b.astype(np.int64) << ctx.m) | c, packed)
-        return np.where(hit, A == 0, A), B, C, D
+        return np.where(hit, A == 0, A)
     return mutant
 
 
@@ -230,7 +281,7 @@ def _flip_A_on_line(ctx, point):
 def test_A_zero_classification_counts_a_single_flip(monkeypatch, point):
     """A flipped on the single line through the point: its q-1 points, or the origin alone."""
     ctx = FieldCtx(3)
-    monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", _flip_A_on_line(ctx, point))
+    monkeypatch.setattr("rotaperm.certify.resolvent_A", _flip_A_on_line(ctx, point))
     report = cert_A_zero_classification(ctx)
     assert not report.passed
     assert report.notes == ("1 misclassified points" if point == (0, 0, 0) else "7 misclassified points")
@@ -249,10 +300,10 @@ def test_A_zero_classification_matches_full_cube_oracle(monkeypatch, m):
     """The projective certificate gives the full q^3 pass's status and notes,
     on the true blocks and with A flipped on any one line."""
     ctx = FieldCtx(m)
-    assert cert_A_zero_classification(ctx) == _A_zero_classification_full(ctx, rs.resolvent_coeffs)
+    assert cert_A_zero_classification(ctx) == _A_zero_classification_full(ctx, rs.resolvent_A)
     for point in _lines(m):
         mutant = _flip_A_on_line(ctx, point)
-        monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", mutant)
+        monkeypatch.setattr("rotaperm.certify.resolvent_A", mutant)
         report = cert_A_zero_classification(ctx)
         assert not report.passed
         assert report == _A_zero_classification_full(ctx, mutant), point
@@ -287,7 +338,7 @@ def test_A_zero_classification_refuses_before_building_the_grid(monkeypatch, m):
         raise AssertionError("grid built")
     monkeypatch.setattr(oracles, "_cube_grid", no_grid)
     monkeypatch.setattr("rotaperm.certify.projective_representatives", no_grid)
-    monkeypatch.setattr("rotaperm.certify.resolvent_coeffs", no_grid)
+    monkeypatch.setattr("rotaperm.certify.resolvent_A", no_grid)
     report = cert_A_zero_classification(FieldCtx(m))
     assert not report.passed
     assert report.notes == "odd m <= 5 required"

@@ -217,7 +217,8 @@ def test_lift_is_refused_before_any_field_is_built(capsys, monkeypatch, m):
         raise AssertionError(f"built for lift --m {m}")
 
     monkeypatch.setattr(cli, "shared_field", no_build)
-    monkeypatch.setattr(cli, "ExtCtx", no_build)
+    monkeypatch.setattr(cli, "shared_ext", no_build)
+    monkeypatch.setattr(lift, "ExtCtx", no_build)
     monkeypatch.setattr(permcheck, "permutation_mask", no_build)
     code, out, err = run(capsys, "lift", "--family", "T1", "--m", str(m))
     assert (code, out) == (2, "")
@@ -354,6 +355,18 @@ def test_monic_resultant_past_the_old_bound(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (0, json.dumps({"var": "x", "resultant": want}) + "\n", want + "\n")
     assert want.count("+") == 15
+
+
+def test_equal_leading_coefficients_past_the_old_bound(capsys):
+    """x^30*a + y and x^30*a + z share the leading coefficient a: one
+    remainder step leaves x^30*a + y against y + z, so a^30 (y + z)^30,
+    where the order-60 Sylvester expansion was refused with exit 2."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "resultant", "-v", "x", "-f", "x^30*a+y", "-g", "x^30*a+z")
+    assert time.perf_counter() - start < 1
+    want = " + ".join(f"y^{30 - k}*z^{k}*a^30".replace("y^0*", "").replace("*z^0", "")
+                      for k in range(0, 31, 2))
+    assert (code, out) == (0, json.dumps({"var": "x", "resultant": want}) + "\n")
 
 
 def test_resultant_at_the_exponent_cap(capsys):

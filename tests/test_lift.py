@@ -19,6 +19,7 @@ from rotaperm.lift import (
     lifted_from_json,
     qm_equivalent,
     qm_transform,
+    shared_ext,
 )
 from rotaperm.permcheck import family_images, is_permutation
 
@@ -105,6 +106,29 @@ def test_ext_tables_shared_per_process():
     assert sorted(other._exp.tolist()) == list(range(1, other.size))
     assert all(other.mul(int(other._exp[i]), other.generator) == int(other._exp[i + 1])
                for i in range(other.group - 1))
+
+
+def test_lift_verb_scans_for_its_cubic_once_per_degree(monkeypatch, capsys):
+    """The lift verb reads shared_ext: repeated lifts at one base degree
+    scan for the default cubic once, and print the same bytes; a direct
+    ExtCtx(base) still scans."""
+    scans = []
+    original = ExtCtx._first_rootless_cubic.__func__
+
+    def counted(cls, base):
+        scans.append(base.m)
+        return original(cls, base)
+
+    shared_ext.cache_clear()
+    monkeypatch.setattr(ExtCtx, "_first_rootless_cubic", classmethod(counted))
+    outs = []
+    for family in ("T1", "T3", "T1"):
+        assert cli.main(["lift", "--family", family, "--m", "3"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert scans == [3]
+    assert outs[0] == outs[2] != outs[1]
+    assert shared_ext(3) is shared_ext(3) == ExtCtx(FieldCtx(3))
+    assert scans == [3, 3]
 
 
 def test_vmul_matches_scalar_mul(e8):

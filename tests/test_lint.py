@@ -65,6 +65,20 @@ def test_package_images_only_slab_prefixes():
     assert found == []
 
 
+def test_only_invert_evaluates_all_four_resolvent_blocks():
+    """resolvent_coeffs evaluates A, B, C and D in 48 products; the T1
+    inverter reads all four, and the A-zero certificate reads A alone
+    through resolvent_A in 20, so it cannot go back to evaluating B, C
+    and D unseen."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "resolvent_coeffs" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(str(path.relative_to(SRC)))
+    assert found == ["invert.py"]
+
+
 _ORBIT_NAMES = {"group_tables", "GroupTables", "canon"}
 
 

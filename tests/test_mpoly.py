@@ -305,8 +305,9 @@ def _resultant_unsorted(p, q, eliminate):
 
 # The README's pair is the first: P1 and P3.  P1 and P2 are monic in the
 # eliminated variable, so the first two go through the multiplication
-# matrix; Q1 and Q2 share the leading coefficient a + b, so the Sylvester
-# matrix decides the third.
+# matrix; Q1 and Q2 share the leading coefficient a + b, so one remainder
+# step leaves Q1 and the linear Q1 + Q2, and an order-3 Sylvester matrix
+# decides the third.
 CERTIFY_ELIMINATIONS = [(rs.P1, rs.P3, "x"), (rs.G_EXPANDED, rs.P2, "z"), (rs.Q1, rs.Q2, "x")]
 
 
@@ -336,7 +337,7 @@ def test_sparse_rows_first_matches_natural_row_order(p, q, eliminate):
 @pytest.mark.parametrize("p, q, eliminate, order, monic", [
     (*CERTIFY_ELIMINATIONS[0], 3, True),
     (*CERTIFY_ELIMINATIONS[1], 3, True),
-    (*CERTIFY_ELIMINATIONS[2], 4, False),
+    (*CERTIFY_ELIMINATIONS[2], 3, False),
 ])
 def test_certify_eliminations_take_the_monic_path_where_there_is_one(p, q, eliminate, order,
                                                                       monic, decided):
@@ -441,6 +442,76 @@ def test_monic_resultant_past_the_old_bound(f, g, want):
     assert resultant(f, g, "x") == want
     assert time.perf_counter() - start < 5
     assert len(want.terms) in (0, 16)
+
+
+def _same_lead(rng, v, n, e):
+    """A pair of degree n in v with one random leading coefficient, neither
+    0 nor 1, whose sum has degree e < n in v."""
+    f = _of_degree(rng, v, n, monic=False)
+    return f, f + _of_degree(rng, v, e, monic=rng.random() < 0.3)
+
+
+@pytest.mark.parametrize("eliminate", ["x", "y"])
+@pytest.mark.parametrize("n, e", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_remainder_step_matches_sylvester_on_random_pairs(n, e, eliminate, decided):
+    """Operands of one degree n and one leading coefficient c != 1:
+    c^(n-e) * Res(f, f + g) is the order-2n Sylvester determinant, and the
+    matrix that decides it has order n + e (e when f + g is monic)."""
+    rng = random.Random(f"same lead {n} {e} {eliminate}")
+    for _ in range(8):
+        f, g = _same_lead(rng, eliminate, n, e)
+        h = f + g
+        decided.clear()
+        assert resultant(f, g, eliminate) == _resultant_unsorted(f, g, eliminate)
+        monic = h.coefficient_of(eliminate, e) == one()
+        assert [order for order, _ in decided] == [e if monic else n + e]
+
+
+def test_remainder_step_when_the_sum_vanishes(decided):
+    """f + g = 0: f = g, a common factor of positive degree, so 0 with no matrix."""
+    f = parse("x^2*a + x*y + z")
+    assert resultant(f, f, "x") == zero() == _resultant_unsorted(f, f, "x")
+    assert decided == []
+
+
+def test_remainder_step_to_a_constant_sum(decided):
+    """deg(f + g) = 0: Res(f, g) = c^n * (f + g)^n.  x^30*a + y against
+    x^30*a + z was refused as an order-60 Sylvester expansion."""
+    f, g = parse("x^30*a + y"), parse("x^30*a + z")
+    assert resultant(f, g, "x") == parse("a") ** 30 * parse("y + z") ** 30
+    assert decided == [(30, 0)]
+    f, g = parse("x^2*a + x*b + y"), parse("x^2*a + x*b + z")
+    assert resultant(f, g, "x") == _resultant_unsorted(f, g, "x") == parse("a^2*y^2 + a^2*z^2")
+
+
+def test_remainder_step_falls_back_where_it_passes_a_bound(monkeypatch, decided):
+    """A refused reduced pair leaves the pair itself to decide, as before."""
+    import rotaperm.mpoly as mp
+    original = mp._matrix_resultant
+    refused = []
+
+    def refuse_reduced(pc, qc, too_large):
+        if len(qc) < len(pc):
+            refused.append(len(qc) - 1)
+            raise DomainTooLarge(too_large)
+        return original(pc, qc, too_large)
+
+    monkeypatch.setattr(mp, "_matrix_resultant", refuse_reduced)
+    assert resultant(rs.Q1, rs.Q2, "x") == rs.EQ16_EXPANDED
+    assert refused == [1] and [order for order, _ in decided] == [4]
+
+
+@pytest.mark.parametrize("f, g, error", [
+    # The factor a^80 passes the exponent cap, and so does the result.
+    (parse("x^2*a^40 + y"), parse("x^2*a^40 + z"), DegreeOverflow),
+    # Dense operands: the reduced pair (order 59) and the pair (order 60) both pass the bound.
+    (parse("x^30*a") + _dense("y", 29), parse("x^30*a") + _dense("z", 29), DomainTooLarge),
+])
+def test_remainder_step_past_a_bound_is_refused(f, g, error):
+    start = time.perf_counter()
+    with pytest.raises(error):
+        resultant(f, g, "x")
+    assert time.perf_counter() - start < 5
 
 
 def _coefficients(p, v):
