@@ -10,17 +10,20 @@ exit code.
 
 The symbolic certificates accept their inputs as keyword overrides so
 that tests can verify a perturbed input really breaks the certificate;
-the numeric ones take only a FieldCtx.  Each claim's arithmetic is done
-once per run_all: K1 = (AC+B^2)^3 and K2 = A(AD+BC) are derived once and
-passed to the beta identity and to the printed-expansion diffs.  The
-zero-set claim for A evaluates A alone (resolvent.resolvent_A, not the
-four blocks) on the projective classes: A is homogeneous of degree 6,
-so it is zero on whole lines through 0, and one representative per line
+the numeric ones take only a FieldCtx.  Each product of the blocks is
+formed once per process: AD+BC and AC+B^2, which the factorization
+certificate reads, and K1 = (AC+B^2)^3 and K2 = A(AD+BC) built from
+them, which the beta identity and the printed-expansion diffs read (the
+blocks are module constants and an MPoly is immutable).  The zero-set
+claim for A evaluates A alone (resolvent.resolvent_A, not the four
+blocks) on the projective classes: A is homogeneous of degree 6, so it
+is zero on whole lines through 0, and one representative per line
 stands for its q-1 points.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,13 +85,27 @@ def cert_resultant_h(p2: MPoly | None = None) -> CertReport:
     return CertReport("resultant_h", status, diff, notes)
 
 
+@functools.cache
+def _block_products() -> tuple[MPoly, MPoly]:
+    """AD+BC and AC+B^2 of the blocks A..D, formed once per process."""
+    A, B, C, D = rs.A_BLOCK, rs.B_BLOCK, rs.C_BLOCK, rs.D_BLOCK
+    return A * D + B * C, A * C + B.sqr()
+
+
+@functools.cache
+def _k1_k2() -> tuple[MPoly, MPoly]:
+    """K1 = (AC+B^2)^3 and K2 = A(AD+BC), derived once per process."""
+    adbc, acb2 = _block_products()
+    return acb2 ** 3, rs.A_BLOCK * adbc
+
+
 def cert_factorizations(a_factors=None, adbc_factors=None, acb2_factors=None) -> CertReport:
     """The three recorded product shapes of A, AD+BC, AC+B^2."""
-    A, B, C, D = rs.A_BLOCK, rs.B_BLOCK, rs.C_BLOCK, rs.D_BLOCK
+    adbc, acb2 = _block_products()
     checks = (
-        ("A", A, rs.product(a_factors or rs.A_FACTORS)),
-        ("AD+BC", A * D + B * C, rs.product(adbc_factors or rs.AD_BC_FACTORS)),
-        ("AC+B^2", A * C + B.sqr(), rs.product(acb2_factors or rs.AC_B2_FACTORS)),
+        ("A", rs.A_BLOCK, rs.product(a_factors or rs.A_FACTORS)),
+        ("AD+BC", adbc, rs.product(adbc_factors or rs.AD_BC_FACTORS)),
+        ("AC+B^2", acb2, rs.product(acb2_factors or rs.AC_B2_FACTORS)),
     )
     total = zero()
     failing = []
@@ -101,34 +118,17 @@ def cert_factorizations(a_factors=None, adbc_factors=None, acb2_factors=None) ->
     return _sym_report("factorizations", total, notes)
 
 
-def _k1_k2(k1: MPoly | None = None, k2: MPoly | None = None) -> tuple[MPoly, MPoly]:
-    """K1 = (AC+B^2)^3 and K2 = A(AD+BC) derived from the blocks A..D,
-    each unless given."""
-    A, B, C, D = rs.A_BLOCK, rs.B_BLOCK, rs.C_BLOCK, rs.D_BLOCK
-    if k1 is None:
-        k1 = (A * C + B.sqr()) ** 3
-    if k2 is None:
-        k2 = A * (A * D + B * C)
-    return k1, k2
-
-
-def cert_beta_identity(beta: MPoly | None = None, k1: MPoly | None = None,
-                       k2: MPoly | None = None) -> CertReport:
-    """beta^2 + K2*beta = K1, with K1 = (AC+B^2)^3 and K2 = A(AD+BC).
-
-    K1 and K2 are derived from A..D unless given: run_all derives them
-    once and passes them here and to beta_printed_expansions.
-    """
-    k1, k2 = _k1_k2(k1, k2)
+def cert_beta_identity(beta: MPoly | None = None) -> CertReport:
+    """beta^2 + A(AD+BC)*beta = (AC+B^2)^3 with K1, K2 built from A..D."""
+    k1, k2 = _k1_k2()
     beta = beta or rs.BETA
     residue = beta.sqr() + k2 * beta + k1
     return _sym_report("beta_identity", residue)
 
 
-def beta_printed_expansions(k1: MPoly | None = None, k2: MPoly | None = None) -> list[CertReport]:
-    """Informational diff of derived K1, K2 (or the given ones) against their
-    reference expansions."""
-    k1, k2 = _k1_k2(k1, k2)
+def beta_printed_expansions() -> list[CertReport]:
+    """Informational diff of derived K1, K2 against their reference expansions."""
+    k1, k2 = _k1_k2()
     return [
         _sym_report("printed_K1", k1 + rs.K1_EXPANDED, mandatory=False),
         _sym_report("printed_K2", k2 + rs.K2_EXPANDED, mandatory=False),
@@ -202,7 +202,7 @@ def cert_A_zero_classification(ctx: FieldCtx) -> CertReport:
     are compared at the q^2+q+1 projective representatives and at the
     origin; a misclassified representative stands for the q-1 points of
     its line, so the notes count points as a full q^3 pass would.  Only A
-    is read, so only A is evaluated: resolvent_A, 20 array products where
+    is read, so only A is evaluated: resolvent_A, 16 array products where
     the four blocks take 48.
     """
     if ctx.m % 2 == 0 or ctx.m > NUMERIC_MAX_M:
@@ -218,13 +218,12 @@ def cert_A_zero_classification(ctx: FieldCtx) -> CertReport:
 
 def run_all(only: str | None = None) -> list[CertReport]:
     """Every certificate in fixed registration order (filtered by substring)."""
-    k1, k2 = _k1_k2()
     reports: list[CertReport] = [
         cert_resultant_g(),
         cert_resultant_h(),
         cert_factorizations(),
-        cert_beta_identity(k1=k1, k2=k2),
-        *beta_printed_expansions(k1=k1, k2=k2),
+        cert_beta_identity(),
+        *beta_printed_expansions(),
         cert_resultant_Q(),
     ]
     ctxs = [shared_field(m) for m in NUMERIC_DEGREES]

@@ -326,8 +326,13 @@ def resultant(p: MPoly, q: MPoly, eliminate: str) -> MPoly:
     alpha of p), and 0 when h = 0.  The pair (p, h) then goes to a matrix
     of order at most n + e instead of 2n; the Q1, Q2 of certify's
     difference system share c = a + b, and their order-4 Sylvester matrix
-    becomes an order-3 one.  If that path passes a bound below, the pair
-    (p, q) decides as it did without the step.
+    becomes an order-3 one.  h can be denser than q (x^12*y^4 + x^8*b^3
+    against x^12*y^4 + x^10*y*c + x^5*z^3*b^2 + b*t), so if the matrix of
+    (p, h) passes a bound below, the pair (p, q) decides as it did without
+    the step.  A product by c past a bound is refused outright: the last
+    one is Res(p, q) itself, which the pair's own expansion would hold
+    among its minors, and an exponent past the cap in any of them is one
+    in Res(p, q).
 
     When p or q is monic in v (leading coefficient 1), call it f, of
     degree d (the lower degree when both are), and the other g.  Then
@@ -346,8 +351,8 @@ def resultant(p: MPoly, q: MPoly, eliminate: str) -> MPoly:
     minor may form at most `width` times that many before cancellation,
     `width` being the size of the widest coefficient of the pair.  A
     Sylvester entry is such a coefficient, so there the minors alone
-    decide.  Each product by c in c^(n-e) * Res(p, h) is such a product
-    too, and may hold at most RESULTANT_MAX_MONOMIALS monomials.
+    decide.  Each product by c in c^(n-e) * Res(p, h) may hold at most
+    RESULTANT_MAX_MONOMIALS monomials.
     DomainTooLarge is raised as soon as one would pass, so two short
     inputs cannot run for minutes or fill memory; an exponent past the
     cap raises DegreeOverflow.
@@ -368,13 +373,13 @@ def resultant(p: MPoly, q: MPoly, eliminate: str) -> MPoly:
         e = h.degree_in(eliminate)
         try:
             r = _matrix_resultant(pc, _coefficients(h, eliminate, e), too_large)
-            for _ in range(n - e):
-                r = lead * r
-                if len(r._mono) > RESULTANT_MAX_MONOMIALS:
-                    raise DomainTooLarge(too_large)
-            return r
         except (DegreeOverflow, DomainTooLarge):
-            pass  # the reduced pair or its factor outgrew a bound; the pair itself may not
+            return _matrix_resultant(pc, qc, too_large)  # h may be denser than q
+        for _ in range(n - e):
+            r = lead * r
+            if len(r._mono) > RESULTANT_MAX_MONOMIALS:
+                raise DomainTooLarge(too_large)
+        return r
     return _matrix_resultant(pc, qc, too_large)
 
 

@@ -146,23 +146,21 @@ EQ16_EXPANDED = parse("a + b") ** 2 * (
 
 # -- numeric evaluation of the cubic coefficients ---------------------------
 
-def _A(mul, a, b, c):
-    """A in straight-line form, and the powers it formed, for B, C, D."""
-    a2 = mul(a, a); a3 = mul(a2, a); a4 = mul(a2, a2); a5 = mul(a4, a); a6 = mul(a3, a3)
-    b2 = mul(b, b); b3 = mul(b2, b); b4 = mul(b2, b2); b5 = mul(b4, b); b6 = mul(b3, b3)
-    c3 = mul(mul(c, c), c); c6 = mul(c3, c3)
-    A = a6 ^ mul(a5, b) ^ mul(a3, b3) ^ mul(mul(a2, b), c3) ^ mul(a, b5) \
-        ^ mul(mul(a, b2), c3) ^ b6 ^ c6
-    return A, (a2, a3, a4, a5, a6, b2, b3, b4, b5, b6, c3, c6)
-
-
 def resolvent_A(ctx: FieldCtx, a, b, c):
     """Evaluate the A block alone, the leading coefficient of the cubic.
 
-    The same straight-line form as resolvent_coeffs' A, in 20 of its 48
-    products; a, b, c are ints or equal-shape arrays as there.
+    A = a^6 + b^6 + c^6 + a^3 b^3 + ab(a^4 + b^4) + ab(a + b) c^3, the
+    eight terms of resolvent_coeffs' A paired up, in 16 products where
+    all four blocks take 48; a, b, c are ints or equal-shape arrays as
+    there.
     """
-    return _A(ctx.vmul if isinstance(a, np.ndarray) else ctx.mul, a, b, c)[0]
+    mul = ctx.vmul if isinstance(a, np.ndarray) else ctx.mul
+    ab = mul(a, b)
+    a2 = mul(a, a); a3 = mul(a2, a)
+    b2 = mul(b, b); b3 = mul(b2, b)
+    c3 = mul(mul(c, c), c)
+    return mul(a3, a3) ^ mul(b3, b3) ^ mul(c3, c3) ^ mul(a3, b3) \
+        ^ mul(ab, mul(a2, a2) ^ mul(b2, b2)) ^ mul(mul(ab, a ^ b), c3)
 
 
 def resolvent_coeffs(ctx: FieldCtx, a, b, c):
@@ -174,8 +172,11 @@ def resolvent_coeffs(ctx: FieldCtx, a, b, c):
     one call evaluates the blocks at every point of a grid.
     """
     mul = ctx.vmul if isinstance(a, np.ndarray) else ctx.mul
-    A, (a2, a3, a4, a5, a6, b2, b3, b4, b5, b6, c3, c6) = _A(mul, a, b, c)
-    c9 = mul(c6, c3)
+    a2 = mul(a, a); a3 = mul(a2, a); a4 = mul(a2, a2); a5 = mul(a4, a); a6 = mul(a3, a3)
+    b2 = mul(b, b); b3 = mul(b2, b); b4 = mul(b2, b2); b5 = mul(b4, b); b6 = mul(b3, b3)
+    c3 = mul(mul(c, c), c); c6 = mul(c3, c3); c9 = mul(c6, c3)
+    A = a6 ^ mul(a5, b) ^ mul(a3, b3) ^ mul(mul(a2, b), c3) ^ mul(a, b5) \
+        ^ mul(mul(a, b2), c3) ^ b6 ^ c6
     B = mul(a6, b) ^ mul(a4, b3) ^ mul(a4, c3) ^ mul(mul(a3, b), c3) ^ mul(a2, b5) \
         ^ mul(mul(a2, b2), c3) ^ mul(mul(a, b3), c3) ^ mul(a, c6) ^ mul(b4, c3) ^ mul(b, c6)
     C = mul(a6, b2) ^ mul(a5, b3) ^ mul(a4, b4) ^ mul(mul(a3, b2), c3) \

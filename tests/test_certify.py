@@ -95,35 +95,18 @@ def test_beta_perturbation_fails():
     assert not cert_beta_identity(beta=wrong).passed
 
 
-@pytest.mark.parametrize("which", ["k1", "k2"])
-def test_beta_identity_fails_on_a_perturbed_K_override(which):
-    """beta_identity reads the K1 and K2 it is given, as run_all passes them."""
-    assert cert_beta_identity(k1=rs.K1_EXPANDED, k2=rs.K2_EXPANDED).passed
-    perturbed = {"k1": rs.K1_EXPANDED, "k2": rs.K2_EXPANDED}
-    perturbed[which] = perturbed[which] + parse("a^2*b*c")
-    report = cert_beta_identity(**perturbed)
-    assert not report.passed and report.diff
-    other = [r for r in beta_printed_expansions(**perturbed) if not r.passed]
-    assert [r.name for r in other] == [f"printed_{which.upper()}"]
-
-
-def test_run_all_derives_K1_and_K2_once(monkeypatch):
-    """run_all derives K1 and K2 once and hands them to both of their
-    readers, which then derive nothing."""
+def test_block_products_are_formed_once_per_process():
+    """AD+BC, AC+B^2, K1 and K2 are formed by the first run_all alone;
+    a second run and direct calls reuse them."""
     import rotaperm.certify as cert
-    calls = []
-    original = cert._k1_k2
-
-    def counted(k1=None, k2=None):
-        calls.append((k1 is None, k2 is None))
-        return original(k1, k2)
-
-    monkeypatch.setattr(cert, "_k1_k2", counted)
-    assert all(r.passed for r in run_all(only="beta") + run_all(only="printed"))
-    assert calls.count((True, True)) == 2 and len(calls) == 6
-    calls.clear()
+    cert._block_products.cache_clear()
+    cert._k1_k2.cache_clear()
+    assert all(r.passed for r in run_all() + run_all())
     assert cert_beta_identity().passed
-    assert calls == [(True, True)]
+    assert cert._block_products.cache_info().misses == 1
+    assert cert._k1_k2.cache_info().misses == 1
+    adbc, acb2 = cert._block_products()
+    assert cert._k1_k2() == (acb2 ** 3, rs.A_BLOCK * adbc)
 
 
 def test_resultant_Q_perturbation_fails():

@@ -484,21 +484,22 @@ def test_remainder_step_to_a_constant_sum(decided):
     assert resultant(f, g, "x") == _resultant_unsorted(f, g, "x") == parse("a^2*y^2 + a^2*z^2")
 
 
-def test_remainder_step_falls_back_where_it_passes_a_bound(monkeypatch, decided):
-    """A refused reduced pair leaves the pair itself to decide, as before."""
+def test_remainder_step_falls_back_where_the_sum_is_denser(decided):
+    """g has two terms, so the pair's order-24 Sylvester matrix is sparse;
+    f + g has four, and the order-22 matrix of (f, f + g) passes the bound.
+    The pair decides, as it did without the step.  The value is the one
+    the reference expansion gives (about 20 s, so not rerun here)."""
     import rotaperm.mpoly as mp
-    original = mp._matrix_resultant
-    refused = []
-
-    def refuse_reduced(pc, qc, too_large):
-        if len(qc) < len(pc):
-            refused.append(len(qc) - 1)
-            raise DomainTooLarge(too_large)
-        return original(pc, qc, too_large)
-
-    monkeypatch.setattr(mp, "_matrix_resultant", refuse_reduced)
-    assert resultant(rs.Q1, rs.Q2, "x") == rs.EQ16_EXPANDED
-    assert refused == [1] and [order for order, _ in decided] == [4]
+    f = parse("x^12*y^4 + x^10*y*c + x^5*z^3*b^2 + b*t")
+    g = parse("x^12*y^4 + x^8*b^3")
+    with pytest.raises(DomainTooLarge):
+        mp._matrix_resultant(_coefficients(f, "x"), _coefficients(f + g, "x"), "refused")
+    decided.clear()
+    start = time.perf_counter()
+    assert resultant(f, g, "x") == parse(
+        "y^48*b^12*t^12 + y^28*z^12*b^31*t^8 + y^16*b^44*t^8 + y^12*b^38*c^4*t^8")
+    assert time.perf_counter() - start < 5
+    assert [order for order, _ in decided] == [24]
 
 
 @pytest.mark.parametrize("f, g, error", [
