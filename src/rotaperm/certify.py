@@ -24,7 +24,7 @@ stands for its q-1 points.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .permcheck import projective_representatives
 from .resolvent import resolvent_A
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(NamedTuple):
     name: str
     status: str  # "pass" | "fail"
     diff: MPoly | None = None

@@ -6,21 +6,22 @@ flat table lookup.
 
 For odd m all 256 coefficient vectors are decided at once, in one
 blocked array pass per field, into a read-only (256,) bool array
-(permutation_mask) that is_permutation reads.  The pass starts on the
-proper subfields.  Every family has 0/1 coefficients, so F maps
-GF(2^k)^3 into itself for every k | m, and a permutation of GF(2^m)^3
-permutes GF(2^k)^3 (the subfield lemma: P(m) is inside P(k)).  Each
-proper subfield, GF(2) (k = 1, where 72 of the 256 vectors permute)
-included, contributes its own mask, decided the same way on the
-subfield's context from field.shared_field.  The verbs take their
-contexts from there too, so every field's mask is built once per
-process.  Of the vectors that permute every proper subfield, one of
-each y <-> z pair is imaged at m: tau(x,y,z) = (x,z,y) conjugates F into
-the map of f(x,z,y), so both or neither permute.  A witness-free negative
-still reports the q^2+q+1 representatives as its points, whichever test
-decided it: by the lemma the projective decision at m fails as well, so
-the report is a function of the vector and m alone, and stays the one a
-decision without the subfield step gives.
+(permutation_mask) that is_permutation reads: once the mask is built, a
+witness-free verdict is one read of it returning a PermReport, a
+NamedTuple.  The pass starts on the proper subfields.  Every family
+has 0/1 coefficients, so F maps GF(2^k)^3 into itself for every k | m,
+and a permutation of GF(2^m)^3 permutes GF(2^k)^3 (the subfield lemma:
+P(m) is inside P(k)).  Each proper subfield, GF(2) (k = 1, where 72 of
+the 256 vectors permute) included, contributes its own mask, decided
+the same way on the subfield's context from field.shared_field.  The
+verbs take their contexts from there too, so every field's mask is
+built once per process.  Of the vectors that permute every proper
+subfield, one of each y <-> z pair is imaged at m: tau(x,y,z) = (x,z,y)
+conjugates F into the map of f(x,z,y), so both or neither permute.  A
+witness-free negative still reports the q^2+q+1 representatives as its
+points, whichever test decided it: by the lemma the projective decision
+at m fails as well, so the report is a function of the vector and m
+alone, and stays the one a decision without the subfield step gives.
 
 The decision at m is projective.  Every family is 3-homogeneous,
 F(lam*v) = lam^3 * F(v), and lam -> lam^3 permutes GF(2^m)^* when m is
@@ -68,7 +69,6 @@ whole cube: a negative whose first repeat came late would image all
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -82,9 +82,8 @@ IS_PERMUTATION_MAX_M = 9
 IMAGE_BLOCK = 1 << 16  # points per block in family_images and _decide_rows; bounds temporaries
 
 
-@dataclass(frozen=True, slots=True)
-class PermReport:
-    """Outcome of one bijectivity decision."""
+class PermReport(NamedTuple):
+    """Outcome of one bijectivity decision, an immutable tuple."""
 
     family: str
     m: int

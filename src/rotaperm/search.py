@@ -24,7 +24,7 @@ repeated runs are bit-identical and the results need no sort.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainTooLarge, EvenDegree, UnsupportedDegree
 from .family import NAMED_COEFFS, all_families
@@ -39,8 +39,7 @@ def worker_count() -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     degrees: tuple[int, ...]
     results: dict[int, tuple[str, ...]]
     intersection: tuple[str, ...]
@@ -67,6 +66,10 @@ def _check_degree(m: int) -> None:
 
 def named_bitstrings() -> tuple[str, ...]:
     return tuple("".join(str(b) for b in coeffs) for coeffs in NAMED_COEFFS.values())
+
+
+# Never candidates: the five named families and the all-zero monomial vector.
+_EXCLUDED = frozenset(named_bitstrings()) | {ALL_ZERO}
 
 
 def _permutations(ctx: FieldCtx, families) -> tuple[str, ...]:
@@ -108,5 +111,4 @@ def search_diff(report: SearchReport) -> tuple[str, ...]:
     infinite classes."""
     if len(report.degrees) < 2:
         raise ValueError("diff needs results for at least two degrees")
-    excluded = set(named_bitstrings()) | {ALL_ZERO}
-    return tuple(sorted(set(report.intersection) - excluded))
+    return tuple(sorted(set(report.intersection) - _EXCLUDED))

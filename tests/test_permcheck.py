@@ -1,6 +1,5 @@
 """Bijectivity decisions, the difference criterion, and the D(Y,Z) zero count."""
 
-import dataclasses
 import json
 import warnings
 
@@ -877,9 +876,12 @@ def test_mask_independent_of_block(m, block, monkeypatch):
     assert np.array_equal(permutation_mask(FieldCtx(m)), want)
 
 
-@pytest.mark.parametrize("m", [5, 7])
+@pytest.mark.parametrize("m", [3, 5, 7])
 def test_verdicts_are_lookups_once_the_mask_is_built(m, monkeypatch):
-    """With the mask built, no witness-free verdict images or decides anything."""
+    """With the mask built, no witness-free verdict images or decides
+    anything, and each report is the mask bit with the point count of the
+    decision that made it: all 2^3m points for a permutation, the q^2+q+1
+    representatives otherwise."""
     ctx = FieldCtx(m)
     mask = permutation_mask(ctx)
 
@@ -889,12 +891,20 @@ def test_verdicts_are_lookups_once_the_mask_is_built(m, monkeypatch):
     monkeypatch.setattr(pc, "_decide_rows", refuse)
     monkeypatch.setattr(pc, "_images", refuse)
     for v, fam in enumerate(all_families()):
-        assert is_permutation(ctx, fam, witness=False).is_permutation == mask[v]
+        report = is_permutation(ctx, fam, witness=False)
+        bits, ok = fam.bitstring(), bool(mask[v])
+        points = 1 << (3 * m) if ok else ctx.q * ctx.q + ctx.q + 1
+        assert type(report) is pc.PermReport
+        assert (report.family, report.m, report.is_permutation, report.points_checked,
+                report.witness) == (bits, m, ok, points, None)
+        assert type(report.is_permutation) is bool
+        assert json.dumps(report.to_json()) == json.dumps(
+            {"family": bits, "m": m, "permutation": ok, "points": points})
 
 
 def test_perm_report_is_frozen(f8):
     report = is_permutation(f8, named_family("T3"))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         report.is_permutation = False
     assert report == is_permutation(f8, named_family("T3"))
     assert report.to_json() == {"family": "00000011", "m": 3, "permutation": True, "points": 512}
