@@ -8,17 +8,18 @@ Defining formulas outrank recorded expansions: the two long reference
 expansions of K1 and K2 are diffed informationally and never gate the
 exit code.
 
-The symbolic certificates accept their inputs as keyword overrides so
-that tests can verify a perturbed input really breaks the certificate;
-the numeric ones take only a FieldCtx.  Each product of the blocks is
-formed once per process: AD+BC and AC+B^2, which the factorization
-certificate reads, and K1 = (AC+B^2)^3 and K2 = A(AD+BC) built from
-them, which the beta identity and the printed-expansion diffs read (the
-blocks are module constants and an MPoly is immutable).  The zero-set
-claim for A evaluates A alone (resolvent.resolvent_A, not the four
-blocks) on the projective classes: A is homogeneous of degree 6, so it
-is zero on whole lines through 0, and one representative per line
-stands for its q-1 points.
+The symbolic certificates take no arguments: each reads its recorded
+inputs (P1, P2, P3, Q1, Q2, the factor lists and beta) from
+rotaperm.resolvent when it is called.  The numeric ones take only a
+FieldCtx.  Each product of the blocks is formed once per process:
+AD+BC and AC+B^2, which the factorization certificate reads, and
+K1 = (AC+B^2)^3 and K2 = A(AD+BC) built from them, which the beta
+identity and the printed-expansion diffs read (the blocks are module
+constants and an MPoly is immutable).  The zero-set claim for A
+evaluates A alone (resolvent.resolvent_A, not the four blocks) on the
+projective classes: A is homogeneous of degree 6, so it is zero on whole
+lines through 0, and one representative per line stands for its q-1
+points.
 """
 
 from __future__ import annotations
@@ -64,15 +65,15 @@ def _sym_report(name: str, diff: MPoly, notes: str = "", mandatory: bool = True)
     return CertReport(name, "pass" if not diff else "fail", diff, notes, mandatory)
 
 
-def cert_resultant_g(p1: MPoly | None = None, p3: MPoly | None = None) -> CertReport:
+def cert_resultant_g() -> CertReport:
     """Res_x(P1, P3) against its recorded ten-term expansion."""
-    g = resultant(p1 or rs.P1, p3 or rs.P3, "x")
+    g = resultant(rs.P1, rs.P3, "x")
     return _sym_report("resultant_g", g + rs.G_EXPANDED)
 
 
-def cert_resultant_h(p2: MPoly | None = None) -> CertReport:
+def cert_resultant_h() -> CertReport:
     """Res_z(g, P2) against its expansion, block by block in y."""
-    h = resultant(rs.G_EXPANDED, p2 or rs.P2, "z")
+    h = resultant(rs.G_EXPANDED, rs.P2, "z")
     diff = h + rs.H_EXPANDED
     blocks = []
     for label, block, power in (("A", rs.A_BLOCK, 9), ("B", rs.B_BLOCK, 6),
@@ -98,13 +99,13 @@ def _k1_k2() -> tuple[MPoly, MPoly]:
     return acb2 ** 3, rs.A_BLOCK * adbc
 
 
-def cert_factorizations(a_factors=None, adbc_factors=None, acb2_factors=None) -> CertReport:
+def cert_factorizations() -> CertReport:
     """The three recorded product shapes of A, AD+BC, AC+B^2."""
     adbc, acb2 = _block_products()
     checks = (
-        ("A", rs.A_BLOCK, rs.product(a_factors or rs.A_FACTORS)),
-        ("AD+BC", adbc, rs.product(adbc_factors or rs.AD_BC_FACTORS)),
-        ("AC+B^2", acb2, rs.product(acb2_factors or rs.AC_B2_FACTORS)),
+        ("A", rs.A_BLOCK, rs.product(rs.A_FACTORS)),
+        ("AD+BC", adbc, rs.product(rs.AD_BC_FACTORS)),
+        ("AC+B^2", acb2, rs.product(rs.AC_B2_FACTORS)),
     )
     total = zero()
     failing = []
@@ -117,11 +118,10 @@ def cert_factorizations(a_factors=None, adbc_factors=None, acb2_factors=None) ->
     return _sym_report("factorizations", total, notes)
 
 
-def cert_beta_identity(beta: MPoly | None = None) -> CertReport:
+def cert_beta_identity() -> CertReport:
     """beta^2 + A(AD+BC)*beta = (AC+B^2)^3 with K1, K2 built from A..D."""
     k1, k2 = _k1_k2()
-    beta = beta or rs.BETA
-    residue = beta.sqr() + k2 * beta + k1
+    residue = rs.BETA.sqr() + k2 * rs.BETA + k1
     return _sym_report("beta_identity", residue)
 
 
@@ -134,13 +134,13 @@ def beta_printed_expansions() -> list[CertReport]:
     ]
 
 
-def cert_resultant_Q(q1: MPoly | None = None, q2: MPoly | None = None) -> CertReport:
+def cert_resultant_Q() -> CertReport:
     """Res_x(Q1, Q2) of the difference system against its recorded product form.
 
     Q1 and Q2 share the leading coefficient a+b in x, so mpoly.resultant
     takes it as (a+b) * Res_x(Q1, Q1+Q2), an order-3 Sylvester matrix.
     """
-    r = resultant(q1 or rs.Q1, q2 or rs.Q2, "x")
+    r = resultant(rs.Q1, rs.Q2, "x")
     return _sym_report("resultant_Q", r + rs.EQ16_EXPANDED)
 
 

@@ -13,15 +13,12 @@ class RotapermError(Exception):
 # --- field construction / solving ---
 
 class ReducibleModulus(RotapermError):
-    """Supplied (or table) modulus failed the trial-division irreducibility check."""
+    """A modulus is reducible: a DEFAULT_MODULI entry failed trial division,
+    or an extension cubic has a base-field root."""
 
 
 class UnsupportedDegree(RotapermError):
-    """No default modulus shipped for this extension degree."""
-
-
-class OddDegreeRequired(RotapermError):
-    """Operation needs 3 to be invertible mod 2^m - 1, i.e. odd m."""
+    """No modulus shipped for this extension degree."""
 
 
 class NoSolution(RotapermError):
@@ -65,8 +62,9 @@ class DomainTooLarge(RotapermError):
 
 
 class EvenDegree(RotapermError):
-    """Search, or the CLI's verify, invert or lift, requested for an even
-    extension degree."""
+    """An operation that needs odd m, where 3 is invertible mod 2^m - 1, was
+    asked for an even degree: search, the CLI's verify, invert or lift, a
+    cube root, the half-trace, or the permutation mask."""
 
 
 class NotAPermutation(RotapermError):

@@ -17,8 +17,8 @@ A FamilySpec holds its coefficient bits; building one computes nothing
 else.  Numeric work (eval_F, the bijectivity decision, inversion) reads
 the bits directly.  The bitstring and the row (a1..a8 read as an 8-bit
 integer, a1 the high bit, which indexes a permutation mask) are computed
-on first use and kept on the spec, so a repeated lookup is O(1); the
-symbolic f and F are built on first use and memoised per vector.
+on first use and kept on the spec, so a repeated lookup is O(1).  Nothing
+here is symbolic, so the numeric verbs load no polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from functools import cached_property, lru_cache
 
 from .errors import UnknownName
 from .field import FieldCtx, Triple
-from .mpoly import VARS, MPoly, substitute
-
-SIGMA = {"x": "y", "y": "z", "z": "x"}
 
 # (x, y, z) exponents of the monomial multiplied by each coefficient bit, in
 # a1..a8 order: y^3, z^3, x^2*y, x*y^2, x^2*z, x*z^2, y*z^2, y^2*z.
@@ -47,31 +44,12 @@ NAMED_COEFFS: dict[str, tuple[int, ...]] = {
 }
 
 
-@lru_cache(maxsize=256)
-def _symbolic(coeffs: tuple[int, ...]) -> tuple[MPoly, MPoly, MPoly]:
-    """The components (f, f o sigma, f o sigma^2) of one coefficient vector."""
-    pad = (0,) * (len(VARS) - 3)
-    f = MPoly([(3, 0, 0) + pad] + [e + pad for bit, e in zip(coeffs, COEFF_EXPONENTS) if bit])
-    f2 = substitute(f, SIGMA)
-    f3 = substitute(f2, SIGMA)
-    return f, f2, f3
-
-
 @dataclass(frozen=True)
 class FamilySpec:
-    """Coefficient bits; the bitstring, row and symbolic map are built on
-    first use."""
+    """Coefficient bits; the bitstring and row are built on first use."""
 
     coeffs: tuple[int, ...]
     name: str | None = dc_field(default=None, compare=False)
-
-    @property
-    def f(self) -> MPoly:
-        return _symbolic(self.coeffs)[0]
-
-    @property
-    def F(self) -> tuple[MPoly, MPoly, MPoly]:
-        return _symbolic(self.coeffs)
 
     @cached_property
     def _bits(self) -> str:
@@ -88,7 +66,7 @@ class FamilySpec:
 
 
 def family_from_coeffs(bits, name: str | None = None) -> FamilySpec:
-    """The family for an 8-bit coefficient vector (a1..a8); nothing symbolic is built."""
+    """The family for an 8-bit coefficient vector (a1..a8)."""
     coeffs = tuple(int(b) for b in bits)
     if len(coeffs) != 8 or any(b not in (0, 1) for b in coeffs):
         raise ValueError(f"need 8 bits in {{0,1}}, got {bits!r}")

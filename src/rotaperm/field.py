@@ -4,9 +4,9 @@ Elements are plain ints: bit k of the int is the coefficient of x^k, so
 0x5 = x^2 + 1 (little-endian bit-polynomial).  Addition is ^ and needs
 no helper.  All interpretation lives in a FieldCtx, which carries the
 degree, the reduction modulus, and precomputed tables; shared_field gives
-the one default-modulus context of each degree that the package reads.
+the one context of each degree that the package reads.
 
-Degrees up to 16 are supported; every modulus (default or supplied) is
+Degrees up to 16 are supported, each with one modulus, DEFAULT_MODULI[m],
 re-validated by trial division at construction, so a wrong table entry
 is caught instead of silently used.  One exp/log pair over a generator
 of the multiplicative group defines all arithmetic at every degree:
@@ -28,9 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    EvenDegree,
     FormulaInconsistent,
     NoSolution,
-    OddDegreeRequired,
     ReducibleModulus,
     UnsupportedDegree,
 )
@@ -116,27 +116,51 @@ def find_generator(order: int, power) -> int:
     return 1
 
 
+def _log_array(ctx: FieldCtx) -> np.ndarray:
+    return np.array(ctx._log, dtype=np.uint16)
+
+
+def _exp_array(ctx: FieldCtx) -> np.ndarray:
+    return np.array(ctx._exp, dtype=np.uint16)
+
+
+def _products(ctx: FieldCtx) -> np.ndarray:
+    log = ctx._logs(np.arange(ctx.q))
+    t = ctx._exps()[log[:, None] + log[None, :]]
+    t[0, :] = 0
+    t[:, 0] = 0
+    return t
+
+
+def _squares(ctx: FieldCtx) -> np.ndarray:
+    return ctx.vpow(np.arange(ctx.q), 2)
+
+
+def _cubes(ctx: FieldCtx) -> np.ndarray:
+    return ctx.vpow(np.arange(ctx.q), 3)
+
+
+def _inverses(ctx: FieldCtx) -> np.ndarray:
+    return ctx.vpow(np.arange(ctx.q), -1)
+
+
 class FieldCtx:
-    """GF(2^m) with a validated irreducible modulus.
+    """GF(2^m) with its modulus DEFAULT_MODULI[m], validated irreducible.
 
     The degree, modulus and exp/log pair are fixed at construction.  The
     numpy tables, and what other modules cache on the context through
     `_table`, fill on first use with no lock, so build them before two
     threads share a fresh context; once cached, every array is read-only.
-    Every default-modulus context of the package comes from shared_field,
-    one per degree per process, so its tables are built once and read by
-    every later call; construct a FieldCtx directly for a custom modulus
-    or a private set of tables.  All operations take and return plain
-    ints < 2^m.
+    Every context of the package comes from shared_field, one per degree
+    per process, so its tables are built once and read by every later
+    call; construct a FieldCtx directly for a private set of tables.  All
+    operations take and return plain ints < 2^m.
     """
 
-    def __init__(self, m: int, modulus: int | None = None) -> None:
+    def __init__(self, m: int) -> None:
         if not 1 <= m <= MAX_DEGREE:
             raise UnsupportedDegree(f"degree {m} outside 1..{MAX_DEGREE}")
-        if modulus is None:
-            if m not in DEFAULT_MODULI:
-                raise UnsupportedDegree(f"no default modulus for m={m}")
-            modulus = DEFAULT_MODULI[m]
+        modulus = DEFAULT_MODULI[m]
         if not _is_irreducible(modulus, m):
             raise ReducibleModulus(
                 f"modulus {modulus:#x} is not an irreducible degree-{m} polynomial"
@@ -241,7 +265,7 @@ class FieldCtx:
     def cube_root(self, a: int) -> int:
         """The unique cube root a^(1/3); defined only for odd m."""
         if self.inv3 is None:
-            raise OddDegreeRequired(f"cube roots need odd m, got m={self.m}")
+            raise EvenDegree(f"cube roots need odd m, got m={self.m}")
         if a == 0:
             return 0
         return self.pow(a, self.inv3)
@@ -265,7 +289,7 @@ class FieldCtx:
     def half_trace(self, b: int) -> int:
         """Solve r^2 + r = b for odd m; requires trace(b) = 0."""
         if self.m % 2 == 0:
-            raise OddDegreeRequired("half-trace is the odd-degree solver")
+            raise EvenDegree("half-trace is the odd-degree solver")
         if self.trace(b) != 0:
             raise NoSolution(f"x^2 + x = {b:#x} has no root (trace 1)")
         r = 0
@@ -318,14 +342,15 @@ class FieldCtx:
     # ------------------------------------------------------------------
 
     def _table(self, key: str, build) -> np.ndarray | tuple[np.ndarray, ...]:
-        """The cached table under key, built by build() on first use.
+        """The cached table under key, built by build(self) on first use.
 
-        build returns an array or a tuple of arrays; each is made read-only
-        before it is cached, since a shared context hands it to every caller.
+        build, a module-level function of the context, returns an array or
+        a tuple of arrays; each is made read-only before it is cached, since
+        a shared context hands it to every caller.
         """
         t = self._np_cache.get(key)
         if t is None:
-            t = build()
+            t = build(self)
             for a in t if isinstance(t, tuple) else (t,):
                 a.flags.writeable = False
             self._np_cache[key] = t
@@ -333,24 +358,17 @@ class FieldCtx:
 
     def _logs(self, vec) -> np.ndarray:
         """log of each entry of vec (0 for 0), widened so sums cannot wrap."""
-        log = self._table("log", lambda: np.array(self._log, dtype=np.uint16))
+        log = self._table("log", _log_array)
         return log[vec].astype(np.intp)
 
     def _exps(self) -> np.ndarray:
-        return self._table("exp", lambda: np.array(self._exp, dtype=np.uint16))
-
-    def _build_mul_table(self) -> np.ndarray:
-        log = self._logs(np.arange(self.q))
-        t = self._exps()[log[:, None] + log[None, :]]
-        t[0, :] = 0
-        t[:, 0] = 0
-        return t
+        return self._table("exp", _exp_array)
 
     @property
     def mul_table(self) -> np.ndarray:
         """(q, q) product table exp[log a + log b], zero on row and column 0;
         vmul is its only reader."""
-        return self._table("mul", self._build_mul_table)
+        return self._table("mul", _products)
 
     def vmul(self, x: np.ndarray | int, y: np.ndarray | int) -> np.ndarray:
         """Elementwise product of field elements, broadcast as x * y is.
@@ -364,16 +382,16 @@ class FieldCtx:
 
     @property
     def sqr_table(self) -> np.ndarray:
-        return self._table("sqr", lambda: self.vpow(np.arange(self.q), 2))
+        return self._table("sqr", _squares)
 
     @property
     def cube_table(self) -> np.ndarray:
-        return self._table("cube", lambda: self.vpow(np.arange(self.q), 3))
+        return self._table("cube", _cubes)
 
     @property
     def inv_table(self) -> np.ndarray:
         """Elementwise inverse, with 0 mapped to 0."""
-        return self._table("inv", lambda: self.vpow(np.arange(self.q), -1))
+        return self._table("inv", _inverses)
 
     def vpow(self, vec: np.ndarray, n: int) -> np.ndarray:
         """Elementwise vec**n as exp[n log(vec) mod (q-1)], in uint16.
@@ -388,12 +406,12 @@ class FieldCtx:
 
 @lru_cache(maxsize=MAX_DEGREE)
 def shared_field(m: int) -> FieldCtx:
-    """GF(2^m) with the default modulus, built once per process.
+    """GF(2^m), built once per process.
 
-    Every verb and library call of the package takes its default-modulus
-    contexts from here, so the tables cached on them (products, the
-    permutation mask and the decision tables under it) are built once per
-    degree and read by every later call.  At most MAX_DEGREE contexts are
+    Every verb and library call of the package takes its contexts from
+    here, so the tables cached on them (products, the permutation mask
+    and the decision tables under it) are built once per degree and read
+    by every later call.  At most MAX_DEGREE contexts are
     kept, one per degree.
     """
     return FieldCtx(m)

@@ -291,7 +291,7 @@ def _json_hexes(obj, key: str, where: str) -> list[int]:
 
 
 def lifted_from_json(data: dict) -> LiftedPoly:
-    """Rebuild a LiftedPoly (default base modulus for its degree); a missing
+    """Rebuild a LiftedPoly over the one base field of its degree; a missing
     or ill-typed field raises ValueError naming it.  A base degree above
     LIFT_MAX_BASE_M raises DomainTooLarge before any field is built."""
     m = _json_field(data, "m", int, "the document")

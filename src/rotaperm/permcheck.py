@@ -74,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import DomainTooLarge, FormulaInconsistent, OddDegreeRequired
+from .errors import DomainTooLarge, EvenDegree, FormulaInconsistent
 from .family import COEFF_EXPONENTS, FamilySpec
 from .field import FieldCtx, Triple, shared_field
 
@@ -269,33 +269,35 @@ class GroupTables(NamedTuple):
     classes: np.ndarray  # classes[i]: position in minima of the G-orbit of r_i, uint32
 
 
-def group_tables(ctx: FieldCtx) -> GroupTables:
+def _build_group_tables(ctx: FieldCtx) -> GroupTables:
     """G = <sigma, phi> on the representatives, phi(x,y,z) = (x^2,y^2,z^2).
 
     phi fixes the leading 1 of every representative, so it permutes them,
     and it commutes with sigma, so it permutes the rotation classes: class
     c goes to the class of phi(r_O[c]).  The G-class of c is the least
     class on that Frobenius orbit, found by m-1 gathers.  O increases, so
-    the least class holds the G-orbit minimum.  Built on first use and
-    cached on ctx as one entry; the rotation and Frobenius index maps are
-    build temporaries, and no image of F is kept.
+    the least class holds the G-orbit minimum.  The rotation and Frobenius
+    index maps are build temporaries, and no image of F is kept.
     """
-    def build():
-        o, canon = _rotation_classes(ctx)
-        x, y, z = representatives(ctx, o)  # x is 0 or 1, its own square
-        sq = ctx.sqr_table
-        step = canon[projective_keys(ctx, (x, sq[y], sq[z]))[1]]
-        least = np.arange(o.size, dtype=np.uint32)
-        moved = least
-        for _ in range(ctx.m - 1):
-            moved = step[moved]
-            np.minimum(least, moved, out=least)
-        heads = np.flatnonzero(least == np.arange(o.size))
-        rank = np.empty(o.size, dtype=np.uint32)
-        rank[heads] = np.arange(heads.size, dtype=np.uint32)
-        return GroupTables(o[heads].astype(np.uint32), rank[least][canon])
+    o, canon = _rotation_classes(ctx)
+    x, y, z = representatives(ctx, o)  # x is 0 or 1, its own square
+    sq = ctx.sqr_table
+    step = canon[projective_keys(ctx, (x, sq[y], sq[z]))[1]]
+    least = np.arange(o.size, dtype=np.uint32)
+    moved = least
+    for _ in range(ctx.m - 1):
+        moved = step[moved]
+        np.minimum(least, moved, out=least)
+    heads = np.flatnonzero(least == np.arange(o.size))
+    rank = np.empty(o.size, dtype=np.uint32)
+    rank[heads] = np.arange(heads.size, dtype=np.uint32)
+    return GroupTables(o[heads].astype(np.uint32), rank[least][canon])
 
-    return ctx._table("group_tables", build)
+
+def group_tables(ctx: FieldCtx) -> GroupTables:
+    """The G-orbits of the representatives (_build_group_tables), built on
+    first use and cached on ctx as one entry."""
+    return ctx._table("group_tables", _build_group_tables)
 
 
 def representative(ctx: FieldCtx, i: int) -> Triple:
@@ -406,6 +408,23 @@ _Y_Z_SWAP = [COEFF_EXPONENTS.index((ex, ez, ey)) for ex, ey, ez in COEFF_EXPONEN
 _Y_Z_PARTNER = _VECTOR_BITS[:, _Y_Z_SWAP] @ (1 << np.arange(7, -1, -1))
 
 
+def _build_permutation_mask(ctx: FieldCtx) -> np.ndarray:
+    """The mask of permutation_mask: the subfields' masks ANDed, then the
+    projective decision at m of one vector per y <-> z pair."""
+    mask = np.ones(256, dtype=bool)
+    # shared_field(k) models GF(2^k) apart from its copy inside ctx, and F
+    # has 0/1 coefficients, so it commutes with the isomorphism between them.
+    for k in range(1, ctx.m):
+        if ctx.m % k == 0:
+            mask &= permutation_mask(shared_field(k))
+    rows = np.flatnonzero(mask & (np.arange(256) <= _Y_Z_PARTNER))
+    verdicts = _decide_rows(ctx, rows)
+    mask[:] = False
+    mask[rows] = verdicts
+    mask[_Y_Z_PARTNER[rows]] = verdicts
+    return mask
+
+
 def permutation_mask(ctx: FieldCtx) -> np.ndarray:
     """Whether F permutes GF(2^m)^3 (odd m), for every coefficient vector.
 
@@ -424,24 +443,8 @@ def permutation_mask(ctx: FieldCtx) -> np.ndarray:
     mask is built once per process.
     """
     if ctx.m % 2 == 0:
-        raise OddDegreeRequired(f"the projective decision needs odd m, got m={ctx.m}")
-
-    def build():
-        mask = np.ones(256, dtype=bool)
-        # The default-modulus subfield serves every modulus of ctx: F has
-        # 0/1 coefficients, so it commutes with the isomorphism between two
-        # models of GF(2^k).
-        for k in range(1, ctx.m):
-            if ctx.m % k == 0:
-                mask &= permutation_mask(shared_field(k))
-        rows = np.flatnonzero(mask & (np.arange(256) <= _Y_Z_PARTNER))
-        verdicts = _decide_rows(ctx, rows)
-        mask[:] = False
-        mask[rows] = verdicts
-        mask[_Y_Z_PARTNER[rows]] = verdicts
-        return mask
-
-    return ctx._table("permutation_mask", build)
+        raise EvenDegree(f"the projective decision needs odd m, got m={ctx.m}")
+    return ctx._table("permutation_mask", _build_permutation_mask)
 
 
 def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> PermReport:

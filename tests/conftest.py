@@ -1,6 +1,6 @@
 import pytest
 
-from rotaperm.field import FieldCtx
+from rotaperm.field import DEFAULT_MODULI, FieldCtx, shared_field
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +36,17 @@ def projective_degrees(monkeypatch):
     shared_field.cache_clear()
     monkeypatch.setattr(pc, "_decide_rows", counted)
     return degrees
+
+
+@pytest.fixture
+def patch_modulus(monkeypatch):
+    """patch(m, modulus) makes modulus the table entry DEFAULT_MODULI[m] for
+    the rest of the test, so FieldCtx(m) builds that representation of
+    GF(2^m).  shared_field's cache is cleared before each patch and after
+    the test, so no shared context outlives the modulus it was built with."""
+    def patch(m, modulus):
+        shared_field.cache_clear()
+        monkeypatch.setitem(DEFAULT_MODULI, m, modulus)
+
+    yield patch
+    shared_field.cache_clear()

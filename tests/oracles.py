@@ -3,7 +3,8 @@
 Each is kept beside the fast path it checks, outside the package: the
 pairwise difference criterion and the D(Y,Z) zero count behind the
 character-sum step, the exhaustive beta-trace check, the symbolic
-rotatability test with a literal non-rotatable triple, the homogeneity
+rotatability test with a literal non-rotatable triple, the symbolic map
+(f, f o sigma, f o sigma^2) of a family, the homogeneity
 degree of a polynomial, the support of a lifted polynomial, the sheared
 resolvent system H, the rotation and the Frobenius as index maps on the
 projective representatives, the GF(2) bijectivity test from the
@@ -19,7 +20,7 @@ import numpy as np
 
 from rotaperm.certify import NUMERIC_MAX_M
 from rotaperm.errors import DomainTooLarge, FormulaInconsistent, RotapermError
-from rotaperm.family import SIGMA, FamilySpec
+from rotaperm.family import COEFF_EXPONENTS, FamilySpec
 from rotaperm.field import FieldCtx
 from rotaperm.lift import LiftedPoly
 from rotaperm.mpoly import VARS, MPoly, parse, substitute
@@ -160,6 +161,23 @@ def beta_trace_fallback(ctx: FieldCtx) -> bool:
 # ---------------------------------------------------------------------------
 # symbolic structure
 # ---------------------------------------------------------------------------
+
+SIGMA = {"x": "y", "y": "z", "z": "x"}
+
+
+@lru_cache(maxsize=256)
+def _symbolic(coeffs: tuple[int, ...]) -> tuple[MPoly, MPoly, MPoly]:
+    pad = (0,) * (len(VARS) - 3)
+    f = MPoly([(3, 0, 0) + pad] + [e + pad for bit, e in zip(coeffs, COEFF_EXPONENTS) if bit])
+    f2 = substitute(f, SIGMA)
+    return f, f2, substitute(f2, SIGMA)
+
+
+def symbolic_map(fam: FamilySpec) -> tuple[MPoly, MPoly, MPoly]:
+    """The components (f, f o sigma, f o sigma^2) of F as polynomials over
+    GF(2), f built from family.COEFF_EXPONENTS; memoised per vector."""
+    return _symbolic(fam.coeffs)
+
 
 def is_rotatable(components: tuple[MPoly, MPoly, MPoly]) -> bool:
     """True iff component i+1 is component 1 under the i-th rotation."""

@@ -69,30 +69,37 @@ def test_printed_expansions_are_informational():
         assert not report.mandatory
 
 
-def test_resultant_g_perturbation_fails():
-    report = cert_resultant_g(p3=rs.P3 + parse("y^3"))
+# The symbolic certificates read their inputs from rotaperm.resolvent when
+# called, so each perturbation patches the recorded constant there.
+
+def test_resultant_g_perturbation_fails(monkeypatch):
+    monkeypatch.setattr(rs, "P3", rs.P3 + parse("y^3"))
+    report = cert_resultant_g()
     assert not report.passed
     assert report.diff
 
 
-def test_resultant_h_perturbation_fails():
-    assert not cert_resultant_h(p2=rs.P2 + parse("z")).passed
+def test_resultant_h_perturbation_fails(monkeypatch):
+    monkeypatch.setattr(rs, "P2", rs.P2 + parse("z"))
+    assert not cert_resultant_h().passed
 
 
-def test_factorization_perturbation_fails():
+def test_factorization_perturbation_fails(monkeypatch):
     factors = list(rs.A_FACTORS)
     factors[0] = factors[0] + parse("a*c")  # one flipped monomial
-    report = cert_factorizations(a_factors=tuple(factors))
+    monkeypatch.setattr(rs, "A_FACTORS", tuple(factors))
+    report = cert_factorizations()
     assert not report.passed and "A" in report.notes
 
 
-def test_beta_perturbation_fails():
+def test_beta_perturbation_fails(monkeypatch):
     # drop the cube on (a+b): beta must no longer satisfy the quadratic
     wrong = rs.product((
         parse("a^3"), parse("b^3"), parse("c^3"), parse("a + b"),
         parse("a^2 + a*b + b^2") ** 3, parse("a^2*b + a*b^2 + c^3"),
     ))
-    assert not cert_beta_identity(beta=wrong).passed
+    monkeypatch.setattr(rs, "BETA", wrong)
+    assert not cert_beta_identity().passed
 
 
 def test_block_products_are_formed_once_per_process():
@@ -109,8 +116,9 @@ def test_block_products_are_formed_once_per_process():
     assert cert._k1_k2() == (acb2 ** 3, rs.A_BLOCK * adbc)
 
 
-def test_resultant_Q_perturbation_fails():
-    assert not cert_resultant_Q(q1=rs.Q1 + parse("b*z^2")).passed  # drops the z^2 term
+def test_resultant_Q_perturbation_fails(monkeypatch):
+    monkeypatch.setattr(rs, "Q1", rs.Q1 + parse("b*z^2"))  # drops the z^2 term
+    assert not cert_resultant_Q().passed
 
 
 def test_g_evaluation_cross_check(f8):

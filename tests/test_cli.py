@@ -1,6 +1,7 @@
 """CLI contract: JSON on stdout, exit-code trichotomy, reproducible output."""
 
 import json
+import shlex
 import time
 from pathlib import Path
 
@@ -13,12 +14,37 @@ from rotaperm.field import FieldCtx, shared_field
 
 GOLDEN = Path(__file__).parent / "golden"
 BENCH_SEARCH = Path(__file__).parent.parent / "perfbench" / "expected" / "search_m3_5_7.json"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_examples():
+    """(argv, stdout) of every README line `rotaperm ...  # <comment>` whose
+    comment is a whole JSON document: the command and its exact stdout."""
+    examples = []
+    for line in README.read_text().splitlines():
+        command, _, comment = line.partition(" #")
+        if not command.startswith("rotaperm "):
+            continue
+        try:
+            json.loads(comment)
+        except ValueError:
+            continue
+        examples.append((shlex.split(command)[1:], comment.strip() + "\n"))
+    return examples
+
+
+def test_readme_examples_print_their_comments(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 2
+    for argv, stdout in examples:
+        main(argv)
+        assert capsys.readouterr().out == stdout, argv
 
 
 def test_verify_true(capsys):
@@ -382,9 +408,9 @@ def _recorded_builds(monkeypatch) -> list:
     original = FieldCtx._table
 
     def recorded(self, key, build):
-        def recorded_build():
-            builds.append((self.m, key))
-            return build()
+        def recorded_build(ctx):
+            builds.append((ctx.m, key))
+            return build(ctx)
         return original(self, key, recorded_build)
 
     monkeypatch.setattr(FieldCtx, "_table", recorded)

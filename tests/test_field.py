@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rotaperm.errors import (
+    EvenDegree,
     FormulaInconsistent,
     NoSolution,
-    OddDegreeRequired,
     ReducibleModulus,
     UnsupportedDegree,
 )
@@ -33,9 +33,12 @@ def test_default_modulus_m3():
     assert FieldCtx(3).modulus == 0xB  # x^3 + x + 1
 
 
-def test_reducible_modulus_rejected():
+def test_reducible_modulus_rejected(patch_modulus):
+    patch_modulus(3, 0xF)  # x^3+x^2+x+1 = (x+1)(x^2+1)
     with pytest.raises(ReducibleModulus):
-        FieldCtx(3, 0xF)  # x^3+x^2+x+1 = (x+1)(x^2+1)
+        FieldCtx(3)
+    with pytest.raises(ReducibleModulus):
+        shared_field(3)
 
 
 def test_unsupported_degree():
@@ -85,9 +88,11 @@ def test_mul_matches_naive_oracle_sampled(m):
         assert ctx.mul(a, b) == naive_mul(m, ctx.modulus, a, b)
 
 
-def test_imprimitive_modulus_searches_for_a_generator():
+def test_imprimitive_modulus_searches_for_a_generator(patch_modulus):
     # x^4+x^3+x^2+x+1 is irreducible, but x has order 5, not 15.
-    ctx = FieldCtx(4, 0x1F)
+    patch_modulus(4, 0x1F)
+    ctx = FieldCtx(4)
+    assert ctx.modulus == 0x1F
     assert ctx.pow(0x2, 5) == 1
     assert ctx.generator != 0x2
     powers = [ctx.pow(ctx.generator, i) for i in range(15)]
@@ -144,16 +149,17 @@ def test_vector_tables_match_scalar_ops(m):
 def test_cached_tuples_are_read_only():
     """_table marks every array of a cached tuple read-only, not the tuple alone."""
     ctx = FieldCtx(3)
-    pair = ctx._table("test_pair", lambda: (np.zeros(3), np.ones(2)))
-    assert ctx._table("test_pair", lambda: None) is pair
+    pair = ctx._table("test_pair", lambda c: (np.zeros(c.m), np.ones(2)))
+    assert ctx._table("test_pair", lambda c: None) is pair
+    assert pair[0].shape == (3,)
     assert not any(a.flags.writeable for a in pair)
     with pytest.raises(ValueError):
         pair[1][0] = 0
 
 
 def test_shared_field_is_one_context_per_degree():
-    """One default-modulus context per degree per process; the constructor
-    still builds a context of its own, equal to the shared one."""
+    """One context per degree per process; the constructor still builds a
+    context of its own, equal to the shared one."""
     assert shared_field(5) is shared_field(5)
     own = FieldCtx(5)
     assert own is not shared_field(5) and own == shared_field(5)
@@ -226,7 +232,7 @@ def test_cube_root_is_cubing_inverse_and_bijective(m):
 
 
 def test_cube_root_needs_odd_m():
-    with pytest.raises(OddDegreeRequired):
+    with pytest.raises(EvenDegree):
         FieldCtx(4).cube_root(0x2)
 
 

@@ -84,8 +84,8 @@ def test_sheared_system_matches_family():
     the resolvent eliminates."""
     from rotaperm.mpoly import parse
     from rotaperm.resolvent import P1, P2, P3
-    from oracles import H_SYSTEM
-    f1, f2, f3 = named_family("T1").F
+    from oracles import H_SYSTEM, symbolic_map
+    f1, f2, f3 = symbolic_map(named_family("T1"))
     assert (f2 + f3, f1 + f3, f1 + f2 + f3) == H_SYSTEM
     assert P1 == H_SYSTEM[0] + parse("a")
     assert P2 == H_SYSTEM[1] + parse("b")

@@ -4,6 +4,9 @@ top-level name and every record field of the package."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -286,7 +289,7 @@ def test_every_record_field_has_a_reader():
 
 
 def test_only_field_builds_a_field():
-    """Every default-modulus context comes from field.shared_field, one per
+    """Every context of the package comes from field.shared_field, one per
     degree per process: a module that calls FieldCtx(...) itself would
     rebuild every table on each call, and no result would show it."""
     found = []
@@ -299,3 +302,73 @@ def test_only_field_builds_a_field():
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert "FieldCtx(" in (SRC / "field.py").read_text()
     assert found == []
+
+
+def _options(tree):
+    """(callee, parameter, position) for every defaulted or keyword-only
+    parameter of a function or method in tree.  position is the index a
+    call passes the parameter at, after self for a method, and None for a
+    keyword-only one; a class's __init__ is called by the class name."""
+    def visit(body, cls):
+        for stmt in body:
+            if isinstance(stmt, ast.ClassDef):
+                yield from visit(stmt.body, stmt.name)
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = stmt.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                shift = 1 if cls and not any(getattr(d, "id", None) == "staticmethod"
+                                             for d in stmt.decorator_list) else 0
+                name = cls if stmt.name == "__init__" else stmt.name
+                for i, arg in enumerate(positional[first:], first):
+                    yield name, arg.arg, i - shift
+                yield from ((name, arg.arg, None) for arg in args.kwonlyargs)
+                yield from visit(stmt.body, None)
+
+    yield from visit(tree.body, None)
+
+
+def _uncalled_options(src, perfbench):
+    """Defaulted or keyword-only parameters under src that no call under src
+    or perfbench passes, by keyword or by position; calls are matched by
+    callee name."""
+    passed = {}
+    for path in (*sorted(src.rglob("*.py")), *sorted(perfbench.rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                seen = passed.setdefault(callee, set())
+                seen.update(k.arg for k in node.keywords)
+                seen.update(range(len(node.args)))
+    unused = []
+    for path in sorted(src.rglob("*.py")):
+        for name, param, pos in _options(ast.parse(path.read_text(), filename=str(path))):
+            if not passed.get(name, set()) & {param, pos}:
+                unused.append(f"{path.relative_to(src)}: {name}({param})")
+    return unused
+
+
+def test_every_option_has_a_caller():
+    """Every defaulted or keyword-only parameter of the package is passed by
+    some call in the package or the benchmark: an option that only tests
+    set is a code path no verb takes."""
+    lift = set(_options(ast.parse((SRC / "lift.py").read_text())))
+    assert ("ExtCtx", "cubic", 1) in lift and ("ExtCtx", "base", 0) not in lift
+    assert ("is_permutation", "witness", None) in set(
+        _options(ast.parse((SRC / "permcheck.py").read_text())))
+    assert _uncalled_options(SRC, PERFBENCH) == []
+
+
+SYMBOLIC_MODULES = ("rotaperm.mpoly", "rotaperm.resolvent", "rotaperm.certify")
+
+
+def test_numeric_modules_load_no_symbolic_module():
+    """A fresh interpreter that imports search and lift, the numeric verbs'
+    modules, has loaded no polynomial arithmetic.  rotaperm.invert is left
+    out: it reads resolvent_coeffs from rotaperm.resolvent."""
+    code = ("import sys, rotaperm.search, rotaperm.lift; "
+            f"print(sorted(set({SYMBOLIC_MODULES!r}) & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert run.stdout.strip() == "[]"

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from rotaperm._kernels import scan_bijection
-from rotaperm.errors import DomainTooLarge, FormulaInconsistent, NotAPermutation, OddDegreeRequired
+from rotaperm.errors import DomainTooLarge, EvenDegree, FormulaInconsistent, NotAPermutation
 from rotaperm.family import NAMED_COEFFS, all_families, eval_F, family_from_coeffs, named_family
-from rotaperm.field import FieldCtx, shared_field
+from rotaperm.field import DEFAULT_MODULI, FieldCtx, shared_field
 from rotaperm.invert import _inverse_table
 from rotaperm.mpoly import substitute, parse
 import rotaperm.permcheck as pc
@@ -704,10 +704,13 @@ def test_group_tables_hold_one_array_per_representative(m):
     assert cached and all(a.dtype != np.int64 for a in cached)
 
 
-def test_column_cache_follows_the_modulus():
+def test_column_cache_follows_the_modulus(patch_modulus):
     """x^5+x^3+1 first, then the default x^5+x^2+1 in the same process:
     columns shared across moduli would give wrong decisions."""
-    for ctx in (FieldCtx(5, 0b101001), FieldCtx(5)):
+    for modulus in (0b101001, DEFAULT_MODULI[5]):
+        patch_modulus(5, modulus)
+        ctx = FieldCtx(5)
+        assert ctx.modulus == modulus
         hits = 0
         for fam in all_families():
             oracle = full_scan(ctx, fam)
@@ -737,7 +740,7 @@ def test_even_m_is_decided_by_the_cube_lemma():
     repeat at (0,0,z), the same the full scan gives."""
     ctx = FieldCtx(2)
     fam = family_from_coeffs((0,) * 8)
-    with pytest.raises(OddDegreeRequired):
+    with pytest.raises(EvenDegree):
         permutation_mask(ctx)
     report = is_permutation(ctx, fam, witness=False)
     assert report == full_scan(ctx, fam)
@@ -910,12 +913,16 @@ def test_perm_report_is_frozen(f8):
     assert report.to_json() == {"family": "00000011", "m": 3, "permutation": True, "points": 512}
 
 
-def test_custom_modulus_is_not_shared_and_decides_the_same():
-    """A context with its own modulus gets tables of its own, and the same
-    mask as the shared default-modulus context: F has 0/1 coefficients."""
-    ctx = FieldCtx(5, 0b111011)
-    assert ctx is not shared_field(5) and ctx != shared_field(5)
-    assert np.array_equal(permutation_mask(ctx), permutation_mask(shared_field(5)))
+def test_custom_modulus_is_not_shared_and_decides_the_same(patch_modulus):
+    """A context of another modulus gets tables of its own, and the same
+    mask as the shared context of the default modulus: F has 0/1
+    coefficients."""
+    default = shared_field(5)
+    patch_modulus(5, 0b111011)
+    ctx = FieldCtx(5)
+    assert ctx.modulus == 0b111011 and ctx is not default and ctx != default
+    assert np.array_equal(permutation_mask(ctx), permutation_mask(default))
+    assert shared_field(5) == ctx and shared_field(5) is not default
 
 
 def test_mask_is_read_only(f32):
@@ -923,7 +930,7 @@ def test_mask_is_read_only(f32):
     assert not mask.flags.writeable
     with pytest.raises(ValueError):
         mask[0] = not mask[0]
-    with pytest.raises(OddDegreeRequired):
+    with pytest.raises(EvenDegree):
         permutation_mask(FieldCtx(4))
 
 

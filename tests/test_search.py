@@ -114,9 +114,9 @@ def test_every_table_is_built_before_the_pool(monkeypatch):
     original_table, original_decide = FieldCtx._table, search.is_permutation
 
     def recorded_table(self, key, build):
-        def recorded_build():
-            builds.append((threading.get_ident(), self.m, key))
-            return build()
+        def recorded_build(ctx):
+            builds.append((threading.get_ident(), ctx.m, key))
+            return build(ctx)
         return original_table(self, key, recorded_build)
 
     def recorded_decide(ctx, fam, **kwargs):
