@@ -19,40 +19,43 @@ BACKEND = "numpy"
 # ---------------------------------------------------------------------------
 
 SCAN_BLOCK = 1 << 16  # entries per step of the index OR and the neighbour compare
-_LOW = np.uint64(0xFFFFFFFF)
 
 
 def scan_bijection(packed: np.ndarray):
     """First collision in scan order via one sort (no Python loop).
 
-    Each image goes above its index in a uint64, so a plain sort puts
-    equal images next to each other in index order, as a stable argsort
-    would, at a fraction of its cost.  Needs images and indices < 2^32.
-    The uint64 array is the only full-size temporary: it is shifted in
-    place, and the indices are ORed in and neighbours compared
-    SCAN_BLOCK entries at a time, so the scan allocates little more than
-    twice the input's bytes.
+    Each image goes above its index in a uint64, shifted by the bit width
+    of the largest index, so a plain sort puts equal images next to each
+    other in index order, as a stable argsort would, at a fraction of its
+    cost.  Needs the image bits and the index bits to fit 64 together:
+    3m + 24 <= 57 for every witness prefix field.admit admits.  The
+    uint64 array is the only full-size temporary: it is shifted in place,
+    and the indices are ORed in and neighbours compared SCAN_BLOCK entries
+    at a time, so the scan allocates little more than one uint64 per
+    entry.
 
     Returns (bijective, collide_index, first_index): the smallest index
     whose image already occurred, and where it first occurred.
     """
     n = packed.shape[0]
+    width = np.uint64(max(n - 1, 0).bit_length())
+    low = (np.uint64(1) << width) - np.uint64(1)
     tagged = packed.astype(np.uint64)
-    tagged <<= np.uint64(32)
+    tagged <<= width
     for s in range(0, n, SCAN_BLOCK):
         tagged[s:s + SCAN_BLOCK] |= np.arange(s, min(s + SCAN_BLOCK, n), dtype=np.uint64)
     tagged.sort()
     best = None  # (collide_index, first_index) of the smallest collide_index so far
     for s in range(0, n - 1, SCAN_BLOCK):
         block = tagged[s:s + SCAN_BLOCK + 1]
-        high = block >> np.uint64(32)
-        # Neighbours share an image exactly when their high halves agree.
+        high = block >> width
+        # Neighbours share an image exactly when their high parts agree.
         dup = np.flatnonzero(high[1:] == high[:-1])
         if dup.size:
-            second = block[dup + 1] & _LOW
+            second = block[dup + 1] & low
             k = int(np.argmin(second))
             if best is None or int(second[k]) < best[0]:
-                best = (int(second[k]), int(block[dup[k]] & _LOW))
+                best = (int(second[k]), int(block[dup[k]] & low))
     if best is None:
         return True, -1, -1
     return False, *best

@@ -58,7 +58,10 @@ class UnknownName(RotapermError):
 
 
 class DomainTooLarge(RotapermError):
-    """Exhaustive scan rejected: domain above the documented cap."""
+    """A build refused before it allocates: a table past field.admit's one
+    budget of 2^24 entries (the permutation mask or an inverse table at
+    m >= 13, a witness prefix past 2^24 points, the lift's log tables at
+    base m >= 9), or a resultant past mpoly's own monomial bound."""
 
 
 class EvenDegree(RotapermError):

@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    DomainTooLarge,
     EvenDegree,
     FormulaInconsistent,
     NoSolution,
@@ -38,6 +39,9 @@ from .errors import (
 Triple = tuple[int, int, int]
 
 MAX_DEGREE = 16
+# Entries of the longest table any build may allocate.  Measured peaks of the
+# builds near this size are at most 56 B per entry, so under 1 GiB.
+MAX_TABLE_ENTRIES = 1 << 24
 
 # Minimal-weight irreducible polynomials, one per degree.  Every entry is
 # re-checked by _is_irreducible() in the constructor.
@@ -59,6 +63,26 @@ DEFAULT_MODULI: dict[int, int] = {
     15: 0b1000000000000011,  # x^15 + x + 1
     16: 0b10001000000001011, # x^16 + x^12 + x^3 + x + 1
 }
+
+
+def check_degree(m: int) -> int:
+    """m, if GF(2^m) has a modulus here; UnsupportedDegree otherwise."""
+    if not 1 <= m <= MAX_DEGREE:
+        raise UnsupportedDegree(f"degree {m} outside 1..{MAX_DEGREE}")
+    return m
+
+
+def admit(entries: int, what: str) -> None:
+    """Refuse, with DomainTooLarge, a table longer than MAX_TABLE_ENTRIES.
+
+    The one memory policy of the package: every table whose length grows
+    with m computes that length from m, in the module that builds it, and
+    admits it here before it allocates.  The budget admits the permutation
+    mask, the inverse table and the witness prefixes up to m = 11, and the
+    lift's 2^3m-entry log tables up to base m = 8.
+    """
+    if entries > MAX_TABLE_ENTRIES:
+        raise DomainTooLarge(f"{what}: {entries} entries > {MAX_TABLE_ENTRIES}, the table budget")
 
 
 def _poly_degree(p: int) -> int:
@@ -158,9 +182,7 @@ class FieldCtx:
     """
 
     def __init__(self, m: int) -> None:
-        if not 1 <= m <= MAX_DEGREE:
-            raise UnsupportedDegree(f"degree {m} outside 1..{MAX_DEGREE}")
-        modulus = DEFAULT_MODULI[m]
+        modulus = DEFAULT_MODULI[check_degree(m)]
         if not _is_irreducible(modulus, m):
             raise ReducibleModulus(
                 f"modulus {modulus:#x} is not an irreducible degree-{m} polynomial"

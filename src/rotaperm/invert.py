@@ -5,7 +5,10 @@ T1 goes through the cubic resolvent in Y = y^3 after the shearing map
 phi(u,v,w) = (v+w, u+w, u+v+w); T2 has no constructive inverse and is
 served from a projective inverse table: 3-homogeneity, F(lam*v) =
 lam^3 * F(v), leaves one entry per projective representative, q^2+q+1
-in all, and a cube root rescales the entry to the target.
+in all, and a cube root rescales the entry to the target.  Those
+entries are admitted by field.admit's one table budget of 2^24 entries,
+so the table serves odd m up to 11 and refuses m = 13; the closed forms
+and the resolvent need no such table.
 
 Every preimage, from a closed form, the resolvent or the table, is
 re-evaluated through the forward map before being returned: a mismatch
@@ -21,18 +24,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    DomainTooLarge,
     FormulaInconsistent,
     MultiplePreimages,
     NoPreimage,
     NotAPermutation,
 )
 from .family import FamilySpec, eval_F, family_from_coeffs, named_family
-from .field import FieldCtx, Triple
+from .field import FieldCtx, Triple, admit
 from .permcheck import projective_images, projective_keys, representative, representative_index
 from .resolvent import resolvent_coeffs
-
-INVERT_TABLE_MAX_M = 9  # q^2+q+1 entries; a cold m=9 table builds in about 50 ms
 
 
 def _checked(ctx: FieldCtx, fam: FamilySpec, target: Triple, preimage: Triple) -> Triple:
@@ -168,13 +168,15 @@ def _inverse_table(ctx: FieldCtx, coeffs: tuple[int, ...]) -> tuple[np.ndarray, 
     lead and the keys are permcheck.projective_keys of F at every
     representative (permcheck.projective_images), and source[j] the i
     whose key is j.  Decided from the same keys the table is built from,
-    so a non-permutation costs no q^3 scan.
+    so a non-permutation costs no q^3 scan.  Its q^2+q+1 entries are
+    admitted (field.admit) before any is built.
     """
     name = "".join(map(str, coeffs))
     if ctx.m % 2 == 0:
         # A cube root of unity lam != 1 exists, and F(lam*v) = F(v).
         raise NotAPermutation(f"family {name} at m={ctx.m}: no 3-homogeneous map permutes "
                               "GF(2^m)^3 for even m")
+    admit(ctx.q * ctx.q + ctx.q + 1, f"the inverse table at m={ctx.m}")
     lead, keys = projective_keys(ctx, projective_images(ctx, family_from_coeffs(coeffs)))
     n = lead.size
     source = np.full(n, n, dtype=np.uint32)
@@ -196,8 +198,6 @@ def invert_table(ctx: FieldCtx, fam: FamilySpec, target: Triple) -> Triple:
     with F(r_i) = lead[i] * r_j; so F(lam * r_i) = lam^3 * lead[i] * r_j
     is the target for lam^3 = s / lead[i].
     """
-    if ctx.m > INVERT_TABLE_MAX_M:
-        raise DomainTooLarge(f"m={ctx.m} > {INVERT_TABLE_MAX_M} for a projective inverse table")
     lead, source = _inverse_table(ctx, fam.coeffs)
     if not any(target):
         return _checked(ctx, fam, target, (0, 0, 0))

@@ -25,23 +25,24 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainTooLarge, FormulaInconsistent, ReducibleModulus
+from .errors import FormulaInconsistent, ReducibleModulus
 from .family import FamilySpec
-from .field import FieldCtx, Triple, find_generator, shared_field
+from .field import FieldCtx, Triple, admit, check_degree, find_generator, shared_field
 from .permcheck import projective_images, projective_representatives
 
-LIFT_MAX_BASE_M = 5  # the 2^3m-entry exp and log tables are the ceiling
 
-
-def check_base_degree(m: int) -> None:
-    """Refuse a base degree above LIFT_MAX_BASE_M with DomainTooLarge."""
-    if m > LIFT_MAX_BASE_M:
-        raise DomainTooLarge(f"log tables capped at base m={LIFT_MAX_BASE_M}")
+def _admit_tables(m: int) -> None:
+    """Admit (field.admit) the 2^3m-entry exp and log tables over base
+    degree m, after field.check_degree, so that a degree outside 1..16 is
+    UnsupportedDegree and never a shift by a negative count.  The budget
+    admits base m <= 8."""
+    admit(1 << (3 * check_degree(m)), f"the log tables of GF(2^{3 * m})")
 
 
 class ExtCtx:
@@ -175,7 +176,6 @@ class ExtCtx:
     # -- discrete-log tables -------------------------------------------------
 
     def _ensure_tables(self) -> None:
-        check_base_degree(self.m)
         if self._exp is None:
             self._exp, self._log, self.generator = _ext_tables(self)
 
@@ -184,14 +184,17 @@ class ExtCtx:
         return int(self._log[u])
 
 
-@functools.lru_cache(maxsize=LIFT_MAX_BASE_M)
+@functools.lru_cache(maxsize=8)
 def shared_ext(m: int) -> ExtCtx:
     """GF(2^3m) over shared_field(m) with the default cubic, built once per
     process, so a repeated lift scans for its cubic once per base degree.
 
-    A direct ExtCtx(base) still scans.  At most LIFT_MAX_BASE_M extensions
-    are kept, one per degree the lift accepts.
+    Its log tables are admitted before any field is built, so a base
+    degree the table budget refuses (m >= 9) builds nothing.  A direct
+    ExtCtx(base) still scans.  At most 8 extensions are kept, one per base
+    degree 1..8 the budget admits.
     """
+    _admit_tables(m)
     return ExtCtx(shared_field(m))
 
 
@@ -200,8 +203,10 @@ def _ext_tables(ext: ExtCtx) -> tuple[np.ndarray, np.ndarray, int]:
     """Read-only exp and log tables of GF(2^3m)* and its generator.
 
     Keyed by (base, cubic), so every equal ExtCtx of a process shares one
-    pair of 2^3m-entry arrays; at most 8 extensions are kept.
+    pair of 2^3m-entry arrays, admitted before they are allocated; at most
+    8 extensions are kept.
     """
+    _admit_tables(ext.m)
     gen = find_generator(ext.group, ext.pow)
     # Doubling: exp[n + i] = exp[i] * gen^n for the block already built.
     exp = np.empty(ext.group, dtype=np.uint32)
@@ -292,10 +297,11 @@ def _json_hexes(obj, key: str, where: str) -> list[int]:
 
 def lifted_from_json(data: dict) -> LiftedPoly:
     """Rebuild a LiftedPoly over the one base field of its degree; a missing
-    or ill-typed field raises ValueError naming it.  A base degree above
-    LIFT_MAX_BASE_M raises DomainTooLarge before any field is built."""
+    or ill-typed field raises ValueError naming it.  A base degree outside
+    1..16 raises UnsupportedDegree, and one whose log tables the table
+    budget refuses (m >= 9) DomainTooLarge, before any field is built."""
     m = _json_field(data, "m", int, "the document")
-    check_base_degree(m)
+    _admit_tables(m)
     base = shared_field(m)
     cubic_ascending = _json_hexes(data, "cubic", "the document")
     if (len(cubic_ascending) != 4 or cubic_ascending[3] != 1
@@ -345,8 +351,8 @@ def lift_permutation(ext: ExtCtx, fam: FamilySpec) -> LiftedPoly:
     The polynomial must then equal F' at the representatives;
     FormulaInconsistent otherwise.  That check is exact: F' and every DO
     term are 3-homogeneous over GF(q) and vanish at 0, and each nonzero t
-    is l*r for exactly one representative r.  Base degree is capped at
-    m = 5.
+    is l*r for exactly one representative r.  The extension's log tables
+    admit base m <= 8.
     """
     rep_log = _representative_logs(ext)
     m = ext.m
@@ -420,7 +426,7 @@ def qm_transform(ext: ExtCtx, q: LiftedPoly, a: int, c: int, d: int) -> LiftedPo
     return LiftedPoly.make(ext, acc)
 
 
-def _candidate_exponents(group: int, p_supp: set[int], q_exps) -> list[int]:
+def _candidate_exponents(group: int, p_supp: set[int], q_exps) -> Iterable[int]:
     """Ascending d coprime to group under which q's anchor can land in supp(p).
 
     The anchor is q's first exponent e0 with 0 < e0 < group; X^e0
@@ -428,11 +434,12 @@ def _candidate_exponents(group: int, p_supp: set[int], q_exps) -> list[int]:
     some e in supp(p).  With g = gcd(e0, group) that needs g | e, and
     the solutions are d0 + t*group/g for t < g.  Exponents 0 and group
     cannot be hit, since a d coprime to group sends e0 to neither.
-    Without an anchor every d in 1..group is returned.
+    Without an anchor every d in 1..group coprime to it is a candidate,
+    given one at a time: about 6.6 million of them at base m = 8.
     """
     anchor = next((e for e in q_exps if 0 < e < group), None)
     if anchor is None:
-        return [d for d in range(1, group + 1) if math.gcd(d, group) == 1]
+        return (d for d in range(1, group + 1) if math.gcd(d, group) == 1)
     g = math.gcd(anchor, group)
     step = group // g
     inv = pow(anchor // g, -1, step)  # step >= 2, since g <= anchor < group
@@ -485,30 +492,27 @@ def qm_equivalent(ext: ExtCtx, p: LiftedPoly, q: LiftedPoly) -> tuple[int, int, 
     return None
 
 
-def _solve_power_constraints(ext: ExtCtx, constraints) -> list[int]:
-    """All nonzero c with c^delta = rho for every (delta, rho) given."""
+def _solve_power_constraints(ext: ExtCtx, constraints) -> Iterable[int]:
+    """Every nonzero c with c^delta = rho for every (delta, rho) given, one
+    at a time in log order: a first relation with delta = 0 and rho = 1
+    leaves all 2^3m - 1 of them candidates, and no list of them is built."""
     group = ext.group
     if not constraints:
-        return [1]
+        yield 1
+        return
     delta, rho = constraints[0]
-    if rho == 0:
-        return []
+    if rho == 0 or (delta == 0 and rho != 1):
+        return
     if delta == 0:
-        if rho != 1:
-            return []
-        candidates = None  # unconstrained by the first relation
+        candidates = map(int, ext._exp)  # unconstrained by the first relation
     else:
         g = math.gcd(delta, group)
         lr = ext.log_of(rho)
         if lr % g:
-            return []
+            return
         step = group // g
         l0 = (lr // g) * pow(delta // g, -1, step) % step
         candidates = [int(ext._exp[(l0 + k * step) % group]) for k in range(g)]
-    if candidates is None:
-        candidates = [int(v) for v in ext._exp]
-    out = []
     for c in candidates:
         if all(ext.pow(c, dl) == rh for dl, rh in constraints[1:]):
-            out.append(c)
-    return out
+            yield c

@@ -52,7 +52,7 @@ this module, and a table inversion needs O(q^2) memory and no q^3 image.
 
 The witness of an odd-m negative, the lexicographically first
 collision, comes from full_scan, which images and scans prefixes of 1,
-2, 4, ... x-slabs until one repeats.  Every measured negative at m <= 9
+2, 4, ... x-slabs until one repeats.  Every measured negative at m <= 11
 repeats within the first three slabs, so a negative images at most 4q^2
 points, not q^3.  Every image of F here, the x-slabs, the
 representatives and the G-minima, comes from one broadcasting
@@ -61,10 +61,14 @@ FieldCtx.vmul.  The rotations only permute the nine monomials
 (_ROTATED), so each monomial a block of vectors uses is evaluated once
 per call.
 
-Cap: is_permutation refuses m > 9.  The witness scan stops at the first
-slab prefix that repeats, and no proof bounds that prefix below the
-whole cube: a negative whose first repeat came late would image all
-2^3m points, 512 MB of images at m = 9.
+Cap: one table budget, field.admit's 2^24 entries, admitted before each
+build allocates.  The permutation mask admits its q^2+q+1 entries, so
+odd m <= 11 is decided and m = 13 refused.  family_images admits each
+prefix, slabs * q^2 entries packed into uint64: a witness scan may image
+64 slabs at m = 9 and 4 at m = 11, where the 227 negatives first repeat
+in slabs 0, 1 and 2 (136, 89 and 2 of them), and a later repeat would be
+refused, not imaged.  Even m needs only the q-entry cube table, so it is
+answered up to m = 16.
 """
 
 from __future__ import annotations
@@ -74,11 +78,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import DomainTooLarge, EvenDegree, FormulaInconsistent
+from .errors import EvenDegree, FormulaInconsistent
 from .family import COEFF_EXPONENTS, FamilySpec
-from .field import FieldCtx, Triple, shared_field
+from .field import FieldCtx, Triple, admit, shared_field
 
-IS_PERMUTATION_MAX_M = 9
 IMAGE_BLOCK = 1 << 16  # points per block in family_images and _decide_rows; bounds temporaries
 
 
@@ -167,22 +170,23 @@ def family_images(ctx: FieldCtx, fam: FamilySpec, slabs: int | None = None) -> n
     F(x,y,0) + F(x,0,z) + F(x,0,0) + F(0,y,z) + F(0,y,0) + F(0,0,z), which
     keeps each monomial once or three times.  _images gives each term once,
     over at most a q x q grid, and they are summed a block of x-slabs at a
-    time, at most IMAGE_BLOCK points (one slab when q^2 is larger).
+    time, at most IMAGE_BLOCK points (one slab when q^2 is larger).  The
+    slabs * q^2 entries are admitted (field.admit) before any is imaged,
+    and packed into uint64, wide enough for the 3m bits of every degree.
     """
     q, m, c = ctx.q, ctx.m, fam.coeffs
     slabs = q if slabs is None else slabs
+    admit(slabs * q * q, f"the images of {slabs} x-slabs at m={m}")
     x, y, z = np.ix_(np.arange(slabs), np.arange(q), np.arange(q))
     xy = _images(ctx, c, x, y, 0) ^ _images(ctx, c, x, 0, 0)
     xz = _images(ctx, c, x, 0, z)
     yz = _images(ctx, c, 0, y, z) ^ _images(ctx, c, 0, y, 0) ^ _images(ctx, c, 0, 0, z)
-    packed = np.empty((slabs, q, q), dtype=np.uint32)
+    packed = np.empty((slabs, q, q), dtype=np.uint64)
     rows = max(1, IMAGE_BLOCK // (q * q))
     for start in range(0, slabs, rows):
         block = slice(start, start + rows)
-        images = xy[:, block] ^ yz
-        images ^= xz[:, block]
-        f1, f2, f3 = images.astype(np.uint32)
-        packed[block] = (f1 << (2 * m)) | (f2 << m) | f3
+        f1, f2, f3 = xy[:, block] ^ yz ^ xz[:, block]
+        packed[block] = (f1.astype(np.uint64) << m | f2) << m | f3
     return packed.reshape(-1)
 
 
@@ -408,9 +412,17 @@ _Y_Z_SWAP = [COEFF_EXPONENTS.index((ex, ez, ey)) for ex, ey, ez in COEFF_EXPONEN
 _Y_Z_PARTNER = _VECTOR_BITS[:, _Y_Z_SWAP] @ (1 << np.arange(7, -1, -1))
 
 
+def admit_mask(m: int) -> None:
+    """Admit (field.admit) the decision tables of the permutation mask at
+    odd m, one entry per representative: q^2+q+1."""
+    admit((1 << 2 * m) + (1 << m) + 1, f"the permutation mask at m={m}")
+
+
 def _build_permutation_mask(ctx: FieldCtx) -> np.ndarray:
-    """The mask of permutation_mask: the subfields' masks ANDed, then the
-    projective decision at m of one vector per y <-> z pair."""
+    """The mask of permutation_mask: admitted, then the subfields' masks
+    ANDed, then the projective decision at m of one vector per y <-> z
+    pair."""
+    admit_mask(ctx.m)
     mask = np.ones(256, dtype=bool)
     # shared_field(k) models GF(2^k) apart from its copy inside ctx, and F
     # has 0/1 coefficients, so it commutes with the isomorphism between them.
@@ -461,8 +473,6 @@ def is_permutation(ctx: FieldCtx, fam: FamilySpec, *, witness: bool = True) -> P
     the full scan's report, with or without `witness`, from the cube
     table: F(0,0,z) = (a2*z^3, a1*z^3, z^3) first repeats where z^3 does.
     """
-    if ctx.m > IS_PERMUTATION_MAX_M:
-        raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the image table")
     if ctx.m % 2 == 0:
         _, at, first = _kernels.scan_bijection(ctx.cube_table)
         return PermReport(fam.bitstring(), ctx.m, False, at + 1, ((0, 0, first), (0, 0, at)))

@@ -19,6 +19,10 @@ process, before the search's one pool thread starts its lookups; a
 repeated search reads them.  Each degree's 256 lookups run as one task
 on that thread, in all_families() order, which is bitstring order, so
 repeated runs are bit-identical and the results need no sort.
+
+Degrees: every requested degree's mask, q^2+q+1 entries, is admitted by
+field.admit's one table budget of 2^24 entries before any degree is
+decided, so odd m up to 11 is searched and m = 13 refused.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
-from .errors import DomainTooLarge, EvenDegree, UnsupportedDegree
+from .errors import EvenDegree
 from .family import NAMED_COEFFS, all_families
-from .field import FieldCtx, shared_field
-from .permcheck import IS_PERMUTATION_MAX_M, is_permutation, permutation_mask
+from .field import FieldCtx, check_degree, shared_field
+from .permcheck import admit_mask, is_permutation, permutation_mask
 
 ALL_ZERO = "00000000"
 
@@ -55,15 +59,6 @@ class SearchReport(NamedTuple):
         return out
 
 
-def _check_degree(m: int) -> None:
-    if m < 1:
-        raise UnsupportedDegree(f"degree {m} below 1")
-    if m % 2 == 0:
-        raise EvenDegree(f"m={m}: no 3-homogeneous permutation exists for even m")
-    if m > IS_PERMUTATION_MAX_M:
-        raise DomainTooLarge(f"search capped at m={IS_PERMUTATION_MAX_M}")
-
-
 def named_bitstrings() -> tuple[str, ...]:
     return tuple("".join(str(b) for b in coeffs) for coeffs in NAMED_COEFFS.values())
 
@@ -80,13 +75,15 @@ def _permutations(ctx: FieldCtx, families) -> tuple[str, ...]:
 def search_all(degrees) -> SearchReport:
     """Classify every coefficient vector over each requested degree.
 
-    Every degree is checked before any work starts: m below 1 raises
-    UnsupportedDegree, even m raises EvenDegree and m above the
-    bijectivity cap raises DomainTooLarge.
+    Every degree is checked before any work starts: m outside 1..16
+    raises UnsupportedDegree, even m raises EvenDegree, and a mask the
+    table budget does not admit (m >= 13) raises DomainTooLarge.
     """
     degrees = tuple(degrees)
     for m in degrees:
-        _check_degree(m)
+        if check_degree(m) % 2 == 0:
+            raise EvenDegree(f"m={m}: no 3-homogeneous permutation exists for even m")
+        admit_mask(m)
     families = all_families()
     results: dict[int, tuple[str, ...]] = {}
     # The lookups run off the main thread only because the benchmark's tracer

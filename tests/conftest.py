@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from rotaperm.field import DEFAULT_MODULI, FieldCtx, shared_field
@@ -50,3 +52,20 @@ def patch_modulus(monkeypatch):
 
     yield patch
     shared_field.cache_clear()
+
+
+@pytest.fixture
+def within_table_budget():
+    """check(build, entries) runs build() under tracemalloc and requires its
+    peak to be at most 64 B per admitted entry plus 1 MiB, so a build
+    admitted at field.MAX_TABLE_ENTRIES = 2^24 stays near 1 GiB."""
+    def check(build, entries):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * entries + (1 << 20), (peak, entries)
+
+    return check

@@ -25,7 +25,6 @@ from rotaperm.field import FieldCtx
 from rotaperm.lift import LiftedPoly
 from rotaperm.mpoly import VARS, MPoly, parse, substitute
 from rotaperm.permcheck import (
-    IS_PERMUTATION_MAX_M,
     _unpack,
     family_images,
     representative,
@@ -102,6 +101,8 @@ D_POLY = (
     + _T1 ** 3
 )
 
+GRID_MAX_M = 9  # the q x q grids of count_zeros_D: 2^18 points at most
+
 _T_IDX = VARS.index("t")
 _Y_IDX = VARS.index("Y")
 _Z_IDX = VARS.index("Z")
@@ -113,8 +114,8 @@ def count_zeros_D(ctx: FieldCtx, t: int) -> int:
     D is taken from its symbolic form and never has a mixed Y*Z term,
     so the grid evaluation splits into a Y-profile and a Z-profile.
     """
-    if ctx.m > IS_PERMUTATION_MAX_M:
-        raise DomainTooLarge(f"m={ctx.m} > {IS_PERMUTATION_MAX_M} for the q x q grid")
+    if ctx.m > GRID_MAX_M:
+        raise DomainTooLarge(f"m={ctx.m} > {GRID_MAX_M} for the q x q grid")
     q = ctx.q
     vec = np.arange(q)
     u = np.zeros(q, dtype=np.uint16)

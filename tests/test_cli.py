@@ -140,9 +140,31 @@ def test_invert_t2_at_m9_through_the_projective_table(capsys):
     assert eval_F(FieldCtx(9), named_family("T2"), preimage) == (1, 2, 3)
 
 
+def test_invert_table_at_m11(capsys):
+    """m = 11 is served from a table of q^2+q+1 = 4 196 353 entries, which
+    the budget admits, and the preimage maps back."""
+    code, out, _ = run(capsys, "invert", "--family", "T2", "--m", "11", "--target", "0x1,0x2,0x3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "table"
+    preimage = tuple(int(h, 16) for h in payload["preimage"])
+    assert eval_F(shared_field(11), named_family("T2"), preimage) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("bits", ["00101110", "01001101"])
+def test_verify_u1_and_u2_at_m11(capsys, bits):
+    """U1 and U2 permute at m = 11, the largest degree the mask's budget
+    admits."""
+    code, out, _ = run(capsys, "verify", "--coeffs", bits, "--m", "11")
+    assert (code, out) == (0, json.dumps({"family": bits, "m": 11, "permutation": True,
+                                          "points": 1 << 33}) + "\n")
+
+
 def test_invert_table_above_the_cap_is_usage_error(capsys):
-    code, out, err = run(capsys, "invert", "--family", "T2", "--m", "11", "--target", "0x1,0x0,0x0")
-    assert code == 2 and out == "" and "m=11 > 9" in err
+    """m = 13 is the first degree whose q^2+q+1 table the budget refuses."""
+    code, out, err = run(capsys, "invert", "--family", "T2", "--m", "13", "--target", "0x1,0x0,0x0")
+    assert code == 2 and out == ""
+    assert "the inverse table at m=13: 67117057 entries > 16777216" in err
 
 
 def test_invert_target_out_of_range(capsys):
@@ -221,34 +243,73 @@ def test_qm_malformed_document_is_usage_error(capsys, tmp_path, document, field)
     assert field in err
 
 
-def test_qm_above_the_base_cap_is_refused_on_reading(capsys, tmp_path):
-    """Two m=16 documents over the rootless cubic u^3+u+1: a domain error,
-    exit 2 and no stdout, before any base field is scanned for roots."""
+def _qm_documents(tmp_path, m):
+    """Paths of two base-m documents over the cubic u^3+u+1."""
     paths = []
     for name, e in (("p", 1), ("q", 2)):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"m": 16, "cubic": ["0x1", "0x1", "0x0", "0x1"],
+        path.write_text(json.dumps({"m": m, "cubic": ["0x1", "0x1", "0x0", "0x1"],
                                     "terms": [{"e": e, "c": ["0x1", "0x0", "0x0"]}]}))
         paths.append(str(path))
-    code, out, err = run(capsys, "qm", "--p", paths[0], "--q", paths[1])
+    return paths
+
+
+def test_qm_above_the_base_cap_is_refused_on_reading(capsys, monkeypatch, tmp_path):
+    """Two base m = 9 documents, the first degree whose 2^27-entry log
+    tables the budget refuses: a domain error, exit 2 and no stdout,
+    before any base field is built or scanned for roots."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a field was built for a refused document")
+
+    monkeypatch.setattr(lift, "shared_field", no_build)
+    monkeypatch.setattr(lift.ExtCtx, "_has_root", staticmethod(no_build))
+    p, q = _qm_documents(tmp_path, 9)
+    code, out, err = run(capsys, "qm", "--p", p, "--q", q)
     assert (code, out) == (2, "")
-    assert "capped at base m=5" in err
+    assert "the log tables of GF(2^27): 134217728 entries > 16777216" in err
 
 
-@pytest.mark.parametrize("m", [6, 7, 9, 11, 13])
+@pytest.mark.parametrize("m", [0, -1, 17])
+def test_qm_degree_outside_the_fields_is_unsupported(capsys, monkeypatch, tmp_path, m):
+    """A base degree with no field is UnsupportedDegree, checked before the
+    table count 2^3m is formed: not a negative shift's ValueError at
+    m = -1, nor the budget's refusal at m = 17."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a field was built for a refused document")
+
+    monkeypatch.setattr(lift, "shared_field", no_build)
+    p, q = _qm_documents(tmp_path, m)
+    code, out, err = run(capsys, "qm", "--p", p, "--q", q)
+    assert (code, out) == (2, "")
+    assert err == f"error: degree {m} outside 1..16\n"
+
+
+_LIFT_REFUSALS = {
+    6: "m must be odd",
+    9: "the log tables of GF(2^27): 134217728 entries > 16777216",
+    11: "the log tables of GF(2^33)",
+    13: "the log tables of GF(2^39)",
+    -1: "degree -1 outside 1..16",
+    17: "degree 17 outside 1..16",
+}
+
+
+@pytest.mark.parametrize("m", list(_LIFT_REFUSALS))
 def test_lift_is_refused_before_any_field_is_built(capsys, monkeypatch, m):
-    """Even m, and a base m above LIFT_MAX_BASE_M: exit 2 and no stdout,
-    with no field, permutation mask or extension built first."""
+    """Even m, a base m whose log tables the budget refuses (9 is the
+    first), and a degree with no field (checked before the count 2^3m is
+    formed, so m = -1 is no negative shift): exit 2 and no stdout, with no
+    field, permutation mask or extension built first."""
     def no_build(*args, **kwargs):
         raise AssertionError(f"built for lift --m {m}")
 
     monkeypatch.setattr(cli, "shared_field", no_build)
-    monkeypatch.setattr(cli, "shared_ext", no_build)
+    monkeypatch.setattr(lift, "shared_field", no_build)
     monkeypatch.setattr(lift, "ExtCtx", no_build)
     monkeypatch.setattr(permcheck, "permutation_mask", no_build)
     code, out, err = run(capsys, "lift", "--family", "T1", "--m", str(m))
     assert (code, out) == (2, "")
-    assert ("m must be odd" if m % 2 == 0 else "capped at base m=5") in err
+    assert _LIFT_REFUSALS[m] in err
 
 
 def test_lift_of_non_cubic_values_is_internal_error(capsys, monkeypatch):

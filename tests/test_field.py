@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from rotaperm.errors import (
+    DomainTooLarge,
     EvenDegree,
     FormulaInconsistent,
     NoSolution,
     ReducibleModulus,
     UnsupportedDegree,
 )
-from rotaperm.field import DEFAULT_MODULI, FieldCtx, shared_field
+from rotaperm.field import DEFAULT_MODULI, MAX_TABLE_ENTRIES, FieldCtx, admit, shared_field
 
 
 def naive_mul(m: int, modulus: int, a: int, b: int) -> int:
@@ -44,6 +45,15 @@ def test_reducible_modulus_rejected(patch_modulus):
 def test_unsupported_degree():
     with pytest.raises(UnsupportedDegree):
         FieldCtx(17)
+
+
+def test_admit_is_one_budget_of_2_24_entries():
+    """The smallest power of two that admits every witness prefix at m = 11
+    (4 x-slabs of 2^22 points); one entry more is refused, with the count."""
+    assert MAX_TABLE_ENTRIES == 1 << 24
+    admit(MAX_TABLE_ENTRIES, "a table")
+    with pytest.raises(DomainTooLarge, match="a table: 16777217 entries > 16777216"):
+        admit(MAX_TABLE_ENTRIES + 1, "a table")
 
 
 def test_m5_default_and_inv3():

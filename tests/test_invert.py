@@ -124,9 +124,19 @@ def test_invert_table_rejects_non_permutations(f8):
         invert_table(f8, family_from_coeffs("00000001"), (0, 0, 0))
 
 
+@pytest.mark.parametrize("m", [7, 9])
+def test_inverse_table_peak_is_within_the_table_budget(m, within_table_budget):
+    """A cold inverse table, with the product table under it, peaks at most
+    64 B per admitted entry (q^2+q+1) plus 1 MiB; the cache is bypassed."""
+    ctx = FieldCtx(m)
+    build = inv._inverse_table.__wrapped__
+    within_table_budget(lambda: build(ctx, named_family("T2").coeffs), ctx.q * ctx.q + ctx.q + 1)
+
+
 def test_invert_table_domain_cap():
+    """m = 13 is the first degree whose table the budget refuses."""
     with pytest.raises(DomainTooLarge):
-        invert_table(FieldCtx(11), named_family("T2"), (0, 0, 0))
+        invert_table(FieldCtx(13), named_family("T2"), (0, 0, 0))
 
 
 def _full_inverse_table(ctx, fam):

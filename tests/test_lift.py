@@ -11,7 +11,6 @@ from rotaperm.errors import DomainTooLarge, FormulaInconsistent, ReducibleModulu
 from rotaperm.family import eval_F, family_from_coeffs, named_family
 from rotaperm.field import FieldCtx, _factorize
 from rotaperm.lift import (
-    LIFT_MAX_BASE_M,
     ExtCtx,
     LiftedPoly,
     is_pp,
@@ -311,9 +310,31 @@ def test_family_lift_of_wrong_degree_is_inconsistent(e8, monkeypatch):
             lift_permutation(e8, named_family("T3"))
 
 
+@pytest.mark.parametrize("m", [5, 7])
+def test_ext_tables_peak_is_within_the_table_budget(m, within_table_budget):
+    """The exp and log tables of GF(2^3m), built cold (the cache bypassed),
+    peak at most 64 B per admitted entry (2^3m) plus 1 MiB."""
+    ext = ExtCtx(FieldCtx(m))
+    within_table_budget(lambda: lift._ext_tables.__wrapped__(ext), 1 << (3 * m))
+
+
+def test_lift_at_base_m7():
+    """Base m = 7, the largest odd base whose log tables the budget admits:
+    the lift of T1 permutes GF(2^21), agrees with F at sampled points, and
+    is QM-equivalent to itself."""
+    ext, fam = shared_ext(7), named_family("T1")
+    poly = lift_permutation(ext, fam)
+    assert is_pp(ext, poly)
+    rng = random.Random(7)
+    for t in (rng.randrange(ext.size) for _ in range(50)):
+        assert poly.evaluate(t) == ext.pack(eval_F(ext.base, fam, ext.unpack(t)))
+    assert qm_equivalent(ext, poly, lifted_from_json(poly.to_json())) == (1, 1, 1)
+
+
 def test_lift_domain_cap():
+    """Base m = 9 is the first whose 2^27-entry log tables the budget refuses."""
     with pytest.raises(DomainTooLarge):
-        lift_permutation(ExtCtx(FieldCtx(7)), named_family("T3"))
+        lift_permutation(ExtCtx(FieldCtx(9)), named_family("T3"))
 
 
 def test_support_examples(e8):
@@ -337,14 +358,14 @@ def test_json_round_trip(e8):
 
 
 def test_json_base_degree_refused_before_the_extension(monkeypatch):
-    """A base degree above LIFT_MAX_BASE_M is refused on reading "m": the
-    root scan of ExtCtx never runs."""
+    """A base degree whose log tables the budget refuses (m = 9, 2^27
+    entries) is refused on reading "m": the root scan of ExtCtx never runs."""
     def no_scan(base, cubic):
         raise AssertionError("the base field must not be scanned")
     monkeypatch.setattr(ExtCtx, "_has_root", staticmethod(no_scan))
-    data = {"m": LIFT_MAX_BASE_M + 1, "cubic": ["0x1", "0x1", "0x0", "0x1"],
+    data = {"m": 9, "cubic": ["0x1", "0x1", "0x0", "0x1"],
             "terms": [{"e": 1, "c": ["0x1", "0x0", "0x0"]}]}
-    with pytest.raises(DomainTooLarge, match="capped at base m"):
+    with pytest.raises(DomainTooLarge, match="134217728 entries"):
         lifted_from_json(data)
 
 
@@ -601,11 +622,23 @@ def test_qm_matches_oracle_when_anchor_shares_a_factor(e8):
 def test_qm_without_anchor_runs_every_d(e8):
     """Exponents 0 and 2^3m - 1 are fixed by every d, so nothing restricts d."""
     q = LiftedPoly.make(e8, {0: 1, e8.group: 5})
-    assert lift._candidate_exponents(e8.group, {0, e8.group}, [0, e8.group]) == [
+    assert list(lift._candidate_exponents(e8.group, {0, e8.group}, [0, e8.group])) == [
         d for d in range(1, e8.group + 1) if math.gcd(d, e8.group) == 1]
     for p in (q, LiftedPoly.make(e8, {0: 3, e8.group: 5}), LiftedPoly.make(e8, {0: 1, e8.group: 9})):
         _assert_qm_matches_oracle(e8, p, q)
     assert qm_equivalent(e8, q, q) == (1, 1, 1)
+
+
+def test_qm_without_anchor_lists_no_group(within_table_budget):
+    """At base m = 7 every unit d and every c of GF(2^21)* is a candidate
+    for X^0 + X^(2^21 - 1) against itself; they are tried one at a time,
+    so the first witness costs no list over the group: the call peaks
+    within the 1 MiB the budget gives any build above its entries."""
+    ext = shared_ext(7)
+    ext._ensure_tables()
+    p = LiftedPoly.make(ext, {0: 1, ext.group: 1})
+    within_table_budget(lambda: qm_equivalent(ext, p, p), 0)
+    assert qm_equivalent(ext, p, p) == (1, 1, 1)
 
 
 def test_qm_zero_polynomials(e8):

@@ -5,6 +5,7 @@ top-level name and every record field of the package."""
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -53,9 +54,9 @@ def test_only_images_evaluates_a_monomial():
 
 def test_package_images_only_slab_prefixes():
     """Every call of family_images in the package passes its slabs
-    argument, so the image of the whole q^3 cube (512 MB at m=9, and a
-    1 GB scan of it) is built only by the tests and the benchmark, and
-    cannot come back into a verb unseen."""
+    argument, so the image of the whole q^3 cube (16 MB at m=7; 1 GiB at
+    m=9, which the table budget refuses) is built only by the tests and
+    the benchmark, and cannot come back into a verb unseen."""
     found, calls = [], 0
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -66,6 +67,39 @@ def test_package_images_only_slab_prefixes():
                     found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert calls
     assert found == []
+
+
+def _raisers(tree, error):
+    """The name of the function around each `raise error(...)` in tree."""
+    for f in ast.walk(tree):
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for n in ast.walk(f):
+                if (isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                        and getattr(n.exc.func, "id", None) == error):
+                    yield f.name
+
+
+def test_only_admit_refuses_a_table():
+    """The one memory policy: field.admit alone raises DomainTooLarge, so a
+    table build cannot get a budget of its own beside it unseen.  mpoly
+    keeps its own bound, on the monomials of a resultant's minors."""
+    found = sorted({f"{path.relative_to(SRC)}:{fn}" for path in sorted(SRC.rglob("*.py"))
+                    if path.name != "mpoly.py"
+                    for fn in _raisers(ast.parse(path.read_text()), "DomainTooLarge")})
+    assert list(_raisers(ast.parse((SRC / "mpoly.py").read_text()), "DomainTooLarge"))
+    assert found == ["field.py:admit"]
+
+
+def test_no_degree_cap_but_the_certificates_domain():
+    """Table sizes are bounded by field.admit's entry budget, not by degree
+    constants standing in for it.  The one constant of that shape left is
+    certify.NUMERIC_MAX_M, the fixed domain of a certificate."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        names = set(_identifiers(ast.parse(path.read_text(), filename=str(path))))
+        found += [f"{path.relative_to(SRC)}: {n}" for n in sorted(names)
+                  if re.search(r"MAX_(\w+_)?M$", n)]
+    assert found == ["certify.py: NUMERIC_MAX_M"]
 
 
 def test_only_invert_evaluates_all_four_resolvent_blocks():

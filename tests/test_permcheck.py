@@ -1,6 +1,7 @@
 """Bijectivity decisions, the difference criterion, and the D(Y,Z) zero count."""
 
 import json
+import random
 import warnings
 
 import numpy as np
@@ -174,8 +175,12 @@ def test_report_serialization(f8):
 
 
 def test_is_permutation_domain_cap():
+    """m = 13 is the first degree whose mask the budget refuses, before
+    any table is cached on the context."""
+    ctx = FieldCtx(13)
     with pytest.raises(DomainTooLarge):
-        is_permutation(FieldCtx(11), named_family("T3"))
+        is_permutation(ctx, named_family("T3"))
+    assert ctx._np_cache == {}
 
 
 def test_difference_check_domain_cap(f32):
@@ -755,6 +760,73 @@ def test_even_m_matches_full_scan_on_all_vectors(m):
         assert not oracle.is_permutation
         assert is_permutation(ctx, fam) == oracle, fam.bitstring()
         assert is_permutation(ctx, fam, witness=False) == oracle, fam.bitstring()
+
+
+@pytest.mark.parametrize("m", [10, 12, 14, 16])
+def test_even_m_past_m9_is_the_cube_report(m):
+    """Even m builds no table beyond the q-entry cube table, so every even
+    degree up to 16 is answered: the first repeat of z^3, as a pointwise
+    loop finds it, with a witness pair of one image."""
+    ctx = FieldCtx(m)
+    first_of = {}
+    at = next(z for z in range(ctx.q) if first_of.setdefault(ctx.pow(z, 3), z) != z)
+    fam = named_family("T1")
+    witness = ((0, 0, first_of[ctx.pow(at, 3)]), (0, 0, at))
+    assert is_permutation(ctx, fam) == pc.PermReport(fam.bitstring(), m, False, at + 1, witness)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert eval_F(ctx, fam, witness[0]) == eval_F(ctx, fam, witness[1])
+
+
+def test_witnesses_at_m11_are_true_collisions():
+    """At m = 11 an image takes 33 bits: packed into 32, the top bit of f1
+    is lost and 67 of the 227 negatives get a false witness.  The two whose
+    first repeat lies in x-slab 2 (so the scan images 4 slabs, 2^24
+    points, all the table budget admits), and a seeded sample of the
+    others: each witness is two points, in scan order, with one image."""
+    ctx = shared_field(11)
+    mask = permutation_mask(ctx)
+    negatives = sorted(fam.bitstring() for fam in all_families() if not mask[fam.row])
+    assert len(negatives) == 227
+    late = ["00001100", "00110000"]
+    others = [b for b in negatives if b not in late]
+    for bits in late + random.Random(11).sample(others, 6):
+        fam = family_from_coeffs(bits)
+        report = is_permutation(ctx, fam)
+        first, second = report.witness
+        assert not report.is_permutation and first < second, bits
+        assert report.points_checked == ((second[0] << 22) | (second[1] << 11) | second[2]) + 1
+        assert eval_F(ctx, fam, first) == eval_F(ctx, fam, second), bits
+        assert (second[0] == 2) == (bits in late), bits
+
+
+def test_every_witness_prefix_is_admitted(monkeypatch):
+    """family_images admits slabs * q^2 entries before it images a point:
+    8 slabs at m = 11 and one at m = 13 exceed the 2^24-entry budget."""
+    def no_images(*args):
+        raise AssertionError("imaged before the prefix was admitted")
+
+    monkeypatch.setattr(pc, "_images", no_images)
+    for m, slabs in ((11, 8), (13, 1)):
+        with pytest.raises(DomainTooLarge, match=f"the images of {slabs} x-slabs at m={m}"):
+            family_images(FieldCtx(m), named_family("T1"), slabs)
+
+
+@pytest.mark.parametrize("m", [7, 9])
+def test_mask_build_peak_is_within_the_table_budget(m, within_table_budget):
+    """A cold permutation mask, product table and group tables included,
+    peaks at most 64 B per admitted entry (q^2+q+1) plus 1 MiB."""
+    ctx = FieldCtx(m)
+    within_table_budget(lambda: permutation_mask(ctx), ctx.q * ctx.q + ctx.q + 1)
+
+
+@pytest.mark.parametrize("m", [7, 9])
+def test_witness_prefix_peak_is_within_the_table_budget(m, within_table_budget):
+    """The longest witness prefix, 4 x-slabs, imaged and scanned on a cold
+    context, peaks at most 64 B per admitted entry (4q^2) plus 1 MiB."""
+    ctx = FieldCtx(m)
+    fam = family_from_coeffs("00001100")
+    within_table_budget(lambda: scan_bijection(family_images(ctx, fam, 4)), 4 * ctx.q * ctx.q)
 
 
 def test_even_m_images_no_point(monkeypatch):

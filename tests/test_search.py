@@ -49,13 +49,23 @@ def test_domain_caps(monkeypatch):
     monkeypatch.setattr(search, "is_permutation", no_work)
     monkeypatch.setattr(search, "permutation_mask", no_work)
     with pytest.raises(DomainTooLarge):
-        search_all([11])
+        search_all([13])
     with pytest.raises(DomainTooLarge):
-        search_all([3, 11])
+        search_all([3, 13])
     with pytest.raises(EvenDegree):
         search_all([3, 4])
     with pytest.raises(UnsupportedDegree):
         search_all([3, -1])
+    with pytest.raises(UnsupportedDegree):
+        search_all([3, 17])
+
+
+def test_m11_permutations_are_the_m5_ones():
+    """P(11) = P(5), 29 vectors, at the largest degree whose mask, q^2+q+1 =
+    4 196 353 entries, the budget admits."""
+    report = search_all([5, 11])
+    assert report.results[11] == report.results[5]
+    assert len(report.results[11]) == 29
 
 
 def test_m9_permutations_are_the_m3_5_7_intersection():
