@@ -5,10 +5,12 @@ solvers), mpoly (sparse polynomials over GF(2) with resultants from
 the multiplication matrix of a monic operand or the Sylvester matrix),
 family (the eight-bit coefficient families and the five named ones),
 permcheck (the projective bijectivity decision, and the first
-collision of a negative), invert (closed-form /
-resolvent / table inverters), lift (GF(2^3m) permutation polynomials
-and QM-equivalence), certify (symbolic and numeric identity
-certificates), search (classification of all 256 vectors), cli.
+collision of a negative), resolvent (T1's cubic resolvent, evaluated
+numerically), invert (closed-form / resolvent / table inverters, chosen
+by coefficient vector), lift (GF(2^3m) permutation polynomials and
+QM-equivalence), certify (the recorded polynomials, and symbolic and
+numeric identity certificates), search (classification of all 256
+vectors), cli.
 """
 
 from .field import FieldCtx

@@ -8,18 +8,25 @@ Defining formulas outrank recorded expansions: the two long reference
 expansions of K1 and K2 are diffed informationally and never gate the
 exit code.
 
-The symbolic certificates take no arguments: each reads its recorded
-inputs (P1, P2, P3, Q1, Q2, the factor lists and beta) from
-rotaperm.resolvent when it is called.  The numeric ones take only a
-FieldCtx.  Each product of the blocks is formed once per process:
-AD+BC and AC+B^2, which the factorization certificate reads, and
-K1 = (AC+B^2)^3 and K2 = A(AD+BC) built from them, which the beta
-identity and the printed-expansion diffs read (the blocks are module
-constants and an MPoly is immutable).  The zero-set claim for A
-evaluates A alone (resolvent.resolvent_A, not the four blocks) on the
-projective classes: A is homogeneous of degree 6, so it is zero on whole
-lines through 0, and one representative per line stands for its q-1
-points.
+The recorded polynomials live here, their only reader in the package:
+the three-equation system x^3+y^3 = a, y^3+z^3 = b, xy^2+yz^2+x^2z = c
+behind the T1 inverter (P1, P2, P3), the expected expansions of its two
+resultants, the A/B/C/D coefficient blocks of the cubic resolvent in
+Y = y^3 with their product factorizations, the discriminant-trace
+witness beta, and the difference-system polynomials (Q1, Q2 and their
+resultant) of the character-sum verification.  Each is a fixed constant
+of the ring F2[x,y,z,a,b,c,t,Y,Z], parsed at import.
+
+The symbolic certificates take no arguments: each reads those module
+constants when it is called.  The numeric ones take only a FieldCtx.
+Each product of the blocks is formed once per process: AD+BC and
+AC+B^2, which the factorization certificate reads, and K1 = (AC+B^2)^3
+and K2 = A(AD+BC) built from them, which the beta identity and the
+printed-expansion diffs read (an MPoly is immutable).  The zero-set
+claim for A evaluates A alone (resolvent.resolvent_A, not the four
+blocks) on the projective classes: A is homogeneous of degree 6, so it
+is zero on whole lines through 0, and one representative per line
+stands for its q-1 points.
 """
 
 from __future__ import annotations
@@ -29,11 +36,133 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import resolvent as rs
 from .field import FieldCtx, shared_field
-from .mpoly import MPoly, resultant, to_text, zero
+from .mpoly import MPoly, parse, resultant, to_text, zero
 from .permcheck import projective_representatives
 from .resolvent import resolvent_A
+
+# -- the inversion system (after the shearing map phi) ----------------------
+
+P1 = parse("x^3 + y^3 + a")
+P2 = parse("y^3 + z^3 + b")
+P3 = parse("x*y^2 + y*z^2 + x^2*z + c")
+
+# Expected first elimination: Res_x(P1, P3).
+G_EXPANDED = parse(
+    "y^9 + y^6*a + y^5*z*c + y^3*z^6 + y^3*z^3*a + y^2*z^4*c"
+    " + y^2*z*a*c + y*z^2*c^2 + z^3*a^2 + c^3"
+)
+
+# Expected second elimination Res_z(g, P2), block by block: the cubic
+# resolvent coefficients in Y = y^3.
+A_BLOCK = parse("a^6 + a^5*b + a^3*b^3 + a^2*b*c^3 + a*b^5 + a*b^2*c^3 + b^6 + c^6")
+B_BLOCK = parse(
+    "a^6*b + a^4*b^3 + a^4*c^3 + a^3*b*c^3 + a^2*b^5 + a^2*b^2*c^3"
+    " + a*b^3*c^3 + a*c^6 + b^4*c^3 + b*c^6"
+)
+C_BLOCK = parse("a^6*b^2 + a^5*b^3 + a^4*b^4 + a^3*b^2*c^3 + a^2*b^3*c^3 + a^2*c^6 + b^2*c^6")
+D_BLOCK = parse("a^6*b^3 + a^4*b^2*c^3 + a^2*b*c^6 + c^9")
+
+_Y9 = parse("y^9")
+_Y6 = parse("y^6")
+_Y3 = parse("y^3")
+H_EXPANDED = A_BLOCK * _Y9 + B_BLOCK * _Y6 + C_BLOCK * _Y3 + D_BLOCK
+
+# Product shapes of the three coefficient combinations that drive the
+# case analysis of the inverter.
+A_FACTORS = (
+    parse("a^2 + a*b + b^2 + b*c + c^2"),
+    parse("a^2 + a*b + a*c + b^2 + c^2"),
+    parse("a^2 + a*b + a*c + b^2 + b*c + c^2"),
+)
+AD_BC_FACTORS = (
+    parse("c^3"),
+    parse("a*b^2 + c^3"),
+    parse("a^2*b + b^3 + c^3"),
+    parse("a^2*b + a*b^2 + c^3"),
+    parse("a^3 + a^2*b + c^3"),
+)
+AC_B2_FACTORS = (
+    parse("a"),
+    parse("b"),
+    parse("c^3"),
+    parse("a + b"),
+    parse("a^2 + a*b + b^2"),
+    parse("a^2*b + a*b^2 + c^3"),
+    parse("a^3 + a*b^2 + b^3 + c^3"),
+)
+
+
+def product(factors) -> MPoly:
+    acc = None
+    for f in factors:
+        acc = f if acc is None else acc * f
+    return acc
+
+
+# Root of beta^2 + A(AD+BC)*beta = (AC+B^2)^3, as recorded in product form.
+BETA = product(
+    (
+        parse("a^3"),
+        parse("b^3"),
+        parse("c^3"),
+        parse("a + b") ** 3,
+        parse("a^2 + a*b + b^2") ** 3,
+        parse("a^2*b + a*b^2 + c^3"),
+    )
+)
+
+# Recorded expansions of K1 = (AC+B^2)^3 and K2 = A(AD+BC).  These are
+# informational reference copies; the certifier always recomputes both
+# sides from A, B, C, D and only diffs against these.
+K1_EXPANDED = parse(
+    "a^27*b^6*c^9 + a^26*b^7*c^9 + a^25*b^5*c^12 + a^24*b^6*c^12 + a^23*b^7*c^12"
+    " + a^23*b^4*c^15 + a^22*b^11*c^9"
+    " + a^22*b^8*c^12 + a^21*b^3*c^18 + a^20*b^10*c^12 + a^20*b^7*c^15 + a^20*b^4*c^18"
+    " + a^19*b^14*c^9 + a^19*b^11*c^12"
+    " + a^19*b^5*c^18 + a^18*b^15*c^9 + a^18*b^12*c^12 + a^18*b^9*c^15 + a^18*b^6*c^18"
+    " + a^18*b^3*c^21 + a^17*b^16*c^9"
+    " + a^17*b^10*c^15 + a^17*b^7*c^18 + a^17*b^4*c^21 + a^16*b^17*c^9 + a^16*b^11*c^15"
+    " + a^15*b^18*c^9 + a^15*b^15*c^12"
+    " + a^15*b^3*c^24 + a^14*b^16*c^12 + a^14*b^7*c^21 + a^14*b^4*c^24 + a^13*b^20*c^9"
+    " + a^13*b^17*c^12 + a^13*b^8*c^21"
+    " + a^12*b^12*c^18 + a^12*b^9*c^21 + a^12*b^3*c^27 + a^11*b^22*c^9 + a^11*b^16*c^15"
+    " + a^11*b^10*c^21 + a^11*b^7*c^24"
+    " + a^10*b^20*c^12 + a^10*b^11*c^21 + a^9*b^21*c^12 + a^9*b^12*c^21 + a^9*b^6*c^27"
+    " + a^8*b^25*c^9 + a^8*b^19*c^15"
+    " + a^8*b^16*c^18 + a^8*b^13*c^21 + a^8*b^10*c^24 + a^7*b^23*c^12 + a^7*b^17*c^18"
+    " + a^7*b^14*c^21 + a^6*b^27*c^9"
+    " + a^6*b^21*c^15 + a^6*b^9*c^27 + a^5*b^25*c^12 + a^5*b^22*c^15 + a^5*b^19*c^18"
+    " + a^5*b^13*c^24 + a^4*b^23*c^15"
+    " + a^4*b^17*c^21 + a^3*b^21*c^18 + a^3*b^18*c^21 + a^3*b^15*c^24 + a^3*b^12*c^27"
+)
+K2_EXPANDED = parse(
+    "a^14*b^4*c^3 + a^13*b^5*c^3 + a^13*b^2*c^6 + a^12*b^3*c^6 + a^11*b^7*c^3"
+    " + a^10*b^8*c^3 + a^10*b^5*c^6 + a^10*b^2*c^9"
+    " + a^9*b^6*c^6 + a^9*c^12 + a^8*b^10*c^3 + a^8*b^7*c^6 + a^8*b^4*c^9 + a^7*b^11*c^3"
+    " + a^7*b^8*c^6 + a^6*b^6*c^9"
+    " + a^6*b^3*c^12 + a^6*c^15 + a^5*b^13*c^3 + a^5*b^10*c^6 + a^5*b^4*c^12 + a^4*b^14*c^3"
+    " + a^4*b^5*c^12 + a^4*b^2*c^15"
+    " + a^3*b^6*c^12 + a^3*c^18 + a^2*b^13*c^6 + a^2*b^10*c^9 + a*b^8*c^12 + a*b^2*c^18"
+    " + b^9*c^12 + b^6*c^15 + b^3*c^18"
+    " + c^21"
+)
+
+# -- difference system of the second resultant-proved family ----------------
+
+Q1 = parse("a*x^2 + b*x^2 + b^2*x + a^2*y + b*z^2 + a^2*z + b^2*z + a^3 + b^3")
+Q2 = parse("a*x^2 + b*x^2 + a^2*x + a*y^2 + a^2*y + b^2*y + b^2*z + a^3 + a^2*b + a*b^2")
+
+_S = parse("a^2 + a*b + b^2")
+EQ16_EXPANDED = parse("a + b") ** 2 * (
+    parse("a^2") * parse("y^4")
+    + parse("b^2") * _S * parse("y^2")
+    + parse("a + b") * _S ** 2 * parse("y")
+    + parse("b^2") * parse("z^4")
+    + parse("a^2") * _S * parse("z^2")
+    + parse("a + b") * _S ** 2 * parse("z")
+    + _S ** 3
+)
 
 
 class CertReport(NamedTuple):
@@ -67,17 +196,17 @@ def _sym_report(name: str, diff: MPoly, notes: str = "", mandatory: bool = True)
 
 def cert_resultant_g() -> CertReport:
     """Res_x(P1, P3) against its recorded ten-term expansion."""
-    g = resultant(rs.P1, rs.P3, "x")
-    return _sym_report("resultant_g", g + rs.G_EXPANDED)
+    g = resultant(P1, P3, "x")
+    return _sym_report("resultant_g", g + G_EXPANDED)
 
 
 def cert_resultant_h() -> CertReport:
     """Res_z(g, P2) against its expansion, block by block in y."""
-    h = resultant(rs.G_EXPANDED, rs.P2, "z")
-    diff = h + rs.H_EXPANDED
+    h = resultant(G_EXPANDED, P2, "z")
+    diff = h + H_EXPANDED
     blocks = []
-    for label, block, power in (("A", rs.A_BLOCK, 9), ("B", rs.B_BLOCK, 6),
-                                ("C", rs.C_BLOCK, 3), ("D", rs.D_BLOCK, 0)):
+    for label, block, power in (("A", A_BLOCK, 9), ("B", B_BLOCK, 6),
+                                ("C", C_BLOCK, 3), ("D", D_BLOCK, 0)):
         if h.coefficient_of("y", power) != block:
             blocks.append(label)
     notes = f"coefficient blocks differing: {blocks}" if blocks else "y^9/y^6/y^3/1 blocks all match"
@@ -88,7 +217,7 @@ def cert_resultant_h() -> CertReport:
 @functools.cache
 def _block_products() -> tuple[MPoly, MPoly]:
     """AD+BC and AC+B^2 of the blocks A..D, formed once per process."""
-    A, B, C, D = rs.A_BLOCK, rs.B_BLOCK, rs.C_BLOCK, rs.D_BLOCK
+    A, B, C, D = A_BLOCK, B_BLOCK, C_BLOCK, D_BLOCK
     return A * D + B * C, A * C + B.sqr()
 
 
@@ -96,16 +225,16 @@ def _block_products() -> tuple[MPoly, MPoly]:
 def _k1_k2() -> tuple[MPoly, MPoly]:
     """K1 = (AC+B^2)^3 and K2 = A(AD+BC), derived once per process."""
     adbc, acb2 = _block_products()
-    return acb2 ** 3, rs.A_BLOCK * adbc
+    return acb2 ** 3, A_BLOCK * adbc
 
 
 def cert_factorizations() -> CertReport:
     """The three recorded product shapes of A, AD+BC, AC+B^2."""
     adbc, acb2 = _block_products()
     checks = (
-        ("A", rs.A_BLOCK, rs.product(rs.A_FACTORS)),
-        ("AD+BC", adbc, rs.product(rs.AD_BC_FACTORS)),
-        ("AC+B^2", acb2, rs.product(rs.AC_B2_FACTORS)),
+        ("A", A_BLOCK, product(A_FACTORS)),
+        ("AD+BC", adbc, product(AD_BC_FACTORS)),
+        ("AC+B^2", acb2, product(AC_B2_FACTORS)),
     )
     total = zero()
     failing = []
@@ -121,7 +250,7 @@ def cert_factorizations() -> CertReport:
 def cert_beta_identity() -> CertReport:
     """beta^2 + A(AD+BC)*beta = (AC+B^2)^3 with K1, K2 built from A..D."""
     k1, k2 = _k1_k2()
-    residue = rs.BETA.sqr() + k2 * rs.BETA + k1
+    residue = BETA.sqr() + k2 * BETA + k1
     return _sym_report("beta_identity", residue)
 
 
@@ -129,8 +258,8 @@ def beta_printed_expansions() -> list[CertReport]:
     """Informational diff of derived K1, K2 against their reference expansions."""
     k1, k2 = _k1_k2()
     return [
-        _sym_report("printed_K1", k1 + rs.K1_EXPANDED, mandatory=False),
-        _sym_report("printed_K2", k2 + rs.K2_EXPANDED, mandatory=False),
+        _sym_report("printed_K1", k1 + K1_EXPANDED, mandatory=False),
+        _sym_report("printed_K2", k2 + K2_EXPANDED, mandatory=False),
     ]
 
 
@@ -140,8 +269,8 @@ def cert_resultant_Q() -> CertReport:
     Q1 and Q2 share the leading coefficient a+b in x, so mpoly.resultant
     takes it as (a+b) * Res_x(Q1, Q1+Q2), an order-3 Sylvester matrix.
     """
-    r = resultant(rs.Q1, rs.Q2, "x")
-    return _sym_report("resultant_Q", r + rs.EQ16_EXPANDED)
+    r = resultant(Q1, Q2, "x")
+    return _sym_report("resultant_Q", r + EQ16_EXPANDED)
 
 
 def cert_charsum_support(ctx: FieldCtx) -> CertReport:

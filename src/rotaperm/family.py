@@ -11,20 +11,23 @@ sigma(x,y,z) = (y,z,x) and sigma^2.  Coefficient vectors serialize as
 8-character bitstrings "a1a2a3a4a5a6a7a8".
 
 Five vectors are singled out by name (T1..T5); these are the families
-whose bijectivity this package certifies and inverts.
+whose bijectivity this package certifies and inverts.  A name only looks
+up its vector: a family is its eight bits, so named_family("T3") and
+family_from_coeffs("00000011") are one and the same spec.
 
 A FamilySpec holds its coefficient bits; building one computes nothing
 else.  Numeric work (eval_F, the bijectivity decision, inversion) reads
 the bits directly.  The bitstring and the row (a1..a8 read as an 8-bit
 integer, a1 the high bit, which indexes a permutation mask) are computed
 on first use and kept on the spec, so a repeated lookup is O(1).  Nothing
-here is symbolic, so the numeric verbs load no polynomial arithmetic.
+here is symbolic, so the numeric modules (permcheck, invert, lift,
+search) load no polynomial arithmetic through it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import UnknownName
@@ -49,7 +52,6 @@ class FamilySpec:
     """Coefficient bits; the bitstring and row are built on first use."""
 
     coeffs: tuple[int, ...]
-    name: str | None = dc_field(default=None, compare=False)
 
     @cached_property
     def _bits(self) -> str:
@@ -65,12 +67,12 @@ class FamilySpec:
         return self._bits
 
 
-def family_from_coeffs(bits, name: str | None = None) -> FamilySpec:
+def family_from_coeffs(bits) -> FamilySpec:
     """The family for an 8-bit coefficient vector (a1..a8)."""
     coeffs = tuple(int(b) for b in bits)
     if len(coeffs) != 8 or any(b not in (0, 1) for b in coeffs):
         raise ValueError(f"need 8 bits in {{0,1}}, got {bits!r}")
-    return FamilySpec(coeffs=coeffs, name=name)
+    return FamilySpec(coeffs)
 
 
 def named_family(name: str) -> FamilySpec:
@@ -78,7 +80,7 @@ def named_family(name: str) -> FamilySpec:
         coeffs = NAMED_COEFFS[name]
     except KeyError:
         raise UnknownName(f"unknown family {name!r}; known: {sorted(NAMED_COEFFS)}") from None
-    return family_from_coeffs(coeffs, name=name)
+    return family_from_coeffs(coeffs)
 
 
 @lru_cache(maxsize=1)

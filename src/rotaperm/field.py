@@ -78,8 +78,9 @@ def admit(entries: int, what: str) -> None:
     The one memory policy of the package: every table whose length grows
     with m computes that length from m, in the module that builds it, and
     admits it here before it allocates.  The budget admits the permutation
-    mask, the inverse table and the witness prefixes up to m = 11, and the
-    lift's 2^3m-entry log tables up to base m = 8.
+    mask, the inverse table and the witness prefixes up to m = 11, the
+    q x q product table under FieldCtx.vmul up to m = 12, and the lift's
+    2^3m-entry log tables up to base m = 8.
     """
     if entries > MAX_TABLE_ENTRIES:
         raise DomainTooLarge(f"{what}: {entries} entries > {MAX_TABLE_ENTRIES}, the table budget")
@@ -149,6 +150,7 @@ def _exp_array(ctx: FieldCtx) -> np.ndarray:
 
 
 def _products(ctx: FieldCtx) -> np.ndarray:
+    admit(ctx.q * ctx.q, f"the product table of GF(2^{ctx.m})")
     log = ctx._logs(np.arange(ctx.q))
     t = ctx._exps()[log[:, None] + log[None, :]]
     t[0, :] = 0
@@ -389,7 +391,8 @@ class FieldCtx:
     @property
     def mul_table(self) -> np.ndarray:
         """(q, q) product table exp[log a + log b], zero on row and column 0;
-        vmul is its only reader."""
+        vmul is its only reader.  Its q^2 entries are admitted (admit)
+        before it is built, so m >= 13 raises DomainTooLarge."""
         return self._table("mul", _products)
 
     def vmul(self, x: np.ndarray | int, y: np.ndarray | int) -> np.ndarray:

@@ -10,9 +10,15 @@ entries are admitted by field.admit's one table budget of 2^24 entries,
 so the table serves odd m up to 11 and refuses m = 13; the closed forms
 and the resolvent need no such table.
 
+A family is its coefficient vector, so invert_point routes on the
+vector: family_from_coeffs("00000011") takes T3's closed form as
+named_family("T3") does, and every vector without a constructive
+inverter, T2's included, takes the table.
+
 Every preimage, from a closed form, the resolvent or the table, is
 re-evaluated through the forward map before being returned: a mismatch
-raises FormulaInconsistent instead of handing back a silently wrong point.
+raises FormulaInconsistent instead of handing back a silently wrong point;
+the constructive inverters re-check against specs built once at import.
 Fractional powers like (a+b)^(4/3) mean cube_root composed with integer
 powers (exponent arithmetic mod 2^m - 1 throughout).
 """
@@ -29,16 +35,25 @@ from .errors import (
     NoPreimage,
     NotAPermutation,
 )
-from .family import FamilySpec, eval_F, family_from_coeffs, named_family
+from .family import NAMED_COEFFS, FamilySpec, eval_F, family_from_coeffs, named_family
 from .field import FieldCtx, Triple, admit
 from .permcheck import projective_images, projective_keys, representative, representative_index
 from .resolvent import resolvent_coeffs
+
+# The families of the constructive inverters, which re-check against them.
+_T1, _T3, _T4, _T5 = (named_family(name) for name in ("T1", "T3", "T4", "T5"))
+
+
+def _display(fam: FamilySpec) -> str:
+    """The T1..T5 name of fam's vector, or its bitstring, for error texts."""
+    return next((name for name, coeffs in NAMED_COEFFS.items() if coeffs == fam.coeffs),
+                fam.bitstring())
 
 
 def _checked(ctx: FieldCtx, fam: FamilySpec, target: Triple, preimage: Triple) -> Triple:
     if eval_F(ctx, fam, preimage) != target:
         raise FormulaInconsistent(
-            f"{fam.name or fam.bitstring()} preimage {preimage} does not map back to {target}"
+            f"{_display(fam)} preimage {preimage} does not map back to {target}"
         )
     return preimage
 
@@ -59,7 +74,7 @@ def invert_T3(ctx: FieldCtx, target: Triple) -> Triple:
         quad = mul(u, u) ^ mul(u, v) ^ mul(v, v)
         w = cbrt(div(ctx.pow(v, 3), quad))
         pre = (d ^ w, d ^ mul(div(u, v), w), d ^ mul(div(a ^ b, v), w))
-    return _checked(ctx, named_family("T3"), target, pre)
+    return _checked(ctx, _T3, target, pre)
 
 
 def invert_T4(ctx: FieldCtx, target: Triple) -> Triple:
@@ -82,7 +97,7 @@ def invert_T4(ctx: FieldCtx, target: Triple) -> Triple:
         num = mul(b, ctx.pow(ac, 3)) ^ mul(ctx.sqr(ab), ctx.sqr(c) ^ mul(a, b))
         w = cbrt(div(num, den))
         pre = (w ^ big_y, w ^ big_x, w ^ big_x ^ big_y)
-    return _checked(ctx, named_family("T4"), target, pre)
+    return _checked(ctx, _T4, target, pre)
 
 
 def invert_T5(ctx: FieldCtx, target: Triple) -> Triple:
@@ -104,7 +119,7 @@ def invert_T5(ctx: FieldCtx, target: Triple) -> Triple:
         z = cbrt(div(ctx.pow(a, 4) ^ ctx.pow(b, 4), den) ^ c) \
             ^ div(mul(ab, cbrt(ab)), den_cbrt)
         pre = (big_a ^ z, big_b ^ z, z)
-    return _checked(ctx, named_family("T5"), target, pre)
+    return _checked(ctx, _T5, target, pre)
 
 
 def _rot(p: Triple) -> Triple:
@@ -126,17 +141,16 @@ def invert_T1_resolvent(ctx: FieldCtx, target: Triple) -> Triple:
     """
     w1, w2, w3 = target
     a, b, c = w2 ^ w3, w1 ^ w3, w1 ^ w2 ^ w3
-    fam = named_family("T1")
     cbrt = ctx.cube_root
     if a == 0 and b == 0 and c == 0:
         return (0, 0, 0)
     if b == 0 and a == c:
-        return _checked(ctx, fam, target, (0, cbrt(a), cbrt(a)))
+        return _checked(ctx, _T1, target, (0, cbrt(a), cbrt(a)))
     if a == b and b == c:
-        return _checked(ctx, fam, target, (cbrt(a), 0, cbrt(a)))
+        return _checked(ctx, _T1, target, (cbrt(a), 0, cbrt(a)))
     if a == 0 and b == c:
         # phi(sigma(w)) lands in the a=b=c case; pull the answer back.
-        return _checked(ctx, fam, target, _rot2(invert_T1_resolvent(ctx, _rot(target))))
+        return _checked(ctx, _T1, target, _rot2(invert_T1_resolvent(ctx, _rot(target))))
     # The numeric cubic A*Y^3 + B*Y^2 + C*Y + D at this target.
     big_a, big_b, big_c, big_d = resolvent_coeffs(ctx, a, b, c)
     if big_a == 0:
@@ -153,7 +167,7 @@ def invert_T1_resolvent(ctx: FieldCtx, target: Triple) -> Triple:
         raise NoPreimage(f"no resolvent root survived the third equation at {target}")
     if len(survivors) > 1:
         raise MultiplePreimages(f"{len(survivors)} candidate preimages at {target}")
-    return _checked(ctx, fam, target, survivors[0])
+    return _checked(ctx, _T1, target, survivors[0])
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +221,16 @@ def invert_table(ctx: FieldCtx, fam: FamilySpec, target: Triple) -> Triple:
     return _checked(ctx, fam, target, tuple(ctx.mul(lam, v) for v in representative(ctx, i)))
 
 
-# The constructive inverter of each named family that has one, with its
-# method label; every other family (T2 included) is inverted by table
+# The constructive inverter of each coefficient vector that has one, with
+# its method label; every other vector (T2 included) is inverted by table
 # lookup.  The lambdas look each inverter up by name at call time, so
 # wrappers rebound over the module's names (perfbench/tracing.py) see
 # every call.
 _INVERTERS = {
-    "T1": ("resolvent", lambda ctx, t: invert_T1_resolvent(ctx, t)),
-    "T3": ("closed-form", lambda ctx, t: invert_T3(ctx, t)),
-    "T4": ("closed-form", lambda ctx, t: invert_T4(ctx, t)),
-    "T5": ("closed-form", lambda ctx, t: invert_T5(ctx, t)),
+    _T1.coeffs: ("resolvent", lambda ctx, t: invert_T1_resolvent(ctx, t)),
+    _T3.coeffs: ("closed-form", lambda ctx, t: invert_T3(ctx, t)),
+    _T4.coeffs: ("closed-form", lambda ctx, t: invert_T4(ctx, t)),
+    _T5.coeffs: ("closed-form", lambda ctx, t: invert_T5(ctx, t)),
 }
 
 
@@ -224,13 +238,13 @@ def invert_point(ctx: FieldCtx, fam: FamilySpec, target: Triple,
                  method: str = "auto") -> tuple[Triple, str]:
     """Invert one target; returns (preimage, method label).
 
-    "auto" takes the family's constructive inverter, if any, and "table"
-    always the lookup; "closed" and "resolvent" serve only the families
-    whose constructive inverter is of that kind.
+    "auto" takes the constructive inverter of fam's vector, if any, and
+    "table" always the lookup; "closed" and "resolvent" serve only the
+    vectors whose constructive inverter is of that kind.
     """
-    label, fn = _INVERTERS.get(fam.name, ("table", None))
+    label, fn = _INVERTERS.get(fam.coeffs, ("table", None))
     if method == "closed" and label != "closed-form":
-        raise ValueError(f"no closed form for {fam.name or fam.bitstring()}")
+        raise ValueError(f"no closed form for {_display(fam)}")
     if method == "resolvent" and label != "resolvent":
         raise ValueError("the resolvent inverter serves the T1 family")
     if method not in ("auto", "closed", "resolvent", "table"):

@@ -27,7 +27,6 @@ decided, so odd m up to 11 is searched and m = 13 refused.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 from .errors import EvenDegree
@@ -79,6 +78,9 @@ def search_all(degrees) -> SearchReport:
     raises UnsupportedDegree, even m raises EvenDegree, and a mask the
     table budget does not admit (m >= 13) raises DomainTooLarge.
     """
+    # Imported here, so that no other verb loads concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
     degrees = tuple(degrees)
     for m in degrees:
         if check_degree(m) % 2 == 0:

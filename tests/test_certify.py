@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import rotaperm.certify as cert
 import rotaperm.resolvent as rs
 from rotaperm.certify import (
     CertReport,
@@ -69,43 +70,42 @@ def test_printed_expansions_are_informational():
         assert not report.mandatory
 
 
-# The symbolic certificates read their inputs from rotaperm.resolvent when
-# called, so each perturbation patches the recorded constant there.
+# The symbolic certificates read their recorded inputs from rotaperm.certify
+# when called, so each perturbation patches the recorded constant there.
 
 def test_resultant_g_perturbation_fails(monkeypatch):
-    monkeypatch.setattr(rs, "P3", rs.P3 + parse("y^3"))
+    monkeypatch.setattr(cert, "P3", cert.P3 + parse("y^3"))
     report = cert_resultant_g()
     assert not report.passed
     assert report.diff
 
 
 def test_resultant_h_perturbation_fails(monkeypatch):
-    monkeypatch.setattr(rs, "P2", rs.P2 + parse("z"))
+    monkeypatch.setattr(cert, "P2", cert.P2 + parse("z"))
     assert not cert_resultant_h().passed
 
 
 def test_factorization_perturbation_fails(monkeypatch):
-    factors = list(rs.A_FACTORS)
+    factors = list(cert.A_FACTORS)
     factors[0] = factors[0] + parse("a*c")  # one flipped monomial
-    monkeypatch.setattr(rs, "A_FACTORS", tuple(factors))
+    monkeypatch.setattr(cert, "A_FACTORS", tuple(factors))
     report = cert_factorizations()
     assert not report.passed and "A" in report.notes
 
 
 def test_beta_perturbation_fails(monkeypatch):
     # drop the cube on (a+b): beta must no longer satisfy the quadratic
-    wrong = rs.product((
+    wrong = cert.product((
         parse("a^3"), parse("b^3"), parse("c^3"), parse("a + b"),
         parse("a^2 + a*b + b^2") ** 3, parse("a^2*b + a*b^2 + c^3"),
     ))
-    monkeypatch.setattr(rs, "BETA", wrong)
+    monkeypatch.setattr(cert, "BETA", wrong)
     assert not cert_beta_identity().passed
 
 
 def test_block_products_are_formed_once_per_process():
     """AD+BC, AC+B^2, K1 and K2 are formed by the first run_all alone;
     a second run and direct calls reuse them."""
-    import rotaperm.certify as cert
     cert._block_products.cache_clear()
     cert._k1_k2.cache_clear()
     assert all(r.passed for r in run_all() + run_all())
@@ -113,26 +113,26 @@ def test_block_products_are_formed_once_per_process():
     assert cert._block_products.cache_info().misses == 1
     assert cert._k1_k2.cache_info().misses == 1
     adbc, acb2 = cert._block_products()
-    assert cert._k1_k2() == (acb2 ** 3, rs.A_BLOCK * adbc)
+    assert cert._k1_k2() == (acb2 ** 3, cert.A_BLOCK * adbc)
 
 
 def test_resultant_Q_perturbation_fails(monkeypatch):
-    monkeypatch.setattr(rs, "Q1", rs.Q1 + parse("b*z^2"))  # drops the z^2 term
+    monkeypatch.setattr(cert, "Q1", cert.Q1 + parse("b*z^2"))  # drops the z^2 term
     assert not cert_resultant_Q().passed
 
 
 def test_g_evaluation_cross_check(f8):
     """The computed resultant and the recorded expansion agree pointwise."""
     rng = random.Random(71)
-    g = resultant(rs.P1, rs.P3, "x")
+    g = resultant(cert.P1, cert.P3, "x")
     for _ in range(100):
         point = {v: rng.randrange(8) for v in ("y", "z", "a", "b", "c")}
-        assert evaluate(g, f8, point) == evaluate(rs.G_EXPANDED, f8, point)
+        assert evaluate(g, f8, point) == evaluate(cert.G_EXPANDED, f8, point)
 
 
 def test_factorizations_numeric_agreement(f8):
-    lhs = rs.A_BLOCK * rs.D_BLOCK + rs.B_BLOCK * rs.C_BLOCK
-    rhs = rs.product(rs.AD_BC_FACTORS)
+    lhs = cert.A_BLOCK * cert.D_BLOCK + cert.B_BLOCK * cert.C_BLOCK
+    rhs = cert.product(cert.AD_BC_FACTORS)
     for a in f8.elements():
         for b in f8.elements():
             for c in f8.elements():
@@ -232,7 +232,7 @@ def test_resolvent_A_is_the_A_block_at_every_point_m3(f8):
     a, b, c = np.indices((f8.q,) * 3).reshape(3, -1)
     got = rs.resolvent_A(f8, a, b, c)
     assert got.shape == a.shape
-    want = [evaluate(rs.A_BLOCK, f8, {"a": u, "b": v, "c": w})
+    want = [evaluate(cert.A_BLOCK, f8, {"a": u, "b": v, "c": w})
             for u, v, w in zip(a.tolist(), b.tolist(), c.tolist())]
     assert got.tolist() == want
     assert [rs.resolvent_A(f8, u, v, w) for u, v, w in zip(a.tolist(), b.tolist(), c.tolist())] == want

@@ -1,6 +1,7 @@
 """Field arithmetic against naive oracles, plus the trace-machinery laws."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,22 @@ def test_mul_table_matches_scalar(f32):
     for _ in range(300):
         a, b = rng.randrange(32), rng.randrange(32)
         assert int(table[a, b]) == f32.mul(a, b)
+
+
+def test_mul_table_is_admitted_before_it_is_built():
+    """The q x q product table is admitted (field.admit) before any array
+    under it is allocated: at m = 13, 2^26 entries, DomainTooLarge comes
+    with a tracemalloc peak under 1 MiB and nothing cached."""
+    ctx = FieldCtx(13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainTooLarge, match="product table of GF"):
+            ctx.mul_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert "mul" not in ctx._np_cache
 
 
 # -- cube roots ---------------------------------------------------------------

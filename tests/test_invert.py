@@ -19,7 +19,8 @@ from rotaperm.invert import (
     invert_point,
     invert_table,
 )
-from rotaperm.resolvent import A_BLOCK, B_BLOCK, C_BLOCK, D_BLOCK, resolvent_coeffs
+from rotaperm.certify import A_BLOCK, B_BLOCK, C_BLOCK, D_BLOCK
+from rotaperm.resolvent import resolvent_coeffs
 
 from oracles import evaluate
 
@@ -83,7 +84,7 @@ def test_sheared_system_matches_family():
     """phi composed with the T1 map is exactly the three-equation system
     the resolvent eliminates."""
     from rotaperm.mpoly import parse
-    from rotaperm.resolvent import P1, P2, P3
+    from rotaperm.certify import P1, P2, P3
     from oracles import H_SYSTEM, symbolic_map
     f1, f2, f3 = symbolic_map(named_family("T1"))
     assert (f2 + f3, f1 + f3, f1 + f2 + f3) == H_SYSTEM
@@ -233,6 +234,7 @@ def test_dispatcher_methods(f8):
         invert_point(f8, t3, (1, 2, 3), method="resolvent")
     with pytest.raises(ValueError, match="unknown method 'newton'"):
         invert_point(f8, t3, (1, 2, 3), method="newton")
+    # A family is its vector: T3's bits from family_from_coeffs take T3's route.
     unnamed = family_from_coeffs("00000011")
     pre, method = invert_point(f8, unnamed, eval_F(f8, unnamed, (5, 1, 2)))
-    assert pre == (5, 1, 2) and method == "table"
+    assert pre == (5, 1, 2) and method == "closed-form"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,24 @@ def test_ext_tables_peak_is_within_the_table_budget(m, within_table_budget):
     within_table_budget(lambda: lift._ext_tables.__wrapped__(ext), 1 << (3 * m))
 
 
+@pytest.mark.parametrize("m", [6, 7])
+def test_ext_tables_peak_is_16_bytes_per_entry(m):
+    """The exp and log tables keep 8 B per entry of GF(2^3m); built cold,
+    the doubling in blocks and the int32 log fill peak at most 16 B per
+    entry plus 2 MiB under tracemalloc.  The blocks chain: each entry is
+    the one before times the generator."""
+    ext = ExtCtx(FieldCtx(m))
+    tracemalloc.start()
+    try:
+        exp, log, gen = lift._ext_tables.__wrapped__(ext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * ext.size + (2 << 20), (peak, ext.size)
+    assert np.array_equal(ext.vmul(exp[:-1], gen), exp[1:]) and ext.mul(int(exp[-1]), gen) == 1
+    assert np.array_equal(log[exp], np.arange(ext.group)) and log[0] == -1
+
+
 def test_lift_at_base_m7():
     """Base m = 7, the largest odd base whose log tables the budget admits:
     the lift of T1 permutes GF(2^21), agrees with F at sampled points, and
@@ -581,12 +600,21 @@ def _random_unit(rng, group):
 
 def _assert_qm_matches_oracle(ext, p, q):
     assert qm_equivalent(ext, p, q) == _qm_equivalent_all_d(ext, p, q)
-    # Every d under which the supports match is tried, witness or not.
+    # Every d under which the supports match, witness or not, gives the
+    # transform of some candidate: a*q(c*X^d) depends on d only through
+    # where d sends q's exponents.
     group = ext.group
+    q_exps = [e for e, _ in q.terms]
+
+    def sends(d):
+        return tuple(lift._reduce_exponent(e, d, group) for e in q_exps)
     matched = [d for d in range(1, group) if math.gcd(d, group) == 1
-               and {lift._reduce_exponent(e, d, group) for e, _ in q.terms} == set(p.coeff_map())]
-    candidates = set(lift._candidate_exponents(group, set(p.coeff_map()), [e for e, _ in q.terms]))
-    assert candidates.issuperset(matched)
+               and set(sends(d)) == set(p.coeff_map())]
+    candidates = list(lift._candidate_exponents(group, set(p.coeff_map()), q_exps))
+    assert {sends(d) for d in candidates}.issuperset(map(sends, matched))
+    for d in matched[:3]:
+        twin = next(c for c in candidates if sends(c) == sends(d))
+        assert qm_transform(ext, q, 3, 5, d).terms == qm_transform(ext, q, 3, 5, twin).terms
 
 
 @pytest.mark.parametrize("m", [3, 5])
@@ -619,19 +647,19 @@ def test_qm_matches_oracle_when_anchor_shares_a_factor(e8):
         assert qm_equivalent(e8, p, q) is not None
 
 
-def test_qm_without_anchor_runs_every_d(e8):
-    """Exponents 0 and 2^3m - 1 are fixed by every d, so nothing restricts d."""
+def test_qm_without_anchor_d_1_stands_for_every_d(e8):
+    """Exponents 0 and 2^3m - 1 are fixed by every unit d, so every d gives
+    the transform of d = 1, the one candidate."""
     q = LiftedPoly.make(e8, {0: 1, e8.group: 5})
-    assert list(lift._candidate_exponents(e8.group, {0, e8.group}, [0, e8.group])) == [
-        d for d in range(1, e8.group + 1) if math.gcd(d, e8.group) == 1]
+    assert list(lift._candidate_exponents(e8.group, {0, e8.group}, [0, e8.group])) == [1]
     for p in (q, LiftedPoly.make(e8, {0: 3, e8.group: 5}), LiftedPoly.make(e8, {0: 1, e8.group: 9})):
         _assert_qm_matches_oracle(e8, p, q)
     assert qm_equivalent(e8, q, q) == (1, 1, 1)
 
 
 def test_qm_without_anchor_lists_no_group(within_table_budget):
-    """At base m = 7 every unit d and every c of GF(2^21)* is a candidate
-    for X^0 + X^(2^21 - 1) against itself; they are tried one at a time,
+    """At base m = 7 d = 1 and every c of GF(2^21)* are candidates for
+    X^0 + X^(2^21 - 1) against itself; the c are tried one at a time,
     so the first witness costs no list over the group: the call peaks
     within the 1 MiB the budget gives any build above its entries."""
     ext = shared_ext(7)

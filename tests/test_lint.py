@@ -396,13 +396,23 @@ def test_every_option_has_a_caller():
 SYMBOLIC_MODULES = ("rotaperm.mpoly", "rotaperm.resolvent", "rotaperm.certify")
 
 
-def test_numeric_modules_load_no_symbolic_module():
-    """A fresh interpreter that imports search and lift, the numeric verbs'
-    modules, has loaded no polynomial arithmetic.  rotaperm.invert is left
-    out: it reads resolvent_coeffs from rotaperm.resolvent."""
-    code = ("import sys, rotaperm.search, rotaperm.lift; "
-            f"print(sorted(set({SYMBOLIC_MODULES!r}) & set(sys.modules)))")
+def _loaded_by(imports, watched):
+    """The sorted list, as printed, of the modules in watched that a fresh
+    interpreter holds after it imports the modules in imports."""
+    code = (f"import sys, {', '.join(imports)}; "
+            f"print(sorted(set({tuple(watched)!r}) & set(sys.modules)))")
     path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_numeric_modules_load_no_symbolic_module():
+    """A fresh interpreter that imports search and lift, the numeric verbs'
+    modules, has loaded no polynomial arithmetic; one that imports invert
+    has loaded neither mpoly nor certify (it reads only the numeric
+    rotaperm.resolvent); and importing the CLI loads no thread pool, which
+    only search_all starts."""
+    assert _loaded_by(("rotaperm.search", "rotaperm.lift"), SYMBOLIC_MODULES) == "[]"
+    assert _loaded_by(("rotaperm.invert",), ("rotaperm.mpoly", "rotaperm.certify")) == "[]"
+    assert _loaded_by(("rotaperm.cli",), ("concurrent.futures",)) == "[]"

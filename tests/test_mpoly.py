@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-import rotaperm.resolvent as rs
+import rotaperm.certify as cert
 from rotaperm.errors import (
     DegenerateInput,
     DegreeOverflow,
@@ -28,7 +28,7 @@ from rotaperm.mpoly import (
     var,
     zero,
 )
-from rotaperm.resolvent import G_EXPANDED, P1, P3
+from rotaperm.certify import G_EXPANDED, P1, P3
 
 from oracles import MissingAssignment, evaluate, homogeneous_degree
 
@@ -308,7 +308,7 @@ def _resultant_unsorted(p, q, eliminate):
 # matrix; Q1 and Q2 share the leading coefficient a + b, so one remainder
 # step leaves Q1 and the linear Q1 + Q2, and an order-3 Sylvester matrix
 # decides the third.
-CERTIFY_ELIMINATIONS = [(rs.P1, rs.P3, "x"), (rs.G_EXPANDED, rs.P2, "z"), (rs.Q1, rs.Q2, "x")]
+CERTIFY_ELIMINATIONS = [(cert.P1, cert.P3, "x"), (cert.G_EXPANDED, cert.P2, "z"), (cert.Q1, cert.Q2, "x")]
 
 
 @pytest.fixture
@@ -407,10 +407,10 @@ def test_resultant_product_count_is_pinned(monkeypatch):
         return product(a, b)
 
     monkeypatch.setattr(MPoly, "__mul__", counted)
-    resultant(rs.G_EXPANDED, rs.P2, "z")
+    resultant(cert.G_EXPANDED, cert.P2, "z")
     assert len(calls) == 17
     calls.clear()
-    _resultant_unsorted(rs.G_EXPANDED, rs.P2, "z")
+    _resultant_unsorted(cert.G_EXPANDED, cert.P2, "z")
     assert len(calls) == 527
 
 
