@@ -1,0 +1,126 @@
+"""Write tests/golden/cli_manifest.json and the qm documents it reads.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/make_cli_manifest.py
+
+Each manifest row is one CLI command: its argv, its exit code, the
+SHA-256 of its stdout, and the stdout text itself when it is short.
+test_cli_manifest.py runs the rows in order through cli.main in one
+directory, so a `lift --out` row writes the document later `qm` rows
+read.  An argument "{golden}/..." names a file under tests/golden.
+
+The rows:
+- `lift --out` of T1..T5 at m = 3 and 5;
+- `qm` of every ordered pair of same-degree lifts (50 rows);
+- six seeded targets a*P(c*X^d) per degree, each against its base P in
+  both orders (written to golden/qm/target_m<m>_<i>.json);
+- the crafted base-7 pair q = X + X^(1+D) + X^(2+D), D = (2^21-1)/7, and
+  p = q with its last coefficient replaced by the extension's generator
+  (golden/qm/crafted_{p,q}_m7.json), against each other and each
+  against itself.
+
+Rewrite the file only for an output change that is declared.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from rotaperm import cli
+from rotaperm.family import NAMED_COEFFS, named_family
+from rotaperm.lift import LiftedPoly, lift_permutation, qm_transform, shared_ext
+
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = GOLDEN / "cli_manifest.json"
+SHORT_STDOUT = 200  # characters; longer stdout is kept as its hash alone
+DEGREES = (3, 5)
+TARGETS_PER_DEGREE = 6
+
+
+def _write(poly: LiftedPoly, name: str) -> str:
+    path = GOLDEN / "qm" / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(poly.to_json()) + "\n")
+    return "{golden}/qm/" + name
+
+
+def _random_unit(rng: random.Random, group: int) -> int:
+    while True:
+        d = rng.randrange(1, group)
+        if math.gcd(d, group) == 1:
+            return d
+
+
+def _commands() -> list[list[str]]:
+    names = sorted(NAMED_COEFFS)
+    commands = []
+    for m in DEGREES:
+        commands += [["lift", "--family", n, "--m", str(m), "--out", f"{n}_m{m}.json"]
+                     for n in names]
+    for m in DEGREES:
+        commands += [["qm", "--p", f"{p}_m{m}.json", "--q", f"{q}_m{m}.json"]
+                     for p in names for q in names]
+    for m in DEGREES:
+        ext = shared_ext(m)
+        rng = random.Random(700 + m)
+        for i in range(TARGETS_PER_DEGREE):
+            base = rng.choice(names)
+            a, c = rng.randrange(1, ext.size), rng.randrange(1, ext.size)
+            target = qm_transform(ext, lift_permutation(ext, named_family(base)),
+                                  a, c, _random_unit(rng, ext.group))
+            path, base_path = _write(target, f"target_m{m}_{i}.json"), f"{base}_m{m}.json"
+            commands += [["qm", "--p", path, "--q", base_path],
+                         ["qm", "--p", base_path, "--q", path]]
+    ext = shared_ext(7)
+    ext._ensure_tables()
+    delta = ext.group // 7
+    q = LiftedPoly.make(ext, {1: 1, 1 + delta: 1, 2 + delta: 1})
+    p = LiftedPoly.make(ext, {1: 1, 1 + delta: 1, 2 + delta: ext.generator})
+    p_path, q_path = _write(p, "crafted_p_m7.json"), _write(q, "crafted_q_m7.json")
+    commands += [["qm", "--p", x, "--q", y] for x in (p_path, q_path) for y in (p_path, q_path)]
+    return commands
+
+
+def run_row(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of cli.main on argv, "{golden}" resolved."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([a.replace("{golden}", str(GOLDEN)) for a in argv])
+    return code, out.getvalue()
+
+
+def row(argv: list[str], code: int, stdout: str) -> dict:
+    entry = {"argv": argv, "code": code,
+             "sha256": hashlib.sha256(stdout.encode()).hexdigest()}
+    if len(stdout) <= SHORT_STDOUT:
+        entry["stdout"] = stdout
+    return entry
+
+
+def main() -> int:
+    rows = []
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as where:
+        os.chdir(where)
+        try:
+            for argv in _commands():
+                rows.append(row(argv, *run_row(argv)))
+        finally:
+            os.chdir(here)
+    MANIFEST.write_text(json.dumps(rows, indent=1) + "\n")
+    print(f"{len(rows)} rows -> {MANIFEST}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
