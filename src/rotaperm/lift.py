@@ -15,18 +15,18 @@ The families are quadratic, so their lifts are Dembowski-Ostrom
 polynomials of at most nine terms, and only those nine sums are
 computed, from F at the representatives; see lift_permutation.
 
-Quasi-multiplicative equivalence F = a*G(c*X^d) is decided by trying
-the d coprime to 2^3m - 1 that send G's first exponent into supp(F)
-(d = 1 alone when every exponent of G is 0 or 2^3m - 1), matching
-supports, and recovering c from coefficient ratios through the log
-table.
+Quasi-multiplicative equivalence F = a*G(c*X^d) is decided in discrete
+logs, by one linear congruence solver (_congruence): it lists the d
+coprime to 2^3m - 1 that send G's first exponent into supp(F) (d = 1
+alone when every exponent of G is 0 or 2^3m - 1), and for each d whose
+supports match it folds one congruence per term of G into a residue
+class of log c, whose least member gives c, and a follows.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +65,6 @@ class ExtCtx:
         self.m = m
         self.size = 1 << (3 * m)
         self.group = self.size - 1
-        self.omega = 1 << m
         alpha, beta, gamma = cubic
         # w^3 = alpha*w^2 + beta*w + gamma; w^4 = w * w^3 re-reduced.
         self._red3 = (gamma, beta, alpha)
@@ -169,11 +168,6 @@ class ExtCtx:
             n >>= 1
         return r
 
-    def inv(self, u: int) -> int:
-        if u == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(2^3m)")
-        return self.pow(u, self.group - 1)
-
     # -- discrete-log tables -------------------------------------------------
 
     def _ensure_tables(self) -> None:
@@ -252,9 +246,6 @@ class LiftedPoly:
             if not 0 <= e <= ext.group:
                 raise ValueError(f"exponent {e} outside 0..{ext.group}")
         return cls(ext, items)
-
-    def coeff_map(self) -> dict[int, int]:
-        return dict(self.terms)
 
     def evaluate(self, t: int) -> int:
         if t == 0:
@@ -343,7 +334,8 @@ def _do_exponents(ext: ExtCtx) -> np.ndarray:
     the sorted distinct values are returned.
     """
     m = ext.m
-    ks = {(2 ** (i * m) + 2 ** (j * m + 1) - 1) % ext.group + 1 for i in range(3) for j in range(3)}
+    ks = {_reduce_exponent(2 ** (i * m) + 2 ** (j * m + 1), 1, ext.group)
+          for i in range(3) for j in range(3)}
     return np.array(sorted(ks), dtype=np.int64)
 
 
@@ -437,94 +429,86 @@ def qm_transform(ext: ExtCtx, q: LiftedPoly, a: int, c: int, d: int) -> LiftedPo
     return LiftedPoly.make(ext, acc)
 
 
+def _congruence(a: int, b: int, n: int) -> tuple[int, int] | None:
+    """(x0, step) with 0 <= x0 < step such that the solutions of
+    a*x = b (mod n) are exactly x0 + t*step; None when there are none.
+
+    With g = gcd(a, n) a solution needs g | b; step = n/g then divides n.
+    """
+    g = math.gcd(a, n)
+    if b % g:
+        return None
+    step = n // g
+    return (b // g) * pow(a // g, -1, step) % step, step
+
+
 def _candidate_exponents(group: int, p_supp: set[int], q_exps) -> list[int]:
     """Ascending d coprime to group under which q's anchor can land in supp(p).
 
     The anchor is q's first exponent e0 with 0 < e0 < group; X^e0
     becomes X^(e0*d mod group), so d must solve e0*d = e (mod group) for
-    some e in supp(p).  With g = gcd(e0, group) that needs g | e, and
-    the solutions are d0 + t*group/g for t < g.  Exponents 0 and group
-    cannot be hit, since a d coprime to group sends e0 to neither.
-    Without an anchor every exponent of q is 0 or group, which every unit
-    d fixes, so q(c*X^d) = q(c*X) and d = 1 alone stands for all of them.
+    some e in supp(p).  Exponents 0 and group cannot be hit, since a d
+    coprime to group sends e0 to neither.  Without an anchor every
+    exponent of q is 0 or group, which every unit d fixes, so
+    q(c*X^d) = q(c*X) and d = 1 alone stands for all of them.
     """
     anchor = next((e for e in q_exps if 0 < e < group), None)
     if anchor is None:
         return [1]
-    g = math.gcd(anchor, group)
-    step = group // g
-    inv = pow(anchor // g, -1, step)  # step >= 2, since g <= anchor < group
     ds = set()
     for e in p_supp:
-        if 0 < e < group and e % g == 0:
-            d0 = (e // g) * inv % step
-            ds.update(d0 + t * step for t in range(g))
+        solved = _congruence(anchor, e, group) if 0 < e < group else None
+        if solved:
+            ds.update(range(solved[0], group, solved[1]))
     return sorted(d for d in ds if math.gcd(d, group) == 1)
 
 
 def qm_equivalent(ext: ExtCtx, p: LiftedPoly, q: LiftedPoly) -> tuple[int, int, int] | None:
     """Witness (a, c, d) with p(X) = a*q(c*X^d), or None after every candidate d.
 
-    Filters: term counts must agree; d runs in ascending order over the
-    values coprime to 2^3m - 1 that send q's anchor exponent into
-    supp(p) (_candidate_exponents), and for each the supports must match
-    under e -> e*d; then c comes from coefficient ratios c^delta = rho
-    via the discrete-log table, a from one coefficient, and the witness
-    is verified in full before being returned.  Every d that a witness
-    can use is a candidate, or gives the transform of one (d = 1 when q
-    has no anchor), so the first witness is the one the full range of d
-    would give.
+    Term counts must agree; d runs in ascending order over the values
+    coprime to 2^3m - 1 that send q's anchor exponent into supp(p)
+    (_candidate_exponents), and for each the supports must match under
+    e -> e*d.  Then p_(e*d) = a*c^e*q_e for every term e of q.  In logs,
+    with k = log c and r_e = log p_(e*d) - log q_e, that is
+    r_e = log a + e*k, so against q's first term e0 each later term gives
+    (e - e0)*k = r_e - r_e0 (mod 2^3m - 1).  Those congruences fold one at
+    a time into k = k0 (mod M), M | 2^3m - 1; the least k0 gives c, and
+    log a = r_e0 - e0*k.  Every d that a witness can use is a candidate,
+    or gives the transform of one (d = 1 when q has no anchor), so the
+    witness is the least d, then the least log c, over the full range.
+
+    Once every congruence holds the transform equals p term by term; the
+    final comparison, through qm_transform's own field arithmetic, is a
+    defensive check and raises FormulaInconsistent on a mismatch.
     """
     if len(p.terms) != len(q.terms):
         return None
     if not p.terms:
         return (1, 1, 1)
     ext._ensure_tables()
-    group = ext.group
-    p_map = p.coeff_map()
-    p_supp = set(p_map)
-    q_items = list(q.terms)
-    e0, qc0 = q_items[0]
-    rest = q_items[1:]
-    for d in _candidate_exponents(group, p_supp, [e for e, _ in q_items]):
-        mapped = [_reduce_exponent(e, d, group) for e, _ in q_items]
+    group, log = ext.group, ext._log
+    p_logs = {e: int(log[coef]) for e, coef in p.terms}
+    p_supp = set(p_logs)
+    e0 = q.terms[0][0]
+    for d in _candidate_exponents(group, p_supp, [e for e, _ in q.terms]):
+        mapped = [_reduce_exponent(e, d, group) for e, _ in q.terms]
         if set(mapped) != p_supp:
             continue
-        # constraints c^delta = rho relative to the first q-term
-        anchor_ratio = ext.mul(p_map[mapped[0]], ext.inv(qc0))
-        constraints = []
-        for (e, qc), me in zip(rest, mapped[1:]):
-            delta = (e - e0) % group
-            rho = ext.mul(ext.mul(p_map[me], ext.inv(qc)), ext.inv(anchor_ratio))
-            constraints.append((delta, rho))
-        for c in _solve_power_constraints(ext, constraints):
-            a = ext.mul(anchor_ratio, ext.inv(ext.pow(c, e0)))
-            if a and qm_transform(ext, q, a, c, d).terms == p.terms:
-                return (a, c, d)
+        r = [p_logs[me] - int(log[coef]) for me, (_, coef) in zip(mapped, q.terms)]
+        k0, modulus = 0, 1
+        for (e, _), r_e in zip(q.terms[1:], r[1:]):
+            # k = k0 + modulus*t, so (e - e0)*modulus*t = r_e - r_e0 - (e - e0)*k0
+            solved = _congruence((e - e0) * modulus, r_e - r[0] - (e - e0) * k0, group)
+            if solved is None:
+                break
+            t0, step = solved
+            k0, modulus = k0 + modulus * t0, modulus * step
+        else:
+            a, c = int(ext._exp[(r[0] - e0 * k0) % group]), int(ext._exp[k0])
+            if qm_transform(ext, q, a, c, d).terms != p.terms:
+                raise FormulaInconsistent(
+                    f"the witness (a, c, d) = ({a:#x}, {c:#x}, {d}) solves every "
+                    "congruence but does not transform q into p")
+            return (a, c, d)
     return None
-
-
-def _solve_power_constraints(ext: ExtCtx, constraints) -> Iterable[int]:
-    """Every nonzero c with c^delta = rho for every (delta, rho) given, one
-    at a time in log order: a first relation with delta = 0 and rho = 1
-    leaves all 2^3m - 1 of them candidates, and no list of them is built."""
-    group = ext.group
-    if not constraints:
-        yield 1
-        return
-    delta, rho = constraints[0]
-    if rho == 0 or (delta == 0 and rho != 1):
-        return
-    if delta == 0:
-        candidates = map(int, ext._exp)  # unconstrained by the first relation
-    else:
-        g = math.gcd(delta, group)
-        lr = ext.log_of(rho)
-        if lr % g:
-            return
-        step = group // g
-        l0 = (lr // g) * pow(delta // g, -1, step) % step
-        candidates = [int(ext._exp[(l0 + k * step) % group]) for k in range(g)]
-    for c in candidates:
-        if all(ext.pow(c, dl) == rh for dl, rh in constraints[1:]):
-            yield c

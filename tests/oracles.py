@@ -4,15 +4,18 @@ Each is kept beside the fast path it checks, outside the package: the
 pairwise difference criterion and the D(Y,Z) zero count behind the
 character-sum step, the exhaustive beta-trace check, the symbolic
 rotatability test with a literal non-rotatable triple, the symbolic map
-(f, f o sigma, f o sigma^2) of a family, the homogeneity
-degree of a polynomial, the support of a lifted polynomial, the sheared
-resolvent system H, the rotation and the Frobenius as index maps on the
-projective representatives, the GF(2) bijectivity test from the
-coefficient bits, and the evaluation of a polynomial at one point.
+(f, f o sigma, f o sigma^2) of a family, the homogeneity degree of a
+polynomial, the support of a lifted polynomial, the values of c with
+c^delta = rho by enumeration, the sheared resolvent system H, the
+rotation and the Frobenius as index maps on the projective
+representatives, the GF(2) bijectivity test from the coefficient bits,
+and the evaluation of a polynomial at one point.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from functools import lru_cache
 from typing import Mapping
 
@@ -22,7 +25,7 @@ from rotaperm.certify import NUMERIC_MAX_M
 from rotaperm.errors import DomainTooLarge, FormulaInconsistent, RotapermError
 from rotaperm.family import COEFF_EXPONENTS, FamilySpec
 from rotaperm.field import FieldCtx
-from rotaperm.lift import LiftedPoly
+from rotaperm.lift import ExtCtx, LiftedPoly
 from rotaperm.mpoly import VARS, MPoly, parse, substitute
 from rotaperm.permcheck import (
     _unpack,
@@ -214,6 +217,34 @@ def support(p: LiftedPoly) -> tuple[tuple[int, ...], int]:
     """Sorted exponents with nonzero coefficients, and their count."""
     exps = tuple(e for e, _ in p.terms)
     return exps, len(exps)
+
+
+def power_solutions(ext: ExtCtx, constraints) -> Iterator[int]:
+    """Every nonzero c of GF(2^3m) with c^delta = rho for every (delta, rho)
+    given, in ascending log order: the solutions of the first relation are
+    listed through the log table and filtered by ext.pow against the rest.
+    A first relation with delta = 0 and rho = 1 leaves all 2^3m - 1 of
+    them; those are read one at a time from the table."""
+    group = ext.group
+    if not constraints:
+        yield 1
+        return
+    delta, rho = constraints[0]
+    if rho == 0 or (delta == 0 and rho != 1):
+        return
+    if delta == 0:
+        candidates = map(int, ext._exp)
+    else:
+        g = math.gcd(delta, group)
+        lr = ext.log_of(rho)
+        if lr % g:
+            return
+        step = group // g
+        l0 = (lr // g) * pow(delta // g, -1, step) % step
+        candidates = [int(ext._exp[(l0 + k * step) % group]) for k in range(g)]
+    for c in candidates:
+        if all(ext.pow(c, dl) == rh for dl, rh in constraints[1:]):
+            yield c
 
 
 # Components of the sheared map H = phi . F for the resolvent family.

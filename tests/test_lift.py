@@ -23,7 +23,7 @@ from rotaperm.lift import (
 )
 from rotaperm.permcheck import family_images, is_permutation
 
-from oracles import support
+from oracles import power_solutions, support
 
 
 @pytest.fixture(scope="module")
@@ -133,14 +133,14 @@ def test_lift_verb_scans_for_its_cubic_once_per_degree(monkeypatch, capsys):
 
 def test_vmul_matches_scalar_mul(e8):
     u = np.arange(e8.size, dtype=np.uint32)
-    for v in (0, 1, e8.omega, 0x155, 511):
+    for v in (0, 1, e8.pack((0, 1, 0)), 0x155, 511):
         assert e8.vmul(u, v).tolist() == [e8.mul(int(t), v) for t in u]
 
 
 def test_ext_mul_against_omega_relation(e8):
     # w^3 must equal alpha*w^2 + beta*w + gamma by construction.
     alpha, beta, gamma = e8.cubic
-    w = e8.omega
+    w = e8.pack((0, 1, 0))
     w2 = e8.mul(w, w)
     w3 = e8.mul(w2, w)
     expected = e8.pack((gamma, 0, 0)) ^ e8.mul(e8.pack((beta, 0, 0)), w) \
@@ -156,7 +156,7 @@ def test_ext_field_laws_sampled(e8):
         assert e8.mul(u, e8.mul(v, w)) == e8.mul(e8.mul(u, v), w)
         assert e8.mul(u, v ^ w) == e8.mul(u, v) ^ e8.mul(u, w)
     for u in range(1, 512):
-        assert e8.mul(u, e8.inv(u)) == 1
+        assert e8.mul(u, e8.pow(u, e8.group - 1)) == 1
 
 
 # -- interpolation ---------------------------------------------------------------
@@ -448,9 +448,9 @@ def test_is_pp_off_the_projective_path_evaluates_everywhere(e8, monkeypatch):
     """Polynomials that are not 3-homogeneous over an odd base keep the full
     evaluation: monomials whose exponent is not 3 mod q-1, a constant term,
     X^(2^3m-1), and an extension of GF(4), where l -> l^3 is not bijective."""
-    t1 = lift_permutation(e8, named_family("T1")).coeff_map()
+    t1 = dict(lift_permutation(e8, named_family("T1")).terms)
     e2 = ExtCtx(FieldCtx(1))  # q-1 = 1: only the range 0 < e < 7 keeps these off
-    e2_t1 = lift_permutation(e2, named_family("T1")).coeff_map()
+    e2_t1 = dict(lift_permutation(e2, named_family("T1")).terms)
     e4 = ExtCtx(FieldCtx(2))
     cases = [
         (LiftedPoly.make(e8, {1: 1}), True),
@@ -503,7 +503,7 @@ def test_is_pp_perturbed_coefficient_same_verdict_on_both_paths(m):
     for v, poly in _lifts(m, picks):
         if not poly.terms:
             continue
-        coeffs = poly.coeff_map()
+        coeffs = dict(poly.terms)
         e = rng.choice(sorted(coeffs))
         coeffs[e] ^= rng.randrange(1, poly.ext.size)
         mutant = LiftedPoly.make(poly.ext, coeffs)
@@ -523,7 +523,7 @@ def test_qm_reflexive(e8):
 
 def test_qm_recovers_constructed_witness(e8):
     q = lift_permutation(e8, named_family("T3"))
-    w = e8.omega
+    w = e8.pack((0, 1, 0))
     p = qm_transform(e8, q, w, e8.pow(w, 2), 5)
     witness = qm_equivalent(e8, p, q)
     assert witness is not None
@@ -570,7 +570,11 @@ def _qm_equivalent_all_d(ext, p, q):
     if not p.terms:
         return (1, 1, 1)
     group = ext.group
-    p_map = p.coeff_map()
+
+    def inv(u):
+        return ext.pow(u, group - 1)
+
+    p_map = dict(p.terms)
     q_items = list(q.terms)
     e0, qc0 = q_items[0]
     for d in range(1, group + 1):
@@ -579,13 +583,13 @@ def _qm_equivalent_all_d(ext, p, q):
         mapped = [lift._reduce_exponent(e, d, group) for e, _ in q_items]
         if set(mapped) != set(p_map):
             continue
-        anchor_ratio = ext.mul(p_map[mapped[0]], ext.inv(qc0))
+        anchor_ratio = ext.mul(p_map[mapped[0]], inv(qc0))
         constraints = []
         for (e, qc), me in zip(q_items[1:], mapped[1:]):
-            rho = ext.mul(ext.mul(p_map[me], ext.inv(qc)), ext.inv(anchor_ratio))
+            rho = ext.mul(ext.mul(p_map[me], inv(qc)), inv(anchor_ratio))
             constraints.append(((e - e0) % group, rho))
-        for c in lift._solve_power_constraints(ext, constraints):
-            a = ext.mul(anchor_ratio, ext.inv(ext.pow(c, e0)))
+        for c in power_solutions(ext, constraints):
+            a = ext.mul(anchor_ratio, inv(ext.pow(c, e0)))
             if a and qm_transform(ext, q, a, c, d).terms == p.terms:
                 return (a, c, d)
     return None
@@ -609,8 +613,8 @@ def _assert_qm_matches_oracle(ext, p, q):
     def sends(d):
         return tuple(lift._reduce_exponent(e, d, group) for e in q_exps)
     matched = [d for d in range(1, group) if math.gcd(d, group) == 1
-               and set(sends(d)) == set(p.coeff_map())]
-    candidates = list(lift._candidate_exponents(group, set(p.coeff_map()), q_exps))
+               and set(sends(d)) == set(dict(p.terms))]
+    candidates = list(lift._candidate_exponents(group, set(dict(p.terms)), q_exps))
     assert {sends(d) for d in candidates}.issuperset(map(sends, matched))
     for d in matched[:3]:
         twin = next(c for c in candidates if sends(c) == sends(d))
@@ -658,15 +662,93 @@ def test_qm_without_anchor_d_1_stands_for_every_d(e8):
 
 
 def test_qm_without_anchor_lists_no_group(within_table_budget):
-    """At base m = 7 d = 1 and every c of GF(2^21)* are candidates for
-    X^0 + X^(2^21 - 1) against itself; the c are tried one at a time,
-    so the first witness costs no list over the group: the call peaks
-    within the 1 MiB the budget gives any build above its entries."""
+    """At base m = 7, X^0 + X^(2^21 - 1) against itself: d = 1 is the one
+    candidate, and the congruence for log c, 0*k = 0 (mod 2^21 - 1),
+    leaves every k, of which the least is taken, so nothing of the size
+    of the group is built: the call peaks within the 1 MiB the budget
+    gives any build above its entries."""
     ext = shared_ext(7)
     ext._ensure_tables()
     p = LiftedPoly.make(ext, {0: 1, ext.group: 1})
     within_table_budget(lambda: qm_equivalent(ext, p, p), 0)
     assert qm_equivalent(ext, p, p) == (1, 1, 1)
+
+
+def test_qm_crafted_pair_lists_no_candidate(within_table_budget):
+    """q = X + X^(1+D) + X^(2+D) with D = (2^21 - 1)/7 at base m = 7, and p
+    the same with the generator as its last coefficient.  Under d = 1 the
+    second term asks D*k = 0 (mod 2^21 - 1) of k = log c, which D values
+    of k solve; for p the third asks (1 + D)*k = 1, which none of them
+    does.  Those solutions stay one residue class and are never listed:
+    each call peaks within the 1 MiB the budget gives any build above its
+    entries."""
+    ext = shared_ext(7)
+    ext._ensure_tables()
+    delta = ext.group // 7
+    q = LiftedPoly.make(ext, {1: 1, 1 + delta: 1, 2 + delta: 1})
+    p = LiftedPoly.make(ext, {1: 1, 1 + delta: 1, 2 + delta: ext.generator})
+    within_table_budget(lambda: qm_equivalent(ext, p, q), 0)
+    within_table_budget(lambda: qm_equivalent(ext, q, q), 0)
+    assert qm_equivalent(ext, p, q) is None
+    assert qm_equivalent(ext, q, q) == (1, 1, 1)
+
+
+def _sparse(rng, ext):
+    """A polynomial of 1 to 4 terms whose exponents favour 0, 2^3m - 1 and
+    multiples of a factor of 2^3m - 1 (7 or 73 at base m = 3)."""
+    group = ext.group
+    factors = [f for f in (7, 73) if group % f == 0 and f < group]
+    mapping = {}
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            e = rng.choice((0, group))
+        elif kind == 1 and factors:
+            f = rng.choice(factors)
+            e = f * rng.randrange(1, group // f)
+        else:
+            e = rng.randrange(group + 1)
+        mapping[e] = rng.randrange(1, ext.size)
+    return LiftedPoly.make(ext, mapping)
+
+
+def _changed_coefficient(rng, poly):
+    """poly with the coefficient of one term replaced by another nonzero one."""
+    terms = dict(poly.terms)
+    e = rng.choice(sorted(terms))
+    terms[e] = rng.choice([v for v in range(1, poly.ext.size) if v != terms[e]])
+    return LiftedPoly.make(poly.ext, terms)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_qm_matches_enumeration_oracle(m):
+    """qm_equivalent against the enumerate-and-filter oracle: every ordered
+    pair of the lifts of the vectors that permute at base m, then seeded
+    random pairs: a sparse q against an independent sparse p, against a
+    transform a*q(c*X^d), and against such a transform with one
+    coefficient changed, in both orders."""
+    ctx = FieldCtx(m)
+    permuting = [v for v in range(256)
+                 if is_permutation(ctx, family_from_coeffs(f"{v:08b}"), witness=False).is_permutation]
+    lifts = sorted({poly.terms: poly for _, poly in _lifts(m, permuting)}.values(),
+                   key=lambda poly: poly.terms)
+    ext = lifts[0].ext
+    ext._ensure_tables()
+    for p in lifts:
+        for q in lifts:
+            assert qm_equivalent(ext, p, q) == _qm_equivalent_all_d(ext, p, q)
+    rng = random.Random(500 + m)
+    found = 0
+    for _ in range(100 if m == 1 else 65):
+        q = _sparse(rng, ext)
+        moved = qm_transform(ext, q, rng.randrange(1, ext.size), rng.randrange(1, ext.size),
+                             _random_unit(rng, ext.group))
+        for p in (_sparse(rng, ext), moved, _changed_coefficient(rng, moved)):
+            for x, y in ((p, q), (q, p)):
+                witness = qm_equivalent(ext, x, y)
+                assert witness == _qm_equivalent_all_d(ext, x, y), (x.terms, y.terms)
+                found += witness is not None
+    assert found
 
 
 def test_qm_zero_polynomials(e8):
