@@ -18,7 +18,20 @@ The rows:
 - the crafted base-7 pair q = X + X^(1+D) + X^(2+D), D = (2^21-1)/7, and
   p = q with its last coefficient replaced by the extension's generator
   (golden/qm/crafted_{p,q}_m7.json), against each other and each
-  against itself.
+  against itself;
+- `verify --coeffs` of all 256 vectors at m = 3, 5, 7 and 9;
+- `invert` of T1..T5 at every odd m from 3 to 11, with `--method auto`
+  and `--method table`, at one seeded target per degree;
+- `search --m` of each odd degree from 3 to 11, and of 3,5,7;
+- `certify`, `certify --only resultant_Q` and `certify --only nothing`;
+- the three `resultant` lines of README.md;
+- the exit-2 refusals: even m for `verify`, `invert`, `lift` and
+  `search`; m = 13 for `verify`, `search` and table `invert`; `lift` at
+  m = 9; and `qm` of a base-9 document (golden/qm/base9.json);
+- the base-7 pair q = X^D + X^(D+1) and p = X^D + X^(D+2), D =
+  (2^21-1)/7, whose first exponent shares the factor D with 2^21 - 1
+  (golden/qm/shared_factor_{p,q}_m7.json): p against q, q against p,
+  and q against itself.
 
 Rewrite the file only for an output change that is declared.
 """
@@ -38,13 +51,20 @@ from pathlib import Path
 
 from rotaperm import cli
 from rotaperm.family import NAMED_COEFFS, named_family
-from rotaperm.lift import LiftedPoly, lift_permutation, qm_transform, shared_ext
+from rotaperm.field import shared_field
+from rotaperm.lift import ExtCtx, LiftedPoly, lift_permutation, qm_transform, shared_ext
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "cli_manifest.json"
 SHORT_STDOUT = 200  # characters; longer stdout is kept as its hash alone
 DEGREES = (3, 5)
 TARGETS_PER_DEGREE = 6
+ODD_DEGREES = (3, 5, 7, 9, 11)
+README_RESULTANTS = (
+    ["-v", "x", "-f", "x^3+y^3+a", "-g", "x*y^2+y*z^2+x^2*z+c"],
+    ["-v", "x", "-f", "x^30+y", "-g", "x^30+z"],
+    ["-v", "x", "-f", "x^30*a+y", "-g", "x^30*a+z"],
+)
 
 
 def _write(poly: LiftedPoly, name: str) -> str:
@@ -88,7 +108,49 @@ def _commands() -> list[list[str]]:
     p = LiftedPoly.make(ext, {1: 1, 1 + delta: 1, 2 + delta: ext.generator})
     p_path, q_path = _write(p, "crafted_p_m7.json"), _write(q, "crafted_q_m7.json")
     commands += [["qm", "--p", x, "--q", y] for x in (p_path, q_path) for y in (p_path, q_path)]
-    return commands
+    return commands + _other_verbs() + _refusals() + _shared_factor_pair()
+
+
+def _other_verbs() -> list[list[str]]:
+    names = sorted(NAMED_COEFFS)
+    commands = [["verify", "--coeffs", f"{v:08b}", "--m", str(m)]
+                for m in (3, 5, 7, 9) for v in range(256)]
+    for m in ODD_DEGREES:
+        rng = random.Random(900 + m)
+        target = ",".join(hex(rng.randrange(1 << m)) for _ in range(3))
+        commands += [["invert", "--family", n, "--m", str(m), "--target", target,
+                      "--method", method] for n in names for method in ("auto", "table")]
+    commands += [["search", "--m", str(m)] for m in ODD_DEGREES] + [["search", "--m", "3,5,7"]]
+    commands += [["certify"], ["certify", "--only", "resultant_Q"],
+                 ["certify", "--only", "nothing"]]
+    return commands + [["resultant", *argv] for argv in README_RESULTANTS]
+
+
+def _refusals() -> list[list[str]]:
+    """Commands that exit 2: even m, and tables the budget refuses."""
+    base9 = _write(LiftedPoly.make(ExtCtx(shared_field(9)), {1: 1}), "base9.json")
+    return [
+        ["verify", "--family", "T3", "--m", "4"],
+        ["invert", "--family", "T1", "--m", "4", "--target", "0x1,0x0,0x1"],
+        ["lift", "--family", "T1", "--m", "4"],
+        ["search", "--m", "4"],
+        ["verify", "--family", "T3", "--m", "13"],
+        ["search", "--m", "13"],
+        ["invert", "--family", "T2", "--m", "13", "--target", "0x1,0x2,0x3", "--method", "table"],
+        ["lift", "--family", "T1", "--m", "9"],
+        ["qm", "--p", base9, "--q", base9],
+    ]
+
+
+def _shared_factor_pair() -> list[list[str]]:
+    ext = shared_ext(7)
+    delta = ext.group // 7
+    q = LiftedPoly.make(ext, {delta: 1, delta + 1: 1})
+    p = LiftedPoly.make(ext, {delta: 1, delta + 2: 1})
+    p_path = _write(p, "shared_factor_p_m7.json")
+    q_path = _write(q, "shared_factor_q_m7.json")
+    return [["qm", "--p", p_path, "--q", q_path], ["qm", "--p", q_path, "--q", p_path],
+            ["qm", "--p", q_path, "--q", q_path]]
 
 
 def run_row(argv: list[str]) -> tuple[int, str]:
