@@ -16,11 +16,11 @@ polynomials of at most nine terms, and only those nine sums are
 computed, from F at the representatives; see lift_permutation.
 
 Quasi-multiplicative equivalence F = a*G(c*X^d) is decided in discrete
-logs, by one linear congruence solver (_congruence): it lists the d
-coprime to 2^3m - 1 that send G's first exponent into supp(F) (d = 1
-alone when every exponent of G is 0 or 2^3m - 1), and for each d whose
-supports match it folds one congruence per term of G into a residue
-class of log c, whose least member gives c, and a follows.
+logs, in one pass over the terms of G: each way of placing the terms so
+far in supp(F) keeps one residue class of d and one of log c, which one
+linear congruence solver (_congruence) narrows term by term.  The least
+unit of a surviving class of d gives d, the least member of its class
+of log c gives c, and a follows; no class is listed.
 """
 
 from __future__ import annotations
@@ -429,54 +429,47 @@ def qm_transform(ext: ExtCtx, q: LiftedPoly, a: int, c: int, d: int) -> LiftedPo
     return LiftedPoly.make(ext, acc)
 
 
-def _congruence(a: int, b: int, n: int) -> tuple[int, int] | None:
-    """(x0, step) with 0 <= x0 < step such that the solutions of
-    a*x = b (mod n) are exactly x0 + t*step; None when there are none.
+def _congruence(x0: int, step: int, a: int, b: int, n: int) -> tuple[int, int] | None:
+    """The members of the class x = x0 (mod step) that solve a*x = b
+    (mod n), as one class (x1, step1) with 0 <= x1 < step1; None when
+    there are none.
 
-    With g = gcd(a, n) a solution needs g | b; step = n/g then divides n.
+    For step | n: with x = x0 + step*t the equation is a*step*t =
+    b - a*x0 (mod n), which needs g = gcd(a*step, n) to divide the right
+    side, and then its t form one class modulo n/g.  step divides g, so
+    step1 = step*n/g divides n again.
     """
-    g = math.gcd(a, n)
-    if b % g:
+    g = math.gcd(a * step, n)
+    if (b - a * x0) % g:
         return None
-    step = n // g
-    return (b // g) * pow(a // g, -1, step) % step, step
+    t_step = n // g
+    t0 = (b - a * x0) // g * pow(a * step // g, -1, t_step) % t_step
+    return x0 + step * t0, step * t_step
 
 
-def _candidate_exponents(group: int, p_supp: set[int], q_exps) -> list[int]:
-    """Ascending d coprime to group under which q's anchor can land in supp(p).
-
-    The anchor is q's first exponent e0 with 0 < e0 < group; X^e0
-    becomes X^(e0*d mod group), so d must solve e0*d = e (mod group) for
-    some e in supp(p).  Exponents 0 and group cannot be hit, since a d
-    coprime to group sends e0 to neither.  Without an anchor every
-    exponent of q is 0 or group, which every unit d fixes, so
-    q(c*X^d) = q(c*X) and d = 1 alone stands for all of them.
-    """
-    anchor = next((e for e in q_exps if 0 < e < group), None)
-    if anchor is None:
-        return [1]
-    ds = set()
-    for e in p_supp:
-        solved = _congruence(anchor, e, group) if 0 < e < group else None
-        if solved:
-            ds.update(range(solved[0], group, solved[1]))
-    return sorted(d for d in ds if math.gcd(d, group) == 1)
+def _least_unit(d0: int, s: int, n: int) -> int:
+    """The least d >= 1 coprime to n with d = d0 (mod s); gcd(d0, s) = 1."""
+    d = d0
+    while math.gcd(d, n) != 1:
+        d += s
+    return d
 
 
 def qm_equivalent(ext: ExtCtx, p: LiftedPoly, q: LiftedPoly) -> tuple[int, int, int] | None:
-    """Witness (a, c, d) with p(X) = a*q(c*X^d), or None after every candidate d.
+    """Witness (a, c, d) with p(X) = a*q(c*X^d), d a unit mod n = 2^3m - 1,
+    or None.
 
-    Term counts must agree; d runs in ascending order over the values
-    coprime to 2^3m - 1 that send q's anchor exponent into supp(p)
-    (_candidate_exponents), and for each the supports must match under
-    e -> e*d.  Then p_(e*d) = a*c^e*q_e for every term e of q.  In logs,
-    with k = log c and r_e = log p_(e*d) - log q_e, that is
-    r_e = log a + e*k, so against q's first term e0 each later term gives
-    (e - e0)*k = r_e - r_e0 (mod 2^3m - 1).  Those congruences fold one at
-    a time into k = k0 (mod M), M | 2^3m - 1; the least k0 gives c, and
-    log a = r_e0 - e0*k.  Every d that a witness can use is a candidate,
-    or gives the transform of one (d = 1 when q has no anchor), so the
-    witness is the least d, then the least log c, over the full range.
+    In logs, with k = log c, a term X^e of q landing on X^f asks e*d = f
+    and r_e = log a + e*k (mod n), r_e = log p_f - log q_e; against q's
+    first term e0, (e - e0)*k = r_e - r_e0.  One pass over q's terms
+    keeps, per placement of the terms so far in supp(p), the classes
+    d = d0 (mod s) and k = k0 (mod M), s and M dividing n, and _congruence
+    narrows both term by term.  Once e*s = 0 (mod n), as for e = 0 and n,
+    which every unit fixes, e*d is e*d0 on the whole class: that target
+    alone is tried.  A class holds a unit exactly when gcd(d0, s) = 1, so
+    other placements are dropped; a unit sends distinct exponents apart,
+    so a surviving placement is a bijection onto supp(p) and no two share
+    a unit.  The witness is the least surviving unit, then the least k.
 
     Once every congruence holds the transform equals p term by term; the
     final comparison, through qm_transform's own field arithmetic, is a
@@ -489,26 +482,28 @@ def qm_equivalent(ext: ExtCtx, p: LiftedPoly, q: LiftedPoly) -> tuple[int, int, 
     ext._ensure_tables()
     group, log = ext.group, ext._log
     p_logs = {e: int(log[coef]) for e, coef in p.terms}
-    p_supp = set(p_logs)
     e0 = q.terms[0][0]
-    for d in _candidate_exponents(group, p_supp, [e for e, _ in q.terms]):
-        mapped = [_reduce_exponent(e, d, group) for e, _ in q.terms]
-        if set(mapped) != p_supp:
-            continue
-        r = [p_logs[me] - int(log[coef]) for me, (_, coef) in zip(mapped, q.terms)]
-        k0, modulus = 0, 1
-        for (e, _), r_e in zip(q.terms[1:], r[1:]):
-            # k = k0 + modulus*t, so (e - e0)*modulus*t = r_e - r_e0 - (e - e0)*k0
-            solved = _congruence((e - e0) * modulus, r_e - r[0] - (e - e0) * k0, group)
-            if solved is None:
-                break
-            t0, step = solved
-            k0, modulus = k0 + modulus * t0, modulus * step
-        else:
-            a, c = int(ext._exp[(r[0] - e0 * k0) % group]), int(ext._exp[k0])
-            if qm_transform(ext, q, a, c, d).terms != p.terms:
-                raise FormulaInconsistent(
-                    f"the witness (a, c, d) = ({a:#x}, {c:#x}, {d}) solves every "
-                    "congruence but does not transform q into p")
-            return (a, c, d)
-    return None
+    states = [(0, 1, 0, 1, 0)]  # (d0, s, k0, M, r_e0) per placement
+    for i, (e, coef) in enumerate(q.terms):
+        placed = []
+        for d0, s, k0, modulus, r0 in states:
+            fixed = e * s % group == 0  # e*d is e*d0 on the whole class
+            for f in [_reduce_exponent(e, d0, group)] if fixed else p_logs:
+                d_class = (d0, s) if fixed else _congruence(d0, s, e, f, group)
+                if f not in p_logs or not d_class or math.gcd(*d_class) != 1:
+                    continue
+                r = p_logs[f] - int(log[coef])
+                r0 = r if i == 0 else r0
+                k_class = _congruence(k0, modulus, e - e0, r - r0, group)
+                if k_class:
+                    placed.append((*d_class, *k_class, r0))
+        states = placed
+    if not states:
+        return None
+    d, k0, r0 = min((_least_unit(d0, s, group), k0, r0) for d0, s, k0, _, r0 in states)
+    a, c = int(ext._exp[(r0 - e0 * k0) % group]), int(ext._exp[k0])
+    if qm_transform(ext, q, a, c, d).terms != p.terms:
+        raise FormulaInconsistent(
+            f"the witness (a, c, d) = ({a:#x}, {c:#x}, {d}) solves every "
+            "congruence but does not transform q into p")
+    return (a, c, d)

@@ -604,21 +604,6 @@ def _random_unit(rng, group):
 
 def _assert_qm_matches_oracle(ext, p, q):
     assert qm_equivalent(ext, p, q) == _qm_equivalent_all_d(ext, p, q)
-    # Every d under which the supports match, witness or not, gives the
-    # transform of some candidate: a*q(c*X^d) depends on d only through
-    # where d sends q's exponents.
-    group = ext.group
-    q_exps = [e for e, _ in q.terms]
-
-    def sends(d):
-        return tuple(lift._reduce_exponent(e, d, group) for e in q_exps)
-    matched = [d for d in range(1, group) if math.gcd(d, group) == 1
-               and set(sends(d)) == set(dict(p.terms))]
-    candidates = list(lift._candidate_exponents(group, set(dict(p.terms)), q_exps))
-    assert {sends(d) for d in candidates}.issuperset(map(sends, matched))
-    for d in matched[:3]:
-        twin = next(c for c in candidates if sends(c) == sends(d))
-        assert qm_transform(ext, q, 3, 5, d).terms == qm_transform(ext, q, 3, 5, twin).terms
 
 
 @pytest.mark.parametrize("m", [3, 5])
@@ -640,7 +625,8 @@ def test_qm_matches_all_d_oracle_on_named_lifts(m):
 
 
 def test_qm_matches_oracle_when_anchor_shares_a_factor(e8):
-    """gcd(7, 511) = 7, so each exponent of p gives seven candidate d."""
+    """gcd(7, 511) = 7, so q's first term fixes d only mod 73, and its
+    second term, X^73, fixes the rest."""
     q = LiftedPoly.make(e8, {7: 1, 73: 1})
     rng = random.Random(41)
     targets = [q] + [qm_transform(e8, q, rng.randrange(1, 512), rng.randrange(1, 512),
@@ -652,21 +638,22 @@ def test_qm_matches_oracle_when_anchor_shares_a_factor(e8):
 
 
 def test_qm_without_anchor_d_1_stands_for_every_d(e8):
-    """Exponents 0 and 2^3m - 1 are fixed by every unit d, so every d gives
-    the transform of d = 1, the one candidate."""
+    """Exponents 0 and 2^3m - 1 are fixed by every unit d, so the class of
+    d is never narrowed and every d gives the transform of its least unit,
+    d = 1."""
     q = LiftedPoly.make(e8, {0: 1, e8.group: 5})
-    assert list(lift._candidate_exponents(e8.group, {0, e8.group}, [0, e8.group])) == [1]
     for p in (q, LiftedPoly.make(e8, {0: 3, e8.group: 5}), LiftedPoly.make(e8, {0: 1, e8.group: 9})):
         _assert_qm_matches_oracle(e8, p, q)
     assert qm_equivalent(e8, q, q) == (1, 1, 1)
 
 
 def test_qm_without_anchor_lists_no_group(within_table_budget):
-    """At base m = 7, X^0 + X^(2^21 - 1) against itself: d = 1 is the one
-    candidate, and the congruence for log c, 0*k = 0 (mod 2^21 - 1),
-    leaves every k, of which the least is taken, so nothing of the size
-    of the group is built: the call peaks within the 1 MiB the budget
-    gives any build above its entries."""
+    """At base m = 7, X^0 + X^(2^21 - 1) against itself: both exponents are
+    fixed, so the class of d stays every integer and its least unit, 1,
+    is taken, and the congruence for log c, 0*k = 0 (mod 2^21 - 1), leaves
+    every k, of which the least is taken, so nothing of the size of the
+    group is built: the call peaks within the 1 MiB the budget gives any
+    build above its entries."""
     ext = shared_ext(7)
     ext._ensure_tables()
     p = LiftedPoly.make(ext, {0: 1, ext.group: 1})
@@ -675,22 +662,50 @@ def test_qm_without_anchor_lists_no_group(within_table_budget):
 
 
 def test_qm_crafted_pair_lists_no_candidate(within_table_budget):
-    """q = X + X^(1+D) + X^(2+D) with D = (2^21 - 1)/7 at base m = 7, and p
-    the same with the generator as its last coefficient.  Under d = 1 the
-    second term asks D*k = 0 (mod 2^21 - 1) of k = log c, which D values
-    of k solve; for p the third asks (1 + D)*k = 1, which none of them
-    does.  Those solutions stay one residue class and are never listed:
-    each call peaks within the 1 MiB the budget gives any build above its
-    entries."""
+    """Two crafted pairs at base m = 7, D = (2^21 - 1)/7.  First q = X +
+    X^(1+D) + X^(2+D), and p the same with the generator as its last
+    coefficient.  Under d = 1 the second term asks D*k = 0 (mod 2^21 - 1)
+    of k = log c, which D values of k solve; for p the third asks
+    (1 + D)*k = 1, which none of them does.  Then q = X^D + X^(D+1) and p
+    = X^D + X^(D+2), whose first exponent D leaves d one of D values mod
+    2^21 - 1; the second term fixes d, and for p finds no unit.  Those
+    classes are never listed: each call peaks within the 1 MiB the budget
+    gives any build above its entries."""
     ext = shared_ext(7)
     ext._ensure_tables()
     delta = ext.group // 7
-    q = LiftedPoly.make(ext, {1: 1, 1 + delta: 1, 2 + delta: 1})
-    p = LiftedPoly.make(ext, {1: 1, 1 + delta: 1, 2 + delta: ext.generator})
-    within_table_budget(lambda: qm_equivalent(ext, p, q), 0)
-    within_table_budget(lambda: qm_equivalent(ext, q, q), 0)
-    assert qm_equivalent(ext, p, q) is None
-    assert qm_equivalent(ext, q, q) == (1, 1, 1)
+    crafted = (
+        (LiftedPoly.make(ext, {1: 1, 1 + delta: 1, 2 + delta: ext.generator}),
+         LiftedPoly.make(ext, {1: 1, 1 + delta: 1, 2 + delta: 1})),
+        (LiftedPoly.make(ext, {delta: 1, delta + 2: 1}),
+         LiftedPoly.make(ext, {delta: 1, delta + 1: 1})),
+    )
+    for p, q in crafted:
+        within_table_budget(lambda: qm_equivalent(ext, p, q), 0)
+        within_table_budget(lambda: qm_equivalent(ext, q, q), 0)
+        assert qm_equivalent(ext, p, q) is None
+        assert qm_equivalent(ext, q, q) == (1, 1, 1)
+
+
+def test_qm_matches_oracle_when_every_exponent_shares_a_factor(e8):
+    """Every exponent of q is a multiple of 73 and 511 = 7*73, so the
+    terms of q fix d only mod 7, and the least unit of that class decides
+    the witness.  Seeded q against a*q(c*X^d), and against that transform
+    with one coefficient changed, in both orders, against the all-d
+    oracle."""
+    rng = random.Random(73)
+    found = []
+    for _ in range(40):
+        q = LiftedPoly.make(e8, {73 * rng.randrange(8): rng.randrange(1, e8.size)
+                                 for _ in range(rng.randrange(1, 5))})
+        moved = qm_transform(e8, q, rng.randrange(1, e8.size), rng.randrange(1, e8.size),
+                             _random_unit(rng, e8.group))
+        for p in (moved, _changed_coefficient(rng, moved)):
+            for x, y in ((p, q), (q, p)):
+                witness = qm_equivalent(e8, x, y)
+                assert witness == _qm_equivalent_all_d(e8, x, y), (x.terms, y.terms)
+                found += [witness] if witness else []
+    assert {d for _, _, d in found} - {1}
 
 
 def _sparse(rng, ext):
