@@ -667,10 +667,10 @@ def test_qm_crafted_pair_lists_no_candidate(within_table_budget):
     coefficient.  Under d = 1 the second term asks D*k = 0 (mod 2^21 - 1)
     of k = log c, which D values of k solve; for p the third asks
     (1 + D)*k = 1, which none of them does.  Then q = X^D + X^(D+1) and p
-    = X^D + X^(D+2), whose first exponent D leaves d one of D values mod
-    2^21 - 1; the second term fixes d, and for p finds no unit.  Those
-    classes are never listed: each call peaks within the 1 MiB the budget
-    gives any build above its entries."""
+    = X^D + X^(D+2): q's first term fixes d only mod 7, a class of D
+    values mod 2^21 - 1, and its second term fixes d against q and has no
+    solution against p.  Those classes are never listed: each call peaks
+    within the 1 MiB the budget gives any build above its entries."""
     ext = shared_ext(7)
     ext._ensure_tables()
     delta = ext.group // 7
@@ -687,17 +687,19 @@ def test_qm_crafted_pair_lists_no_candidate(within_table_budget):
         assert qm_equivalent(ext, q, q) == (1, 1, 1)
 
 
-def test_qm_matches_oracle_when_every_exponent_shares_a_factor(e8):
-    """Every exponent of q is a multiple of 73 and 511 = 7*73, so the
-    terms of q fix d only mod 7, and the least unit of that class decides
-    the witness.  Seeded q against a*q(c*X^d), and against that transform
-    with one coefficient changed, in both orders, against the all-d
-    oracle."""
-    rng = random.Random(73)
+@pytest.mark.parametrize("factor", [73, 7])
+def test_qm_matches_oracle_when_every_exponent_shares_a_factor(e8, factor):
+    """Every exponent of q is a multiple of a factor of 511 = 7*73, so the
+    terms of q fix d only mod 511/factor, and the least unit of that
+    class decides the witness; mod 73 that class may start at a multiple
+    of 7, which is no unit.  Seeded q against a*q(c*X^d), and against that
+    transform with one coefficient changed, in both orders, against the
+    all-d oracle."""
+    rng = random.Random(factor)
     found = []
     for _ in range(40):
-        q = LiftedPoly.make(e8, {73 * rng.randrange(8): rng.randrange(1, e8.size)
-                                 for _ in range(rng.randrange(1, 5))})
+        q = LiftedPoly.make(e8, {factor * rng.randrange(e8.group // factor + 1):
+                                 rng.randrange(1, e8.size) for _ in range(rng.randrange(1, 5))})
         moved = qm_transform(e8, q, rng.randrange(1, e8.size), rng.randrange(1, e8.size),
                              _random_unit(rng, e8.group))
         for p in (moved, _changed_coefficient(rng, moved)):
