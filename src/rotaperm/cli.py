@@ -15,13 +15,7 @@ import sys
 from functools import lru_cache
 
 from .certify import run_all
-from .errors import (
-    EvenDegree,
-    FormulaInconsistent,
-    MultiplePreimages,
-    NoPreimage,
-    RotapermError,
-)
+from .errors import FormulaInconsistent, RotapermError
 from .family import NAMED_COEFFS, FamilySpec, family_from_coeffs, named_family
 from .field import shared_field
 from .invert import invert_point
@@ -29,8 +23,6 @@ from .lift import lift_permutation, lifted_from_json, qm_equivalent, shared_ext
 from .mpoly import parse as parse_poly, resultant, to_text
 from .permcheck import is_permutation
 from .search import search_all, search_diff
-
-INTERNAL_ERRORS = (FormulaInconsistent, NoPreimage, MultiplePreimages)
 
 
 def _emit(payload, summary: str) -> None:
@@ -49,15 +41,9 @@ def _family_from_args(args) -> FamilySpec:
     return family_from_coeffs(args.coeffs)
 
 
-def _odd(m: int) -> int:
-    if m % 2 == 0:
-        raise EvenDegree("m must be odd")
-    return m
-
-
 def _cmd_verify(args) -> int:
     fam = _family_from_args(args)
-    ctx = shared_field(_odd(args.m))
+    ctx = shared_field(args.m)
     report = is_permutation(ctx, fam)
     _emit(report.to_json(),
           f"family {report.family} at m={report.m}: "
@@ -67,7 +53,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invert(args) -> int:
     fam = named_family(args.family)
-    ctx = shared_field(_odd(args.m))
+    ctx = shared_field(args.m)
     parts = args.target.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("target needs three comma-separated hex values")
@@ -88,9 +74,8 @@ def _cmd_invert(args) -> int:
 
 def _cmd_lift(args) -> int:
     fam = named_family(args.family)
-    # shared_ext refuses before any field is built.  Every named family
-    # permutes at odd m.
-    poly = lift_permutation(shared_ext(_odd(args.m)), fam)
+    # shared_ext refuses before any field is built.
+    poly = lift_permutation(shared_ext(args.m), fam)
     payload = poly.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -176,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="auto", choices=("auto", "closed", "resolvent", "table"))
     p.set_defaults(fn=_cmd_invert)
 
-    p = sub.add_parser("lift", help="permutation polynomial of GF(2^3m) for a family")
+    p = sub.add_parser("lift", help="the polynomial over GF(2^3m) that lifts a family")
     p.add_argument("--family", required=True, choices=tuple(NAMED_COEFFS))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", help="also write the JSON to a file")
@@ -192,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("search", help="classify all 256 coefficient vectors")
-    p.add_argument("--m", required=True, help="comma-separated odd degrees, e.g. 3,5,7")
+    p.add_argument("--m", required=True, help="comma-separated degrees, e.g. 3,5,7")
     p.add_argument("--out", help="also write the JSON to a file")
     p.set_defaults(fn=_cmd_search)
 
@@ -213,7 +198,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except INTERNAL_ERRORS as exc:
+    except FormulaInconsistent as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
     except (RotapermError, argparse.ArgumentTypeError, ValueError, OSError) as exc:

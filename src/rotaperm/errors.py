@@ -65,24 +65,17 @@ class DomainTooLarge(RotapermError):
 
 
 class EvenDegree(RotapermError):
-    """An operation that needs odd m, where 3 is invertible mod 2^m - 1, was
-    asked for an even degree: search, the CLI's verify, invert or lift, a
-    cube root, the half-trace, or the permutation mask."""
+    """A field operation that needs odd m was asked for an even degree: a
+    cube root (3 is invertible mod 2^m - 1 only for odd m) or the
+    half-trace."""
 
 
 class NotAPermutation(RotapermError):
-    """Inverse table requested for a non-bijective family."""
+    """Inversion requested for a family that does not permute GF(2^m)^3:
+    any family at even m, or a non-bijective vector's inverse table."""
 
 
 class FormulaInconsistent(RotapermError):
     """A defensive re-check failed: a preimage or a lift against the forward
     map, or an invariant such as the cubic trace criterion or the
     projective decision against the witness scan."""
-
-
-class NoPreimage(RotapermError):
-    """Defensive: no resolvent root survived filtering (impossible for a permutation)."""
-
-
-class MultiplePreimages(RotapermError):
-    """Defensive: several resolvent roots survived filtering (impossible for a permutation)."""

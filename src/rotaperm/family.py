@@ -26,7 +26,6 @@ search) load no polynomial arithmetic through it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -108,9 +107,7 @@ def _eval_f(ctx: FieldCtx, coeffs: tuple[int, ...], x: int, y: int, z: int) -> i
 
 
 def eval_F(ctx: FieldCtx, fam: FamilySpec, point: Triple) -> Triple:
-    """Numeric image of a point under F (warns for even m, still evaluates)."""
-    if ctx.m % 2 == 0:
-        warnings.warn(f"m={ctx.m} is even: F cannot be a permutation there", stacklevel=2)
+    """Numeric image of a point under F, at any m."""
     x, y, z = point
     return (
         _eval_f(ctx, fam.coeffs, x, y, z),

@@ -8,7 +8,9 @@ lam^3 * F(v), leaves one entry per projective representative, q^2+q+1
 in all, and a cube root rescales the entry to the target.  Those
 entries are admitted by field.admit's one table budget of 2^24 entries,
 so the table serves odd m up to 11 and refuses m = 13; the closed forms
-and the resolvent need no such table.
+and the resolvent need no such table.  Even m is refused once, by
+invert_point, before any route: 3 divides 2^m - 1, so a cube root of
+unity lam != 1 gives F(lam*v) = F(v), and no family permutes.
 
 A family is its coefficient vector, so invert_point routes on the
 vector: family_from_coeffs("00000011") takes T3's closed form as
@@ -29,12 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    FormulaInconsistent,
-    MultiplePreimages,
-    NoPreimage,
-    NotAPermutation,
-)
+from .errors import FormulaInconsistent, NotAPermutation
 from .family import NAMED_COEFFS, FamilySpec, eval_F, family_from_coeffs, named_family
 from .field import FieldCtx, Triple, admit
 from .permcheck import projective_images, projective_keys, representative, representative_index
@@ -154,7 +151,8 @@ def invert_T1_resolvent(ctx: FieldCtx, target: Triple) -> Triple:
     # The numeric cubic A*Y^3 + B*Y^2 + C*Y + D at this target.
     big_a, big_b, big_c, big_d = resolvent_coeffs(ctx, a, b, c)
     if big_a == 0:
-        raise NoPreimage(f"degenerate resolvent outside the classified cases at {target}")
+        raise FormulaInconsistent(
+            f"degenerate resolvent outside the classified cases at {target}")
     inv_a = ctx.inv(big_a)
     roots = ctx.cubic_roots(ctx.mul(big_b, inv_a), ctx.mul(big_c, inv_a), ctx.mul(big_d, inv_a))
     survivors = []
@@ -164,9 +162,9 @@ def invert_T1_resolvent(ctx: FieldCtx, target: Triple) -> Triple:
         if third == c:
             survivors.append((x, y, z))
     if not survivors:
-        raise NoPreimage(f"no resolvent root survived the third equation at {target}")
+        raise FormulaInconsistent(f"no resolvent root survived the third equation at {target}")
     if len(survivors) > 1:
-        raise MultiplePreimages(f"{len(survivors)} candidate preimages at {target}")
+        raise FormulaInconsistent(f"{len(survivors)} candidate preimages at {target}")
     return _checked(ctx, _T1, target, survivors[0])
 
 
@@ -174,22 +172,19 @@ def invert_T1_resolvent(ctx: FieldCtx, target: Triple) -> Triple:
 # table-based inversion (the route for T2)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _inverse_table(ctx: FieldCtx, coeffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(lead, source) of a permutation F, read-only, over the q^2+q+1
-    representatives r_i.
+    """(lead, source) of a permutation F at odd m, read-only, over the
+    q^2+q+1 representatives r_i.
 
     lead and the keys are permcheck.projective_keys of F at every
     representative (permcheck.projective_images), and source[j] the i
     whose key is j.  Decided from the same keys the table is built from,
     so a non-permutation costs no q^3 scan.  Its q^2+q+1 entries are
-    admitted (field.admit) before any is built.
+    admitted (field.admit) before any is built, and one table is kept, so
+    the cache never holds more than one budget.
     """
     name = "".join(map(str, coeffs))
-    if ctx.m % 2 == 0:
-        # A cube root of unity lam != 1 exists, and F(lam*v) = F(v).
-        raise NotAPermutation(f"family {name} at m={ctx.m}: no 3-homogeneous map permutes "
-                              "GF(2^m)^3 for even m")
     admit(ctx.q * ctx.q + ctx.q + 1, f"the inverse table at m={ctx.m}")
     lead, keys = projective_keys(ctx, projective_images(ctx, family_from_coeffs(coeffs)))
     n = lead.size
@@ -238,10 +233,15 @@ def invert_point(ctx: FieldCtx, fam: FamilySpec, target: Triple,
                  method: str = "auto") -> tuple[Triple, str]:
     """Invert one target; returns (preimage, method label).
 
-    "auto" takes the constructive inverter of fam's vector, if any, and
-    "table" always the lookup; "closed" and "resolvent" serve only the
-    vectors whose constructive inverter is of that kind.
+    Even m raises NotAPermutation before any route is chosen: no
+    3-homogeneous map permutes GF(2^m)^3 there (see the module
+    docstring).  "auto" takes the constructive inverter of fam's vector,
+    if any, and "table" always the lookup; "closed" and "resolvent" serve
+    only the vectors whose constructive inverter is of that kind.
     """
+    if ctx.m % 2 == 0:
+        raise NotAPermutation(f"family {_display(fam)} at m={ctx.m}: a cube root of unity "
+                              "lam != 1 gives F(lam*v) = F(v), so nothing permutes at even m")
     label, fn = _INVERTERS.get(fam.coeffs, ("table", None))
     if method == "closed" and label != "closed-form":
         raise ValueError(f"no closed form for {_display(fam)}")

@@ -381,9 +381,11 @@ def _representative_logs(ext: ExtCtx) -> np.ndarray:
 
 def _is_projective(ext: ExtCtx, p: LiftedPoly) -> bool:
     """Whether p(l*t) = l^3 p(t) for l in GF(2^m)* with l -> l^3 bijective:
-    odd base m, and every exponent e has 0 < e < 2^3m - 1 and e = 3 (mod q-1)."""
+    the base has cube roots (FieldCtx.inv3), and every exponent e has
+    0 < e < 2^3m - 1 and e = 3 (mod q-1)."""
     q1 = ext.base.q - 1
-    return ext.m % 2 == 1 and all(0 < e < ext.group and (e - 3) % q1 == 0 for e, _ in p.terms)
+    return ext.base.inv3 is not None and all(0 < e < ext.group and (e - 3) % q1 == 0
+                                             for e, _ in p.terms)
 
 
 def is_pp(ext: ExtCtx, p: LiftedPoly) -> bool:

@@ -39,9 +39,12 @@ imaged at the G-orbit minima alone, and the decision is made on the
 G-classes of their keys (_decide_rows, a block of vectors at a time).
 The cached decision data is the group structure alone; no image is kept.
 
-Even m is answered without any image: 3 divides q-1, so z -> z^3 is
-3-to-1 on GF(2^m)^*, and F(0,0,z), a function of z^3 alone, repeats
-among the first q points, where the cube table names the first collision.
+Even m is answered without any image, by the cube lemma: 3 divides q-1,
+so z -> z^3 is 3-to-1 on GF(2^m)^*, and F(0,0,z), a function of z^3
+alone, repeats among the first q points, where the cube table names the
+first collision.  So no family permutes at even m: the permutation mask
+is all False there, built without a table, and rotaperm.invert refuses
+even m on the same lemma.
 
 One key function, projective_keys, scales any array of points to their
 representatives: the decision keys F at the G-minima, group_tables keys
@@ -78,11 +81,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import EvenDegree, FormulaInconsistent
+from .errors import FormulaInconsistent
 from .family import COEFF_EXPONENTS, FamilySpec
 from .field import FieldCtx, Triple, admit, shared_field
 
-IMAGE_BLOCK = 1 << 16  # points per block in family_images and _decide_rows; bounds temporaries
+IMAGE_BLOCK = 1 << 16  # points per block in _decide_rows; bounds temporaries
 
 
 class PermReport(NamedTuple):
@@ -166,27 +169,21 @@ def family_images(ctx: FieldCtx, fam: FamilySpec, slabs: int | None = None) -> n
     """Packed image of every domain point in the first `slabs` x-slabs (all
     q of them when slabs is None), indexed by packed point.
 
-    No monomial reads all of x, y and z, so over GF(2) F(x,y,z) is
-    F(x,y,0) + F(x,0,z) + F(x,0,0) + F(0,y,z) + F(0,y,0) + F(0,0,z), which
-    keeps each monomial once or three times.  _images gives each term once,
-    over at most a q x q grid, and they are summed a block of x-slabs at a
-    time, at most IMAGE_BLOCK points (one slab when q^2 is larger).  The
-    slabs * q^2 entries are admitted (field.admit) before any is imaged,
-    and packed into uint64, wide enough for the 3m bits of every degree.
+    One _images call on the grid of (slab, y, z): no monomial reads all of
+    x, y and z, so each of its three sums is over at most a q x q face of
+    the grid.  The slabs * q^2 entries are admitted (field.admit) before
+    any is imaged, and packed into uint64, wide enough for the 3m bits of
+    every degree; the build peaks near 14 B per entry, the uint16 images
+    and the packed array.
     """
-    q, m, c = ctx.q, ctx.m, fam.coeffs
+    q, m = ctx.q, ctx.m
     slabs = q if slabs is None else slabs
     admit(slabs * q * q, f"the images of {slabs} x-slabs at m={m}")
-    x, y, z = np.ix_(np.arange(slabs), np.arange(q), np.arange(q))
-    xy = _images(ctx, c, x, y, 0) ^ _images(ctx, c, x, 0, 0)
-    xz = _images(ctx, c, x, 0, z)
-    yz = _images(ctx, c, 0, y, z) ^ _images(ctx, c, 0, y, 0) ^ _images(ctx, c, 0, 0, z)
-    packed = np.empty((slabs, q, q), dtype=np.uint64)
-    rows = max(1, IMAGE_BLOCK // (q * q))
-    for start in range(0, slabs, rows):
-        block = slice(start, start + rows)
-        f1, f2, f3 = xy[:, block] ^ yz ^ xz[:, block]
-        packed[block] = (f1.astype(np.uint64) << m | f2) << m | f3
+    f1, f2, f3 = _images(ctx, fam.coeffs, *np.ix_(np.arange(slabs), np.arange(q), np.arange(q)))
+    packed = f1.astype(np.uint64)
+    for f in (f2, f3):
+        packed <<= m
+        packed |= f
     return packed.reshape(-1)
 
 
@@ -413,15 +410,19 @@ _Y_Z_PARTNER = _VECTOR_BITS[:, _Y_Z_SWAP] @ (1 << np.arange(7, -1, -1))
 
 
 def admit_mask(m: int) -> None:
-    """Admit (field.admit) the decision tables of the permutation mask at
-    odd m, one entry per representative: q^2+q+1."""
-    admit((1 << 2 * m) + (1 << m) + 1, f"the permutation mask at m={m}")
+    """Admit (field.admit) the decision tables of the permutation mask:
+    one entry per representative, q^2+q+1, at odd m, and none at even m,
+    where the mask is built without a table."""
+    if m % 2:
+        admit((1 << 2 * m) + (1 << m) + 1, f"the permutation mask at m={m}")
 
 
 def _build_permutation_mask(ctx: FieldCtx) -> np.ndarray:
-    """The mask of permutation_mask: admitted, then the subfields' masks
-    ANDed, then the projective decision at m of one vector per y <-> z
-    pair."""
+    """The mask of permutation_mask: all False at even m (the cube lemma);
+    at odd m admitted, then the subfields' masks ANDed, then the
+    projective decision at m of one vector per y <-> z pair."""
+    if ctx.m % 2 == 0:
+        return np.zeros(256, dtype=bool)
     admit_mask(ctx.m)
     mask = np.ones(256, dtype=bool)
     # shared_field(k) models GF(2^k) apart from its copy inside ctx, and F
@@ -438,24 +439,23 @@ def _build_permutation_mask(ctx: FieldCtx) -> np.ndarray:
 
 
 def permutation_mask(ctx: FieldCtx) -> np.ndarray:
-    """Whether F permutes GF(2^m)^3 (odd m), for every coefficient vector.
+    """Whether F permutes GF(2^m)^3, for every coefficient vector.
 
     A read-only (256,) bool array indexed by a1..a8 read as an 8-bit
-    integer, a1 the high bit, which is family.all_families() order.  A
-    vector is kept only if it permutes every proper subfield (the
-    subfield lemma: each GF(2^k) with k | m and k < m, GF(2) included,
-    ANDs in its own mask).  Of the rest, one vector per y <-> z pair is
-    decided by _decide_rows and its verdict copied to its partner:
-    tau F tau with tau(x, y, z) = (x, z, y) is the partner's map, and a
-    permutation exactly when F is one.  That is 136 rows at m=1, 38 of
+    integer, a1 the high bit, which is family.all_families() order.  At
+    even m it is all False, by the cube lemma (module docstring), and
+    built without a table.  At odd m a vector is kept only if it permutes
+    every proper subfield (the subfield lemma: each GF(2^k) with k | m
+    and k < m, GF(2) included, ANDs in its own mask).  Of the rest, one
+    vector per y <-> z pair is decided by _decide_rows and its verdict
+    copied to its partner: tau F tau with tau(x, y, z) = (x, z, y) is the
+    partner's map, and a permutation exactly when F is one.  That is 136 rows at m=1, 38 of
     the 72 GF(2) permutations at prime m, and 20 of P(3)'s 36 at m=9.
     Built on first use and cached on ctx as one entry, with group_tables
     beside it and the subfields' masks on their contexts from
     field.shared_field, so on the contexts the verbs use, every field's
     mask is built once per process.
     """
-    if ctx.m % 2 == 0:
-        raise EvenDegree(f"the projective decision needs odd m, got m={ctx.m}")
     return ctx._table("permutation_mask", _build_permutation_mask)
 
 

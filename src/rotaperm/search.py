@@ -1,17 +1,19 @@
 """Exhaustive classification of all 256 coefficient vectors.
 
-For each requested odd degree every family of the eight-bit shape is
-run through the bijectivity decision without a witness (see
-rotaperm.permcheck).  All 256 vectors of a degree are decided in one
+For each requested degree every family of the eight-bit shape is run
+through the bijectivity decision without a witness (see
+rotaperm.permcheck).  At odd m all 256 vectors are decided in one
 blocked pass into the field's permutation mask, by one projective
 decision on each proper subfield and then at m: 184 of the 256 fail on
 GF(2)^3, decided once per process, and at m=9 those outside P(3) fail
 on GF(8)^3.  Of the rest one vector of each y <-> z pair is imaged at m
 (38 at m = 3, 5 and 7, 20 at m=9), once per orbit of the q^2+q+1
 representatives under rotation and Frobenius (9749 orbits at m=9), never
-the full cube.  A degree requested twice is decided once and still
-printed as requested.  The report records the per-degree permutation
-sets (as bitstrings, sorted) and their intersection.
+the full cube.  At even m the mask is all False by permcheck's cube
+lemma, so the degree's list is empty.  A degree requested twice is
+decided once and still printed as requested.  The report records the
+per-degree permutation sets (as bitstrings, sorted) and their
+intersection.
 
 The mask and every table under it (permcheck.permutation_mask) live on
 the degree's context from field.shared_field, so they are built once per
@@ -20,16 +22,16 @@ repeated search reads them.  Each degree's 256 lookups run as one task
 on that thread, in all_families() order, which is bitstring order, so
 repeated runs are bit-identical and the results need no sort.
 
-Degrees: every requested degree's mask, q^2+q+1 entries, is admitted by
-field.admit's one table budget of 2^24 entries before any degree is
-decided, so odd m up to 11 is searched and m = 13 refused.
+Degrees: every requested degree's mask is admitted (permcheck.admit_mask)
+before any degree is decided: q^2+q+1 entries at odd m, within field.admit's
+one table budget of 2^24 entries up to m = 11, so m = 13 is refused, and
+none at even m, so every even m up to 16 is searched.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import EvenDegree
 from .family import NAMED_COEFFS, all_families
 from .field import FieldCtx, check_degree, shared_field
 from .permcheck import admit_mask, is_permutation, permutation_mask
@@ -75,17 +77,15 @@ def search_all(degrees) -> SearchReport:
     """Classify every coefficient vector over each requested degree.
 
     Every degree is checked before any work starts: m outside 1..16
-    raises UnsupportedDegree, even m raises EvenDegree, and a mask the
-    table budget does not admit (m >= 13) raises DomainTooLarge.
+    raises UnsupportedDegree, and a mask the table budget does not admit
+    (odd m >= 13) raises DomainTooLarge.
     """
     # Imported here, so that no other verb loads concurrent.futures.
     from concurrent.futures import ThreadPoolExecutor
 
     degrees = tuple(degrees)
     for m in degrees:
-        if check_degree(m) % 2 == 0:
-            raise EvenDegree(f"m={m}: no 3-homogeneous permutation exists for even m")
-        admit_mask(m)
+        admit_mask(check_degree(m))
     families = all_families()
     results: dict[int, tuple[str, ...]] = {}
     # The lookups run off the main thread only because the benchmark's tracer

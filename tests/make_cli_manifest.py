@@ -25,9 +25,13 @@ The rows:
 - `search --m` of each odd degree from 3 to 11, and of 3,5,7;
 - `certify`, `certify --only resultant_Q` and `certify --only nothing`;
 - the three `resultant` lines of README.md;
-- the exit-2 refusals: even m for `verify`, `invert`, `lift` and
-  `search`; m = 13 for `verify`, `search` and table `invert`; `lift` at
-  m = 9; and `qm` of a base-9 document (golden/qm/base9.json);
+- even m, answered by the cube lemma: `verify --family T3` at m = 2, 4
+  and 16 (exit 1), `lift --family T1` at m = 2 and 4, `search --m 4` and
+  `search` of every even degree from 2 to 16 (exit 0), and `invert` of
+  T1 and T2 at m = 4 (exit 2);
+- the exit-2 refusals: m = 13 for `verify`, `search` and table
+  `invert`; `lift` at m = 9; and `qm` of a base-9 document
+  (golden/qm/base9.json);
 - the base-7 pair q = X^D + X^(D+1) and p = X^D + X^(D+2), D =
   (2^21-1)/7, whose first exponent shares the factor D with 2^21 - 1
   (golden/qm/shared_factor_{p,q}_m7.json): p against q, q against p,
@@ -108,7 +112,7 @@ def _commands() -> list[list[str]]:
     p = LiftedPoly.make(ext, {1: 1, 1 + delta: 1, 2 + delta: ext.generator})
     p_path, q_path = _write(p, "crafted_p_m7.json"), _write(q, "crafted_q_m7.json")
     commands += [["qm", "--p", x, "--q", y] for x in (p_path, q_path) for y in (p_path, q_path)]
-    return commands + _other_verbs() + _refusals() + _shared_factor_pair()
+    return commands + _other_verbs() + _even_degrees() + _refusals() + _shared_factor_pair()
 
 
 def _other_verbs() -> list[list[str]]:
@@ -126,14 +130,27 @@ def _other_verbs() -> list[list[str]]:
     return commands + [["resultant", *argv] for argv in README_RESULTANTS]
 
 
-def _refusals() -> list[list[str]]:
-    """Commands that exit 2: even m, and tables the budget refuses."""
-    base9 = _write(LiftedPoly.make(ExtCtx(shared_field(9)), {1: 1}), "base9.json")
+def _even_degrees() -> list[list[str]]:
+    """Commands at even m, where no family permutes: verify exits 1 with
+    the cube table's witness, lift prints the lift, search finds nothing,
+    and invert is refused."""
     return [
+        ["verify", "--family", "T3", "--m", "2"],
         ["verify", "--family", "T3", "--m", "4"],
+        ["verify", "--family", "T3", "--m", "16"],
         ["invert", "--family", "T1", "--m", "4", "--target", "0x1,0x0,0x1"],
+        ["invert", "--family", "T2", "--m", "4", "--target", "0x1,0x0,0x1"],
+        ["lift", "--family", "T1", "--m", "2"],
         ["lift", "--family", "T1", "--m", "4"],
         ["search", "--m", "4"],
+        ["search", "--m", "2,4,6,8,10,12,14,16"],
+    ]
+
+
+def _refusals() -> list[list[str]]:
+    """Commands that exit 2: tables the budget refuses."""
+    base9 = _write(LiftedPoly.make(ExtCtx(shared_field(9)), {1: 1}), "base9.json")
+    return [
         ["verify", "--family", "T3", "--m", "13"],
         ["search", "--m", "13"],
         ["invert", "--family", "T2", "--m", "13", "--target", "0x1,0x2,0x3", "--method", "table"],

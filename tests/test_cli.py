@@ -93,11 +93,24 @@ def test_verify_golden_stdout(capsys, argv, code, stdout):
     assert run(capsys, "verify", *argv)[:2] == (code, stdout)
 
 
-def test_verify_even_m_is_usage_error(capsys):
-    code, out, err = run(capsys, "verify", "--coeffs", "00000011", "--m", "4")
-    assert code == 2
-    assert out == ""
-    assert "odd" in err
+def test_verify_even_m_is_a_negative(capsys):
+    """Even m is answered by the cube lemma, not refused: exit 1 and the
+    cube table's first collision as the witness."""
+    assert run(capsys, "verify", "--coeffs", "00000011", "--m", "4")[:2] == (
+        1, '{"family": "00000011", "m": 4, "permutation": false, "points": 7,'
+           ' "witness": [["0x0", "0x0", "0x1"], ["0x0", "0x0", "0x6"]]}\n')
+
+
+@pytest.mark.parametrize("m", range(2, 17, 2))
+def test_verify_even_m_witness_is_a_true_collision(capsys, m):
+    """At every even m, each named family's witness is two points with one image."""
+    ctx = shared_field(m)
+    for name in ("T1", "T2", "T3", "T4", "T5"):
+        code, out, _ = run(capsys, "verify", "--family", name, "--m", str(m))
+        first, second = (tuple(int(v, 16) for v in p) for p in json.loads(out)["witness"])
+        assert code == 1 and first < second, name
+        fam = named_family(name)
+        assert eval_F(ctx, fam, first) == eval_F(ctx, fam, second), name
 
 
 def test_verify_bad_coeffs(capsys):
@@ -285,7 +298,6 @@ def test_qm_degree_outside_the_fields_is_unsupported(capsys, monkeypatch, tmp_pa
 
 
 _LIFT_REFUSALS = {
-    6: "m must be odd",
     9: "the log tables of GF(2^27): 134217728 entries > 16777216",
     11: "the log tables of GF(2^33)",
     13: "the log tables of GF(2^39)",
@@ -296,10 +308,10 @@ _LIFT_REFUSALS = {
 
 @pytest.mark.parametrize("m", list(_LIFT_REFUSALS))
 def test_lift_is_refused_before_any_field_is_built(capsys, monkeypatch, m):
-    """Even m, a base m whose log tables the budget refuses (9 is the
-    first), and a degree with no field (checked before the count 2^3m is
-    formed, so m = -1 is no negative shift): exit 2 and no stdout, with no
-    field, permutation mask or extension built first."""
+    """A base m whose log tables the budget refuses (9 is the first), and
+    a degree with no field (checked before the count 2^3m is formed, so
+    m = -1 is no negative shift): exit 2 and no stdout, with no field,
+    permutation mask or extension built first."""
     def no_build(*args, **kwargs):
         raise AssertionError(f"built for lift --m {m}")
 
@@ -394,7 +406,11 @@ def test_search_m3_5_7_golden_stdout(capsys):
 
 
 def test_search_even_m(capsys):
-    assert run(capsys, "search", "--m", "3,4")[0] == 2
+    """An even degree is searched and permutes nothing; a degree outside
+    1..16 is still refused."""
+    code, out, _ = run(capsys, "search", "--m", "3,4")
+    report = json.loads(out)
+    assert code == 0 and report["results"]["4"] == [] and report["intersection"] == []
     assert run(capsys, "search", "--m", "3,-1")[0] == 2
 
 

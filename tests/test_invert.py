@@ -181,9 +181,21 @@ def test_non_permutation_decided_without_the_full_scan(f128, monkeypatch):
             invert_table(f128, family_from_coeffs(bits), (1, 2, 3))
 
 
-def test_even_m_is_refused_before_any_table():
-    with pytest.raises(NotAPermutation, match="even m"):
-        invert_table(FieldCtx(4), named_family("T2"), (1, 2, 3))
+def test_even_m_is_refused_before_any_table(monkeypatch):
+    """invert_point refuses even m for every family, route and target,
+    the zero target included, before any table or inverter runs."""
+    def no_route(*args):
+        raise AssertionError("an inverter ran at even m")
+
+    for name in ("_inverse_table", "invert_T1_resolvent", "invert_T3", "invert_T4", "invert_T5"):
+        monkeypatch.setattr(inv, name, no_route)
+    for m in (2, 4, 16):
+        ctx = FieldCtx(m)
+        for target in ((0, 0, 0), (3 & ctx.mask, 5 & ctx.mask, 7 & ctx.mask)):
+            for name in ("T1", "T2", "T3", "T4", "T5"):
+                for method in ("auto", "table"):
+                    with pytest.raises(NotAPermutation, match="even m"):
+                        invert_point(ctx, named_family(name), target, method)
 
 
 def test_inverse_table_is_read_only(f128):

@@ -1,5 +1,6 @@
 """Cubic extension construction, interpolation, and QM-equivalence."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -246,7 +247,7 @@ def test_interp_matrix_oracle_matches_reference_loop(m):
                               _interp_coeffs_py(logv, ext._exp, ext.group))
 
 
-@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_lift_matches_full_oracle_all_vectors(m):
     """Every coefficient vector, permutation or not, lifts as the full sums say.
 
@@ -258,6 +259,17 @@ def test_lift_matches_full_oracle_all_vectors(m):
         fam = family_from_coeffs(f"{v:08b}")
         values = _full_cube_values(ext, fam)
         assert lift_permutation(ext, fam).terms == _full_lift_terms(ext, values), fam.bitstring()
+
+
+def test_lift_at_even_m_is_answered(capsys):
+    """lift at base m = 2 exits 0 with the full interpolant, and the lift
+    does not permute GF(2^6): no family permutes GF(2^m)^3 at even m."""
+    assert cli.main(["lift", "--family", "T1", "--m", "2"]) == 0
+    poly = lifted_from_json(json.loads(capsys.readouterr().out))
+    ext = poly.ext
+    ext._ensure_tables()
+    assert poly.terms == _full_lift_terms(ext, _full_cube_values(ext, named_family("T1")))
+    assert not is_pp(ext, poly)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])

@@ -52,6 +52,26 @@ def test_only_images_evaluates_a_monomial():
     assert found == ["permcheck.py:_images"]
 
 
+def test_only_permcheck_invert_point_and_field_test_the_parity_of_m():
+    """Even m is one lemma: permcheck answers it and invert.invert_point
+    refuses it.  Beside them only field (cube roots and the half-trace
+    need odd m) and certify (certificates of a fixed odd domain) test the
+    parity of m, so no verb keeps an even-m policy of its own."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers = {id(node): f.name for f in ast.walk(tree)
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and getattr(node.right, "value", None) == 2
+                    and "m" in (getattr(node.left, "id", None), getattr(node.left, "attr", None))):
+                found.append(f"{path.relative_to(SRC)}:{callers.get(id(node))}")
+    modules = {entry.split(":")[0] for entry in found}
+    assert modules == {"certify.py", "field.py", "invert.py", "permcheck.py"}, found
+    assert [e for e in found if e.startswith("invert.py")] == ["invert.py:invert_point"]
+
+
 def test_package_images_only_slab_prefixes():
     """Every call of family_images in the package passes its slabs
     argument, so the image of the whole q^3 cube (16 MB at m=7; 1 GiB at

@@ -2,13 +2,12 @@
 
 import json
 import random
-import warnings
 
 import numpy as np
 import pytest
 
 from rotaperm._kernels import scan_bijection
-from rotaperm.errors import DomainTooLarge, EvenDegree, FormulaInconsistent, NotAPermutation
+from rotaperm.errors import DomainTooLarge, FormulaInconsistent, NotAPermutation
 from rotaperm.family import NAMED_COEFFS, all_families, eval_F, family_from_coeffs, named_family
 from rotaperm.field import DEFAULT_MODULI, FieldCtx, shared_field
 from rotaperm.invert import _inverse_table
@@ -60,9 +59,7 @@ def test_cube_fails_at_even_m():
     assert report.witness is not None
     p1, p2 = report.witness
     assert p1 != p2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert eval_F(ctx, fam, p1) == eval_F(ctx, fam, p2)
+    assert eval_F(ctx, fam, p1) == eval_F(ctx, fam, p2)
     assert report.points_checked < 64
 
 
@@ -97,23 +94,10 @@ def test_family_images_match_eval_F(m, vectors):
         assert family_images(ctx, fam).tolist() == want, bits
 
 
-@pytest.mark.parametrize("m", [3, 5])
-def test_family_images_independent_of_block(m, monkeypatch):
-    """The block size bounds memory, not results: one slab, uneven blocks, one block."""
-    import rotaperm.permcheck as pc
-    ctx = FieldCtx(m)
-    for bits in ("00000001", "11111111", "10011010"):
-        fam = family_from_coeffs(bits)
-        want = family_images(ctx, fam)
-        for block in (1, 3 * ctx.q * ctx.q, 1 << 30):
-            monkeypatch.setattr(pc, "IMAGE_BLOCK", block)
-            assert np.array_equal(family_images(ctx, fam), want), (bits, block)
-
-
 @pytest.mark.parametrize("m", [3, 5, 7])
 def test_family_images_of_a_prefix_are_the_cube_images_truncated(m):
     """The first k x-slabs are the first k*q^2 entries of the whole cube,
-    for one slab, two, and all but the last (an uneven last block at m=7)."""
+    for one slab, two, and all but the last."""
     ctx = FieldCtx(m)
     for bits in ("00000001", "11111111", "10011010"):
         fam = family_from_coeffs(bits)
@@ -740,13 +724,19 @@ def test_positive_without_witness_counts_every_point(f32):
     assert report.is_permutation and report.points_checked == 1 << 15
 
 
-def test_even_m_is_decided_by_the_cube_lemma():
-    """Even m is never projective; the report is the cube table's first
-    repeat at (0,0,z), the same the full scan gives."""
+def test_even_m_is_decided_by_the_cube_lemma(monkeypatch):
+    """Even m is never projective: the mask is all False with no decision
+    run, at every even m up to 16, and the report is the cube table's
+    first repeat at (0,0,z), the same the full scan gives."""
+    def no_decision(*args):
+        raise AssertionError("a projective decision ran at even m")
+
+    monkeypatch.setattr(pc, "_decide_rows", no_decision)
+    monkeypatch.setattr(pc, "group_tables", no_decision)
+    for m in (2, 4, 16):
+        assert not permutation_mask(FieldCtx(m)).any(), m
     ctx = FieldCtx(2)
     fam = family_from_coeffs((0,) * 8)
-    with pytest.raises(EvenDegree):
-        permutation_mask(ctx)
     report = is_permutation(ctx, fam, witness=False)
     assert report == full_scan(ctx, fam)
     assert report.witness == ((0, 0, 1), (0, 0, 2)) and report.points_checked == 3
@@ -773,9 +763,7 @@ def test_even_m_past_m9_is_the_cube_report(m):
     fam = named_family("T1")
     witness = ((0, 0, first_of[ctx.pow(at, 3)]), (0, 0, at))
     assert is_permutation(ctx, fam) == pc.PermReport(fam.bitstring(), m, False, at + 1, witness)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert eval_F(ctx, fam, witness[0]) == eval_F(ctx, fam, witness[1])
+    assert eval_F(ctx, fam, witness[0]) == eval_F(ctx, fam, witness[1])
 
 
 def test_witnesses_at_m11_are_true_collisions():
@@ -1002,8 +990,8 @@ def test_mask_is_read_only(f32):
     assert not mask.flags.writeable
     with pytest.raises(ValueError):
         mask[0] = not mask[0]
-    with pytest.raises(EvenDegree):
-        permutation_mask(FieldCtx(4))
+    even = permutation_mask(FieldCtx(4))
+    assert not even.flags.writeable and not even.any()
 
 
 # -- D(Y, Z) zero count ----------------------------------------------------------

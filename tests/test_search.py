@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rotaperm import search
-from rotaperm.errors import DomainTooLarge, EvenDegree, UnsupportedDegree
+from rotaperm.errors import DomainTooLarge, UnsupportedDegree
 from rotaperm.family import COEFF_EXPONENTS, NAMED_COEFFS
 from rotaperm.field import FieldCtx, shared_field
 from rotaperm.search import ALL_ZERO, SearchReport, named_bitstrings, search_all, search_diff
@@ -37,9 +37,12 @@ def test_results_sorted_and_deterministic(report_m3):
     assert again.intersection == report_m3.intersection
 
 
-def test_even_degree_rejected():
-    with pytest.raises(EvenDegree):
-        search_all([4])
+def test_even_degrees_have_no_permutation(projective_degrees):
+    """Even m permutes nothing, by the cube lemma, and decides no vector."""
+    report = search_all([2, 4, 16])
+    assert report.results == {2: (), 4: (), 16: ()} and report.intersection == ()
+    assert search_diff(report) == ()
+    assert projective_degrees == []
 
 
 def test_domain_caps(monkeypatch):
@@ -52,8 +55,8 @@ def test_domain_caps(monkeypatch):
         search_all([13])
     with pytest.raises(DomainTooLarge):
         search_all([3, 13])
-    with pytest.raises(EvenDegree):
-        search_all([3, 4])
+    with pytest.raises(DomainTooLarge):
+        search_all([4, 13])
     with pytest.raises(UnsupportedDegree):
         search_all([3, -1])
     with pytest.raises(UnsupportedDegree):
